@@ -46,7 +46,6 @@ from .laws import (
     AffineSpeedLaw,
     ConstantLaw,
     ConvexityReport,
-    CustomLaw,
     GrowthReport,
     JumpSign,
     PsiPotential,

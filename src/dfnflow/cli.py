@@ -8,8 +8,9 @@ Subcommands:
   whose high law is constant, keeping everything else fixed.
 
 The exit code reports the tracker outcome: 0 converged, 2 oscillating,
-3 iteration cap reached, 1 on any error. Sweeps exit 0 when every member
-ran (individual member failures are recorded in the output).
+3 iteration cap reached, 1 on any error. Sweeps exit 0 when at least one
+member ran (individual member failures are recorded in the output) and 1
+when every member failed.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     mesh = spec.build_mesh()
     rows = []
+    last_report = None
     for k2 in values:
         law = AdaptiveLaw(
             low=spec.law.low, high=ConstantLaw(1.0 / k2), threshold=spec.law.threshold
@@ -156,6 +158,8 @@ def _cmd_sweep(args) -> int:
         except Exception as exc:
             rows.append({"k2": k2, "status": "error", "period": 0,
                          "outer_iterations": 0, "message": str(exc)})
+    if last_report is None:
+        raise RuntimeError(f"every sweep member failed: {rows[0]['message']}")
     bundle = bundle_from_report(
         "sweep-k2",
         last_report,

@@ -357,7 +357,7 @@ def law_branch_to_dict(branch: LawBranch) -> dict:
         return {"type": "constant", "value": branch.value}
     if isinstance(branch, AffineSpeedLaw):
         return {"type": "affine", "intercept": branch.intercept, "slope": branch.slope}
-    raise ConfigError("custom law branches cannot be serialized")
+    raise ConfigError(f"law branch {type(branch).__name__} cannot be serialized")
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:

@@ -210,35 +210,18 @@ def _energies_on_grid(
     length = x[-1] - x[0]
     lifted_integral = float(np.dot(h, 0.5 * (ua + ub)))
 
-    if psi.has_closed_form:
-        wa = alphas[None, :] + ua[:, None]
-        wb = alphas[None, :] + ub[:, None]
-        delta = (ub - ua)[:, None]
-        flat = np.abs(ub - ua) < 1e-14
-        ga = psi.flux_antiderivative(wa)
-        gb = psi.flux_antiderivative(wb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_element = h[:, None] * (gb - ga) / delta
-        if flat.any():
-            const = h[:, None] * psi.value_physical(wa**2)
-            per_element[flat, :] = const[flat, :]
-        dissipation = per_element.sum(axis=0)
-    else:
-        dissipation = np.array(
-            [
-                sum(
-                    _element_dissipation(
-                        float(x[e]),
-                        float(x[e + 1]),
-                        float(a + ua[e]),
-                        float(a + ub[e]),
-                        psi,
-                    )
-                    for e in range(len(h))
-                )
-                for a in alphas
-            ]
-        )
+    wa = alphas[None, :] + ua[:, None]
+    wb = alphas[None, :] + ub[:, None]
+    delta = (ub - ua)[:, None]
+    flat = np.abs(ub - ua) < 1e-14
+    ga = psi.flux_antiderivative(wa)
+    gb = psi.flux_antiderivative(wb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_element = h[:, None] * (gb - ga) / delta
+    if flat.any():
+        const = h[:, None] * psi.value_physical(wa**2)
+        per_element[flat, :] = const[flat, :]
+    dissipation = per_element.sum(axis=0)
     return dissipation - forcing * (alphas * length + lifted_integral)
 
 

@@ -7,6 +7,9 @@ is the junction mass balance; when no pressure condition exists anywhere, one
 Lagrange multiplier row pins the mean pressure. The assembled system is
 symmetric indefinite and solved by a direct sparse factorization.
 
+Per-node and per-element data are single arrays over all branches, each
+branch owning a slice (see ``SaddleSystem``); assembly works on whole arrays.
+
 The law coefficient is frozen per element at a caller-supplied speed, which is
 what the fixed-point linearization of the nonlinear problem requires.
 """
@@ -71,17 +74,19 @@ def source_integrals(mesh: Mesh, sources: SourceSpec, branch_id: str) -> np.ndar
     element lies inside a single piece.
     """
     x = mesh.nodes[branch_id]
+    a, b = x[:-1], x[1:]
     src = sources.scalar_for(branch_id)
-    out = np.empty(len(x) - 1)
-    for e in range(len(x) - 1):
-        a, b = x[e], x[e + 1]
-        piece = src.piece_at(0.5 * (a + b))
+    piece_of = np.searchsorted(np.asarray(src.breakpoints), 0.5 * (a + b), side="left")
+    out = np.empty(len(a))
+    pts, wts = _GAUSS5
+    for k, piece in enumerate(src.pieces):
+        sel = piece_of == k
+        half = 0.5 * (b[sel] - a[sel])
         if callable(piece):
-            pts, wts = _GAUSS5
-            xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
-            out[e] = 0.5 * (b - a) * float(np.dot(wts, piece(xs)))
+            xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
+            out[sel] = half * (piece(xs.ravel()).reshape(xs.shape) @ wts)
         else:
-            out[e] = piece * (b - a)
+            out[sel] = piece * (b[sel] - a[sel])
     return out
 
 
@@ -104,16 +109,30 @@ def lift_pressure_data(bcs: BoundarySpec, branch: Branch) -> float:
 
 @dataclass
 class SaddleSystem:
-    """Assembled saddle-point system with its unknown layout."""
+    """Assembled saddle-point system with its unknown layout.
+
+    The unknowns are, in this order: the flux at every free node (one whose
+    flux no velocity condition prescribes), the pressure of every element
+    from ``pressure_start``, one pressure per intersection in
+    ``network.intersections`` order from ``junction_start``, and the
+    mean-pressure multiplier when there is one. Branch ``k`` of
+    ``mesh.branch_ids`` owns the global nodes
+    ``node_offset[k]:node_offset[k + 1]`` and the global elements
+    ``element_offset[k]:element_offset[k + 1]``. ``free`` marks the free
+    global nodes; ``prescribed_flux`` holds the flux at the other nodes and
+    zero at free ones.
+    """
 
     matrix: sps.csr_matrix
     rhs: np.ndarray
     mesh: Mesh
-    flux_index: dict[tuple[str, int], int]
-    pressure_index: dict[tuple[str, int], int]
-    junction_index: dict[str, int]
+    node_offset: np.ndarray
+    element_offset: np.ndarray
+    free: np.ndarray
+    prescribed_flux: np.ndarray
+    pressure_start: int
+    junction_start: int
     mean_index: int | None
-    fixed_flux: dict[tuple[str, int], float]
     mean_pressure: float | None
 
     @property
@@ -159,28 +178,35 @@ class Solution:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _fixed_flux_values(mesh: Mesh, bcs: BoundarySpec) -> dict[tuple[str, int], float]:
-    fixed = {}
-    for bid in mesh.branch_ids:
-        last = len(mesh.nodes[bid]) - 1
-        for which, idx, n_out in ((START, 0, -1.0), (END, last, 1.0)):
-            bc = bcs.condition_at(bid, which)
-            if isinstance(bc, VelocityBC):
-                fixed[(bid, idx)] = bc.outflux * n_out
-    return fixed
-
-
 FrozenSpeed = Union[float, Mapping[str, np.ndarray]]
 
 
-def _speeds_for(mesh: Mesh, frozen_speed: FrozenSpeed, branch_id: str) -> np.ndarray:
-    n = mesh.element_count(branch_id)
-    if isinstance(frozen_speed, Mapping):
-        s = np.asarray(frozen_speed[branch_id], dtype=float)
-        if len(s) != n:
-            raise ValueError(f"frozen speeds do not match elements on {branch_id!r}")
-        return s
-    return np.full(n, float(frozen_speed))
+def _element_speeds(mesh: Mesh, frozen_speed: FrozenSpeed) -> np.ndarray:
+    if not isinstance(frozen_speed, Mapping):
+        return np.full(mesh.total_elements, float(frozen_speed))
+    speeds = [np.asarray(frozen_speed[bid], dtype=float) for bid in mesh.branch_ids]
+    for bid, s in zip(mesh.branch_ids, speeds):
+        if len(s) != mesh.element_count(bid):
+            raise ValueError(f"frozen speeds do not match elements on {bid!r}")
+    return np.concatenate(speeds)
+
+
+def _end(node_offset: np.ndarray, k: int, which: str) -> tuple[int, float]:
+    """Global node and outward sign of the given end of branch ``k``."""
+    return (node_offset[k], -1.0) if which == START else (node_offset[k + 1] - 1, 1.0)
+
+
+def _junction_ends(mesh: Mesh, node_offset: np.ndarray):
+    """Global node, intersection position and outward sign of each junction end."""
+    position = {bid: k for k, bid in enumerate(mesh.branch_ids)}
+    nodes, owner, sign = [], [], []
+    for j, isec in enumerate(mesh.network.intersections):
+        for bid, which in isec.incident:
+            node, n_out = _end(node_offset, position[bid], which)
+            nodes.append(node)
+            owner.append(j)
+            sign.append(n_out)
+    return np.array(nodes, dtype=np.intp), np.array(owner, dtype=np.intp), np.array(sign)
 
 
 def assemble(
@@ -199,117 +225,99 @@ def assemble(
     exactly, with the coefficient constant per element at the frozen speed.
     """
     regimes.check_against(mesh)
-    net = mesh.network
-
     if not bcs.has_pressure_bc and bcs.mean_pressure is None:
         raise SingularSystemError(
             "no pressure anchor: the problem has no pressure boundary condition "
             "and no mean-pressure constraint"
         )
 
-    fixed = _fixed_flux_values(mesh, bcs)
-    flux_index: dict[tuple[str, int], int] = {}
-    pressure_index: dict[tuple[str, int], int] = {}
-    n = 0
-    for bid in mesh.branch_ids:
-        for i in range(len(mesh.nodes[bid])):
-            if (bid, i) not in fixed:
-                flux_index[(bid, i)] = n
-                n += 1
-    for bid in mesh.branch_ids:
-        for e in range(mesh.element_count(bid)):
-            pressure_index[(bid, e)] = n
-            n += 1
-    junction_index = {isec.id: n + k for k, isec in enumerate(net.intersections)}
-    n += len(net.intersections)
-    mean_index = None
-    if not bcs.has_pressure_bc:
-        mean_index = n
-        n += 1
+    ids = mesh.branch_ids
+    counts = np.array([mesh.element_count(b) for b in ids])
+    element_offset = np.concatenate([[0], np.cumsum(counts)])
+    node_offset = element_offset + np.arange(len(ids) + 1)
+    n_nodes, n_elements = int(node_offset[-1]), int(element_offset[-1])
+    has_mean = not bcs.has_pressure_bc
+    n_full = n_nodes + n_elements + len(mesh.network.intersections) + has_mean
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    rhs = np.zeros(n)
+    branch_of = np.repeat(np.arange(len(ids)), counts)
+    left = np.arange(n_elements) + branch_of
+    right = left + 1
+    x = np.concatenate([mesh.nodes[b] for b in ids])
+    h = x[right] - x[left]
 
-    def add(r: int, c: int, v: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
+    coeff = eval_lambda_coefficient(
+        law,
+        _element_speeds(mesh, frozen_speed),
+        np.concatenate([regimes.labels[b] for b in ids]),
+    )
+    bad = np.flatnonzero(coeff <= 0.0)
+    if bad.size:
+        k = int(branch_of[bad[0]])
+        raise SingularSystemError(
+            f"degenerate law coefficient {float(coeff[bad[0]])} on element "
+            f"{int(bad[0] - element_offset[k])} of branch {ids[k]!r}"
+        )
 
-    for bid in mesh.branch_ids:
-        x = mesh.nodes[bid]
-        h = np.diff(x)
-        labels = regimes.labels[bid]
-        speeds = _speeds_for(mesh, frozen_speed, bid)
-        qint = source_integrals(mesh, sources, bid)
-        f_t = mesh.tangential_force[bid]
-
-        for e in range(len(h)):
-            coeff = eval_lambda_coefficient(law, float(speeds[e]), Regime(labels[e]))
-            if coeff <= 0.0:
-                raise SingularSystemError(
-                    f"degenerate law coefficient {coeff} on element {e} of "
-                    f"branch {bid!r}"
-                )
-            m = coeff * h[e] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-            pair = (e, e + 1)
-            for a_loc, i in enumerate(pair):
-                ri = flux_index.get((bid, i))
-                if ri is not None:
-                    rhs[ri] += f_t * h[e] / 2.0
-                for b_loc, j in enumerate(pair):
-                    if ri is None:
-                        continue
-                    rj = flux_index.get((bid, j))
-                    if rj is None:
-                        rhs[ri] -= m[a_loc, b_loc] * fixed[(bid, j)]
-                    else:
-                        add(ri, rj, m[a_loc, b_loc])
-
-            pe = pressure_index[(bid, e)]
-            for i, sgn in ((e, 1.0), (e + 1, -1.0)):
-                ri = flux_index.get((bid, i))
-                if ri is None:
-                    rhs[pe] -= sgn * fixed[(bid, i)]
-                else:
-                    add(ri, pe, sgn)
-                    add(pe, ri, sgn)
-            rhs[pe] += -qint[e]
-            if mean_index is not None:
-                add(pe, mean_index, h[e])
-                add(mean_index, pe, h[e])
-
-        last = len(x) - 1
-        for which, i, n_out in ((START, 0, -1.0), (END, last, 1.0)):
+    # Right-hand side and prescribed fluxes over the full numbering: all
+    # nodes, elements, intersections, then the mean multiplier. Constrained
+    # nodes are removed at the end, their known flux moved to the rhs.
+    rhs = np.zeros(n_full)
+    half_force = np.array([mesh.tangential_force[b] for b in ids])[branch_of] * h / 2.0
+    rhs[left] += half_force
+    rhs[right] += half_force
+    free = np.ones(n_nodes, dtype=bool)
+    prescribed = np.zeros(n_full)
+    at_junction = mesh.network.junction_ends
+    for k, bid in enumerate(ids):
+        for which in (START, END):
+            node, n_out = _end(node_offset, k, which)
             bc = bcs.condition_at(bid, which)
-            if isinstance(bc, PressureBC):
-                rhs[flux_index[(bid, i)]] -= bc.pressure * n_out
+            if isinstance(bc, VelocityBC):
+                if (bid, which) in at_junction:
+                    raise SingularSystemError(
+                        f"branch end ({bid!r}, {which}) is both at an intersection "
+                        "and velocity-constrained"
+                    )
+                free[node] = False
+                prescribed[node] = bc.outflux * n_out
+            elif isinstance(bc, PressureBC):
+                rhs[node] -= bc.pressure * n_out
+    pressure = n_nodes + np.arange(n_elements)
+    rhs[pressure] = -np.concatenate([source_integrals(mesh, sources, b) for b in ids])
 
-    for isec in net.intersections:
-        jr = junction_index[isec.id]
-        for bid, which in isec.incident:
-            i = 0 if which == START else len(mesh.nodes[bid]) - 1
-            n_out = -1.0 if which == START else 1.0
-            ri = flux_index.get((bid, i))
-            if ri is None:
-                raise SingularSystemError(
-                    f"branch end ({bid!r}, {which}) is both at an intersection "
-                    "and velocity-constrained"
-                )
-            add(ri, jr, n_out)
-            add(jr, ri, n_out)
+    m = coeff * h / 6.0
+    ones = np.ones(n_elements)
+    rows = [left, left, right, right, left, pressure, right, pressure]
+    cols = [left, right, left, right, pressure, left, pressure, right]
+    vals = [2.0 * m, m, m, 2.0 * m, ones, ones, -ones, -ones]
+    if has_mean:
+        mean = np.full(n_elements, n_full - 1)
+        rows += [pressure, mean]
+        cols += [mean, pressure]
+        vals += [h, h]
+    end_nodes, owner, sign = _junction_ends(mesh, node_offset)
+    junction = n_nodes + n_elements + owner
+    rows += [end_nodes, junction]
+    cols += [junction, end_nodes]
+    vals += [sign, sign]
 
-    matrix = sps.csr_matrix(sps.coo_matrix((data, (rows, cols)), shape=(n, n)))
+    full = sps.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_full, n_full),
+    )
+    keep = np.concatenate([free, np.ones(n_full - n_nodes, dtype=bool)])
+    n_free = int(np.count_nonzero(free))
     return SaddleSystem(
-        matrix=matrix,
-        rhs=rhs,
+        matrix=full[keep][:, keep],
+        rhs=(rhs - full @ prescribed)[keep],
         mesh=mesh,
-        flux_index=flux_index,
-        pressure_index=pressure_index,
-        junction_index=junction_index,
-        mean_index=mean_index,
-        fixed_flux=fixed,
+        node_offset=node_offset,
+        element_offset=element_offset,
+        free=free,
+        prescribed_flux=prescribed[:n_nodes],
+        pressure_start=n_free,
+        junction_start=n_free + n_elements,
+        mean_index=n_free + n_full - n_nodes - 1 if has_mean else None,
         mean_pressure=bcs.mean_pressure,
     )
 
@@ -342,40 +350,33 @@ def solve_saddle(system: SaddleSystem) -> Solution:
         )
 
     mesh = system.mesh
-    flux = {bid: np.empty(len(mesh.nodes[bid])) for bid in mesh.branch_ids}
-    for (bid, i), k in system.flux_index.items():
-        flux[bid][i] = x[k]
-    for (bid, i), v in system.fixed_flux.items():
-        flux[bid][i] = v
-    pressure = {bid: np.empty(mesh.element_count(bid)) for bid in mesh.branch_ids}
-    for (bid, e), k in system.pressure_index.items():
-        pressure[bid][e] = x[k]
-    junction_pressure = {iid: float(x[k]) for iid, k in system.junction_index.items()}
+    ids = mesh.branch_ids
+    p0, j0 = system.pressure_start, system.junction_start
+    intersections = mesh.network.intersections
+    nodal = system.prescribed_flux.copy()
+    nodal[system.free] = x[:p0]
+    # element pressures followed by junction pressures, shifted together
+    pressures = x[p0 : j0 + len(intersections)].copy()
+    pressure = dict(zip(ids, np.split(pressures[: j0 - p0], system.element_offset[1:-1])))
 
     multiplier = None
     if system.mean_index is not None:
         multiplier = float(x[system.mean_index])
-        total = mesh.network.total_length
         weighted = sum(
-            float(np.dot(pressure[bid], mesh.element_lengths(bid)))
-            for bid in mesh.branch_ids
+            float(np.dot(pressure[bid], mesh.element_lengths(bid))) for bid in ids
         )
-        shift = system.mean_pressure - weighted / total
-        for bid in mesh.branch_ids:
-            pressure[bid] += shift
-        for iid in junction_pressure:
-            junction_pressure[iid] += shift
+        pressures += system.mean_pressure - weighted / mesh.network.total_length
 
     solution = Solution(
         mesh=mesh,
-        flux=flux,
+        flux=dict(zip(ids, np.split(nodal, system.node_offset[1:-1]))),
         pressure=pressure,
-        junction_pressure=junction_pressure,
+        junction_pressure=dict(zip([i.id for i in intersections], pressures[j0 - p0 :].tolist())),
         residual=residual,
         multiplier=multiplier,
         raw_vector=x,
     )
-    if system.junction_index:
+    if intersections:
         solution.junction_implied = implied_junction_pressures(system, solution)
     return solution
 
@@ -396,6 +397,9 @@ def _diagnose(system: SaddleSystem, reason: str) -> str:
     return msg
 
 
+# ``solve_saddle`` calls this by its module-level name on every solve of a
+# network with intersections: perfbench/tracing.py wraps that name, and its
+# self-test expects exactly one call per such solve.
 def implied_junction_pressures(
     system: SaddleSystem, solution: Solution
 ) -> dict[str, list[float]]:
@@ -408,22 +412,17 @@ def implied_junction_pressures(
     discrete pressure continuity. Values are reported in the same (possibly
     mean-shifted) units as ``solution.junction_pressure``.
     """
-    mesh = system.mesh
     x = solution.raw_vector
     if x is None:
         raise ValueError("solution does not carry its raw solve vector")
-    A, b = system.matrix, system.rhs
-    out: dict[str, list[float]] = {}
-    for isec in mesh.network.intersections:
-        jc = system.junction_index[isec.id]
-        shift = solution.junction_pressure[isec.id] - x[jc]
-        implied = []
-        for bid, which in isec.incident:
-            i = 0 if which == START else len(mesh.nodes[bid]) - 1
-            ri = system.flux_index[(bid, i)]
-            n_out = -1.0 if which == START else 1.0
-            row = A.getrow(ri)
-            partial = float((row @ x)[0]) - float(row[0, jc]) * x[jc]
-            implied.append((b[ri] - partial) / n_out + shift)
-        out[isec.id] = implied
-    return out
+    intersections = system.mesh.network.intersections
+    nodes, owner, sign = _junction_ends(system.mesh, system.node_offset)
+    rows = np.cumsum(system.free)[nodes] - 1
+    cols = system.junction_start + owner
+    # each flux row holds its junction unknown once, with coefficient sign
+    partial = system.matrix[rows] @ x - sign * x[cols]
+    reported = np.array([solution.junction_pressure[isec.id] for isec in intersections])
+    shift = reported[owner] - x[cols]
+    implied = (system.rhs[rows] - partial) / sign + shift
+    parts = np.split(implied, np.cumsum([len(i.incident) for i in intersections])[:-1])
+    return {isec.id: part.tolist() for isec, part in zip(intersections, parts)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -84,30 +84,7 @@ class AffineSpeedLaw:
         )
 
 
-@dataclass(frozen=True)
-class CustomLaw:
-    """Extension hook for an arbitrary coefficient of normalized squared speed.
-
-    The caller must supply the matching antiderivative of phi/2 vanishing at
-    a = 1; closed forms are refused silent quadrature here on purpose. Custom
-    branches are used as given, without threshold rescaling.
-    """
-
-    phi_fn: Callable[[np.ndarray], np.ndarray]
-    potential_fn: Callable[[np.ndarray], np.ndarray]
-    growth_exponent: float = 2.0
-
-    def phi(self, a):
-        return self.phi_fn(np.asarray(a, dtype=float))
-
-    def potential(self, a):
-        return self.potential_fn(np.asarray(a, dtype=float))
-
-    def potential_coefficients(self):
-        return None
-
-
-LawBranch = Union[ConstantLaw, AffineSpeedLaw, CustomLaw]
+LawBranch = Union[ConstantLaw, AffineSpeedLaw]
 
 
 def _normalize(branch: LawBranch, threshold: float) -> LawBranch:
@@ -170,18 +147,27 @@ class AdaptiveLaw:
         return self.low_normalized if regime == Regime.LOW else self.high_normalized
 
 
-def eval_lambda_coefficient(law: AdaptiveLaw, speed: float, regime: Regime) -> float:
+def eval_lambda_coefficient(
+    law: AdaptiveLaw, speed: float | np.ndarray, regime: Regime | np.ndarray
+) -> float | np.ndarray:
     """Coefficient multiplying the velocity at the given speed and regime.
 
     The regime is an explicit input: the caller (normally the interface
     tracker) owns regime assignment, and in particular a speed above the
     threshold may be evaluated on the low branch while a configuration is
-    being iterated.
+    being iterated. Speeds and regimes may be scalars or arrays of one
+    shape; scalar arguments give a float, arrays give an array.
     """
-    if speed < 0:
-        raise ValueError(f"speed must be nonnegative, got {speed}")
+    speed = np.asarray(speed, dtype=float)
+    if np.any(speed < 0):
+        raise ValueError(f"speed must be nonnegative, got {speed.min()}")
     a = (speed / law.threshold) ** 2
-    return float(law.branch_for(regime).phi(a))
+    coeff = np.where(
+        np.asarray(regime) == Regime.LOW,
+        law.low_normalized.phi(a),
+        law.high_normalized.phi(a),
+    )
+    return float(coeff) if coeff.ndim == 0 else coeff
 
 
 @dataclass(frozen=True)
@@ -211,21 +197,12 @@ class PsiPotential:
         u2 = self.threshold**2
         return u2 * self.value(np.asarray(a_phys, dtype=float) / u2)
 
-    @property
-    def has_closed_form(self) -> bool:
-        return (
-            self.low.potential_coefficients() is not None
-            and self.high.potential_coefficients() is not None
-        )
-
     def flux_antiderivative(self, w):
         """G(w) = integral from 0 to w of value_physical(s**2) ds, closed form.
 
         Odd in w. Exact antiderivatives exist for the constant and affine
-        branch kinds; custom branches raise.
+        branch kinds.
         """
-        if not self.has_closed_form:
-            raise ValueError("custom law branches carry no closed-form antiderivative")
         ubar = self.threshold
         w = np.asarray(w, dtype=float)
         s = np.sign(w)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .network import COINCIDENCE_TOL, END, START, FractureNetwork, validate_network
+from .network import COINCIDENCE_TOL, FractureNetwork, validate_network
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,6 @@ class Mesh:
     def h(self) -> float:
         """Global mesh size, the largest element length on any branch."""
         return max(float(self.element_lengths(b).max()) for b in self.branch_ids)
-
-    def junction_nodes(self, intersection_id: str) -> list[tuple[str, int]]:
-        """(branch, node index) pairs meeting at the given intersection."""
-        isec = next(
-            i for i in self.network.intersections if i.id == intersection_id
-        )
-        out = []
-        for bid, which in isec.incident:
-            idx = 0 if which == START else len(self.nodes[bid]) - 1
-            out.append((bid, idx))
-        return out
 
 
 def _partition(length: float, required: Iterable[float], target_h: float) -> np.ndarray:

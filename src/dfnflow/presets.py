@@ -249,7 +249,10 @@ def run_k2_sweep(
                     "message": str(exc),
                 }
             )
-    last_ok = next(r for r in reversed(rows) if r["status"] != "error")
+    ok = [r for r in rows if r["status"] != "error"]
+    if not ok:
+        raise RuntimeError(f"every sweep member failed: {rows[0]['message']}")
+    last_ok = ok[-1]
     bundle = run_case(
         "k2-sweep",
         network,

@@ -226,23 +226,17 @@ def _classify_branch(
 def _labels_on(mesh: Mesh, runs_by_branch: dict[str, list[Run]]) -> RegimeField:
     labels = {}
     for bid in mesh.branch_ids:
-        mids = mesh.element_midpoints(bid)
         runs = runs_by_branch[bid]
-        lab = np.empty(len(mids), dtype=np.int8)
-        k = 0
-        for j, m in enumerate(mids):
-            while k < len(runs) - 1 and m > runs[k][1]:
-                k += 1
-            lab[j] = int(runs[k][2])
-        labels[bid] = lab
+        ends = np.array([b for _, b, _ in runs])
+        owner = np.searchsorted(ends, mesh.element_midpoints(bid), side="left")
+        run_labels = np.array([int(lab) for _, _, lab in runs], dtype=np.int8)
+        labels[bid] = run_labels[np.minimum(owner, len(runs) - 1)]
     return RegimeField(labels)
 
 
 def _signature(base: Mesh, runs_by_branch: dict[str, list[Run]]) -> tuple:
-    return tuple(
-        tuple(int(v) for v in _labels_on(base, runs_by_branch).labels[bid])
-        for bid in base.branch_ids
-    )
+    labels = _labels_on(base, runs_by_branch).labels
+    return tuple(tuple(int(v) for v in labels[bid]) for bid in base.branch_ids)
 
 
 def _uniform_runs(base: Mesh, regimes: RegimeField) -> dict[str, list[Run]]:

@@ -121,3 +121,15 @@ def test_sweep_k2_requires_constant_high_law(tmp_path, capsys):
     config = write_config(tmp_path, doc)
     assert main(["sweep-k2", str(config)]) == 1
     assert "constant high-regime law" in capsys.readouterr().err
+
+
+def test_sweep_k2_with_every_member_failing_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path, oscillating_document())
+    code = main(
+        ["sweep-k2", str(config), "--k2-values", "1.0", "--max-outer", "0",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "every sweep member failed: need at least one outer iteration" in err
+    assert not (tmp_path / "out").exists()

@@ -21,7 +21,9 @@ from dfnflow.network import (
     VelocityBC,
 )
 from dfnflow.presets import (
+    darcy_forchheimer_pair,
     darcy_pair,
+    run_case,
     single_fracture_network,
 )
 from dfnflow.tracker import TrackerSettings, track
@@ -232,6 +234,29 @@ class TestFemOracleAgreement:
         offsets = self.induced_offsets(mesh, law, result.alpha_star)
         assert offsets.max() - offsets.min() <= 1e-8
         assert float(offsets.mean()) == pytest.approx(result.alpha_star, abs=1e-6)
+
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+    def test_forchheimer_solve_matches_the_oracle_to_second_order(self, h):
+        """A Forchheimer solve meets the energy oracle only up to O(h**2).
+
+        The Picard solve freezes the coefficient at the element-midpoint
+        speed while the oracle integrates the potential along the linear
+        flux, so the linear-law 1e-6 agreement does not carry over. At
+        eps_nl = 1e-12 the measured |offset mean - alpha*| is 1.59e-4,
+        3.04e-5 and 7.61e-6 at h = 0.05, 0.02 and 0.01, that is 0.063,
+        0.076 and 0.076 h**2; the bound 0.1 h**2 leaves a margin of at
+        least 1.3x.
+        """
+        bundle = run_case(
+            "forchheimer-oracle",
+            single_fracture_network(),
+            darcy_forchheimer_pair(),
+            h=h,
+            eps_nl=1e-12,
+        )
+        assert bundle.status == "converged"
+        energy = bundle.energy
+        assert abs(energy["fem_offset_mean"] - energy["alpha_star"]) <= 0.1 * h**2
 
 
 class TestLocalMinimalityProbe:

@@ -6,7 +6,7 @@ import pytest
 
 from dfnflow.config import parse_config
 from dfnflow.export import export_bundle, load_bundle
-from dfnflow.presets import PRESET_NAMES, run_preset, run_spec
+from dfnflow.presets import PRESET_NAMES, run_k2_sweep, run_preset, run_spec
 
 from test_config import MINIMAL
 
@@ -89,6 +89,11 @@ def test_k2_sweep_records_status_per_member():
         assert by_k2[k2]["status"] == "converged"
     oscillating = [r for r in rows if r["status"] == "oscillating"]
     assert all(r["k2"] < 1.0 for r in oscillating)
+
+
+def test_k2_sweep_with_every_member_failing_raises():
+    with pytest.raises(RuntimeError, match="every sweep member failed: .*outer iteration"):
+        run_k2_sweep(values=[1.0], max_outer=0)
 
 
 def test_nl_tolerance_table_monotonicity():

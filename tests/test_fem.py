@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfnflow.fem import (
     RegimeField,
@@ -372,3 +374,38 @@ def test_conservation_on_random_networks():
         implied = implied_junction_pressures(system, sol)
         for values in implied.values():
             assert max(values) - min(values) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_forchheimer_systems_on_random_networks_balance(seed):
+    # random labels and frozen speeds under a Darcy-Forchheimer law: every
+    # element and junction coefficient path of the assembly is exercised
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    mesh = build_mesh(net, 0.2)
+    law = AdaptiveLaw(
+        ConstantLaw(float(rng.uniform(0.1, 10.0))),
+        AffineSpeedLaw(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
+        float(rng.uniform(0.05, 1.0)),
+    )
+    labels = RegimeField(
+        {
+            b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
+            for b in mesh.branch_ids
+        }
+    )
+    speeds = {b: rng.uniform(0.0, 2.0, mesh.element_count(b)) for b in mesh.branch_ids}
+    system = assemble(mesh, labels, law, speeds, net.sources, net.boundary)
+    assert abs(system.matrix - system.matrix.T).max() == 0.0
+    sol = solve_saddle(system)
+    for b in mesh.branch_ids:
+        qint = source_integrals(mesh, net.sources, b)
+        assert np.abs(np.diff(sol.flux[b]) - qint).max() <= 1e-10
+    for isec in net.intersections:
+        total = sum(
+            sol.flux[bid][-1] if which == "end" else -sol.flux[bid][0]
+            for bid, which in isec.incident
+        )
+        assert abs(total) <= 1e-10
+    assert sol.junction_continuity_defect() <= 1e-10
