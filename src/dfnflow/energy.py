@@ -1,4 +1,4 @@
-"""Energy functional of the flow problem and a brute-force scalar minimizer.
+"""Energy functional of the flow problem and an exact scalar minimizer.
 
 On a single branch with pressure data at both ends, the divergence-free
 velocity fields are exactly the constants, so the energy restricted to them
@@ -9,6 +9,10 @@ lifted field must be the constant that minimizes E. With any velocity
 condition present the divergence-free space collapses to zero and the lifted
 field itself is the unique candidate.
 
+E is C^1, and between the breakpoints where a lifted node value plus alpha
+crosses zero or the threshold speed its derivative is a polynomial of degree
+at most three, so minimizers are located exactly as zeros of the closed-form E'.
+
 The dissipation integrand is the piecewise potential composed with the
 squared speed; it is smooth except where the speed crosses the regime
 threshold, so elements are pre-split at those crossings (and at sign changes
@@ -18,7 +22,6 @@ the supported law kinds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -30,8 +33,6 @@ from .meshing import Mesh
 from .network import END, START, VelocityBC
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _single_branch(mesh: Mesh) -> str:
@@ -175,21 +176,20 @@ def energy_of(field: FieldLike, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan grid for the scalar energy minimization."""
+    """Search interval [-alpha_max, alpha_max] and near-optimal energy window."""
 
     alpha_max: float = 10.0
-    count: int = 100_001
-    refine_tol: float = 1e-10
     near_optimal_window: float = 1e-8
 
 
 @dataclass
 class MinimizationResult:
-    """Outcome of the brute-force scan plus golden-section refinement.
+    """Outcome of the exact breakpoint-bracketed minimization.
 
-    ``candidates`` lists every refined local minimizer whose energy lies
-    within the near-optimal window of the global value; in the convex case it
-    has a single entry.
+    ``candidates`` lists every local minimizer whose energy lies within the
+    near-optimal window of the global value; in the convex case it has a
+    single entry. ``alphas`` holds the sorted breakpoints of E inside the
+    search interval plus its two ends, and ``energies`` the values of E there.
     """
 
     alpha_star: float
@@ -199,47 +199,87 @@ class MinimizationResult:
     energies: np.ndarray = field(repr=False, default=None)
 
 
-def _energies_on_grid(
-    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential
-) -> np.ndarray:
-    bid = lifted.branch_id
-    x = mesh.nodes[bid]
-    h = np.diff(x)
-    ua, ub = lifted.values[:-1], lifted.values[1:]
-    forcing = tangential_forcing(mesh)
-    length = x[-1] - x[0]
-    lifted_integral = float(np.dot(h, 0.5 * (ua + ub)))
+def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
+    """Sum over elements of h * (prim(wb) - prim(wa)) / (wb - wa), per alpha.
 
+    wa and wb are the element's node values of the lifted field plus alpha.
+    An element with equal node values contributes h * limit(wa), where limit
+    is the derivative of prim.
+    """
+    h = np.diff(mesh.nodes[lifted.branch_id])
+    ua, ub = lifted.values[:-1], lifted.values[1:]
     wa = alphas[None, :] + ua[:, None]
     wb = alphas[None, :] + ub[:, None]
     delta = (ub - ua)[:, None]
     flat = np.abs(ub - ua) < 1e-14
-    ga = psi.flux_antiderivative(wa)
-    gb = psi.flux_antiderivative(wb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_element = h[:, None] * (gb - ga) / delta
+        per_element = h[:, None] * (prim(wb) - prim(wa)) / delta
     if flat.any():
-        const = h[:, None] * psi.value_physical(wa**2)
-        per_element[flat, :] = const[flat, :]
-    dissipation = per_element.sum(axis=0)
-    return dissipation - forcing * (alphas * length + lifted_integral)
+        per_element[flat, :] = h[flat, None] * limit(wa[flat, :])
+    return per_element.sum(axis=0)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+def _energies_on_grid(
+    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential
+) -> np.ndarray:
+    """Reduced energy E(alpha) at each alpha, in closed form."""
+    x = mesh.nodes[lifted.branch_id]
+    lifted_integral = float(np.dot(np.diff(x), 0.5 * (lifted.values[:-1] + lifted.values[1:])))
+    dissipation = _element_quotients(
+        alphas, lifted, mesh, psi.flux_antiderivative, lambda w: psi.value_physical(w**2)
+    )
+    return dissipation - tangential_forcing(mesh) * (alphas * (x[-1] - x[0]) + lifted_integral)
+
+
+def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential) -> np.ndarray:
+    """Derivative E'(alpha) at each alpha, in closed form.
+
+    The potential is continuous at the switch, so E is C^1 and E' is the
+    same element quotient one antiderivative lower.
+    """
+    x = mesh.nodes[lifted.branch_id]
+    u2 = psi.threshold**2
+    dissipation = _element_quotients(
+        alphas, lifted, mesh, lambda w: psi.value_physical(w**2), lambda w: w * psi.phi(w**2 / u2)
+    )
+    return dissipation - tangential_forcing(mesh) * (x[-1] - x[0])
+
+
+def _rising_zeros(lo: np.ndarray, hi: np.ndarray, slope) -> np.ndarray:
+    """Every zero of E' in the brackets [lo, hi] where E' turns from - to +.
+
+    E' is a cubic on each bracket, so its values at the four
+    Chebyshev-Lobatto points fix it. The real roots of that cubic split each
+    bracket into intervals holding one root each; an interval whose ends
+    show E' < 0 <= E' is then bisected on the closed-form E'. Brackets that
+    share a breakpoint see the same E' there, so a zero on it is found once.
+    """
+    cheb = np.polynomial.chebyshev
+    lobatto = np.cos(np.pi * np.arange(3, -1, -1) / 3.0)
+    s = (lobatto + 1.0) / 2.0
+    samples = slope((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel())
+    coeffs = cheb.chebfit(lobatto, samples.reshape(-1, 4).T, 3).T
+    # |c0| > sum |ck| bounds the cubic away from zero on [-1, 1]
+    size = np.abs(coeffs).sum(axis=1)
+    maybe = np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8))
+    left, right = [], []
+    for k in maybe:
+        roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
+        real = roots.real[np.abs(roots.imag) <= 1e-9]
+        t = np.unique(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
+        ends = (np.concatenate([[-1.0], 0.5 * (t[1:] + t[:-1]), [1.0]]) + 1.0) / 2.0
+        ends = lo[k] * (1.0 - ends) + hi[k] * ends
+        left.extend(ends[:-1])
+        right.extend(ends[1:])
+    a, b = np.array(left), np.array(right)
+    rising = (slope(a) < 0.0) & (slope(b) >= 0.0)
+    a, b = a[rising], b[rising]
+    # 64 halvings shrink any bracket below one unit in the last place
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        below = slope(mid) < 0.0
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return b
 
 
 def reduce_and_minimize(
@@ -248,9 +288,12 @@ def reduce_and_minimize(
     """Minimize the reduced scalar energy of a single-branch problem.
 
     With a velocity condition anywhere on the boundary the divergence-free
-    space is trivial and alpha = 0 is returned immediately. Otherwise the
-    energy is scanned on a uniform grid, every near-optimal grid minimum is
-    refined by golden section, and the best refined point wins.
+    space is trivial and alpha = 0 is returned immediately. Otherwise E is
+    piecewise smooth with breakpoints where a lifted node value plus alpha
+    crosses 0 or the threshold speed; its local minimizers are the zeros of
+    the closed-form E' where it turns from - to +, found bracket by bracket.
+    An end of the search interval counts as a candidate when it is the
+    global minimum.
     """
     grid = grid or GridSpec()
     bid = _single_branch(mesh)
@@ -270,35 +313,23 @@ def reduce_and_minimize(
             energies=np.array([report.energy]),
         )
 
-    alphas = np.linspace(-grid.alpha_max, grid.alpha_max, grid.count)
+    amax = grid.alpha_max
+    w, u = lifted.values, psi.threshold
+    kinks = np.concatenate([-w, u - w, -u - w])
+    alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
     energies = _energies_on_grid(alphas, lifted, mesh, psi)
 
-    def scalar_energy(a: float) -> float:
-        return float(_energies_on_grid(np.array([a]), lifted, mesh, psi)[0])
-
-    interior = np.arange(1, len(alphas) - 1)
-    is_local_min = (energies[interior] <= energies[interior - 1]) & (
-        energies[interior] <= energies[interior + 1]
-    )
-    minima_idx = list(interior[is_local_min])
-    global_idx = int(np.argmin(energies))
-    if global_idx not in minima_idx:
-        minima_idx.append(global_idx)
-
-    best_grid = energies[global_idx]
-    candidates: list[tuple[float, float]] = []
-    for idx in sorted(minima_idx):
-        if energies[idx] > best_grid + grid.near_optimal_window:
-            continue
-        lo = alphas[max(idx - 1, 0)]
-        hi = alphas[min(idx + 1, len(alphas) - 1)]
-        a_ref, e_ref = _golden_section(scalar_energy, lo, hi, grid.refine_tol)
-        candidates.append((a_ref, e_ref))
-
-    alpha_star, energy = min(candidates, key=lambda pair: pair[1])
+    zeros = _rising_zeros(alphas[:-1], alphas[1:], lambda a: _slopes(a, lifted, mesh, psi))
+    points = np.concatenate([[-amax], zeros, [amax]])
+    values = _energies_on_grid(points, lifted, mesh, psi)
+    best = int(np.argmin(values))
+    keep = values <= values[best] + grid.near_optimal_window
+    keep[[0, -1]] = False
+    keep[best] = True
+    candidates = [(float(a), float(e)) for a, e in zip(points[keep], values[keep])]
     return MinimizationResult(
-        alpha_star=alpha_star,
-        energy=energy,
+        alpha_star=float(points[best]),
+        energy=float(values[best]),
         candidates=candidates,
         alphas=alphas,
         energies=energies,

@@ -321,7 +321,10 @@ def track(
                 working, regimes, law, sources, bcs, picard_settings
             )
         except Exception as exc:
-            raise type(exc)(f"outer iteration {i}: {exc}") from exc
+            # prefix the message in place: the error keeps its type and
+            # attributes whatever arguments its constructor takes
+            exc.args = (f"outer iteration {i}: {exc}",)
+            raise
         solution = last_result.solution
 
         runs_new: dict[str, list[Run]] = {}

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's assembly code paths: the Darcy oracle
 is a cell-centered two-point flux scheme solved as its own linear system, the
-dissipation oracle is a brute-force midpoint rule, and the set-distance
-oracle is a direct double loop.
+dissipation oracle is a brute-force midpoint rule, the set-distance oracle
+is a direct double loop, and the energy-minimizer oracle scans the reduced
+energy on a uniform grid and refines by golden section.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from dfnflow.energy import MinimizationResult, _energies_on_grid, lift_field
 from dfnflow.network import (
     END,
     START,
@@ -285,4 +287,69 @@ def random_network(rng, with_sources=True, velocity_fraction=0.35):
         intersections=tuple(intersections),
         boundary=BoundarySpec(conditions=conditions),
         sources=SourceSpec(scalar=scalar, force=force),
+    )
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, lo, hi, tol):
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = f(x2)
+    mid = 0.5 * (lo + hi)
+    return mid, f(mid)
+
+
+def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
+    """Brute-force minimization of the reduced energy of a pressure-only branch.
+
+    Scans the closed-form E(alpha) on a uniform grid over [-alpha_max,
+    alpha_max], refines every grid minimum within 1e-8 of the best grid value
+    by golden section (to 1e-10) between its grid neighbours, and
+    returns a ``MinimizationResult`` whose ``alphas``/``energies`` are the
+    grid and E on it. Location accuracy is limited to sqrt(machine eps) by
+    value rounding.
+    """
+    lifted = lift_field(mesh)
+    alphas = np.linspace(-alpha_max, alpha_max, count)
+    energies = _energies_on_grid(alphas, lifted, mesh, psi)
+
+    def scalar_energy(a):
+        return float(_energies_on_grid(np.array([a]), lifted, mesh, psi)[0])
+
+    interior = np.arange(1, len(alphas) - 1)
+    is_local_min = (energies[interior] <= energies[interior - 1]) & (
+        energies[interior] <= energies[interior + 1]
+    )
+    minima_idx = list(interior[is_local_min])
+    global_idx = int(np.argmin(energies))
+    if global_idx not in minima_idx:
+        minima_idx.append(global_idx)
+
+    best_grid = energies[global_idx]
+    candidates = []
+    for idx in sorted(minima_idx):
+        if energies[idx] > best_grid + 1e-8:
+            continue
+        lo = alphas[max(idx - 1, 0)]
+        hi = alphas[min(idx + 1, len(alphas) - 1)]
+        candidates.append(_golden_section(scalar_energy, lo, hi, 1e-10))
+
+    alpha_star, energy = min(candidates, key=lambda pair: pair[1])
+    return MinimizationResult(
+        alpha_star=alpha_star,
+        energy=energy,
+        candidates=candidates,
+        alphas=alphas,
+        energies=energies,
     )

@@ -28,7 +28,7 @@ from dfnflow.presets import (
 )
 from dfnflow.tracker import TrackerSettings, track
 
-from oracles import midpoint_dissipation
+from oracles import brute_reduce, midpoint_dissipation
 
 
 def plain_branch(
@@ -146,8 +146,7 @@ class TestEnergyOf:
         mesh = build_mesh(net, 0.25)
         assert tangential_forcing(mesh) == pytest.approx(-0.2)
         psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 10.0))
-        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=2.0, count=20001))
-        # location accuracy is limited to sqrt(machine eps) by value rounding
+        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=2.0))
         assert result.alpha_star == pytest.approx(-0.2, abs=1e-6)
 
 
@@ -168,7 +167,7 @@ class TestReduction:
         psi = build_psi(darcy_pair())
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=1.0, count=2001))
+        result = brute_reduce(mesh, psi, alpha_max=1.0, count=2001)
         idx = np.linspace(0, 2000, 9, dtype=int)
         for k in idx:
             direct = energy_of(lifted.values + result.alphas[k], mesh, psi).energy
@@ -177,26 +176,85 @@ class TestReduction:
     def test_convex_profile_has_nonnegative_second_differences(self):
         law = darcy_pair(k1=1.0, k2=0.5625)  # coefficient rises at the switch
         mesh = build_mesh(single_fracture_network(), 0.05)
-        result = reduce_and_minimize(mesh, build_psi(law), GridSpec(alpha_max=2.0, count=4001))
+        result = brute_reduce(mesh, build_psi(law), alpha_max=2.0, count=4001)
         second = np.diff(result.energies, n=2)
         assert second.min() >= -1e-9
-        assert len(result.candidates) == 1
+        assert len(reduce_and_minimize(mesh, build_psi(law)).candidates) == 1
 
     def test_nonconvex_profile_shows_a_concave_region(self):
         law = darcy_pair(k1=1.0, k2=10.0)  # coefficient drops at the switch
         mesh = build_mesh(single_fracture_network(), 0.05)
         # second differences scale with the squared grid step, so probe the
         # concave region with a step large enough to clear the threshold
-        result = reduce_and_minimize(mesh, build_psi(law), GridSpec(alpha_max=2.0, count=1001))
+        result = brute_reduce(mesh, build_psi(law), alpha_max=2.0, count=1001)
         second = np.diff(result.energies, n=2)
         assert second.min() < -1e-6
 
     def test_refinement_improves_on_the_grid_minimum(self):
         psi = build_psi(darcy_pair())
         mesh = build_mesh(single_fracture_network(), 0.05)
-        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=1.0, count=5001))
-        grid_best = float(result.energies.min())
+        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=1.0))
+        grid_best = float(brute_reduce(mesh, psi, alpha_max=1.0, count=5001).energies.min())
         assert result.energy <= grid_best + 1e-15
+
+    def test_exact_minimizer_pins_closed_form_minimizers(self):
+        # zeros of the closed-form E' are located to rounding, not to the
+        # sqrt(machine eps) that a search on E values allows
+        mesh = build_mesh(plain_branch(bc_end=PressureBC(0.2)), 0.25)
+        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 10.0))
+        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=2.0))
+        assert result.alpha_star == pytest.approx(-0.2, abs=1e-12)
+
+        mesh = build_mesh(single_fracture_network(), 0.05)
+        result = reduce_and_minimize(mesh, build_psi(darcy_pair(1.0, 10.0)))
+        assert result.alpha_star == pytest.approx(0.4, abs=1e-12)
+
+
+def random_single_fracture(rng):
+    """Seeded single fracture with pressure data at both ends and a random law.
+
+    Random length, piecewise-constant source, tangential force, end
+    pressures and threshold; the high branch is constant or affine, and its
+    coefficient at the switch lies above or below the low one.
+    """
+    length = float(rng.uniform(0.5, 1.5))
+    cuts = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 4)))) * length
+    pieces = tuple(float(v) for v in rng.uniform(-1.5, 1.5, len(cuts) + 1))
+    net = FractureNetwork(
+        branches=(Branch("f", (0.0, 0.0), (length, 0.0)),),
+        boundary=BoundarySpec(
+            {
+                ("f", "start"): PressureBC(float(rng.uniform(-0.5, 0.5))),
+                ("f", "end"): PressureBC(float(rng.uniform(-0.5, 0.5))),
+            }
+        ),
+        sources=SourceSpec(
+            scalar={"f": PiecewiseSource(tuple(float(c) for c in cuts), pieces)},
+            force=(float(rng.uniform(-0.5, 0.5)), 0.0),
+        ),
+    )
+    threshold = float(rng.uniform(0.1, 0.6))
+    low = float(rng.uniform(0.5, 2.0))
+    high = low * float(rng.choice([rng.uniform(0.05, 0.8), rng.uniform(1.25, 4.0)]))
+    if rng.uniform() < 0.5:
+        high_branch = ConstantLaw(high)
+    else:
+        share = float(rng.uniform(0.1, 0.9))
+        high_branch = AffineSpeedLaw(share * high, (1.0 - share) * high / threshold)
+    law = AdaptiveLaw(ConstantLaw(low), high_branch, threshold)
+    return build_mesh(net, float(rng.choice([0.05, 0.1, 0.2]))), build_psi(law)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exact_minimizer_matches_the_brute_scan(seed):
+    mesh, psi = random_single_fracture(np.random.default_rng(seed))
+    exact = reduce_and_minimize(mesh, psi)
+    brute = brute_reduce(mesh, psi)
+    alphas = [a for a, _ in exact.candidates]
+    assert len(alphas) == len(brute.candidates)
+    assert len(set(alphas)) == len(alphas)
+    assert abs(exact.alpha_star - brute.alpha_star) <= 1e-6
+    assert exact.energy <= brute.energy + 1e-13
 
 
 class TestFemOracleAgreement:

@@ -269,3 +269,30 @@ class TestTracking:
         mesh = build_mesh(single_fracture_network(), 0.5)
         with pytest.raises(ValueError):
             track(mesh, darcy_pair(), initial="sideways")
+
+
+class SolverFailure(Exception):
+    """Error whose constructor takes more than a message."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{detail} (code {code})")
+        self.code = code
+
+
+def test_solver_error_keeps_its_type_and_gains_the_outer_iteration(monkeypatch):
+    import dfnflow.tracker as tracker_module
+
+    real = tracker_module.picard_solve
+    calls = []
+
+    def fail_on_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverFailure(7, "factorization broke down")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "picard_solve", fail_on_second_call)
+    with pytest.raises(SolverFailure) as info:
+        track(build_mesh(single_fracture_network(), 0.05), darcy_pair())
+    assert info.value.code == 7
+    assert str(info.value) == "outer iteration 2: factorization broke down (code 7)"
