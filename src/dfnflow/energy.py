@@ -9,9 +9,11 @@ lifted field must be the constant that minimizes E. With any velocity
 condition present the divergence-free space collapses to zero and the lifted
 field itself is the unique candidate.
 
-E is C^1, and between the breakpoints where a lifted node value plus alpha
-crosses zero or the threshold speed its derivative is a polynomial of degree
-at most three, so minimizers are located exactly as zeros of the closed-form E'.
+Between the breakpoints where a lifted node value plus alpha crosses zero or
+the threshold speed, the derivative E' is a polynomial of degree at most
+three, so minimizers are located exactly where the closed-form E' turns from
+negative to nonnegative. E' is continuous except where the node value of a
+flat element crosses the threshold and the law coefficient jumps.
 
 The dissipation integrand is the piecewise potential composed with the
 squared speed; it is smooth except where the speed crosses the regime
@@ -234,8 +236,8 @@ def _energies_on_grid(
 def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential) -> np.ndarray:
     """Derivative E'(alpha) at each alpha, in closed form.
 
-    The potential is continuous at the switch, so E is C^1 and E' is the
-    same element quotient one antiderivative lower.
+    The same element quotient as E, one antiderivative lower; on a
+    breakpoint where E' jumps it returns one of the two one-sided values.
     """
     x = mesh.nodes[lifted.branch_id]
     u2 = psi.threshold**2
@@ -246,40 +248,45 @@ def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotenti
 
 
 def _rising_zeros(lo: np.ndarray, hi: np.ndarray, slope) -> np.ndarray:
-    """Every zero of E' in the brackets [lo, hi] where E' turns from - to +.
+    """Every point where E' turns from negative to nonnegative, left to right.
 
-    E' is a cubic on each bracket, so its values at the four
-    Chebyshev-Lobatto points fix it. The real roots of that cubic split each
-    bracket into intervals holding one root each; an interval whose ends
-    show E' < 0 <= E' is then bisected on the closed-form E'. Brackets that
-    share a breakpoint see the same E' there, so a zero on it is found once.
+    E' is a cubic on each bracket [lo, hi], fixed by its values at four
+    interior Chebyshev points; no sample lies on a breakpoint, where E'
+    jumps if an element is flat. The real roots of each cubic split its
+    bracket into intervals holding one root each, and an interval whose ends
+    read E' < 0 <= E' is bisected on the closed-form E'. A breakpoint where
+    the cubic on its left ends below zero and the one on its right starts at
+    or above zero is itself such a point. Points within 1e-9 of each other
+    are one zero seen from two brackets through rounding, reported once.
     """
     cheb = np.polynomial.chebyshev
-    lobatto = np.cos(np.pi * np.arange(3, -1, -1) / 3.0)
-    s = (lobatto + 1.0) / 2.0
+    nodes = np.cos(np.pi * np.arange(7, 0, -2) / 8.0)
+    s = (nodes + 1.0) / 2.0
     samples = slope((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel())
-    coeffs = cheb.chebfit(lobatto, samples.reshape(-1, 4).T, 3).T
+    coeffs = cheb.chebfit(nodes, samples.reshape(-1, 4).T, 3).T
+    at_lo, at_hi = coeffs @ [1.0, -1.0, 1.0, -1.0], coeffs.sum(axis=1)
+    on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
     # |c0| > sum |ck| bounds the cubic away from zero on [-1, 1]
     size = np.abs(coeffs).sum(axis=1)
-    maybe = np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8))
     left, right = [], []
-    for k in maybe:
+    for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
         roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
         real = roots.real[np.abs(roots.imag) <= 1e-9]
         t = np.unique(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
-        ends = (np.concatenate([[-1.0], 0.5 * (t[1:] + t[:-1]), [1.0]]) + 1.0) / 2.0
-        ends = lo[k] * (1.0 - ends) + hi[k] * ends
-        left.extend(ends[:-1])
-        right.extend(ends[1:])
+        t = np.concatenate([[-1.0], 0.5 * (t[1:] + t[:-1]), [1.0]])
+        values = cheb.chebval(t, coeffs[k])
+        rising = (values[:-1] < 0.0) & (values[1:] >= 0.0)
+        ends = lo[k] * (1.0 - t) / 2.0 + hi[k] * (1.0 + t) / 2.0
+        left.extend(ends[:-1][rising])
+        right.extend(ends[1:][rising])
     a, b = np.array(left), np.array(right)
-    rising = (slope(a) < 0.0) & (slope(b) >= 0.0)
-    a, b = a[rising], b[rising]
     # 64 halvings shrink any bracket below one unit in the last place
     for _ in range(64):
         mid = 0.5 * (a + b)
         below = slope(mid) < 0.0
         a, b = np.where(below, mid, a), np.where(below, b, mid)
-    return b
+    zeros = np.sort(np.concatenate([on_breakpoints, b]))
+    return zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
 
 def reduce_and_minimize(
@@ -290,8 +297,8 @@ def reduce_and_minimize(
     With a velocity condition anywhere on the boundary the divergence-free
     space is trivial and alpha = 0 is returned immediately. Otherwise E is
     piecewise smooth with breakpoints where a lifted node value plus alpha
-    crosses 0 or the threshold speed; its local minimizers are the zeros of
-    the closed-form E' where it turns from - to +, found bracket by bracket.
+    crosses 0 or the threshold speed; its local minimizers are the points
+    where the closed-form E' turns from - to +, found bracket by bracket.
     An end of the search interval counts as a candidate when it is the
     global minimum.
     """

@@ -209,17 +209,38 @@ class TestReduction:
         result = reduce_and_minimize(mesh, build_psi(darcy_pair(1.0, 10.0)))
         assert result.alpha_star == pytest.approx(0.4, abs=1e-12)
 
+        # no source: every element is flat and E' jumps from lambda1 * u - f
+        # < 0 to lambda2 * u - f > 0 at alpha = u, a kink minimizer
+        law = darcy_pair(1.0, 0.5625)
+        mesh = build_mesh(plain_branch(force=(1.2 * law.threshold, 0.0)), 0.1)
+        result = reduce_and_minimize(mesh, build_psi(law))
+        assert result.alpha_star == pytest.approx(law.threshold, abs=1e-12)
+
+    def test_nonconvex_tie_reports_both_regime_minimizers(self):
+        # no source and force u * sqrt(lambda1 * lambda2): the low-regime
+        # minimizer f / lambda1 and the high-regime one f / lambda2 have
+        # equal energy, and E' jumps downward at alpha = u between them
+        law = darcy_pair(1.0, 10.0)
+        force = law.threshold * np.sqrt(law.lambda1 * law.lambda2)
+        mesh = build_mesh(plain_branch(force=(force, 0.0)), 0.1)
+        result = reduce_and_minimize(mesh, build_psi(law))
+        alphas = [a for a, _ in result.candidates]
+        assert alphas == pytest.approx([force / law.lambda1, force / law.lambda2], abs=1e-12)
+        assert len(brute_reduce(mesh, build_psi(law)).candidates) == 2
+
 
 def random_single_fracture(rng):
     """Seeded single fracture with pressure data at both ends and a random law.
 
-    Random length, piecewise-constant source, tangential force, end
+    Random length, piecewise-constant source (each piece zero with
+    probability 0.3, which makes elements flat), tangential force, end
     pressures and threshold; the high branch is constant or affine, and its
     coefficient at the switch lies above or below the low one.
     """
     length = float(rng.uniform(0.5, 1.5))
     cuts = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 4)))) * length
-    pieces = tuple(float(v) for v in rng.uniform(-1.5, 1.5, len(cuts) + 1))
+    rates = rng.uniform(-1.5, 1.5, len(cuts) + 1) * (rng.uniform(size=len(cuts) + 1) > 0.3)
+    pieces = tuple(float(v) for v in rates)
     net = FractureNetwork(
         branches=(Branch("f", (0.0, 0.0), (length, 0.0)),),
         boundary=BoundarySpec(
