@@ -20,7 +20,7 @@ import numpy as np
 from .fem import Solution
 from .tracker import TrackerReport, TrackerStatus
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _field_block(nodes: np.ndarray, values: np.ndarray) -> dict:
@@ -45,13 +45,18 @@ def solution_fields(solution: Solution) -> dict:
 
 @dataclass
 class ResultBundle:
-    """Plain-data result of one pipeline run, JSON-serializable as is."""
+    """Plain-data result of one pipeline run, JSON-serializable as is.
+
+    ``inner_converged[k]`` tells whether the inner solve of outer iteration
+    k + 1 met its tolerance; ``inner_iteration_counts[k]`` is its solve count.
+    """
 
     name: str
     status: str
     period: int | None
     outer_iterations: int
     inner_iteration_counts: list[int]
+    inner_converged: list[bool]
     distances: list[float]
     final: dict
     snapshots: list[dict] | None = None
@@ -114,6 +119,7 @@ def bundle_from_report(
         period=report.period,
         outer_iterations=report.outer_iterations,
         inner_iteration_counts=list(report.inner_iteration_counts),
+        inner_converged=[e.inner_converged for e in report.history],
         distances=[float(e.distance) for e in report.history],
         final=final,
         snapshots=snapshots,

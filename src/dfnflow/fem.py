@@ -407,9 +407,10 @@ def implied_junction_pressures(
 
     For every intersection, the flux equation of the incident branch at its
     junction node can be solved for the pressure that branch "sees" there.
-    All implied values agree with the shared junction unknown when the
-    coupling is assembled consistently; their spread is a direct residual of
-    discrete pressure continuity. Values are reported in the same (possibly
+    Each implied value is the junction unknown plus or minus that flux row's
+    solve residual (b - A x), so their spread is bounded by the residual that
+    ``solve_saddle`` already checks: it cannot reveal a coupling assembled
+    into the wrong rows. Values are reported in the same (possibly
     mean-shifted) units as ``solution.junction_pressure``.
     """
     x = solution.raw_vector

@@ -1,15 +1,30 @@
-"""Fixed-point iteration on the frozen law coefficient.
+"""Fixed-point iteration on the frozen law coefficient, Anderson-accelerated.
 
-Each cycle assembles the mixed system with the coefficient evaluated at the
-previous iterate's element-midpoint speed and solves it. One iteration means
-one assemble-and-solve; the update norm is the relative Euclidean distance
-between the stacked solution vectors of consecutive cycles. A configuration
-whose active law branches are all speed-independent is linear, so a single
-solve is exact and the loop short-circuits with a recorded zero update.
+The map iterated is T(x): assemble the mixed system with the coefficient
+frozen at the element-midpoint speeds of the flux in x, solve it, and stack
+the solution (``Solution.stacked``: fluxes, element pressures, junction
+pressures). One iteration means one assemble-and-solve. Each cycle solves at
+the speeds of the current iterate x̃ and stops once the relative fixed-point
+residual ‖T(x̃) − x̃‖ / ‖T(x̃)‖ drops to the tolerance; it returns that solve,
+so the result is always a real, mass-conservative solve of a frozen system.
+One more frozen step from it moves the result by about L times the
+tolerance, L being the contraction factor of T.
+
+The next iterate is type-II Anderson mixing over the last ``depth``
+differences of residuals and images (Walker & Ni, SIAM J. Numer. Anal. 49,
+2011). With ``depth=0`` it is T(x̃) itself: plain Picard iteration, whose
+residual is the relative update between consecutive solves. The first solve
+runs at ``initial_speed`` and has no iterate to compare against, so
+``update_history`` holds one residual per later cycle.
+
+A configuration whose active law branches are all speed-independent is
+linear, so a single solve is exact and the loop short-circuits with a
+recorded zero residual.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -20,22 +35,44 @@ from .laws import AdaptiveLaw, ConstantLaw, Regime
 from .meshing import Mesh
 from .network import BoundarySpec, SourceSpec
 
+# Singular values of the residual-difference matrix below this fraction of
+# the largest are dropped from the mixing least-squares problem: near-parallel
+# differences would otherwise produce huge, cancelling coefficients.
+MIXING_RCOND = 1e-10
+
 
 @dataclass(frozen=True)
 class PicardSettings:
+    """Stopping rule and acceleration of the inner fixed-point loop.
+
+    ``tolerance`` bounds the relative fixed-point residual of the returned
+    solve. ``depth`` is the number of residual differences Anderson mixing
+    keeps; 0 is plain Picard iteration.
+    """
+
     tolerance: float = 1e-4
     max_iterations: int = 50
     initial_speed: Union[float, Mapping[str, np.ndarray]] = 0.0
+    depth: int = 5
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.depth < 0:
+            raise ValueError("mixing depth must be non-negative")
 
 
 @dataclass
 class PicardResult:
+    """Outcome of one inner solve.
+
+    ``update_history`` is the residual history: the relative fixed-point
+    residual of every cycle after the first, the last entry being that of
+    ``solution``.
+    """
+
     solution: Solution
     iterations: int
     update_history: list[float] = field(default_factory=list)
@@ -51,6 +88,15 @@ def _is_linear(regimes: RegimeField, law: AdaptiveLaw) -> bool:
     )
 
 
+def _midpoint_speeds(mesh: Mesh, stacked: np.ndarray) -> dict[str, np.ndarray]:
+    """Element-midpoint speeds of the flux part of a stacked vector."""
+    ends = np.cumsum([len(mesh.nodes[b]) for b in mesh.branch_ids])
+    fluxes = np.split(stacked[: ends[-1]], ends[:-1])
+    return {
+        b: np.abs(0.5 * (u[:-1] + u[1:])) for b, u in zip(mesh.branch_ids, fluxes)
+    }
+
+
 def picard_solve(
     mesh: Mesh,
     regimes: RegimeField,
@@ -61,9 +107,9 @@ def picard_solve(
 ) -> PicardResult:
     """Solve the fixed-configuration problem, iterating on the frozen speed.
 
-    Returns after the relative update of the stacked flux/pressure vector
-    drops to the tolerance or the iteration cap is hit; non-convergence is
-    reported through ``converged``, not raised. Singular systems propagate.
+    Returns after the relative fixed-point residual of a solve drops to the
+    tolerance or the iteration cap is hit; non-convergence is reported
+    through ``converged``, not raised. Singular systems propagate.
     """
     settings = settings or PicardSettings()
 
@@ -75,7 +121,10 @@ def picard_solve(
         )
 
     speeds = settings.initial_speed
-    previous: np.ndarray | None = None
+    iterate: np.ndarray | None = None
+    last: tuple[np.ndarray, np.ndarray] | None = None
+    # (residual difference, image difference) pairs; maxlen 0 keeps none
+    differences: deque = deque(maxlen=settings.depth)
     history: list[float] = []
     solution: Solution | None = None
     iterations = 0
@@ -84,16 +133,25 @@ def picard_solve(
         system = assemble(mesh, regimes, law, speeds, sources, bcs)
         solution = solve_saddle(system)
         iterations += 1
-        current = solution.stacked()
-        if previous is not None:
-            scale = max(float(np.linalg.norm(current)), 1e-300)
-            update = float(np.linalg.norm(current - previous)) / scale
-            history.append(update)
-            if update <= settings.tolerance:
+        image = solution.stacked()
+        if iterate is None:
+            iterate = image
+        else:
+            residual = image - iterate
+            scale = max(float(np.linalg.norm(image)), 1e-300)
+            history.append(float(np.linalg.norm(residual)) / scale)
+            if history[-1] <= settings.tolerance:
                 converged = True
                 break
-        previous = current
-        speeds = solution.midpoint_speeds()
+            if last is not None:
+                differences.append((residual - last[0], image - last[1]))
+            last = (residual, image)
+            iterate = image
+            if differences:
+                d_residual, d_image = (np.column_stack(d) for d in zip(*differences))
+                gamma = np.linalg.lstsq(d_residual, residual, rcond=MIXING_RCOND)[0]
+                iterate = image - d_image @ gamma
+        speeds = _midpoint_speeds(mesh, iterate)
     return PicardResult(
         solution=solution,
         iterations=iterations,

@@ -82,9 +82,12 @@ class Configuration:
 
 @dataclass
 class HistoryEntry:
+    """One outer iteration: its new configuration and how its inner solve went."""
+
     configuration: Configuration
     distance: float
     inner_iterations: int
+    inner_converged: bool
 
 
 @dataclass
@@ -349,6 +352,7 @@ def track(
                 configuration=configuration,
                 distance=distance,
                 inner_iterations=last_result.iterations,
+                inner_converged=last_result.converged,
             )
         )
         inner_counts.append(last_result.iterations)

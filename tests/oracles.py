@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's assembly code paths: the Darcy oracle
+These deliberately avoid the package code paths they check: the Darcy oracle
 is a cell-centered two-point flux scheme solved as its own linear system, the
 dissipation oracle is a brute-force midpoint rule, the set-distance oracle
-is a direct double loop, and the energy-minimizer oracle scans the reduced
-energy on a uniform grid and refines by golden section.
+is a direct double loop, the energy-minimizer oracle scans the reduced
+energy on a uniform grid and refines by golden section, and the plain-Picard
+oracle is the unaccelerated fixed-point loop on the frozen coefficient.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 import numpy as np
 
 from dfnflow.energy import MinimizationResult, _energies_on_grid, lift_field
+from dfnflow.fem import assemble, solve_saddle
+from dfnflow.picard import PicardResult, PicardSettings, _is_linear
 from dfnflow.network import (
     END,
     START,
@@ -353,3 +356,30 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
         alphas=alphas,
         energies=energies,
     )
+
+
+def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
+    """Unaccelerated fixed-point iteration, a drop-in for ``picard_solve``.
+
+    Solves at the previous solve's midpoint speeds and stops on the relative
+    update between consecutive stacked solution vectors; ``settings.depth``
+    is ignored.
+    """
+    settings = settings or PicardSettings()
+    if _is_linear(regimes, law):
+        system = assemble(mesh, regimes, law, settings.initial_speed, sources, bcs)
+        return PicardResult(solve_saddle(system), 1, [0.0], True)
+    speeds = settings.initial_speed
+    previous = None
+    history = []
+    for iterations in range(1, settings.max_iterations + 1):
+        solution = solve_saddle(assemble(mesh, regimes, law, speeds, sources, bcs))
+        current = solution.stacked()
+        if previous is not None:
+            scale = max(float(np.linalg.norm(current)), 1e-300)
+            history.append(float(np.linalg.norm(current - previous)) / scale)
+            if history[-1] <= settings.tolerance:
+                return PicardResult(solution, iterations, history, True)
+        previous = current
+        speeds = solution.midpoint_speeds()
+    return PicardResult(solution, iterations, history, False)

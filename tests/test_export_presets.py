@@ -19,9 +19,10 @@ def case1_traced():
 def test_case1_linear_bundle_shape(case1_traced):
     bundle = case1_traced
     assert bundle.status == "converged"
-    assert bundle.schema_version == 1
+    assert bundle.schema_version == 2
     assert len(bundle.snapshots) == bundle.outer_iterations
     assert len(bundle.inner_iteration_counts) == bundle.outer_iterations
+    assert bundle.inner_converged == [True] * bundle.outer_iterations
     # the energy minimizer is the uniform high state: no interfaces, and the
     # flux is the lifted field shifted by alpha*
     assert bundle.final["interfaces"] == []
@@ -36,6 +37,15 @@ def test_json_round_trip_is_bit_exact(tmp_path, case1_traced):
     assert loaded == case1_traced
     # fields compare equal entry by entry, including float payloads
     assert loaded.to_dict() == case1_traced.to_dict()
+
+
+def test_bundle_reports_capped_inner_solves(tmp_path):
+    # two inner cycles cannot meet 1e-12 once the Forchheimer branch is active
+    bundle = run_preset("case1-nonlinear", eps_nl=1e-12, max_inner=2)
+    assert bundle.inner_iteration_counts[1:] == [2] * (bundle.outer_iterations - 1)
+    assert bundle.inner_converged == [True] + [False] * (bundle.outer_iterations - 1)
+    (path,) = export_bundle(bundle, tmp_path, "json")
+    assert load_bundle(path).inner_converged == bundle.inner_converged
 
 
 def test_json_handles_infinite_distances(tmp_path, case1_traced):

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfnflow.fem import RegimeField
+import dfnflow.tracker
+from dfnflow.fem import RegimeField, assemble, solve_saddle
 from dfnflow.laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, Regime
 from dfnflow.meshing import build_mesh
 from dfnflow.picard import PicardSettings, picard_solve
-from dfnflow.presets import darcy_forchheimer_pair, single_fracture_network
+from dfnflow.presets import (
+    benchmark_network,
+    darcy_forchheimer_pair,
+    single_fracture_network,
+)
 from dfnflow.tracker import track
+
+from oracles import plain_picard, random_network
 
 
 def mixed_configuration(mesh):
@@ -141,3 +150,101 @@ def test_first_outer_step_is_linear_on_low_start():
     report = track(mesh, darcy_forchheimer_pair())
     assert report.inner_iteration_counts[0] == 1
     assert len(report.inner_iteration_counts) == report.outer_iterations
+
+
+def test_negative_depth_rejected():
+    with pytest.raises(ValueError):
+        PicardSettings(depth=-1)
+
+
+def test_depth_zero_is_plain_picard(monkeypatch):
+    # case1-nonlinear's tracking with depth 0 against the unaccelerated loop,
+    # bit for bit; the inner counts are those of the plain iteration
+    net = single_fracture_network()
+    mesh = build_mesh(net, 0.05)
+    law = darcy_forchheimer_pair()
+    plain = PicardSettings(depth=0)
+    report = track(mesh, law, picard_settings=plain)
+    monkeypatch.setattr(dfnflow.tracker, "picard_solve", plain_picard)
+    reference = track(mesh, law, picard_settings=plain)
+    assert report.inner_iteration_counts == [1] + [7] * 11
+    assert reference.inner_iteration_counts == report.inner_iteration_counts
+    assert np.array_equal(
+        report.final_solution.stacked(), reference.final_solution.stacked()
+    )
+
+    tight = PicardSettings(tolerance=1e-12, max_iterations=60, depth=0)
+    args = (mesh, mixed_configuration(mesh), law, net.sources, net.boundary, tight)
+    result, expected = picard_solve(*args), plain_picard(*args)
+    assert result.update_history == expected.update_history
+    assert np.array_equal(result.solution.stacked(), expected.solution.stacked())
+
+
+def test_default_depth_converges_fast_on_the_six_fracture_network():
+    # plain Picard contracts at about 0.97 per step here (~1085 solves)
+    net, _ = benchmark_network()
+    mesh = build_mesh(net, 0.05)
+    law = darcy_forchheimer_pair(intercept=0.01, slope=0.25)
+    regimes = RegimeField.uniform(mesh, Regime.HIGH)
+
+    def run(settings):
+        result = picard_solve(mesh, regimes, law, net.sources, net.boundary, settings)
+        assert result.converged
+        return result
+
+    fast = run(PicardSettings(tolerance=1e-12, max_iterations=20))
+    slow = run(PicardSettings(tolerance=1e-12, max_iterations=2000, depth=0))
+    a, b = fast.solution.stacked(), slow.solution.stacked()
+    assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 1e-10
+
+
+def frozen_step_change(mesh, regimes, law, result):
+    """Relative change of one more frozen step from a returned solve."""
+    net = mesh.network
+    speeds = result.solution.midpoint_speeds()
+    system = assemble(mesh, regimes, law, speeds, net.sources, net.boundary)
+    again = solve_saddle(system).stacked()
+    return np.linalg.norm(again - result.solution.stacked()) / np.linalg.norm(again)
+
+
+@pytest.mark.parametrize("tolerance", [1e-2, 1e-3, 1e-4])
+def test_one_more_frozen_step_on_the_all_high_fracture(tolerance):
+    # the extrapolated iterates settle while T still moves them: a stop on
+    # the change between consecutive solves ends here up to ~500 tolerances
+    # away from the fixed point
+    net = single_fracture_network()
+    mesh = build_mesh(net, 0.05)
+    law = darcy_forchheimer_pair()
+    regimes = RegimeField.uniform(mesh, Regime.HIGH)
+    result = picard_solve(
+        mesh, regimes, law, net.sources, net.boundary, PicardSettings(tolerance)
+    )
+    assert result.converged
+    assert frozen_step_change(mesh, regimes, law, result) <= tolerance
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_one_more_frozen_step_moves_a_converged_solve_within_tolerance(seed):
+    # the stop is on the fixed-point residual of the returned solve, so one
+    # more frozen-coefficient step from it moves it by about L * tolerance
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    mesh = build_mesh(net, 0.2)
+    law = AdaptiveLaw(
+        ConstantLaw(float(rng.uniform(0.1, 10.0))),
+        AffineSpeedLaw(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
+        float(rng.uniform(0.05, 1.0)),
+    )
+    labels = RegimeField(
+        {
+            b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
+            for b in mesh.branch_ids
+        }
+    )
+    tolerance = 1e-6
+    result = picard_solve(
+        mesh, labels, law, net.sources, net.boundary, PicardSettings(tolerance=tolerance)
+    )
+    assert result.converged
+    assert frozen_step_change(mesh, labels, law, result) <= tolerance
