@@ -8,9 +8,10 @@ Subcommands:
   whose high law is constant, keeping everything else fixed.
 
 The exit code reports the tracker outcome: 0 converged, 2 oscillating,
-3 iteration cap reached, 1 on any error. Sweeps exit 0 when at least one
-member ran (individual member failures are recorded in the output) and 1
-when every member failed.
+3 iteration cap reached, 4 when the inner solve of some outer iteration hit
+its cap (whatever the tracker outcome), 1 on any error. Sweeps exit 0 when
+at least one member ran (individual member failures are recorded in the
+output) and 1 when every member failed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from .config import ConfigError, load_config
-from .export import STATUS_EXIT_CODES, bundle_from_report, export_bundle
+from .export import bundle_from_report, exit_code, export_bundle
 from .laws import AdaptiveLaw, ConstantLaw
 from .picard import PicardSettings
 from .presets import PRESET_NAMES, run_preset, run_spec
@@ -97,7 +98,7 @@ def _cmd_solve(args) -> int:
     print(f"{bundle.status} after {bundle.outer_iterations} outer iterations")
     for path in paths:
         print(f"wrote {path}")
-    return STATUS_EXIT_CODES[bundle.status]
+    return exit_code(bundle)
 
 
 def _cmd_preset(args) -> int:
@@ -111,7 +112,7 @@ def _cmd_preset(args) -> int:
         print(f"wrote {path}")
     if bundle.extras and "sweep" in bundle.extras:
         return 0
-    return STATUS_EXIT_CODES[bundle.status]
+    return exit_code(bundle)
 
 
 def _cmd_sweep(args) -> int:

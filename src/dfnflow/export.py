@@ -20,7 +20,7 @@ import numpy as np
 from .fem import Solution
 from .tracker import TrackerReport, TrackerStatus
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _field_block(nodes: np.ndarray, values: np.ndarray) -> dict:
@@ -49,6 +49,10 @@ class ResultBundle:
 
     ``inner_converged[k]`` tells whether the inner solve of outer iteration
     k + 1 met its tolerance; ``inner_iteration_counts[k]`` is its solve count.
+    ``distances[k]`` is how far the interfaces that iteration classified lie
+    from those it solved on, the fixed-point residual of the outer loop, and
+    ``mixed[k]`` tells whether the configuration it solved on came from an
+    Anderson mixing step rather than from the previous classification.
     """
 
     name: str
@@ -58,6 +62,7 @@ class ResultBundle:
     inner_iteration_counts: list[int]
     inner_converged: list[bool]
     distances: list[float]
+    mixed: list[bool]
     final: dict
     snapshots: list[dict] | None = None
     energy: dict | None = None
@@ -121,6 +126,7 @@ def bundle_from_report(
         inner_iteration_counts=list(report.inner_iteration_counts),
         inner_converged=[e.inner_converged for e in report.history],
         distances=[float(e.distance) for e in report.history],
+        mixed=[e.mixed for e in report.history],
         final=final,
         snapshots=snapshots,
         energy=energy,
@@ -135,6 +141,15 @@ STATUS_EXIT_CODES = {
     TrackerStatus.OSCILLATING.value: 2,
     TrackerStatus.MAX_ITERATIONS.value: 3,
 }
+# A capped inner solve outranks every tracker status.
+INNER_CAP_EXIT_CODE = 4
+
+
+def exit_code(bundle: ResultBundle) -> int:
+    """Exit code of a run: 4 when an inner solve hit its cap, else its status's."""
+    if not all(bundle.inner_converged):
+        return INNER_CAP_EXIT_CODE
+    return STATUS_EXIT_CODES[bundle.status]
 
 
 def _write_csv(path: Path, rows: list[tuple], header: tuple[str, ...]) -> None:

@@ -12,10 +12,11 @@ tolerance, L being the contraction factor of T.
 
 The next iterate is type-II Anderson mixing over the last ``depth``
 differences of residuals and images (Walker & Ni, SIAM J. Numer. Anal. 49,
-2011). With ``depth=0`` it is T(x̃) itself: plain Picard iteration, whose
-residual is the relative update between consecutive solves. The first solve
-runs at ``initial_speed`` and has no iterate to compare against, so
-``update_history`` holds one residual per later cycle.
+2011), computed by ``AndersonMixer``, which the outer tracking loop applies
+to the interface positions too. With ``depth=0`` it is T(x̃) itself: plain
+Picard iteration, whose residual is the relative update between consecutive
+solves. The first solve runs at ``initial_speed`` and has no iterate to
+compare against, so ``update_history`` holds one residual per later cycle.
 
 A configuration whose active law branches are all speed-independent is
 linear, so a single solve is exact and the loop short-circuits with a
@@ -39,6 +40,42 @@ from .network import BoundarySpec, SourceSpec
 # the largest are dropped from the mixing least-squares problem: near-parallel
 # differences would otherwise produce huge, cancelling coefficients.
 MIXING_RCOND = 1e-10
+
+
+class AndersonMixer:
+    """Type-II Anderson mixing of a fixed-point iteration x ↦ T(x).
+
+    ``step(residual, image)`` takes the image T(x) of the current iterate x
+    and its residual T(x) − x, and returns the next iterate: the image minus
+    the stored image differences weighted by the least-squares fit of the
+    stored residual differences to the residual. At most ``depth``
+    differences of consecutive (residual, image) pairs are kept; until one
+    is stored, ``step`` returns ``image`` itself, so ``depth=0`` is the plain
+    iteration.
+    """
+
+    def __init__(self, depth: int):
+        # (residual difference, image difference) pairs; maxlen 0 keeps none
+        self._differences: deque = deque(maxlen=depth)
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def step(self, residual: np.ndarray, image: np.ndarray) -> np.ndarray:
+        if self._last is not None:
+            self._differences.append(
+                (residual - self._last[0], image - self._last[1])
+            )
+        self._last = (residual, image)
+        if not self._differences:
+            return image
+        d_residual, d_image = (np.column_stack(d) for d in zip(*self._differences))
+        gamma = np.linalg.lstsq(d_residual, residual, rcond=MIXING_RCOND)[0]
+        return image - d_image @ gamma
+
+    def restart(self, keep_last: bool = False) -> None:
+        """Forget the stored differences, and the last pair unless ``keep_last``."""
+        self._differences.clear()
+        if not keep_last:
+            self._last = None
 
 
 @dataclass(frozen=True)
@@ -122,9 +159,7 @@ def picard_solve(
 
     speeds = settings.initial_speed
     iterate: np.ndarray | None = None
-    last: tuple[np.ndarray, np.ndarray] | None = None
-    # (residual difference, image difference) pairs; maxlen 0 keeps none
-    differences: deque = deque(maxlen=settings.depth)
+    mixer = AndersonMixer(settings.depth)
     history: list[float] = []
     solution: Solution | None = None
     iterations = 0
@@ -143,14 +178,7 @@ def picard_solve(
             if history[-1] <= settings.tolerance:
                 converged = True
                 break
-            if last is not None:
-                differences.append((residual - last[0], image - last[1]))
-            last = (residual, image)
-            iterate = image
-            if differences:
-                d_residual, d_image = (np.column_stack(d) for d in zip(*differences))
-                gamma = np.linalg.lstsq(d_residual, residual, rcond=MIXING_RCOND)[0]
-                iterate = image - d_image @ gamma
+            iterate = mixer.step(residual, image)
         speeds = _midpoint_speeds(mesh, iterate)
     return PicardResult(
         solution=solution,

@@ -279,7 +279,7 @@ def run_nl_tolerance_table(h: float = DEFAULT_H, trace: bool = False) -> ResultB
     then share the configuration sequence and the final working mesh, so the
     solution vectors are directly comparable against the tightest-tolerance
     reference. Under the default fixed-point tolerance the runs would stop
-    after 3 to 12 outer steps depending on the solver tolerance, mixing
+    after 5 to 7 outer steps depending on the solver tolerance, mixing
     configuration error into the solver error the table measures. The bundle
     itself is the default-settings run at the default tolerance.
 

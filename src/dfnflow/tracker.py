@@ -16,12 +16,31 @@ pattern repeats with period two or more inside a sliding window.
 Interface points from the previous iteration are discarded before each new
 split, so the working mesh is always the base mesh plus the current
 interfaces and interface sets stay comparable across iterations.
+
+Near a self-consistent configuration the plain loop converges only
+linearly, so the interface positions are Anderson-mixed (type II, the same
+``AndersonMixer`` as the inner loop, ``TrackerSettings.depth`` differences,
+default 3; ``depth=0`` is the plain loop, bit for bit). Let γ be the
+interface arcs concatenated per branch in arc order and G(γ) the arcs
+classified from the solve on the configuration γ. A residual G(γ) − γ
+exists while the number of interfaces on every branch stays the same;
+mixing restarts whenever that layout or the per-base-element label pattern
+changes. The mixed configuration takes G(γ)'s labels with their changes
+moved to the mixed arcs. It is rejected in favour of G(γ) itself, keeping
+only the last residual, when a mixed arc leaves its branch, the arcs of a
+branch lose their strict order, or the label pattern changes; so the
+cycling test still sees the patterns of plain steps only. The stop test is
+unchanged: the interfaces classified from a solve lie within the tolerance
+of those it was solved on, under an unchanged label pattern. A history
+entry's ``distance`` is that fixed-point residual, and ``mixed`` marks the
+iterations that solved on a mixed configuration.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from itertools import groupby
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,7 +49,7 @@ import numpy as np
 from .fem import RegimeField, Solution
 from .laws import AdaptiveLaw, Regime
 from .meshing import Mesh, split_mesh_at
-from .picard import PicardResult, PicardSettings, picard_solve
+from .picard import AndersonMixer, PicardResult, PicardSettings, picard_solve
 
 InterfacePoint = tuple[str, float]
 
@@ -49,12 +68,16 @@ class TrackerSettings:
     drift by less than the mesh size per iteration for many iterations before
     they settle, and a tolerance at the scale of the mesh stops such a drift
     part-way.
+
+    ``depth`` is the number of interface-position differences Anderson
+    mixing keeps between outer iterations; 0 is the plain fixed-point loop.
     """
 
     eps_gamma: float = 1e-10
     eps_omega: float | None = None
     max_outer: int = 50
     oscillation_window: int = 6
+    depth: int = 3
 
     def __post_init__(self):
         if self.eps_gamma <= 0:
@@ -63,6 +86,8 @@ class TrackerSettings:
             raise ValueError("configuration tolerance must be positive")
         if self.max_outer < 1:
             raise ValueError("need at least one outer iteration")
+        if self.depth < 0:
+            raise ValueError("mixing depth must be non-negative")
 
 
 class TrackerStatus(enum.Enum):
@@ -82,12 +107,17 @@ class Configuration:
 
 @dataclass
 class HistoryEntry:
-    """One outer iteration: its new configuration and how its inner solve went."""
+    """One outer iteration: its new configuration and how its inner solve went.
+
+    ``mixed`` tells whether the configuration solved on came from a mixing
+    step rather than from the previous iteration's classification.
+    """
 
     configuration: Configuration
     distance: float
     inner_iterations: int
     inner_converged: bool
+    mixed: bool = False
 
 
 @dataclass
@@ -258,6 +288,42 @@ def _uniform_runs(base: Mesh, regimes: RegimeField) -> dict[str, list[Run]]:
     return runs
 
 
+def _layout(gamma: Sequence[InterfacePoint]) -> tuple[str, ...]:
+    """Branch of every interface point; equal layouts mean equal counts per branch."""
+    return tuple(bid for bid, _ in gamma)
+
+
+def _arcs(gamma: Sequence[InterfacePoint]) -> np.ndarray:
+    return np.array([arc for _, arc in gamma])
+
+
+def _moved_runs(
+    base: Mesh,
+    runs_by_branch: dict[str, list[Run]],
+    layout: tuple[str, ...],
+    arcs: np.ndarray,
+) -> dict[str, list[Run]] | None:
+    """The runs with their label changes moved to ``arcs``.
+
+    ``arcs`` holds the new change points concatenated per branch, in the
+    order of ``layout``. None when a point leaves its branch, the points of
+    a branch are not strictly increasing, or a branch's label changes do not
+    match its points one to one.
+    """
+    moved = dict(runs_by_branch)
+    for bid, points in groupby(zip(layout, arcs.tolist()), key=lambda p: p[0]):
+        runs = runs_by_branch[bid]
+        bounds = [0.0, *(arc for _, arc in points), float(base.nodes[bid][-1])]
+        if len(runs) != len(bounds) - 1 or not all(
+            a < b for a, b in zip(bounds, bounds[1:])
+        ):
+            return None
+        moved[bid] = [
+            (a, b, lab) for a, b, (_, _, lab) in zip(bounds, bounds[1:], runs)
+        ]
+    return moved
+
+
 def _detect_period(signatures: list[tuple], new_sig: tuple, window: int) -> int | None:
     n = len(signatures)
     for p in range(2, window + 1):
@@ -309,6 +375,9 @@ def track(
     gamma_prev: tuple[InterfacePoint, ...] = ()
     signatures: list[tuple] = [_signature(mesh, runs_prev)]
 
+    mixer = AndersonMixer(settings.depth)
+    mixed = False
+
     history: list[HistoryEntry] = []
     inner_counts: list[int] = []
     snapshots: list[Solution] | None = [] if trace else None
@@ -353,6 +422,7 @@ def track(
                 distance=distance,
                 inner_iterations=last_result.iterations,
                 inner_converged=last_result.converged,
+                mixed=mixed,
             )
         )
         inner_counts.append(last_result.iterations)
@@ -360,7 +430,8 @@ def track(
             snapshots.append(solution)
 
         sig = _signature(mesh, runs_new)
-        if distance <= eps_omega and sig == signatures[-1]:
+        same_labels = sig == signatures[-1]
+        if distance <= eps_omega and same_labels:
             status = TrackerStatus.CONVERGED
             break
 
@@ -369,8 +440,25 @@ def track(
             status = TrackerStatus.OSCILLATING
             break
         signatures.append(sig)
-        runs_prev = runs_new
-        gamma_prev = gamma_tuple
+
+        # A residual needs an unchanged layout; after a label change it
+        # starts a new mixing history.
+        runs_next, gamma_next, mixed = runs_new, gamma_tuple, False
+        layout = _layout(gamma_tuple)
+        same_layout = layout == _layout(gamma_prev)
+        if not (same_labels and same_layout):
+            mixer.restart()
+        if same_layout:
+            image = _arcs(gamma_tuple)
+            trial = mixer.step(image - _arcs(gamma_prev), image)
+            if trial is not image:  # the image itself until a difference is stored
+                moved = _moved_runs(mesh, runs_new, layout, trial)
+                if moved is not None and _signature(mesh, moved) == sig:
+                    runs_next, mixed = moved, True
+                    gamma_next = tuple(zip(layout, trial.tolist()))
+                else:
+                    mixer.restart(keep_last=True)
+        runs_prev, gamma_prev = runs_next, gamma_next
 
     return TrackerReport(
         status=status,

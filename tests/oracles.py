@@ -4,8 +4,9 @@ These deliberately avoid the package code paths they check: the Darcy oracle
 is a cell-centered two-point flux scheme solved as its own linear system, the
 dissipation oracle is a brute-force midpoint rule, the set-distance oracle
 is a direct double loop, the energy-minimizer oracle scans the reduced
-energy on a uniform grid and refines by golden section, and the plain-Picard
-oracle is the unaccelerated fixed-point loop on the frozen coefficient.
+energy on a uniform grid and refines by golden section, the plain-Picard
+oracle is the unaccelerated fixed-point loop on the frozen coefficient, and
+the plain-tracking oracle is the outer loop without interface mixing.
 """
 
 from __future__ import annotations
@@ -15,8 +16,26 @@ import math
 import numpy as np
 
 from dfnflow.energy import MinimizationResult, _energies_on_grid, lift_field
-from dfnflow.fem import assemble, solve_saddle
-from dfnflow.picard import PicardResult, PicardSettings, _is_linear
+from dfnflow.fem import RegimeField, Solution, assemble, solve_saddle
+from dfnflow.laws import AdaptiveLaw, Regime
+from dfnflow.meshing import Mesh, split_mesh_at
+from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
+from dfnflow.tracker import (
+    DEFAULT_EPS_OMEGA,
+    Configuration,
+    HistoryEntry,
+    InterfacePoint,
+    Run,
+    TrackerReport,
+    TrackerSettings,
+    TrackerStatus,
+    _classify_branch,
+    _detect_period,
+    _labels_on,
+    _signature,
+    _uniform_runs,
+    configuration_distance,
+)
 from dfnflow.network import (
     END,
     START,
@@ -383,3 +402,113 @@ def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
         previous = current
         speeds = solution.midpoint_speeds()
     return PicardResult(solution, iterations, history, False)
+
+
+def plain_track(
+    mesh: Mesh,
+    law: AdaptiveLaw,
+    picard_settings: PicardSettings | None = None,
+    settings: TrackerSettings | None = None,
+    initial: str | RegimeField = "low",
+    trace: bool = False,
+) -> TrackerReport:
+    """The outer loop without mixing, a drop-in for ``track``.
+
+    Every outer iteration solves on the configuration the previous one
+    classified; ``settings.depth`` is ignored.
+    """
+    settings = settings or TrackerSettings()
+    picard_settings = picard_settings or PicardSettings()
+    eps_omega = (
+        settings.eps_omega if settings.eps_omega is not None else DEFAULT_EPS_OMEGA
+    )
+    sources = mesh.network.sources
+    bcs = mesh.network.boundary
+    threshold = law.threshold
+
+    if isinstance(initial, RegimeField):
+        initial.check_against(mesh)
+        start_regimes = initial
+    elif initial in ("low", "high"):
+        start_regimes = RegimeField.uniform(
+            mesh, Regime.LOW if initial == "low" else Regime.HIGH
+        )
+    else:
+        raise ValueError(f"unknown initial configuration {initial!r}")
+
+    runs_prev = _uniform_runs(mesh, start_regimes)
+    gamma_prev: tuple[InterfacePoint, ...] = ()
+    signatures: list[tuple] = [_signature(mesh, runs_prev)]
+
+    history: list[HistoryEntry] = []
+    inner_counts: list[int] = []
+    snapshots: list[Solution] | None = [] if trace else None
+    status = TrackerStatus.MAX_ITERATIONS
+    period: int | None = None
+    last_result: PicardResult | None = None
+
+    for i in range(1, settings.max_outer + 1):
+        working = split_mesh_at(mesh, gamma_prev)
+        regimes = _labels_on(working, runs_prev)
+        try:
+            last_result = picard_solve(
+                working, regimes, law, sources, bcs, picard_settings
+            )
+        except Exception as exc:
+            # prefix the message in place: the error keeps its type and
+            # attributes whatever arguments its constructor takes
+            exc.args = (f"outer iteration {i}: {exc}",)
+            raise
+        solution = last_result.solution
+
+        runs_new: dict[str, list[Run]] = {}
+        gamma_new: list[InterfacePoint] = []
+        for bid in working.branch_ids:
+            runs, crossings = _classify_branch(
+                working.nodes[bid], solution.flux[bid], threshold, settings.eps_gamma
+            )
+            runs_new[bid] = runs
+            gamma_new.extend((bid, arc) for arc in crossings)
+        gamma_tuple = tuple(gamma_new)
+
+        distance = configuration_distance(gamma_tuple, gamma_prev)
+        next_mesh = split_mesh_at(mesh, gamma_tuple)
+        configuration = Configuration(
+            regimes=_labels_on(next_mesh, runs_new),
+            interfaces=gamma_tuple,
+            iteration_index=i,
+        )
+        history.append(
+            HistoryEntry(
+                configuration=configuration,
+                distance=distance,
+                inner_iterations=last_result.iterations,
+                inner_converged=last_result.converged,
+            )
+        )
+        inner_counts.append(last_result.iterations)
+        if snapshots is not None:
+            snapshots.append(solution)
+
+        sig = _signature(mesh, runs_new)
+        if distance <= eps_omega and sig == signatures[-1]:
+            status = TrackerStatus.CONVERGED
+            break
+
+        period = _detect_period(signatures, sig, settings.oscillation_window)
+        if period is not None:
+            status = TrackerStatus.OSCILLATING
+            break
+        signatures.append(sig)
+        runs_prev = runs_new
+        gamma_prev = gamma_tuple
+
+    return TrackerReport(
+        status=status,
+        period=period if status == TrackerStatus.OSCILLATING else None,
+        history=history,
+        final_solution=last_result.solution,
+        outer_iterations=len(history),
+        inner_iteration_counts=inner_counts,
+        snapshots=snapshots,
+    )

@@ -60,6 +60,19 @@ def test_solve_max_iterations_exit_code(tmp_path):
     assert code == 3
 
 
+def test_capped_inner_solve_exits_four(tmp_path):
+    doc = case1_document()
+    doc["law"]["high"] = {"type": "affine", "intercept": 0.01, "slope": 3.0}
+    config = write_config(tmp_path, doc)
+    assert main(["solve", str(config), "--out", str(tmp_path / "default")]) == 0
+    doc["solver"] = {"max_inner": 1}
+    config = write_config(tmp_path, doc, "capped.json")
+    out = tmp_path / "capped"
+    assert main(["solve", str(config), "--out", str(out)]) == 4
+    bundle = json.loads((out / "solve.json").read_text())
+    assert bundle["inner_converged"][0] and not all(bundle["inner_converged"])
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     doc = case1_document()
     doc["law"]["thresholdd"] = 1.0

@@ -19,10 +19,11 @@ def case1_traced():
 def test_case1_linear_bundle_shape(case1_traced):
     bundle = case1_traced
     assert bundle.status == "converged"
-    assert bundle.schema_version == 2
+    assert bundle.schema_version == 3
     assert len(bundle.snapshots) == bundle.outer_iterations
     assert len(bundle.inner_iteration_counts) == bundle.outer_iterations
     assert bundle.inner_converged == [True] * bundle.outer_iterations
+    assert len(bundle.mixed) == len(bundle.distances) == bundle.outer_iterations
     # the energy minimizer is the uniform high state: no interfaces, and the
     # flux is the lifted field shifted by alpha*
     assert bundle.final["interfaces"] == []
@@ -46,6 +47,17 @@ def test_bundle_reports_capped_inner_solves(tmp_path):
     assert bundle.inner_converged == [True] + [False] * (bundle.outer_iterations - 1)
     (path,) = export_bundle(bundle, tmp_path, "json")
     assert load_bundle(path).inner_converged == bundle.inner_converged
+
+
+def test_bundle_reports_mixed_outer_iterations(tmp_path):
+    # the first two outer iterations cannot mix: mixing needs two residuals
+    bundle = run_preset("case1-nonlinear")
+    assert bundle.status == "converged"
+    assert bundle.outer_iterations == 5
+    assert bundle.mixed == [False, False, False, True, True]
+    assert bundle.distances[-1] <= 1e-8
+    (path,) = export_bundle(bundle, tmp_path, "json")
+    assert load_bundle(path).mixed == bundle.mixed
 
 
 def test_json_handles_infinite_distances(tmp_path, case1_traced):

@@ -13,7 +13,7 @@ from dfnflow.presets import (
     darcy_forchheimer_pair,
     single_fracture_network,
 )
-from dfnflow.tracker import track
+from dfnflow.tracker import TrackerSettings, track
 
 from oracles import plain_picard, random_network
 
@@ -158,15 +158,17 @@ def test_negative_depth_rejected():
 
 
 def test_depth_zero_is_plain_picard(monkeypatch):
-    # case1-nonlinear's tracking with depth 0 against the unaccelerated loop,
-    # bit for bit; the inner counts are those of the plain iteration
+    # case1-nonlinear's plain outer loop with depth 0 against the
+    # unaccelerated inner loop, bit for bit; the inner counts are those of
+    # the plain iteration
     net = single_fracture_network()
     mesh = build_mesh(net, 0.05)
     law = darcy_forchheimer_pair()
     plain = PicardSettings(depth=0)
-    report = track(mesh, law, picard_settings=plain)
+    outer = TrackerSettings(depth=0)
+    report = track(mesh, law, picard_settings=plain, settings=outer)
     monkeypatch.setattr(dfnflow.tracker, "picard_solve", plain_picard)
-    reference = track(mesh, law, picard_settings=plain)
+    reference = track(mesh, law, picard_settings=plain, settings=outer)
     assert report.inner_iteration_counts == [1] + [7] * 11
     assert reference.inner_iteration_counts == report.inner_iteration_counts
     assert np.array_equal(
