@@ -49,9 +49,9 @@ class AndersonMixer:
     and its residual T(x) − x, and returns the next iterate: the image minus
     the stored image differences weighted by the least-squares fit of the
     stored residual differences to the residual. At most ``depth``
-    differences of consecutive (residual, image) pairs are kept; until one
-    is stored, ``step`` returns ``image`` itself, so ``depth=0`` is the plain
-    iteration.
+    differences of consecutive (residual, image) pairs are kept. ``mixing``
+    tells whether one is stored; while none is, ``step`` returns ``image``
+    unchanged, so ``depth=0`` is the plain iteration.
     """
 
     def __init__(self, depth: int):
@@ -59,13 +59,18 @@ class AndersonMixer:
         self._differences: deque = deque(maxlen=depth)
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
+    @property
+    def mixing(self) -> bool:
+        """Whether a difference is stored, so ``step`` mixes, not returns the image."""
+        return bool(self._differences)
+
     def step(self, residual: np.ndarray, image: np.ndarray) -> np.ndarray:
         if self._last is not None:
             self._differences.append(
                 (residual - self._last[0], image - self._last[1])
             )
         self._last = (residual, image)
-        if not self._differences:
+        if not self.mixing:
             return image
         d_residual, d_image = (np.column_stack(d) for d in zip(*self._differences))
         gamma = np.linalg.lstsq(d_residual, residual, rcond=MIXING_RCOND)[0]

@@ -19,8 +19,9 @@ interfaces and interface sets stay comparable across iterations.
 
 Near a self-consistent configuration the plain loop converges only
 linearly, so the interface positions are Anderson-mixed (type II, the same
-``AndersonMixer`` as the inner loop, ``TrackerSettings.depth`` differences,
-default 3; ``depth=0`` is the plain loop, bit for bit). Let γ be the
+``AndersonMixer`` as the inner loop, keeping ``OUTER_MIXING_DEPTH``
+differences; the plain loop, which solves on every classification in turn,
+is kept as ``tests/oracles.py:plain_track``). Let γ be the
 interface arcs concatenated per branch in arc order and G(γ) the arcs
 classified from the solve on the configuration γ. A residual G(γ) − γ
 exists while the number of interfaces on every branch stays the same;
@@ -57,6 +58,10 @@ InterfacePoint = tuple[str, float]
 # iterations when ``TrackerSettings.eps_omega`` is unset.
 DEFAULT_EPS_OMEGA = 1e-8
 
+# Interface-position differences Anderson mixing keeps between outer
+# iterations.
+OUTER_MIXING_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class TrackerSettings:
@@ -68,16 +73,12 @@ class TrackerSettings:
     drift by less than the mesh size per iteration for many iterations before
     they settle, and a tolerance at the scale of the mesh stops such a drift
     part-way.
-
-    ``depth`` is the number of interface-position differences Anderson
-    mixing keeps between outer iterations; 0 is the plain fixed-point loop.
     """
 
     eps_gamma: float = 1e-10
     eps_omega: float | None = None
     max_outer: int = 50
     oscillation_window: int = 6
-    depth: int = 3
 
     def __post_init__(self):
         if self.eps_gamma <= 0:
@@ -86,8 +87,6 @@ class TrackerSettings:
             raise ValueError("configuration tolerance must be positive")
         if self.max_outer < 1:
             raise ValueError("need at least one outer iteration")
-        if self.depth < 0:
-            raise ValueError("mixing depth must be non-negative")
 
 
 class TrackerStatus(enum.Enum):
@@ -375,7 +374,7 @@ def track(
     gamma_prev: tuple[InterfacePoint, ...] = ()
     signatures: list[tuple] = [_signature(mesh, runs_prev)]
 
-    mixer = AndersonMixer(settings.depth)
+    mixer = AndersonMixer(OUTER_MIXING_DEPTH)
     mixed = False
 
     history: list[HistoryEntry] = []
@@ -451,7 +450,7 @@ def track(
         if same_layout:
             image = _arcs(gamma_tuple)
             trial = mixer.step(image - _arcs(gamma_prev), image)
-            if trial is not image:  # the image itself until a difference is stored
+            if mixer.mixing:
                 moved = _moved_runs(mesh, runs_new, layout, trial)
                 if moved is not None and _signature(mesh, moved) == sig:
                     runs_next, mixed = moved, True

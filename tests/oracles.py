@@ -415,7 +415,7 @@ def plain_track(
     """The outer loop without mixing, a drop-in for ``track``.
 
     Every outer iteration solves on the configuration the previous one
-    classified; ``settings.depth`` is ignored.
+    classified.
     """
     settings = settings or TrackerSettings()
     picard_settings = picard_settings or PicardSettings()

@@ -5,49 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfnflow.energy import build_energy_block
 from dfnflow.laws import Regime
 from dfnflow.meshing import build_mesh
-from dfnflow.presets import (
-    crossing_network,
-    darcy_forchheimer_pair,
-    darcy_pair,
-    single_fracture_network,
-)
+from dfnflow.presets import darcy_pair, single_fracture_network
 from dfnflow.tracker import TrackerSettings, TrackerStatus, _moved_runs, track
 
 from oracles import plain_track
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from lattice import lattice_network  # noqa: E402
-
-PLAIN = TrackerSettings(depth=0)
-SINGLE_FRACTURE_LAWS = {
-    "darcy-down": lambda: darcy_pair(1.0, 10.0),
-    "darcy-up": lambda: darcy_pair(1.0, 0.5625),
-    # at h = 0.05 this is the case1-nonlinear preset
-    "forchheimer": darcy_forchheimer_pair,
-}
-
-
-def assert_same_report(report, reference):
-    """Equal outcome, history and final solve, bit for bit."""
-    assert report.status == reference.status
-    assert report.period == reference.period
-    assert [e.distance for e in report.history] == [
-        e.distance for e in reference.history
-    ]
-    assert report.inner_iteration_counts == reference.inner_iteration_counts
-    assert [e.configuration.interfaces for e in report.history] == [
-        e.configuration.interfaces for e in reference.history
-    ]
-    assert np.array_equal(
-        report.final_solution.stacked(), reference.final_solution.stacked()
-    )
-    assert not any(e.mixed for e in report.history)
 
 
 def assert_same_interfaces(report, reference, tol):
@@ -58,45 +28,15 @@ def assert_same_interfaces(report, reference, tol):
     assert max((abs(x - y) for (_, x), (_, y) in zip(a, b)), default=0.0) <= tol
 
 
-@pytest.mark.parametrize("law_name", sorted(SINGLE_FRACTURE_LAWS))
-def test_depth_zero_is_the_plain_loop_on_the_single_fracture(law_name):
-    mesh = build_mesh(single_fracture_network(), 0.05)
-    law = SINGLE_FRACTURE_LAWS[law_name]()
-    assert_same_report(
-        track(mesh, law, settings=PLAIN), plain_track(mesh, law, settings=PLAIN)
-    )
-
-
-def test_depth_zero_is_the_plain_loop_on_the_crossing():
-    mesh = build_mesh(crossing_network(), 0.05)
-    law = darcy_forchheimer_pair()
-    assert_same_report(
-        track(mesh, law, settings=PLAIN), plain_track(mesh, law, settings=PLAIN)
-    )
-
-
-def test_depth_zero_is_the_plain_loop_on_the_lattice():
-    mesh = build_mesh(lattice_network(1, 12), 0.025)
-    law = darcy_pair(1.0, 10.0)
-    capped = TrackerSettings(depth=0, max_outer=10)
-    report = track(mesh, law, settings=capped)
-    assert report.outer_iterations == 10
-    assert_same_report(report, plain_track(mesh, law, settings=capped))
-
-
-def test_negative_depth_rejected():
-    with pytest.raises(ValueError):
-        TrackerSettings(depth=-1)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_mixing_converges_on_the_lattice_to_the_plain_fixed_point(seed):
     # mixed iterates that move an interface across a base-element midpoint
     # are rejected; without that guard seeds 2 and 3 stop as oscillating
     mesh = build_mesh(lattice_network(seed, 12), 0.025)
     law = darcy_pair(1.0, 10.0)
-    mixed = track(mesh, law, settings=TrackerSettings(max_outer=200))
-    plain = track(mesh, law, settings=TrackerSettings(max_outer=200, depth=0))
+    capped = TrackerSettings(max_outer=200)
+    mixed = track(mesh, law, settings=capped)
+    plain = plain_track(mesh, law, settings=capped)
     assert plain.status == TrackerStatus.CONVERGED
     assert mixed.status == TrackerStatus.CONVERGED
     assert any(e.mixed for e in mixed.history)
@@ -110,7 +50,7 @@ def test_mixing_cuts_the_slow_drift_of_darcy_pair_1_8(h):
     mesh = build_mesh(single_fracture_network(), h)
     law = darcy_pair(1.0, 8.0)
     mixed = track(mesh, law)
-    plain = track(mesh, law, settings=TrackerSettings(max_outer=200, depth=0))
+    plain = plain_track(mesh, law, settings=TrackerSettings(max_outer=200))
     assert plain.status == TrackerStatus.CONVERGED
     assert mixed.status == TrackerStatus.CONVERGED
     assert mixed.outer_iterations <= 25
@@ -124,8 +64,10 @@ def test_converged_mixed_runs_pass_the_energy_oracle_gates(k2, h):
     mesh = build_mesh(single_fracture_network(), h)
     law = darcy_pair(1.0, k2)
     report = track(mesh, law)
-    if report.status != TrackerStatus.CONVERGED:
-        return
+    # only converged runs that mixed count; if none does, hypothesis fails
+    # the test as unsatisfiable
+    assume(report.status == TrackerStatus.CONVERGED)
+    assume(any(e.mixed for e in report.history))
     block = build_energy_block(report.final_solution, mesh, law)
     assert block["fem_offset_spread"] <= 1e-8
     assert block["energy"] - block["alpha_energy"] >= -1e-12

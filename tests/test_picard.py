@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dfnflow.tracker
 from dfnflow.fem import RegimeField, assemble, solve_saddle
 from dfnflow.laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, Regime
 from dfnflow.meshing import build_mesh
-from dfnflow.picard import PicardSettings, picard_solve
+from dfnflow.picard import AndersonMixer, PicardSettings, picard_solve
 from dfnflow.presets import (
     benchmark_network,
     darcy_forchheimer_pair,
     single_fracture_network,
 )
-from dfnflow.tracker import TrackerSettings, track
+from dfnflow.tracker import track
 
-from oracles import plain_picard, random_network
+import oracles
+from oracles import plain_picard, plain_track, random_network
 
 
 def mixed_configuration(mesh):
@@ -157,6 +157,25 @@ def test_negative_depth_rejected():
         PicardSettings(depth=-1)
 
 
+def test_mixer_returns_the_image_until_a_difference_is_stored():
+    residuals = [np.array([1.0, -1.0]), np.array([0.5, 0.2]), np.array([0.1, 0.3])]
+    images = [np.array([2.0, 0.0]), np.array([1.5, 0.4]), np.array([1.2, 0.6])]
+    plain = AndersonMixer(0)
+    for residual, image in zip(residuals, images):
+        assert np.array_equal(plain.step(residual, image), image)
+        assert not plain.mixing
+    mixer = AndersonMixer(2)
+    assert np.array_equal(mixer.step(residuals[0], images[0]), images[0])
+    assert not mixer.mixing
+    assert not np.array_equal(mixer.step(residuals[1], images[1]), images[1])
+    assert mixer.mixing
+    mixer.restart(keep_last=True)
+    assert not mixer.mixing
+    # the kept pair gives the next step a difference at once
+    mixer.step(residuals[2], images[2])
+    assert mixer.mixing
+
+
 def test_depth_zero_is_plain_picard(monkeypatch):
     # case1-nonlinear's plain outer loop with depth 0 against the
     # unaccelerated inner loop, bit for bit; the inner counts are those of
@@ -165,10 +184,9 @@ def test_depth_zero_is_plain_picard(monkeypatch):
     mesh = build_mesh(net, 0.05)
     law = darcy_forchheimer_pair()
     plain = PicardSettings(depth=0)
-    outer = TrackerSettings(depth=0)
-    report = track(mesh, law, picard_settings=plain, settings=outer)
-    monkeypatch.setattr(dfnflow.tracker, "picard_solve", plain_picard)
-    reference = track(mesh, law, picard_settings=plain, settings=outer)
+    report = plain_track(mesh, law, picard_settings=plain)
+    monkeypatch.setattr(oracles, "picard_solve", plain_picard)
+    reference = plain_track(mesh, law, picard_settings=plain)
     assert report.inner_iteration_counts == [1] + [7] * 11
     assert reference.inner_iteration_counts == report.inner_iteration_counts
     assert np.array_equal(
