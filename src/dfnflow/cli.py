@@ -9,9 +9,10 @@ Subcommands:
 
 The exit code reports the tracker outcome: 0 converged, 2 oscillating,
 3 iteration cap reached, 4 when the inner solve of some outer iteration hit
-its cap (whatever the tracker outcome), 1 on any error. Sweeps exit 0 when
-at least one member ran (individual member failures are recorded in the
-output) and 1 when every member failed.
+its cap (whatever the tracker outcome), 1 on any error. Sweeps exit 4 when
+an inner solve of some member hit its cap, else 0 when at least one member
+ran (individual member failures are recorded in the output) and 1 when
+every member failed.
 """
 
 from __future__ import annotations
@@ -110,8 +111,6 @@ def _cmd_preset(args) -> int:
     print(f"{bundle.name}: {bundle.status} after {bundle.outer_iterations} outer iterations")
     for path in paths:
         print(f"wrote {path}")
-    if bundle.extras and "sweep" in bundle.extras:
-        return 0
     return exit_code(bundle)
 
 
@@ -153,12 +152,14 @@ def _cmd_sweep(args) -> int:
                     "status": report.status.value,
                     "period": report.period or 0,
                     "outer_iterations": report.outer_iterations,
+                    "inner_converged": all(e.inner_converged for e in report.history),
                 }
             )
             last_report = report
         except Exception as exc:
             rows.append({"k2": k2, "status": "error", "period": 0,
-                         "outer_iterations": 0, "message": str(exc)})
+                         "outer_iterations": 0, "inner_converged": None,
+                         "message": str(exc)})
     if last_report is None:
         raise RuntimeError(f"every sweep member failed: {rows[0]['message']}")
     bundle = bundle_from_report(
@@ -172,7 +173,7 @@ def _cmd_sweep(args) -> int:
         print(f"k2={row['k2']:g}: {row['status']}")
     for path in paths:
         print(f"wrote {path}")
-    return 0
+    return exit_code(bundle)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -71,7 +71,7 @@ def lift_field(mesh: Mesh) -> LiftedField:
     """Lifted flux field of a single-branch problem."""
     bid = _single_branch(mesh)
     network = mesh.network
-    qint = source_integrals(mesh, network.sources, bid)
+    qint = source_integrals(mesh, network.sources)
     cumulative = np.concatenate([[0.0], np.cumsum(qint)])
 
     anchor = 0.0

@@ -24,7 +24,14 @@ SCHEMA_VERSION = 3
 
 
 def _field_block(nodes: np.ndarray, values: np.ndarray) -> dict:
-    return {"arc": [float(x) for x in nodes], "value": [float(v) for v in values]}
+    return {
+        "arc": np.asarray(nodes, dtype=float).tolist(),
+        "value": np.asarray(values, dtype=float).tolist(),
+    }
+
+
+def _regime_block(regimes) -> dict:
+    return {b: np.asarray(labels).tolist() for b, labels in sorted(regimes.labels.items())}
 
 
 def solution_fields(solution: Solution) -> dict:
@@ -72,7 +79,8 @@ class ResultBundle:
     timing_seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name; the values are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @staticmethod
     def from_dict(doc: dict) -> "ResultBundle":
@@ -88,13 +96,9 @@ def bundle_from_report(
     timing_seconds: float = 0.0,
 ) -> ResultBundle:
     final_config = report.final_configuration
-    final_mesh_nodes = report.final_solution.mesh  # solution of the last solve
     final = {
         "interfaces": [[b, float(x)] for b, x in final_config.interfaces],
-        "regimes": {
-            b: [int(v) for v in labels]
-            for b, labels in sorted(final_config.regimes.labels.items())
-        },
+        "regimes": _regime_block(final_config.regimes),
         **solution_fields(report.final_solution),
     }
     snapshots = None
@@ -109,12 +113,7 @@ def bundle_from_report(
                     "interfaces": [
                         [b, float(x)] for b, x in entry.configuration.interfaces
                     ],
-                    "regimes": {
-                        b: [int(v) for v in labels]
-                        for b, labels in sorted(
-                            entry.configuration.regimes.labels.items()
-                        )
-                    },
+                    "regimes": _regime_block(entry.configuration.regimes),
                     **solution_fields(solution),
                 }
             )
@@ -146,7 +145,14 @@ INNER_CAP_EXIT_CODE = 4
 
 
 def exit_code(bundle: ResultBundle) -> int:
-    """Exit code of a run: 4 when an inner solve hit its cap, else its status's."""
+    """Exit code of a run: 4 when an inner solve hit its cap, else its status's.
+
+    A sweep exits 4 when an inner solve of any member hit its cap, else 0.
+    """
+    sweep = (bundle.extras or {}).get("sweep")
+    if sweep is not None:
+        capped = any(row["inner_converged"] is False for row in sweep)
+        return INNER_CAP_EXIT_CODE if capped else 0
     if not all(bundle.inner_converged):
         return INNER_CAP_EXIT_CODE
     return STATUS_EXIT_CODES[bundle.status]

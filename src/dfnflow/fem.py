@@ -25,7 +25,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .laws import AdaptiveLaw, Regime, eval_lambda_coefficient
-from .meshing import Mesh
+from .meshing import Mesh, branch_keys
 from .network import (
     END,
     START,
@@ -54,39 +54,50 @@ class RegimeField:
     @staticmethod
     def uniform(mesh: Mesh, regime: Regime) -> "RegimeField":
         return RegimeField(
-            {
-                b: np.full(mesh.element_count(b), int(regime), dtype=np.int8)
-                for b in mesh.branch_ids
-            }
+            mesh.per_element(np.full(mesh.total_elements, int(regime), dtype=np.int8))
         )
 
-    def check_against(self, mesh: Mesh) -> None:
-        for b in mesh.branch_ids:
-            if b not in self.labels or len(self.labels[b]) != mesh.element_count(b):
-                raise ValueError(f"regime labels do not match the mesh on branch {b!r}")
+    def on(self, mesh: Mesh) -> np.ndarray:
+        """The label of every element of ``mesh``, in mesh order.
+
+        Raises ``ValueError`` when the labels do not match the mesh.
+        """
+        return mesh.flat_elements(self.labels, "regime labels")
 
 
-def source_integrals(mesh: Mesh, sources: SourceSpec, branch_id: str) -> np.ndarray:
-    """Integral of the scalar source over each element of a branch.
+def source_integrals(mesh: Mesh, sources: SourceSpec) -> np.ndarray:
+    """Integral of the scalar source over every element, in mesh order.
 
     Constant pieces integrate exactly; callable pieces use a 5-point Gauss
     rule per element. Breakpoints are mesh nodes by construction, so every
     element lies inside a single piece.
     """
-    x = mesh.nodes[branch_id]
-    a, b = x[:-1], x[1:]
-    src = sources.scalar_for(branch_id)
-    piece_of = np.searchsorted(np.asarray(src.breakpoints), 0.5 * (a + b), side="left")
-    out = np.empty(len(a))
+    # Number the pieces of all sourced branches in one table; an element's
+    # piece is its branch's first plus the breakpoints below its midpoint.
+    index = mesh.network.branch_index
+    first = np.full(len(index), -1)
+    breaks, pieces = [], []
+    for bid, src in sources.scalar.items():
+        k = index[bid]
+        first[k] = len(pieces)
+        breaks += [complex(k, bp) for bp in src.breakpoints]
+        pieces += src.pieces
+    breaks = np.sort(np.array(breaks, dtype=complex))
+    branch = mesh.element_branch
+    below = np.searchsorted(breaks, branch_keys(branch, mesh.midpoints))
+    piece = first[branch] + below - np.searchsorted(breaks.real, branch)
+    sourced = first[branch] >= 0
+
+    a, b = mesh.x[mesh.left], mesh.x[mesh.left + 1]
+    rate = np.array([np.nan if callable(p) else p for p in pieces] + [0.0])
+    out = rate[np.where(sourced, piece, -1)] * (b - a)
     pts, wts = _GAUSS5
-    for k, piece in enumerate(src.pieces):
-        sel = piece_of == k
-        half = 0.5 * (b[sel] - a[sel])
-        if callable(piece):
+    for j, p in enumerate(pieces):
+        if callable(p):
+            sel = np.flatnonzero(sourced & (piece == j))
+            half = 0.5 * (b[sel] - a[sel])
             xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
-            out[sel] = half * (piece(xs.ravel()).reshape(xs.shape) @ wts)
-        else:
-            out[sel] = piece * (b[sel] - a[sel])
+            out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
     return out
 
 
@@ -115,19 +126,16 @@ class SaddleSystem:
     flux no velocity condition prescribes), the pressure of every element
     from ``pressure_start``, one pressure per intersection in
     ``network.intersections`` order from ``junction_start``, and the
-    mean-pressure multiplier when there is one. Branch ``k`` of
-    ``mesh.branch_ids`` owns the global nodes
-    ``node_offset[k]:node_offset[k + 1]`` and the global elements
-    ``element_offset[k]:element_offset[k + 1]``. ``free`` marks the free
-    global nodes; ``prescribed_flux`` holds the flux at the other nodes and
-    zero at free ones.
+    mean-pressure multiplier when there is one. Nodes and elements are
+    numbered as in the flat layout of ``Mesh`` (see ``Mesh.node_offset``
+    and ``Mesh.element_offset``). ``free`` marks the free global nodes;
+    ``prescribed_flux`` holds the flux at the other nodes and zero at free
+    ones.
     """
 
     matrix: sps.csr_matrix
     rhs: np.ndarray
     mesh: Mesh
-    node_offset: np.ndarray
-    element_offset: np.ndarray
     free: np.ndarray
     prescribed_flux: np.ndarray
     pressure_start: int
@@ -146,12 +154,14 @@ class Solution:
 
     ``flux[b][i]`` is the signed flux along the tangent of branch ``b`` at its
     node ``i``; ``pressure[b][e]`` the constant pressure of element ``e``.
-    Junction pressures carry one value per intersection.
+    Junction pressures carry one value per intersection. A solve returns
+    ``flux`` and ``pressure`` as ``BranchArrays`` views of arrays over all
+    nodes and all elements of the mesh.
     """
 
     mesh: Mesh
-    flux: dict[str, np.ndarray]
-    pressure: dict[str, np.ndarray]
+    flux: Mapping[str, np.ndarray]
+    pressure: Mapping[str, np.ndarray]
     junction_pressure: dict[str, float]
     residual: float
     multiplier: float | None = None
@@ -184,29 +194,23 @@ FrozenSpeed = Union[float, Mapping[str, np.ndarray]]
 def _element_speeds(mesh: Mesh, frozen_speed: FrozenSpeed) -> np.ndarray:
     if not isinstance(frozen_speed, Mapping):
         return np.full(mesh.total_elements, float(frozen_speed))
-    speeds = [np.asarray(frozen_speed[bid], dtype=float) for bid in mesh.branch_ids]
-    for bid, s in zip(mesh.branch_ids, speeds):
-        if len(s) != mesh.element_count(bid):
-            raise ValueError(f"frozen speeds do not match elements on {bid!r}")
-    return np.concatenate(speeds)
+    return np.asarray(mesh.flat_elements(frozen_speed, "frozen speeds"), dtype=float)
 
 
-def _end(node_offset: np.ndarray, k: int, which: str) -> tuple[int, float]:
-    """Global node and outward sign of the given end of branch ``k``."""
-    return (node_offset[k], -1.0) if which == START else (node_offset[k + 1] - 1, 1.0)
+def _ends(mesh: Mesh, k: np.ndarray, at_end: np.ndarray):
+    """Global node and outward sign of the start, or where ``at_end`` the
+    end, of each branch ``k``."""
+    return (
+        np.where(at_end, mesh.node_offset[k + 1] - 1, mesh.node_offset[k]),
+        np.where(at_end, 1.0, -1.0),
+    )
 
 
-def _junction_ends(mesh: Mesh, node_offset: np.ndarray):
+def _junction_ends(mesh: Mesh):
     """Global node, intersection position and outward sign of each junction end."""
-    position = {bid: k for k, bid in enumerate(mesh.branch_ids)}
-    nodes, owner, sign = [], [], []
-    for j, isec in enumerate(mesh.network.intersections):
-        for bid, which in isec.incident:
-            node, n_out = _end(node_offset, position[bid], which)
-            nodes.append(node)
-            owner.append(j)
-            sign.append(n_out)
-    return np.array(nodes, dtype=np.intp), np.array(owner, dtype=np.intp), np.array(sign)
+    k, at_end, owner = mesh.network.junction_incidence.T
+    nodes, sign = _ends(mesh, k, at_end == 1)
+    return nodes, owner, sign
 
 
 def assemble(
@@ -224,66 +228,58 @@ def assemble(
     The flux-mass block integrates coefficient times the linear basis pair
     exactly, with the coefficient constant per element at the frozen speed.
     """
-    regimes.check_against(mesh)
+    labels = regimes.on(mesh)
     if not bcs.has_pressure_bc and bcs.mean_pressure is None:
         raise SingularSystemError(
             "no pressure anchor: the problem has no pressure boundary condition "
             "and no mean-pressure constraint"
         )
 
-    ids = mesh.branch_ids
-    counts = np.array([mesh.element_count(b) for b in ids])
-    element_offset = np.concatenate([[0], np.cumsum(counts)])
-    node_offset = element_offset + np.arange(len(ids) + 1)
-    n_nodes, n_elements = int(node_offset[-1]), int(element_offset[-1])
+    n_nodes, n_elements = len(mesh.x), mesh.total_elements
     has_mean = not bcs.has_pressure_bc
     n_full = n_nodes + n_elements + len(mesh.network.intersections) + has_mean
 
-    branch_of = np.repeat(np.arange(len(ids)), counts)
-    left = np.arange(n_elements) + branch_of
+    branch_of = mesh.element_branch
+    left = mesh.left
     right = left + 1
-    x = np.concatenate([mesh.nodes[b] for b in ids])
-    h = x[right] - x[left]
+    h = mesh.x[right] - mesh.x[left]
 
-    coeff = eval_lambda_coefficient(
-        law,
-        _element_speeds(mesh, frozen_speed),
-        np.concatenate([regimes.labels[b] for b in ids]),
-    )
+    coeff = eval_lambda_coefficient(law, _element_speeds(mesh, frozen_speed), labels)
     bad = np.flatnonzero(coeff <= 0.0)
     if bad.size:
         k = int(branch_of[bad[0]])
         raise SingularSystemError(
             f"degenerate law coefficient {float(coeff[bad[0]])} on element "
-            f"{int(bad[0] - element_offset[k])} of branch {ids[k]!r}"
+            f"{int(bad[0] - mesh.element_offset[k])} of branch {mesh.branch_ids[k]!r}"
         )
 
     # Right-hand side and prescribed fluxes over the full numbering: all
     # nodes, elements, intersections, then the mean multiplier. Constrained
     # nodes are removed at the end, their known flux moved to the rhs.
     rhs = np.zeros(n_full)
-    half_force = np.array([mesh.tangential_force[b] for b in ids])[branch_of] * h / 2.0
+    half_force = mesh.force[branch_of] * h / 2.0
     rhs[left] += half_force
     rhs[right] += half_force
     free = np.ones(n_nodes, dtype=bool)
     prescribed = np.zeros(n_full)
-    at_junction = mesh.network.junction_ends
-    for k, bid in enumerate(ids):
-        for which in (START, END):
-            node, n_out = _end(node_offset, k, which)
-            bc = bcs.condition_at(bid, which)
-            if isinstance(bc, VelocityBC):
-                if (bid, which) in at_junction:
-                    raise SingularSystemError(
-                        f"branch end ({bid!r}, {which}) is both at an intersection "
-                        "and velocity-constrained"
-                    )
-                free[node] = False
-                prescribed[node] = bc.outflux * n_out
-            elif isinstance(bc, PressureBC):
-                rhs[node] -= bc.pressure * n_out
+    ends, conditions = list(bcs.conditions), list(bcs.conditions.values())
+    velocity = np.array([isinstance(bc, VelocityBC) for bc in conditions], dtype=bool)
+    clash = [e for e, v in zip(ends, velocity) if v and e in mesh.network.junction_ends]
+    if clash:
+        raise SingularSystemError(
+            f"branch end ({clash[0][0]!r}, {clash[0][1]}) is both at an intersection "
+            "and velocity-constrained"
+        )
+    index = mesh.network.branch_index
+    k = np.array([index[bid] for bid, _ in ends], dtype=np.intp)
+    node, n_out = _ends(mesh, k, np.array([which == END for _, which in ends], dtype=bool))
+    value = [bc.outflux if v else bc.pressure for bc, v in zip(conditions, velocity)]
+    data = np.array(value, dtype=float) * n_out
+    free[node[velocity]] = False
+    prescribed[node[velocity]] = data[velocity]
+    rhs[node[~velocity]] -= data[~velocity]
     pressure = n_nodes + np.arange(n_elements)
-    rhs[pressure] = -np.concatenate([source_integrals(mesh, sources, b) for b in ids])
+    rhs[pressure] = -source_integrals(mesh, sources)
 
     m = coeff * h / 6.0
     ones = np.ones(n_elements)
@@ -295,24 +291,28 @@ def assemble(
         rows += [pressure, mean]
         cols += [mean, pressure]
         vals += [h, h]
-    end_nodes, owner, sign = _junction_ends(mesh, node_offset)
+    end_nodes, owner, sign = _junction_ends(mesh)
     junction = n_nodes + n_elements + owner
     rows += [end_nodes, junction]
     cols += [junction, end_nodes]
     vals += [sign, sign]
 
-    full = sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_full, n_full),
-    )
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    # A prescribed node's column holds one entry per row, and a row at most
+    # two such entries, so this sums as the full matrix times ``prescribed``.
+    rhs -= np.bincount(rows, weights=vals * prescribed[cols], minlength=n_full)
     keep = np.concatenate([free, np.ones(n_full - n_nodes, dtype=bool)])
+    n_keep = int(np.count_nonzero(keep))
+    number = np.cumsum(keep) - 1
+    inside = keep[rows] & keep[cols]
     n_free = int(np.count_nonzero(free))
     return SaddleSystem(
-        matrix=full[keep][:, keep],
-        rhs=(rhs - full @ prescribed)[keep],
+        matrix=sps.csr_matrix(
+            (vals[inside], (number[rows[inside]], number[cols[inside]])),
+            shape=(n_keep, n_keep),
+        ),
+        rhs=rhs[keep],
         mesh=mesh,
-        node_offset=node_offset,
-        element_offset=element_offset,
         free=free,
         prescribed_flux=prescribed[:n_nodes],
         pressure_start=n_free,
@@ -357,19 +357,19 @@ def solve_saddle(system: SaddleSystem) -> Solution:
     nodal[system.free] = x[:p0]
     # element pressures followed by junction pressures, shifted together
     pressures = x[p0 : j0 + len(intersections)].copy()
-    pressure = dict(zip(ids, np.split(pressures[: j0 - p0], system.element_offset[1:-1])))
+    pressure = mesh.per_element(pressures[: j0 - p0])
 
     multiplier = None
     if system.mean_index is not None:
         multiplier = float(x[system.mean_index])
         weighted = sum(
-            float(np.dot(pressure[bid], mesh.element_lengths(bid))) for bid in ids
+            float(np.dot(pressure[bid], np.diff(mesh.nodes[bid]))) for bid in ids
         )
         pressures += system.mean_pressure - weighted / mesh.network.total_length
 
     solution = Solution(
         mesh=mesh,
-        flux=dict(zip(ids, np.split(nodal, system.node_offset[1:-1]))),
+        flux=mesh.per_node(nodal),
         pressure=pressure,
         junction_pressure=dict(zip([i.id for i in intersections], pressures[j0 - p0 :].tolist())),
         residual=residual,
@@ -417,13 +417,14 @@ def implied_junction_pressures(
     if x is None:
         raise ValueError("solution does not carry its raw solve vector")
     intersections = system.mesh.network.intersections
-    nodes, owner, sign = _junction_ends(system.mesh, system.node_offset)
+    nodes, owner, sign = _junction_ends(system.mesh)
     rows = np.cumsum(system.free)[nodes] - 1
     cols = system.junction_start + owner
     # each flux row holds its junction unknown once, with coefficient sign
-    partial = system.matrix[rows] @ x - sign * x[cols]
+    partial = (system.matrix @ x)[rows] - sign * x[cols]
     reported = np.array([solution.junction_pressure[isec.id] for isec in intersections])
     shift = reported[owner] - x[cols]
     implied = (system.rhs[rows] - partial) / sign + shift
-    parts = np.split(implied, np.cumsum([len(i.incident) for i in intersections])[:-1])
-    return {isec.id: part.tolist() for isec, part in zip(intersections, parts)}
+    bounds = np.cumsum([0] + [len(i.incident) for i in intersections]).tolist()
+    implied = implied.tolist()
+    return {i.id: implied[a:b] for i, a, b in zip(intersections, bounds, bounds[1:])}

@@ -10,53 +10,144 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .network import COINCIDENCE_TOL, FractureNetwork, validate_network
 
 
+def branch_keys(branch: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """(branch position, arc) pairs as complex numbers.
+
+    NumPy sorts and searches complex arrays lexicographically, by real part
+    and then by imaginary part, so these keys order points by branch and
+    then by arc, comparing both exactly.
+    """
+    keys = np.empty(len(arc), dtype=complex)
+    keys.real = branch
+    keys.imag = arc
+    return keys
+
+
+class BranchArrays(Mapping):
+    """Read-only mapping from branch id to its slice of one flat array.
+
+    Branch ``k`` of ``index`` owns ``array[offset[k]:offset[k + 1]]``; the
+    slices are views, so the mapping costs nothing to build.
+    """
+
+    def __init__(self, index: Mapping[str, int], array: np.ndarray, offset: np.ndarray):
+        self.index = index
+        self.array = array
+        self.offset = offset
+
+    def __getitem__(self, branch_id: str) -> np.ndarray:
+        k = self.index[branch_id]
+        return self.array[self.offset[k] : self.offset[k + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 @dataclass(frozen=True)
 class Mesh:
-    """Per-branch 1D mesh over a fracture network.
+    """1D mesh over a fracture network, stored as one flat node array.
 
-    ``nodes[b]`` holds the strictly increasing arc coordinates of the nodes of
-    branch ``b``, starting at 0 and ending at the branch length. Elements are
-    the intervals between consecutive nodes. Node arrays are read-only; meshes
-    are safe to share.
+    ``x`` holds the arc coordinates of the nodes of every branch, branch by
+    branch in ``network.branches`` order. Branch ``k`` owns the nodes
+    ``node_offset[k]:node_offset[k + 1]``, strictly increasing from 0 to its
+    length, and the elements ``element_offset[k]:element_offset[k + 1]``,
+    the intervals between consecutive nodes; element ``e`` runs from node
+    ``left[e]`` to node ``left[e] + 1``. ``nodes[b]`` is the view of branch
+    ``b``'s nodes, and ``force[k]`` the body force along branch ``k``'s
+    tangent. Arrays are read-only; meshes are safe to share.
     """
 
     network: FractureNetwork
-    nodes: Mapping[str, np.ndarray]
-    tangential_force: Mapping[str, float]
+    x: np.ndarray
+    node_offset: np.ndarray
+    force: np.ndarray
 
     def __post_init__(self):
-        for arr in self.nodes.values():
+        for arr in (self.x, self.node_offset, self.force):
             arr.flags.writeable = False
 
     @property
     def branch_ids(self) -> tuple[str, ...]:
         return self.network.branch_ids
 
+    @cached_property
+    def element_offset(self) -> np.ndarray:
+        return self.node_offset - np.arange(len(self.node_offset))
+
+    @cached_property
+    def element_branch(self) -> np.ndarray:
+        """Branch position of every element."""
+        return np.repeat(np.arange(len(self.force)), np.diff(self.element_offset))
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """Global left node of every element."""
+        return np.arange(self.total_elements) + self.element_branch
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Length of every branch, its last node."""
+        return self.x[self.node_offset[1:] - 1]
+
+    @cached_property
+    def nodes(self) -> BranchArrays:
+        return self.per_node(self.x)
+
+    @cached_property
+    def tangential_force(self) -> dict[str, float]:
+        return dict(zip(self.branch_ids, self.force.tolist()))
+
+    def per_node(self, values: np.ndarray) -> BranchArrays:
+        """Per-branch views of an array over all nodes."""
+        return BranchArrays(self.network.branch_index, values, self.node_offset)
+
+    def per_element(self, values: np.ndarray) -> BranchArrays:
+        """Per-branch views of an array over all elements."""
+        return BranchArrays(self.network.branch_index, values, self.element_offset)
+
+    def flat_elements(self, values: Mapping[str, np.ndarray], what: str) -> np.ndarray:
+        """Per-branch arrays over the elements as one array in mesh order.
+
+        Raises ``ValueError`` naming ``what`` when they do not match the mesh.
+        """
+        if isinstance(values, BranchArrays) and values.offset is self.element_offset:
+            return values.array
+        for b in self.branch_ids:
+            if b not in values or len(values[b]) != self.element_count(b):
+                raise ValueError(f"{what} do not match the mesh on branch {b!r}")
+        return np.concatenate([values[b] for b in self.branch_ids])
+
     def element_count(self, branch_id: str) -> int:
         return len(self.nodes[branch_id]) - 1
 
     @property
     def total_elements(self) -> int:
-        return sum(self.element_count(b) for b in self.branch_ids)
-
-    def element_lengths(self, branch_id: str) -> np.ndarray:
-        return np.diff(self.nodes[branch_id])
+        return len(self.x) - len(self.force)
 
     def element_midpoints(self, branch_id: str) -> np.ndarray:
         x = self.nodes[branch_id]
         return 0.5 * (x[:-1] + x[1:])
 
+    @cached_property
+    def midpoints(self) -> np.ndarray:
+        """Midpoint of every element."""
+        return 0.5 * (self.x[self.left] + self.x[self.left + 1])
+
     @property
     def h(self) -> float:
         """Global mesh size, the largest element length on any branch."""
-        return max(float(self.element_lengths(b).max()) for b in self.branch_ids)
+        return float((self.x[self.left + 1] - self.x[self.left]).max())
 
 
 def _partition(length: float, required: Iterable[float], target_h: float) -> np.ndarray:
@@ -83,36 +174,59 @@ def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
         raise ValueError(f"cannot mesh an invalid network:\n{report}")
 
     fx, fy = network.sources.force
-    nodes = {}
-    force = {}
-    for branch in network.branches:
-        source = network.sources.scalar_for(branch.id)
-        nodes[branch.id] = _partition(branch.length, source.breakpoints, target_h)
-        tx, ty = branch.tangent
-        force[branch.id] = fx * tx + fy * ty
-    return Mesh(network=network, nodes=nodes, tangential_force=force)
+    parts = [
+        _partition(b.length, network.sources.scalar_for(b.id).breakpoints, target_h)
+        for b in network.branches
+    ]
+    return Mesh(
+        network=network,
+        x=np.concatenate(parts),
+        node_offset=np.cumsum([0] + [len(p) for p in parts]),
+        force=np.array([fx * tx + fy * ty for tx, ty in (b.tangent for b in network.branches)]),
+    )
 
 
 def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
     """Insert the given (branch, arc) points as mesh nodes.
 
-    Points within ``1e-12`` of an existing node are skipped, so the operation
-    is idempotent; the result does not depend on the insertion order.
+    A point within ``1e-12`` of a node is skipped. Of the other points on a
+    branch, taken in increasing arc order, one within ``1e-12`` of the point
+    before it is skipped too, so of two such points the smaller is kept. The
+    operation is idempotent and does not depend on the order of the points.
     """
-    extra: dict[str, list[float]] = {}
-    for bid, arc in points:
-        if bid not in mesh.nodes:
-            raise KeyError(f"unknown branch {bid!r}")
-        length = mesh.network.branch(bid).length
-        if not (0.0 <= arc <= length):
-            raise ValueError(f"point {arc} outside branch {bid!r} of length {length}")
-        extra.setdefault(bid, []).append(arc)
+    points = list(points)
+    if not points:
+        return mesh
+    index = mesh.network.branch_index
+    try:
+        branch = np.array([index[bid] for bid, _ in points], dtype=np.intp)
+    except KeyError as exc:
+        raise KeyError(f"unknown branch {exc.args[0]!r}") from None
+    arc = np.array([a for _, a in points], dtype=float)
+    outside = ~((0.0 <= arc) & (arc <= mesh.lengths[branch]))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"point {arc[k]} outside branch {points[k][0]!r} of length "
+            f"{mesh.lengths[branch[k]]}"
+        )
 
-    nodes = dict(mesh.nodes)
-    for bid, arcs in extra.items():
-        existing = list(nodes[bid])
-        for arc in arcs:
-            if min(abs(arc - x) for x in existing) > COINCIDENCE_TOL:
-                existing.append(arc)
-        nodes[bid] = np.array(sorted(existing))
-    return Mesh(network=mesh.network, nodes=nodes, tangential_force=mesh.tangential_force)
+    keys = np.sort(branch_keys(branch, arc))
+    # the nearest nodes below and above; both on the point's branch, which
+    # has nodes at 0 and at its length
+    node_branch = np.repeat(np.arange(len(mesh.force)), np.diff(mesh.node_offset))
+    above = np.searchsorted(branch_keys(node_branch, mesh.x), keys, side="right")
+    branch, arc, below = keys.real.astype(np.intp), keys.imag, above - 1
+    above = np.minimum(above, mesh.node_offset[branch + 1] - 1)
+    near_node = np.minimum(np.abs(arc - mesh.x[below]), np.abs(mesh.x[above] - arc))
+    keep = near_node > COINCIDENCE_TOL
+    branch, arc, below = branch[keep], arc[keep], below[keep]
+    keep = np.ones(len(arc), dtype=bool)
+    keep[1:] = (arc[1:] - arc[:-1] > COINCIDENCE_TOL) | (branch[1:] != branch[:-1])
+    branch, arc, below = branch[keep], arc[keep], below[keep]
+    return Mesh(
+        network=mesh.network,
+        x=np.insert(mesh.x, below + 1, arc),
+        node_offset=mesh.node_offset + np.searchsorted(branch, np.arange(len(mesh.node_offset))),
+        force=mesh.force,
+    )

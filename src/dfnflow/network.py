@@ -13,7 +13,9 @@ coordinates are used for geometry validation, presets and export only.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -182,19 +184,35 @@ class FractureNetwork:
     boundary: BoundarySpec = field(default_factory=BoundarySpec)
     sources: SourceSpec = field(default_factory=SourceSpec)
 
-    def branch(self, branch_id: str) -> Branch:
-        for b in self.branches:
-            if b.id == branch_id:
-                return b
-        raise KeyError(branch_id)
+    @cached_property
+    def branch_index(self) -> dict[str, int]:
+        """Position of each branch id in ``branches`` (its first, if repeated)."""
+        return {b.id: k for k, b in reversed(list(enumerate(self.branches)))}
 
-    @property
+    def branch(self, branch_id: str) -> Branch:
+        return self.branches[self.branch_index[branch_id]]
+
+    @cached_property
     def branch_ids(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.branches)
 
-    @property
+    @cached_property
     def junction_ends(self) -> frozenset[BranchEnd]:
         return frozenset(e for isec in self.intersections for e in isec.incident)
+
+    @cached_property
+    def junction_incidence(self) -> np.ndarray:
+        """Every branch end at an intersection, in ``intersections`` order.
+
+        One row each: the branch position, 1 for the branch's "end" and 0 for
+        its "start", and the position of the intersection.
+        """
+        rows = [
+            (self.branch_index[bid], which == END, j)
+            for j, isec in enumerate(self.intersections)
+            for bid, which in isec.incident
+        ]
+        return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
     @property
     def total_length(self) -> float:
@@ -243,9 +261,10 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
     """
     report = ValidationReport()
 
-    ids = [b.id for b in network.branches]
-    for dup in {i for i in ids if ids.count(i) > 1}:
-        report.add("duplicate-branch", f"branch id {dup!r} appears more than once")
+    ids = network.branch_ids
+    for dup, count in Counter(ids).items():
+        if count > 1:
+            report.add("duplicate-branch", f"branch id {dup!r} appears more than once")
 
     for b in network.branches:
         if b.length <= COINCIDENCE_TOL:

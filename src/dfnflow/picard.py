@@ -33,7 +33,7 @@ import numpy as np
 
 from .fem import RegimeField, Solution, assemble, solve_saddle
 from .laws import AdaptiveLaw, ConstantLaw, Regime
-from .meshing import Mesh
+from .meshing import BranchArrays, Mesh
 from .network import BoundarySpec, SourceSpec
 
 # Singular values of the residual-difference matrix below this fraction of
@@ -121,22 +121,17 @@ class PicardResult:
     converged: bool = False
 
 
-def _is_linear(regimes: RegimeField, law: AdaptiveLaw) -> bool:
-    present = set()
-    for labels in regimes.labels.values():
-        present.update(int(v) for v in np.unique(labels))
+def _is_linear(labels: np.ndarray, law: AdaptiveLaw) -> bool:
+    """Whether the law branch of every label present is speed-independent."""
     return all(
-        isinstance(law.branch_for(Regime(r)), ConstantLaw) for r in present
+        isinstance(law.branch_for(Regime(r)), ConstantLaw)
+        for r in np.unique(labels).tolist()
     )
 
 
-def _midpoint_speeds(mesh: Mesh, stacked: np.ndarray) -> dict[str, np.ndarray]:
+def _midpoint_speeds(mesh: Mesh, stacked: np.ndarray) -> BranchArrays:
     """Element-midpoint speeds of the flux part of a stacked vector."""
-    ends = np.cumsum([len(mesh.nodes[b]) for b in mesh.branch_ids])
-    fluxes = np.split(stacked[: ends[-1]], ends[:-1])
-    return {
-        b: np.abs(0.5 * (u[:-1] + u[1:])) for b, u in zip(mesh.branch_ids, fluxes)
-    }
+    return mesh.per_element(np.abs(0.5 * (stacked[mesh.left] + stacked[mesh.left + 1])))
 
 
 def picard_solve(
@@ -155,7 +150,7 @@ def picard_solve(
     """
     settings = settings or PicardSettings()
 
-    if _is_linear(regimes, law):
+    if _is_linear(regimes.on(mesh), law):
         system = assemble(mesh, regimes, law, settings.initial_speed, sources, bcs)
         solution = solve_saddle(system)
         return PicardResult(

@@ -214,8 +214,9 @@ def run_k2_sweep(
     """Sweep the high-regime permeability on the source-free variant.
 
     The driving is the end pressure of 0.2 alone; the low-regime permeability
-    stays 1. Each sweep member records its tracker status, and a member
-    failure is recorded without aborting the sweep.
+    stays 1. Each sweep member records its tracker status and whether every
+    inner solve met its tolerance, and a member failure is recorded without
+    aborting the sweep.
     """
     start = time.perf_counter()
     network = oscillation_variant_network()
@@ -236,6 +237,7 @@ def run_k2_sweep(
                     "status": report.status.value,
                     "period": report.period if report.period is not None else 0,
                     "outer_iterations": report.outer_iterations,
+                    "inner_converged": all(e.inner_converged for e in report.history),
                 }
             )
         except Exception as exc:  # keep sweeping; record the failure
@@ -246,6 +248,7 @@ def run_k2_sweep(
                     "status": "error",
                     "period": 0,
                     "outer_iterations": 0,
+                    "inner_converged": None,
                     "message": str(exc),
                 }
             )
@@ -305,20 +308,14 @@ def run_nl_tolerance_table(h: float = DEFAULT_H, trace: bool = False) -> ResultB
         )
 
     reference = run(NL_REFERENCE_TOLERANCE)
-    ref_flux = np.concatenate(
-        [reference.final_solution.flux[b] for b in mesh.branch_ids]
-    )
-    ref_pressure = np.concatenate(
-        [reference.final_solution.pressure[b] for b in mesh.branch_ids]
-    )
+    ref_flux = reference.final_solution.flux.array
+    ref_pressure = reference.final_solution.pressure.array
 
     rows = []
     for eps in NL_TOLERANCES + (NL_REFERENCE_TOLERANCE,):
         report = run(eps) if eps != NL_REFERENCE_TOLERANCE else reference
-        flux = np.concatenate([report.final_solution.flux[b] for b in mesh.branch_ids])
-        pressure = np.concatenate(
-            [report.final_solution.pressure[b] for b in mesh.branch_ids]
-        )
+        flux = report.final_solution.flux.array
+        pressure = report.final_solution.pressure.array
         if flux.shape != ref_flux.shape:
             raise RuntimeError(
                 "configuration sequence changed with the tolerance; "

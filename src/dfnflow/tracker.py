@@ -17,19 +17,29 @@ Interface points from the previous iteration are discarded before each new
 split, so the working mesh is always the base mesh plus the current
 interfaces and interface sets stay comparable across iterations.
 
+A configuration is held as arrays over the flat layout of ``Mesh``
+(``_Changes``): the branch position and arc of every interface, in element
+order, and the label at the start of every branch. Labels alternate at the
+interfaces, so the label of an element on any mesh is its branch's first
+label flipped once per interface below the element's midpoint; those
+counts come from one ``searchsorted`` on ``meshing.branch_keys``, which
+compare branch and arc exactly. The label pattern compared between
+iterations is the bytes of the labels of the base elements.
+
 Near a self-consistent configuration the plain loop converges only
 linearly, so the interface positions are Anderson-mixed (type II, the same
 ``AndersonMixer`` as the inner loop, keeping ``OUTER_MIXING_DEPTH``
 differences; the plain loop, which solves on every classification in turn,
 is kept as ``tests/oracles.py:plain_track``). Let γ be the
-interface arcs concatenated per branch in arc order and G(γ) the arcs
+interface arcs in element order and G(γ) the arcs
 classified from the solve on the configuration γ. A residual G(γ) − γ
 exists while the number of interfaces on every branch stays the same;
 mixing restarts whenever that layout or the per-base-element label pattern
 changes. The mixed configuration takes G(γ)'s labels with their changes
 moved to the mixed arcs. It is rejected in favour of G(γ) itself, keeping
 only the last residual, when a mixed arc leaves its branch, the arcs of a
-branch lose their strict order, or the label pattern changes; so the
+branch lose their strict order, G(γ) has an interface that separates no
+two runs of positive length, or the label pattern changes; so the
 cycling test still sees the patterns of plain steps only. The stop test is
 unchanged: the interfaces classified from a solve lie within the tolerance
 of those it was solved on, under an unchanged label pattern. A history
@@ -41,15 +51,14 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import groupby
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .fem import RegimeField, Solution
 from .laws import AdaptiveLaw, Regime
-from .meshing import Mesh, split_mesh_at
+from .meshing import Mesh, branch_keys, split_mesh_at
 from .picard import AndersonMixer, PicardResult, PicardSettings, picard_solve
 
 InterfacePoint = tuple[str, float]
@@ -195,6 +204,24 @@ def locate_interface(
     return _locate(x[e], x[e + 1], u[e], u[e + 1], threshold, eps_gamma)
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two sets of ``branch_keys``."""
+    return max(_directed(a, b), _directed(b, a))
+
+
+def _directed(p: np.ndarray, q: np.ndarray) -> float:
+    """Largest arc distance from a point of p to the nearest point of q on its branch."""
+    q = np.sort(q)
+    above = np.searchsorted(q, p) + 1
+    # pad with a key on no branch, so that the neighbours always exist
+    q = np.concatenate([[complex(-1, 0)], q, [complex(-1, 0)]])
+    nearest = np.full(len(p), math.inf)
+    for j in (above - 1, above):
+        gap = np.where(q[j].real == p.real, np.abs(p.imag - q[j].imag), math.inf)
+        nearest = np.minimum(nearest, gap)
+    return float(nearest.max(initial=0.0))
+
+
 def configuration_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two interface point sets.
 
@@ -202,128 +229,95 @@ def configuration_distance(a, b) -> float:
     branches are infinitely far apart, as is a nonempty set from an empty
     one. Two empty sets are at distance zero.
     """
-    pa = tuple(a.interfaces) if isinstance(a, Configuration) else tuple(a)
-    pb = tuple(b.interfaces) if isinstance(b, Configuration) else tuple(b)
-    if not pa and not pb:
-        return 0.0
-    if not pa or not pb:
-        return math.inf
+    code: dict[str, int] = {}
 
-    def directed(p: Sequence[InterfacePoint], q: Sequence[InterfacePoint]) -> float:
-        worst = 0.0
-        for bid, arc in p:
-            best = min(
-                (abs(arc - arc_q) for bid_q, arc_q in q if bid_q == bid),
-                default=math.inf,
-            )
-            worst = max(worst, best)
-        return worst
+    def keys(points) -> np.ndarray:
+        points = points.interfaces if isinstance(points, Configuration) else tuple(points)
+        branch = [code.setdefault(bid, len(code)) for bid, _ in points]
+        return branch_keys(np.array(branch, dtype=float), np.array([arc for _, arc in points]))
 
-    return max(directed(pa, pb), directed(pb, pa))
+    return _distance(keys(a), keys(b))
 
 
-# A run is a maximal labelled interval [a, b] on a branch; runs tile [0, L]
-# and change labels only at interface points.
-Run = tuple[float, float, Regime]
+class _Changes(NamedTuple):
+    """Where the labels change along every branch of a mesh.
 
-
-def _classify_branch(
-    nodes: np.ndarray, flux: np.ndarray, threshold: float, eps_gamma: float
-) -> tuple[list[Run], list[float]]:
-    raw: list[list] = []
-    interfaces: list[float] = []
-    for e in range(len(nodes) - 1):
-        u1, u2 = float(flux[e]), float(flux[e + 1])
-        c1, c2 = abs(u1) < threshold, abs(u2) < threshold
-        lab1 = Regime.LOW if c1 else Regime.HIGH
-        lab2 = Regime.LOW if c2 else Regime.HIGH
-        if c1 == c2:
-            raw.append([nodes[e], nodes[e + 1], lab1])
-        else:
-            xs = _locate(nodes[e], nodes[e + 1], u1, u2, threshold, eps_gamma)
-            interfaces.append(xs)
-            raw.append([nodes[e], xs, lab1])
-            raw.append([xs, nodes[e + 1], lab2])
-    merged: list[list] = []
-    for a, b, lab in raw:
-        if b - a <= 0.0:
-            continue
-        if merged and merged[-1][2] == lab:
-            merged[-1][1] = b
-        else:
-            merged.append([a, b, lab])
-    return [(a, b, lab) for a, b, lab in merged], interfaces
-
-
-def _labels_on(mesh: Mesh, runs_by_branch: dict[str, list[Run]]) -> RegimeField:
-    labels = {}
-    for bid in mesh.branch_ids:
-        runs = runs_by_branch[bid]
-        ends = np.array([b for _, b, _ in runs])
-        owner = np.searchsorted(ends, mesh.element_midpoints(bid), side="left")
-        run_labels = np.array([int(lab) for _, _, lab in runs], dtype=np.int8)
-        labels[bid] = run_labels[np.minimum(owner, len(runs) - 1)]
-    return RegimeField(labels)
-
-
-def _signature(base: Mesh, runs_by_branch: dict[str, list[Run]]) -> tuple:
-    labels = _labels_on(base, runs_by_branch).labels
-    return tuple(tuple(int(v) for v in labels[bid]) for bid in base.branch_ids)
-
-
-def _uniform_runs(base: Mesh, regimes: RegimeField) -> dict[str, list[Run]]:
-    runs = {}
-    for bid in base.branch_ids:
-        x = base.nodes[bid]
-        labels = regimes.labels[bid]
-        branch_runs: list[list] = []
-        for e in range(len(x) - 1):
-            lab = Regime(int(labels[e]))
-            if branch_runs and branch_runs[-1][2] == lab:
-                branch_runs[-1][1] = x[e + 1]
-            else:
-                branch_runs.append([x[e], x[e + 1], lab])
-        runs[bid] = [(a, b, lab) for a, b, lab in branch_runs]
-    return runs
-
-
-def _layout(gamma: Sequence[InterfacePoint]) -> tuple[str, ...]:
-    """Branch of every interface point; equal layouts mean equal counts per branch."""
-    return tuple(bid for bid, _ in gamma)
-
-
-def _arcs(gamma: Sequence[InterfacePoint]) -> np.ndarray:
-    return np.array([arc for _, arc in gamma])
-
-
-def _moved_runs(
-    base: Mesh,
-    runs_by_branch: dict[str, list[Run]],
-    layout: tuple[str, ...],
-    arcs: np.ndarray,
-) -> dict[str, list[Run]] | None:
-    """The runs with their label changes moved to ``arcs``.
-
-    ``arcs`` holds the new change points concatenated per branch, in the
-    order of ``layout``. None when a point leaves its branch, the points of
-    a branch are not strictly increasing, or a branch's label changes do not
-    match its points one to one.
+    ``branch`` and ``arc`` locate the change points in element order, by
+    branch and then along it; ``first`` is the label at the start of every
+    branch, and the label flips at each change point. ``intact`` is False
+    when a change point separates no two runs of positive length, because
+    it meets the neighbouring one or the branch end at a node where the
+    speed equals the threshold.
     """
-    moved = dict(runs_by_branch)
-    for bid, points in groupby(zip(layout, arcs.tolist()), key=lambda p: p[0]):
-        runs = runs_by_branch[bid]
-        bounds = [0.0, *(arc for _, arc in points), float(base.nodes[bid][-1])]
-        if len(runs) != len(bounds) - 1 or not all(
-            a < b for a, b in zip(bounds, bounds[1:])
-        ):
-            return None
-        moved[bid] = [
-            (a, b, lab) for a, b, (_, _, lab) in zip(bounds, bounds[1:], runs)
-        ]
-    return moved
+
+    branch: np.ndarray
+    arc: np.ndarray
+    first: np.ndarray
+    intact: bool = True
+
+    def keys(self) -> np.ndarray:
+        return branch_keys(self.branch, self.arc)
 
 
-def _detect_period(signatures: list[tuple], new_sig: tuple, window: int) -> int | None:
+def _classify(
+    mesh: Mesh, flux: np.ndarray, threshold: float, eps_gamma: float
+) -> _Changes:
+    """The interfaces classified from a nodal flux on ``mesh``, one per element whose ends disagree."""
+    low = np.abs(flux) < threshold
+    left = mesh.left
+    e = np.flatnonzero(low[left] != low[left + 1])
+    x1, x2 = mesh.x[left[e]], mesh.x[left[e] + 1]
+    u1, u2 = flux[left[e]], flux[left[e] + 1]
+    s1, s2 = np.abs(u1), np.abs(u2)
+    arc = x1 + (threshold - s1) / (s2 - s1) * (x2 - x1)
+    for j in np.flatnonzero(u1 * u2 < 0.0):
+        arc[j] = _locate(x1[j], x2[j], float(u1[j]), float(u2[j]), threshold, eps_gamma)
+
+    # A run between an interface and the next one, or the branch end, is
+    # empty when both meet at the node between them.
+    branch = mesh.element_branch[e]
+    left_empty, right_empty = arc <= x1, x2 <= arc
+    offset = mesh.element_offset
+    empty = (left_empty & (e == offset[branch])) | (right_empty & (e == offset[branch + 1] - 1))
+    empty[1:] |= right_empty[:-1] & left_empty[1:] & (np.diff(e) == 1) & (np.diff(branch) == 0)
+    first = np.where(low[mesh.node_offset[:-1]], Regime.LOW, Regime.HIGH).astype(np.int8)
+    return _Changes(branch, arc, first, not empty.any())
+
+
+def _labels_on(mesh: Mesh, changes: _Changes) -> np.ndarray:
+    """The label of every element of ``mesh``, in mesh order.
+
+    An element takes its branch's first label, flipped once for every
+    change point strictly below its midpoint.
+    """
+    keys = np.sort(changes.keys())
+    branch = mesh.element_branch
+    below = np.searchsorted(keys, branch_keys(branch, mesh.midpoints))
+    below -= np.searchsorted(keys.real, branch)
+    return changes.first[branch] ^ (below & 1).astype(np.int8)
+
+
+def _changes_of(mesh: Mesh, labels: np.ndarray) -> _Changes:
+    """The change points of element labels: the nodes between unequal labels of a branch."""
+    e = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    e = e[np.diff(mesh.element_branch)[e - 1] == 0]
+    first = labels[mesh.element_offset[:-1]].astype(np.int8)
+    return _Changes(mesh.element_branch[e], mesh.x[mesh.left[e]], first)
+
+
+def _moved(mesh: Mesh, changes: _Changes, arcs: np.ndarray) -> _Changes | None:
+    """The change points moved to ``arcs``, labels kept.
+
+    None when the changes are not ``intact``, a point leaves its branch, or
+    the points of a branch are not strictly increasing.
+    """
+    starts = np.diff(changes.branch, prepend=-1) != 0
+    lower = np.where(starts, 0.0, np.concatenate([[0.0], arcs[:-1]]))
+    inside = np.all(arcs > lower) and np.all(arcs < mesh.lengths[changes.branch])
+    return changes._replace(arc=arcs) if changes.intact and inside else None
+
+
+def _detect_period(signatures: list[bytes], new_sig: bytes, window: int) -> int | None:
     n = len(signatures)
     for p in range(2, window + 1):
         if p > n:
@@ -361,18 +355,20 @@ def track(
     threshold = law.threshold
 
     if isinstance(initial, RegimeField):
-        initial.check_against(mesh)
-        start_regimes = initial
+        start_labels = initial.on(mesh)
+        for r in np.unique(start_labels).tolist():
+            Regime(r)  # raises ValueError for a label that is no regime
     elif initial in ("low", "high"):
-        start_regimes = RegimeField.uniform(
-            mesh, Regime.LOW if initial == "low" else Regime.HIGH
-        )
+        regime = Regime.LOW if initial == "low" else Regime.HIGH
+        start_labels = np.full(mesh.total_elements, regime, dtype=np.int8)
     else:
         raise ValueError(f"unknown initial configuration {initial!r}")
 
-    runs_prev = _uniform_runs(mesh, start_regimes)
-    gamma_prev: tuple[InterfacePoint, ...] = ()
-    signatures: list[tuple] = [_signature(mesh, runs_prev)]
+    # the labels to solve on next, and the interfaces they come from
+    changes = _changes_of(mesh, start_labels)
+    solved = changes._replace(branch=changes.branch[:0], arc=changes.arc[:0])
+    interfaces: tuple[InterfacePoint, ...] = ()
+    signatures = [_labels_on(mesh, changes).tobytes()]
 
     mixer = AndersonMixer(OUTER_MIXING_DEPTH)
     mixed = False
@@ -385,8 +381,8 @@ def track(
     last_result: PicardResult | None = None
 
     for i in range(1, settings.max_outer + 1):
-        working = split_mesh_at(mesh, gamma_prev)
-        regimes = _labels_on(working, runs_prev)
+        working = split_mesh_at(mesh, interfaces)
+        regimes = RegimeField(working.per_element(_labels_on(working, changes)))
         try:
             last_result = picard_solve(
                 working, regimes, law, sources, bcs, picard_settings
@@ -398,21 +394,15 @@ def track(
             raise
         solution = last_result.solution
 
-        runs_new: dict[str, list[Run]] = {}
-        gamma_new: list[InterfacePoint] = []
-        for bid in working.branch_ids:
-            runs, crossings = _classify_branch(
-                working.nodes[bid], solution.flux[bid], threshold, settings.eps_gamma
-            )
-            runs_new[bid] = runs
-            gamma_new.extend((bid, arc) for arc in crossings)
-        gamma_tuple = tuple(gamma_new)
+        new = _classify(working, solution.flux.array, threshold, settings.eps_gamma)
+        names = [mesh.branch_ids[k] for k in new.branch.tolist()]
+        new_interfaces = tuple(zip(names, new.arc.tolist()))
 
-        distance = configuration_distance(gamma_tuple, gamma_prev)
-        next_mesh = split_mesh_at(mesh, gamma_tuple)
+        distance = _distance(new.keys(), solved.keys())
+        next_mesh = split_mesh_at(mesh, new_interfaces)
         configuration = Configuration(
-            regimes=_labels_on(next_mesh, runs_new),
-            interfaces=gamma_tuple,
+            regimes=RegimeField(next_mesh.per_element(_labels_on(next_mesh, new))),
+            interfaces=new_interfaces,
             iteration_index=i,
         )
         history.append(
@@ -428,7 +418,7 @@ def track(
         if snapshots is not None:
             snapshots.append(solution)
 
-        sig = _signature(mesh, runs_new)
+        sig = _labels_on(mesh, new).tobytes()
         same_labels = sig == signatures[-1]
         if distance <= eps_omega and same_labels:
             status = TrackerStatus.CONVERGED
@@ -442,22 +432,20 @@ def track(
 
         # A residual needs an unchanged layout; after a label change it
         # starts a new mixing history.
-        runs_next, gamma_next, mixed = runs_new, gamma_tuple, False
-        layout = _layout(gamma_tuple)
-        same_layout = layout == _layout(gamma_prev)
+        changes, interfaces, mixed = new, new_interfaces, False
+        same_layout = np.array_equal(new.branch, solved.branch)
         if not (same_labels and same_layout):
             mixer.restart()
         if same_layout:
-            image = _arcs(gamma_tuple)
-            trial = mixer.step(image - _arcs(gamma_prev), image)
+            trial = mixer.step(new.arc - solved.arc, new.arc)
             if mixer.mixing:
-                moved = _moved_runs(mesh, runs_new, layout, trial)
-                if moved is not None and _signature(mesh, moved) == sig:
-                    runs_next, mixed = moved, True
-                    gamma_next = tuple(zip(layout, trial.tolist()))
+                moved = _moved(mesh, new, trial)
+                if moved is not None and _labels_on(mesh, moved).tobytes() == sig:
+                    changes, mixed = moved, True
+                    interfaces = tuple(zip(names, trial.tolist()))
                 else:
                     mixer.restart(keep_last=True)
-        runs_prev, gamma_prev = runs_next, gamma_next
+        solved = changes
 
     return TrackerReport(
         status=status,

@@ -6,7 +6,9 @@ dissipation oracle is a brute-force midpoint rule, the set-distance oracle
 is a direct double loop, the energy-minimizer oracle scans the reduced
 energy on a uniform grid and refines by golden section, the plain-Picard
 oracle is the unaccelerated fixed-point loop on the frozen coefficient, and
-the plain-tracking oracle is the outer loop without interface mixing.
+the plain-tracking oracle is the outer loop without interface mixing. The
+run-based classification, labelling and point-by-point mesh splitting are
+the per-branch loops the flat tracker and ``split_mesh_at`` replaced.
 """
 
 from __future__ import annotations
@@ -18,25 +20,21 @@ import numpy as np
 from dfnflow.energy import MinimizationResult, _energies_on_grid, lift_field
 from dfnflow.fem import RegimeField, Solution, assemble, solve_saddle
 from dfnflow.laws import AdaptiveLaw, Regime
-from dfnflow.meshing import Mesh, split_mesh_at
+from dfnflow.meshing import Mesh
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
     DEFAULT_EPS_OMEGA,
     Configuration,
     HistoryEntry,
     InterfacePoint,
-    Run,
     TrackerReport,
     TrackerSettings,
     TrackerStatus,
-    _classify_branch,
     _detect_period,
-    _labels_on,
-    _signature,
-    _uniform_runs,
-    configuration_distance,
+    _locate,
 )
 from dfnflow.network import (
+    COINCIDENCE_TOL,
     END,
     START,
     BoundarySpec,
@@ -81,7 +79,7 @@ def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
         f = mesh.tangential_force[bid]
         from dfnflow.fem import source_integrals
 
-        qint = source_integrals(mesh, sources, bid)
+        qint = mesh.per_element(source_integrals(mesh, sources))[bid]
         for e in range(ne):
             rhs[cell_index[(bid, e)]] += qint[e]
         # interior faces
@@ -385,7 +383,7 @@ def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
     is ignored.
     """
     settings = settings or PicardSettings()
-    if _is_linear(regimes, law):
+    if _is_linear(regimes.on(mesh), law):
         system = assemble(mesh, regimes, law, settings.initial_speed, sources, bcs)
         return PicardResult(solve_saddle(system), 1, [0.0], True)
     speeds = settings.initial_speed
@@ -402,6 +400,103 @@ def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
         previous = current
         speeds = solution.midpoint_speeds()
     return PicardResult(solution, iterations, history, False)
+
+
+def loop_split_mesh_at(mesh: Mesh, points) -> Mesh:
+    """``split_mesh_at`` point by point.
+
+    Each point, in the given order, becomes a node unless it lies within
+    ``1e-12`` of a node or of a point inserted before it.
+    """
+    extra: dict[str, list[float]] = {}
+    for bid, arc in points:
+        if bid not in mesh.nodes:
+            raise KeyError(f"unknown branch {bid!r}")
+        length = mesh.network.branch(bid).length
+        if not (0.0 <= arc <= length):
+            raise ValueError(f"point {arc} outside branch {bid!r} of length {length}")
+        extra.setdefault(bid, []).append(arc)
+    parts = []
+    for bid in mesh.branch_ids:
+        existing = list(mesh.nodes[bid])
+        for arc in extra.get(bid, ()):
+            if min(abs(arc - x) for x in existing) > COINCIDENCE_TOL:
+                existing.append(arc)
+        parts.append(np.array(sorted(existing)))
+    return Mesh(
+        network=mesh.network,
+        x=np.concatenate(parts),
+        node_offset=np.cumsum([0] + [len(p) for p in parts]),
+        force=mesh.force,
+    )
+
+
+# A run is a maximal labelled interval [a, b] on a branch; runs tile [0, L]
+# and change labels only at interface points.
+Run = tuple[float, float, Regime]
+
+
+def classify_branch(
+    nodes: np.ndarray, flux: np.ndarray, threshold: float, eps_gamma: float
+) -> tuple[list[Run], list[float]]:
+    """Runs and interfaces of one branch, element by element."""
+    raw: list[list] = []
+    interfaces: list[float] = []
+    for e in range(len(nodes) - 1):
+        u1, u2 = float(flux[e]), float(flux[e + 1])
+        c1, c2 = abs(u1) < threshold, abs(u2) < threshold
+        lab1 = Regime.LOW if c1 else Regime.HIGH
+        lab2 = Regime.LOW if c2 else Regime.HIGH
+        if c1 == c2:
+            raw.append([nodes[e], nodes[e + 1], lab1])
+        else:
+            xs = _locate(nodes[e], nodes[e + 1], u1, u2, threshold, eps_gamma)
+            interfaces.append(xs)
+            raw.append([nodes[e], xs, lab1])
+            raw.append([xs, nodes[e + 1], lab2])
+    merged: list[list] = []
+    for a, b, lab in raw:
+        if b - a <= 0.0:
+            continue
+        if merged and merged[-1][2] == lab:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b, lab])
+    return [(a, b, lab) for a, b, lab in merged], interfaces
+
+
+def labels_from_runs(mesh: Mesh, runs_by_branch: dict[str, list[Run]]) -> RegimeField:
+    """The label of the run that holds each element's midpoint."""
+    labels = {}
+    for bid in mesh.branch_ids:
+        runs = runs_by_branch[bid]
+        ends = np.array([b for _, b, _ in runs])
+        owner = np.searchsorted(ends, mesh.element_midpoints(bid), side="left")
+        run_labels = np.array([int(lab) for _, _, lab in runs], dtype=np.int8)
+        labels[bid] = run_labels[np.minimum(owner, len(runs) - 1)]
+    return RegimeField(labels)
+
+
+def run_signature(base: Mesh, runs_by_branch: dict[str, list[Run]]) -> tuple:
+    labels = labels_from_runs(base, runs_by_branch).labels
+    return tuple(tuple(int(v) for v in labels[bid]) for bid in base.branch_ids)
+
+
+def uniform_runs(base: Mesh, regimes: RegimeField) -> dict[str, list[Run]]:
+    """The runs of equal labels of a regime field on the base mesh."""
+    runs = {}
+    for bid in base.branch_ids:
+        x = base.nodes[bid]
+        labels = regimes.labels[bid]
+        branch_runs: list[list] = []
+        for e in range(len(x) - 1):
+            lab = Regime(int(labels[e]))
+            if branch_runs and branch_runs[-1][2] == lab:
+                branch_runs[-1][1] = x[e + 1]
+            else:
+                branch_runs.append([x[e], x[e + 1], lab])
+        runs[bid] = [(a, b, lab) for a, b, lab in branch_runs]
+    return runs
 
 
 def plain_track(
@@ -427,7 +522,7 @@ def plain_track(
     threshold = law.threshold
 
     if isinstance(initial, RegimeField):
-        initial.check_against(mesh)
+        initial.on(mesh)
         start_regimes = initial
     elif initial in ("low", "high"):
         start_regimes = RegimeField.uniform(
@@ -436,9 +531,9 @@ def plain_track(
     else:
         raise ValueError(f"unknown initial configuration {initial!r}")
 
-    runs_prev = _uniform_runs(mesh, start_regimes)
+    runs_prev = uniform_runs(mesh, start_regimes)
     gamma_prev: tuple[InterfacePoint, ...] = ()
-    signatures: list[tuple] = [_signature(mesh, runs_prev)]
+    signatures: list[tuple] = [run_signature(mesh, runs_prev)]
 
     history: list[HistoryEntry] = []
     inner_counts: list[int] = []
@@ -448,8 +543,8 @@ def plain_track(
     last_result: PicardResult | None = None
 
     for i in range(1, settings.max_outer + 1):
-        working = split_mesh_at(mesh, gamma_prev)
-        regimes = _labels_on(working, runs_prev)
+        working = loop_split_mesh_at(mesh, gamma_prev)
+        regimes = labels_from_runs(working, runs_prev)
         try:
             last_result = picard_solve(
                 working, regimes, law, sources, bcs, picard_settings
@@ -464,17 +559,17 @@ def plain_track(
         runs_new: dict[str, list[Run]] = {}
         gamma_new: list[InterfacePoint] = []
         for bid in working.branch_ids:
-            runs, crossings = _classify_branch(
+            runs, crossings = classify_branch(
                 working.nodes[bid], solution.flux[bid], threshold, settings.eps_gamma
             )
             runs_new[bid] = runs
             gamma_new.extend((bid, arc) for arc in crossings)
         gamma_tuple = tuple(gamma_new)
 
-        distance = configuration_distance(gamma_tuple, gamma_prev)
-        next_mesh = split_mesh_at(mesh, gamma_tuple)
+        distance = hausdorff_by_enumeration(gamma_tuple, gamma_prev)
+        next_mesh = loop_split_mesh_at(mesh, gamma_tuple)
         configuration = Configuration(
-            regimes=_labels_on(next_mesh, runs_new),
+            regimes=labels_from_runs(next_mesh, runs_new),
             interfaces=gamma_tuple,
             iteration_index=i,
         )
@@ -490,7 +585,7 @@ def plain_track(
         if snapshots is not None:
             snapshots.append(solution)
 
-        sig = _signature(mesh, runs_new)
+        sig = run_signature(mesh, runs_new)
         if distance <= eps_omega and sig == signatures[-1]:
             status = TrackerStatus.CONVERGED
             break

@@ -128,6 +128,18 @@ def test_sweep_k2_runs_grid(tmp_path, capsys):
     assert len(bundle["extras"]["sweep"]) == 3
 
 
+def test_sweep_k2_with_capped_inner_solves_exits_four(tmp_path, capsys):
+    doc = oscillating_document()
+    doc["law"]["low"] = {"type": "affine", "intercept": 1.0, "slope": 3.0}
+    doc["solver"] = {"max_inner": 1}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main(["sweep-k2", str(config), "--k2-values", "1,4", "--out", str(out)])
+    assert code == 4
+    rows = json.loads((out / "sweep-k2.json").read_text())["extras"]["sweep"]
+    assert [row["inner_converged"] for row in rows] == [False, False]
+
+
 def test_sweep_k2_requires_constant_high_law(tmp_path, capsys):
     doc = oscillating_document()
     doc["law"]["high"] = {"type": "affine", "intercept": 0.01, "slope": 3.0}

@@ -12,7 +12,15 @@ from dfnflow.energy import build_energy_block
 from dfnflow.laws import Regime
 from dfnflow.meshing import build_mesh
 from dfnflow.presets import darcy_pair, single_fracture_network
-from dfnflow.tracker import TrackerSettings, TrackerStatus, _moved_runs, track
+from dfnflow.tracker import (
+    TrackerSettings,
+    TrackerStatus,
+    _Changes,
+    _classify,
+    _labels_on,
+    _moved,
+    track,
+)
 
 from oracles import plain_track
 
@@ -76,11 +84,20 @@ def test_converged_mixed_runs_pass_the_energy_oracle_gates(k2, h):
 def test_moved_runs_keep_labels_and_reject_escaping_or_reordered_points():
     mesh = build_mesh(single_fracture_network(), 0.05)
     low, high = Regime.LOW, Regime.HIGH
-    runs = {"f": [(0.0, 0.3, low), (0.3, 0.6, high), (0.6, 1.0, low)]}
-    layout = ("f", "f")
-    moved = _moved_runs(mesh, runs, layout, np.array([0.25, 0.65]))
-    assert moved == {"f": [(0.0, 0.25, low), (0.25, 0.65, high), (0.65, 1.0, low)]}
-    assert _moved_runs(mesh, runs, layout, np.array([0.25, 1.2])) is None
-    assert _moved_runs(mesh, runs, layout, np.array([-0.1, 0.65])) is None
-    assert _moved_runs(mesh, runs, layout, np.array([0.65, 0.25])) is None
-    assert _moved_runs(mesh, runs, ("f",), np.array([0.25])) is None
+    # runs: low on [0, 0.3], high on [0.3, 0.6], low on [0.6, 1]
+    changes = _Changes(np.array([0, 0]), np.array([0.3, 0.6]), np.array([low], np.int8))
+    moved = _moved(mesh, changes, np.array([0.25, 0.65]))
+    assert moved.branch.tolist() == [0, 0] and moved.arc.tolist() == [0.25, 0.65]
+    mid = mesh.midpoints
+    expected = np.where((mid > 0.25) & (mid < 0.65), high, low)
+    assert np.array_equal(_labels_on(mesh, moved), expected)
+    assert _moved(mesh, changes, np.array([0.25, 1.2])) is None
+    assert _moved(mesh, changes, np.array([-0.1, 0.65])) is None
+    assert _moved(mesh, changes, np.array([0.65, 0.25])) is None
+    # a speed exactly at the threshold at the first node puts an interface
+    # at arc 0 that separates no two runs: its label change cannot move
+    flux = np.full(len(mesh.x), 0.1)
+    flux[0] = 0.15
+    at_start = _classify(mesh, flux, 0.15, 1e-10)
+    assert at_start.arc.tolist() == [0.0] and not at_start.intact
+    assert _moved(mesh, at_start, np.array([0.01])) is None
