@@ -198,8 +198,10 @@ def _element_speeds(mesh: Mesh, frozen_speed: FrozenSpeed) -> np.ndarray:
 
 
 def _ends(mesh: Mesh, k: np.ndarray, at_end: np.ndarray):
-    """Global node and outward sign of the start, or where ``at_end`` the
-    end, of each branch ``k``."""
+    """Global node and outward sign of one end of each branch ``k``.
+
+    The end is the branch's "end" where ``at_end`` holds, else its "start".
+    """
     return (
         np.where(at_end, mesh.node_offset[k + 1] - 1, mesh.node_offset[k]),
         np.where(at_end, 1.0, -1.0),

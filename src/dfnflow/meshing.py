@@ -182,7 +182,7 @@ def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
         network=network,
         x=np.concatenate(parts),
         node_offset=np.cumsum([0] + [len(p) for p in parts]),
-        force=np.array([fx * tx + fy * ty for tx, ty in (b.tangent for b in network.branches)]),
+        force=np.array([fx * b.tangent[0] + fy * b.tangent[1] for b in network.branches]),
     )
 
 
@@ -224,9 +224,10 @@ def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
     keep = np.ones(len(arc), dtype=bool)
     keep[1:] = (arc[1:] - arc[:-1] > COINCIDENCE_TOL) | (branch[1:] != branch[:-1])
     branch, arc, below = branch[keep], arc[keep], below[keep]
+    inserted = np.searchsorted(branch, np.arange(len(mesh.node_offset)))
     return Mesh(
         network=mesh.network,
         x=np.insert(mesh.x, below + 1, arc),
-        node_offset=mesh.node_offset + np.searchsorted(branch, np.arange(len(mesh.node_offset))),
+        node_offset=mesh.node_offset + inserted,
         force=mesh.force,
     )

@@ -234,7 +234,8 @@ def configuration_distance(a, b) -> float:
     def keys(points) -> np.ndarray:
         points = points.interfaces if isinstance(points, Configuration) else tuple(points)
         branch = [code.setdefault(bid, len(code)) for bid, _ in points]
-        return branch_keys(np.array(branch, dtype=float), np.array([arc for _, arc in points]))
+        arcs = np.array([arc for _, arc in points])
+        return branch_keys(np.array(branch, dtype=float), arcs)
 
     return _distance(keys(a), keys(b))
 
@@ -262,7 +263,10 @@ class _Changes(NamedTuple):
 def _classify(
     mesh: Mesh, flux: np.ndarray, threshold: float, eps_gamma: float
 ) -> _Changes:
-    """The interfaces classified from a nodal flux on ``mesh``, one per element whose ends disagree."""
+    """The interfaces classified from a nodal flux on ``mesh``.
+
+    An element whose ends classify differently holds one interface.
+    """
     low = np.abs(flux) < threshold
     left = mesh.left
     e = np.flatnonzero(low[left] != low[left + 1])
@@ -278,8 +282,10 @@ def _classify(
     branch = mesh.element_branch[e]
     left_empty, right_empty = arc <= x1, x2 <= arc
     offset = mesh.element_offset
-    empty = (left_empty & (e == offset[branch])) | (right_empty & (e == offset[branch + 1] - 1))
-    empty[1:] |= right_empty[:-1] & left_empty[1:] & (np.diff(e) == 1) & (np.diff(branch) == 0)
+    empty = left_empty & (e == offset[branch])
+    empty |= right_empty & (e == offset[branch + 1] - 1)
+    adjacent = (np.diff(e) == 1) & (np.diff(branch) == 0)
+    empty[1:] |= right_empty[:-1] & left_empty[1:] & adjacent
     first = np.where(low[mesh.node_offset[:-1]], Regime.LOW, Regime.HIGH).astype(np.int8)
     return _Changes(branch, arc, first, not empty.any())
 

@@ -128,9 +128,8 @@ def test_build_mesh_postconditions_hold(target, breaks):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    # keep the points well apart: the splitter treats anything within 1e-12
-    # of an existing node as the same point, so near-coincident inputs are
-    # legitimately order-dependent
+    # points well apart; near-coincident points are covered against the
+    # point-by-point oracle in test_flat_layout.py
     points=st.lists(
         st.integers(1, 990).map(lambda k: k / 1000.0),
         min_size=1,
