@@ -23,6 +23,7 @@ from dfnflow.network import (
     PressureBC,
     SourceSpec,
     VelocityBC,
+    validate_network,
 )
 from dfnflow.presets import alternating_source, single_fracture_network
 
@@ -409,3 +410,58 @@ def test_forchheimer_systems_on_random_networks_balance(seed):
         )
         assert abs(total) <= 1e-10
     assert sol.junction_continuity_defect() <= 1e-10
+
+
+def _with_floating_part(branches, intersections, conditions):
+    # an anchored branch "a" plus a part whose ends carry only velocity
+    # conditions: the network validates, but that part's pressure level is free
+    anchored = Branch("a", (0.0, -2.0), (1.0, -2.0))
+    return FractureNetwork(
+        branches=(anchored,) + branches,
+        intersections=intersections,
+        boundary=BoundarySpec(
+            {("a", "start"): PressureBC(1.0), ("a", "end"): PressureBC(0.0), **conditions}
+        ),
+    )
+
+
+def _floating_networks():
+    single = _with_floating_part(
+        (Branch("f", (0.0, 0.0), (1.0, 0.0)),),
+        (),
+        {("f", "start"): VelocityBC(-0.5), ("f", "end"): VelocityBC(0.5)},
+    )
+    center = (0.5, 0.5)
+    legs = ("A", "B", "C")
+    star = _with_floating_part(
+        (
+            Branch("A", (0.0, 0.5), center),
+            Branch("B", (1.0, 0.5), center),
+            Branch("C", (0.5, 1.0), center),
+        ),
+        (Intersection("J", center, tuple((b, "end") for b in legs)),),
+        {
+            ("A", "start"): VelocityBC(-1.0),
+            ("B", "start"): VelocityBC(0.5),
+            ("C", "start"): VelocityBC(0.5),
+        },
+    )
+    return {"single": single, "star": star}
+
+
+@pytest.mark.parametrize("kind", ["single", "star"])
+def test_floating_component_is_rejected(kind):
+    net = _floating_networks()[kind]
+    assert validate_network(net).ok
+    mesh = build_mesh(net, 0.25)
+    with pytest.raises(SingularSystemError):
+        solve_saddle(
+            assemble(
+                mesh,
+                RegimeField.uniform(mesh, Regime.LOW),
+                UNIT_LAW,
+                0.0,
+                net.sources,
+                net.boundary,
+            )
+        )
