@@ -1,28 +1,39 @@
 """Lowest-order mixed finite elements on a meshed fracture network.
 
 The flux is node-continuous and piecewise linear per branch (the 1D trace of
-the lowest-order Raviart-Thomas space), the pressure is constant per element.
-Junction coupling shares a single pressure unknown per intersection whose row
-is the junction mass balance; when no pressure condition exists anywhere, one
-Lagrange multiplier row pins the mean pressure. The assembled system is
-symmetric indefinite and solved by a direct sparse factorization.
+the lowest-order Raviart-Thomas space), the pressure is constant per element,
+and every intersection carries one pressure whose equation is the junction
+mass balance. When no pressure condition exists anywhere, a multiplier μ
+pins the mean pressure. The law coefficient λ is frozen per element at a
+caller-supplied speed, which is what the fixed-point linearization of the
+nonlinear problem requires.
 
-Per-node and per-element data are single arrays over all branches, each
-branch owning a slice (see ``SaddleSystem``); assembly works on whole arrays.
+The mixed system is solved exactly by static condensation, without forming
+it. Its element mass rows make the flux on branch b one constant plus a known
+profile, u = c_b + W + μx, W being the source integral from the branch start
+and x the arc coordinate. Summing the branch's flux rows telescopes its
+element pressures away and leaves
 
-The law coefficient is frozen per element at a caller-supplied speed, which is
-what the fixed-point linearization of the nonlinear problem requires.
+    P_end − P_start = F_b − R_b c_b − Q_b,
+
+with R_b = Σ λ_e h_e, F_b the body force times the length and Q_b the λ-weighted
+integral of W + μx. Substituting c_b into the junction balances and velocity
+conditions leaves a symmetric positive definite system on the unknown vertex
+pressures: intersections and velocity-condition ends. It is the Laplacian of a
+resistor network with conductances 1/R_b; pressure-condition ends are known,
+and μ follows from global mass balance. ``assemble`` builds that small system
+and ``solve_saddle`` solves it densely, recovers the fluxes and then the
+element pressures by cumulative sums along each branch, and checks the
+residual of every mixed equation. Per-node and per-element data are single
+arrays over all branches, in the flat layout of ``Mesh``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .laws import AdaptiveLaw, Regime, eval_lambda_coefficient
 from .meshing import Mesh, branch_keys
@@ -39,6 +50,9 @@ from .network import (
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 RESIDUAL_TOL = 1e-10
+
+# Outward sign of the start and of the end of a branch.
+_END_SIGN = np.array([-1.0, 1.0])
 
 
 class SingularSystemError(RuntimeError):
@@ -120,32 +134,38 @@ def lift_pressure_data(bcs: BoundarySpec, branch: Branch) -> float:
 
 @dataclass
 class SaddleSystem:
-    """Assembled saddle-point system with its unknown layout.
+    """The mixed system of one configuration, condensed onto vertex pressures.
 
-    The unknowns are, in this order: the flux at every free node (one whose
-    flux no velocity condition prescribes), the pressure of every element
-    from ``pressure_start``, one pressure per intersection in
-    ``network.intersections`` order from ``junction_start``, and the
-    mean-pressure multiplier when there is one. Nodes and elements are
-    numbered as in the flat layout of ``Mesh`` (see ``Mesh.node_offset``
-    and ``Mesh.element_offset``). ``free`` marks the free global nodes;
-    ``prescribed_flux`` holds the flux at the other nodes and zero at free
-    ones.
+    Vertices are numbered as in ``network.end_vertex``. ``matrix`` and
+    ``rhs`` are the reduced system on the vertices listed in ``unknown``;
+    every other vertex has its pressure in ``vertex_pressure``: the data of
+    a pressure condition, or zero for the vertex grounded under the mean
+    anchor, whose pressures are shifted afterwards. ``outflux`` holds the
+    outward flux that a velocity condition prescribes, at the vertices that
+    ``velocity`` marks. Per branch, the flux constant is
+    ``(drive - P_end + P_start) / resistance`` and is added to ``profile``
+    at every node, the source integral from the branch start plus ``mu``
+    times the arc coordinate. ``coefficient`` is the frozen λ and ``source``
+    the source integral of every element. ``size`` is the dimension of the
+    mixed system: free node fluxes, element and junction pressures and the
+    multiplier.
     """
 
-    matrix: sps.csr_matrix
+    matrix: np.ndarray
     rhs: np.ndarray
     mesh: Mesh
-    free: np.ndarray
-    prescribed_flux: np.ndarray
-    pressure_start: int
-    junction_start: int
-    mean_index: int | None
+    size: int
+    coefficient: np.ndarray
+    source: np.ndarray
+    unknown: np.ndarray
+    vertex_pressure: np.ndarray
+    velocity: np.ndarray
+    outflux: np.ndarray
+    resistance: np.ndarray
+    drive: np.ndarray
+    profile: np.ndarray
+    mu: float
     mean_pressure: float | None
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -164,8 +184,6 @@ class Solution:
     pressure: Mapping[str, np.ndarray]
     junction_pressure: dict[str, float]
     residual: float
-    multiplier: float | None = None
-    raw_vector: np.ndarray | None = field(default=None, repr=False, compare=False)
     junction_implied: dict[str, list[float]] = field(default_factory=dict, repr=False)
 
     def junction_continuity_defect(self) -> float:
@@ -197,24 +215,6 @@ def _element_speeds(mesh: Mesh, frozen_speed: FrozenSpeed) -> np.ndarray:
     return np.asarray(mesh.flat_elements(frozen_speed, "frozen speeds"), dtype=float)
 
 
-def _ends(mesh: Mesh, k: np.ndarray, at_end: np.ndarray):
-    """Global node and outward sign of one end of each branch ``k``.
-
-    The end is the branch's "end" where ``at_end`` holds, else its "start".
-    """
-    return (
-        np.where(at_end, mesh.node_offset[k + 1] - 1, mesh.node_offset[k]),
-        np.where(at_end, 1.0, -1.0),
-    )
-
-
-def _junction_ends(mesh: Mesh):
-    """Global node, intersection position and outward sign of each junction end."""
-    k, at_end, owner = mesh.network.junction_incidence.T
-    nodes, sign = _ends(mesh, k, at_end == 1)
-    return nodes, owner, sign
-
-
 def assemble(
     mesh: Mesh,
     regimes: RegimeField,
@@ -223,12 +223,14 @@ def assemble(
     sources: SourceSpec,
     bcs: BoundarySpec,
 ) -> SaddleSystem:
-    """Assemble the mixed system for a fixed configuration and frozen speeds.
+    """Condense the mixed system of a fixed configuration and frozen speeds.
 
-    Velocity conditions are eliminated strongly from the flux unknowns;
-    pressure conditions enter the flux equations as natural boundary terms.
-    The flux-mass block integrates coefficient times the linear basis pair
-    exactly, with the coefficient constant per element at the frozen speed.
+    Velocity conditions hold the flux at their node; pressure conditions
+    enter the flux equations as natural boundary terms. The flux-mass block
+    integrates coefficient times the linear basis pair exactly, with the
+    coefficient constant per element at the frozen speed. Raises
+    ``SingularSystemError`` when the pressure level of some part of the
+    network is not fixed, or a coefficient is not positive.
     """
     labels = regimes.on(mesh)
     if not bcs.has_pressure_bc and bcs.mean_pressure is None:
@@ -236,16 +238,9 @@ def assemble(
             "no pressure anchor: the problem has no pressure boundary condition "
             "and no mean-pressure constraint"
         )
-
-    n_nodes, n_elements = len(mesh.x), mesh.total_elements
-    has_mean = not bcs.has_pressure_bc
-    n_full = n_nodes + n_elements + len(mesh.network.intersections) + has_mean
-
+    net = mesh.network
     branch_of = mesh.element_branch
     left = mesh.left
-    right = left + 1
-    h = mesh.x[right] - mesh.x[left]
-
     coeff = eval_lambda_coefficient(law, _element_speeds(mesh, frozen_speed), labels)
     bad = np.flatnonzero(coeff <= 0.0)
     if bad.size:
@@ -255,147 +250,221 @@ def assemble(
             f"{int(bad[0] - mesh.element_offset[k])} of branch {mesh.branch_ids[k]!r}"
         )
 
-    # Right-hand side and prescribed fluxes over the full numbering: all
-    # nodes, elements, intersections, then the mean multiplier. Constrained
-    # nodes are removed at the end, their known flux moved to the rhs.
-    rhs = np.zeros(n_full)
-    half_force = mesh.force[branch_of] * h / 2.0
-    rhs[left] += half_force
-    rhs[right] += half_force
-    free = np.ones(n_nodes, dtype=bool)
-    prescribed = np.zeros(n_full)
+    # Boundary data per vertex. A free end without a condition keeps the
+    # natural condition of the mixed form, zero pressure.
+    vertex, component = net.end_vertex, net.vertex_component
+    n_vertices, n_junctions = len(component), len(net.intersections)
     ends, conditions = list(bcs.conditions), list(bcs.conditions.values())
-    velocity = np.array([isinstance(bc, VelocityBC) for bc in conditions], dtype=bool)
-    clash = [e for e, v in zip(ends, velocity) if v and e in mesh.network.junction_ends]
-    if clash:
+    index = net.branch_index
+    where = vertex[
+        np.array([index[bid] for bid, _ in ends], dtype=np.intp),
+        np.array([which == END for _, which in ends], dtype=np.intp),
+    ]
+    if np.any(where < n_junctions):
+        bid, which = ends[int(np.argmax(where < n_junctions))]
         raise SingularSystemError(
-            f"branch end ({clash[0][0]!r}, {clash[0][1]}) is both at an intersection "
-            "and velocity-constrained"
+            f"branch end ({bid!r}, {which}) is both at an intersection and "
+            "boundary-constrained"
         )
-    index = mesh.network.branch_index
-    k = np.array([index[bid] for bid, _ in ends], dtype=np.intp)
-    node, n_out = _ends(mesh, k, np.array([which == END for _, which in ends], dtype=bool))
-    value = [bc.outflux if v else bc.pressure for bc, v in zip(conditions, velocity)]
-    data = np.array(value, dtype=float) * n_out
-    free[node[velocity]] = False
-    prescribed[node[velocity]] = data[velocity]
-    rhs[node[~velocity]] -= data[~velocity]
-    pressure = n_nodes + np.arange(n_elements)
-    rhs[pressure] = -source_integrals(mesh, sources)
+    is_velocity = np.array([isinstance(bc, VelocityBC) for bc in conditions], dtype=bool)
+    data = [bc.outflux if v else bc.pressure for bc, v in zip(conditions, is_velocity)]
+    data = np.array(data, dtype=float)
+    velocity = np.zeros(n_vertices, dtype=bool)
+    velocity[where[is_velocity]] = True
+    outflux = np.zeros(n_vertices)
+    outflux[where[is_velocity]] = data[is_velocity]
+    vertex_pressure = np.zeros(n_vertices)
+    vertex_pressure[where[~is_velocity]] = data[~is_velocity]
 
-    m = coeff * h / 6.0
-    ones = np.ones(n_elements)
-    rows = [left, left, right, right, left, pressure, right, pressure]
-    cols = [left, right, left, right, pressure, left, pressure, right]
-    vals = [2.0 * m, m, m, 2.0 * m, ones, ones, -ones, -ones]
+    # Every component needs a known pressure; the mean anchor fixes one
+    # level, so it needs a connected network, and grounds one vertex.
+    known = ~velocity
+    known[:n_junctions] = False
+    has_mean = not bcs.has_pressure_bc
+    anchored = np.zeros(component.max() + 1, dtype=bool)
+    anchored[component[known]] = True
     if has_mean:
-        mean = np.full(n_elements, n_full - 1)
-        rows += [pressure, mean]
-        cols += [mean, pressure]
-        vals += [h, h]
-    end_nodes, owner, sign = _junction_ends(mesh)
-    junction = n_nodes + n_elements + owner
-    rows += [end_nodes, junction]
-    cols += [junction, end_nodes]
-    vals += [sign, sign]
+        anchored[0] = len(anchored) == 1
+        known[0] = True
+    if not anchored.all():
+        k = int(np.argmax(~anchored[component[vertex[:, 0]]]))
+        raise SingularSystemError(
+            f"the pressure level of the part of the network holding branch "
+            f"{mesh.branch_ids[k]!r} is undetermined: "
+            + ("the mean-pressure constraint fixes one level, but the network "
+               "is not connected" if has_mean else "it has no pressure condition")
+        )
+    unknown = np.flatnonzero(~known)
 
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    # A prescribed node's column holds one entry per row, and a row at most
-    # two such entries, so this sums as the full matrix times ``prescribed``.
-    rhs -= np.bincount(rows, weights=vals * prescribed[cols], minlength=n_full)
-    keep = np.concatenate([free, np.ones(n_full - n_nodes, dtype=bool)])
-    n_keep = int(np.count_nonzero(keep))
-    number = np.cumsum(keep) - 1
-    inside = keep[rows] & keep[cols]
-    n_free = int(np.count_nonzero(free))
+    # The flux profile on each branch: source integral from its start, plus
+    # mu times the arc coordinate, mu balancing all sources and outfluxes.
+    source = source_integrals(mesh, sources)
+    profile = np.zeros(len(mesh.x))
+    profile[left + 1] = source
+    profile = np.cumsum(profile)
+    profile -= profile[mesh.node_offset[:-1]][mesh.node_branch]
+    mu = 0.0
+    if has_mean:
+        mu = (outflux.sum() - source.sum()) / net.total_length
+        profile += mu * mesh.x
+    weight = coeff * mesh.element_lengths
+    n_branches = len(mesh.force)
+    resistance = np.bincount(branch_of, weight, minlength=n_branches)
+    drive = mesh.force * mesh.lengths - np.bincount(
+        branch_of, weight * 0.5 * (profile[left] + profile[left + 1]), minlength=n_branches
+    )
+
+    # Junction balance or velocity condition at each unknown vertex; one
+    # branch contributes its conductance to each pair of its unknown ends,
+    # branch by branch, so the matrix comes out exactly symmetric.
+    number = np.full(n_vertices, -1)
+    number[unknown] = np.arange(len(unknown))
+    at = number[vertex]
+    known_drop = vertex_pressure[vertex] @ _END_SIGN
+    end_rhs = _END_SIGN * (
+        ((drive - known_drop) / resistance)[:, None] + profile[mesh.end_nodes]
+    )
+    n = len(unknown)
+    free = at >= 0
+    rhs = np.bincount(at[free], end_rhs[free], minlength=n) - outflux[unknown]
+    rows, cols = at[:, [0, 0, 1, 1]], at[:, [0, 1, 0, 1]]
+    conductance = np.array([1.0, -1.0, -1.0, 1.0]) / resistance[:, None]
+    inside = (rows >= 0) & (cols >= 0)
+    matrix = np.bincount(
+        rows[inside] * n + cols[inside], conductance[inside], minlength=n * n
+    ).reshape(n, n)
+
+    n_free_nodes = len(mesh.x) - int(np.count_nonzero(velocity))
     return SaddleSystem(
-        matrix=sps.csr_matrix(
-            (vals[inside], (number[rows[inside]], number[cols[inside]])),
-            shape=(n_keep, n_keep),
-        ),
-        rhs=rhs[keep],
+        matrix=matrix,
+        rhs=rhs,
         mesh=mesh,
-        free=free,
-        prescribed_flux=prescribed[:n_nodes],
-        pressure_start=n_free,
-        junction_start=n_free + n_elements,
-        mean_index=n_free + n_full - n_nodes - 1 if has_mean else None,
-        mean_pressure=bcs.mean_pressure,
+        size=n_free_nodes + mesh.total_elements + n_junctions + has_mean,
+        coefficient=coeff,
+        source=source,
+        unknown=unknown,
+        vertex_pressure=vertex_pressure,
+        velocity=velocity,
+        outflux=outflux,
+        resistance=resistance,
+        drive=drive,
+        profile=profile,
+        mu=mu,
+        mean_pressure=bcs.mean_pressure if has_mean else None,
     )
 
 
 def solve_saddle(system: SaddleSystem) -> Solution:
-    """Direct solve of the assembled system with a residual check.
+    """Solve the condensed system and recover the mixed solution.
 
-    Raises ``SingularSystemError`` when the factorization fails or the
-    relative residual exceeds 1e-10; in that case a condition estimate is
-    attached to the message to point at the constraint deficiency. When the
-    mean-pressure constraint is active, the reported pressures are shifted so
-    their length-weighted mean equals the prescribed value.
+    Raises ``SingularSystemError`` when the reduced solve fails or the
+    relative residual of the mixed equations exceeds 1e-10; in that case a
+    condition estimate of the reduced matrix is attached to the message.
+    When the mean-pressure constraint is active, the reported pressures are
+    shifted so their length-weighted mean equals the prescribed value.
     """
-    A, b = system.matrix, system.rhs
-    if A.shape[0] == 0:
-        raise SingularSystemError("empty system")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
+    pressure_at = system.vertex_pressure.copy()
+    if len(system.unknown):
         try:
-            x = spla.spsolve(A.tocsc(), b)
-        except (spla.MatrixRankWarning, RuntimeError) as exc:
+            pressure_at[system.unknown] = np.linalg.solve(system.matrix, system.rhs)
+        except np.linalg.LinAlgError as exc:
             raise SingularSystemError(_diagnose(system, str(exc))) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError(_diagnose(system, "non-finite solution"))
-    scale = max(float(np.abs(b).max()), 1e-30)
-    residual = float(np.abs(A @ x - b).max()) / scale
-    if residual > RESIDUAL_TOL:
+
+    mesh = system.mesh
+    vertex = mesh.network.end_vertex
+    constant = (system.drive - pressure_at[vertex] @ _END_SIGN) / system.resistance
+    flux = constant[mesh.node_branch] + system.profile
+    # Each flux row gives the pressure step from one element to the next;
+    # summing them from the branch start gives every element pressure.
+    rows = _flux_rows(system, flux)
+    total = np.concatenate([[0.0], np.cumsum(rows)])
+    start = pressure_at[vertex[:, 0]] + total[mesh.node_offset[:-1]]
+    pressure = start[mesh.element_branch] - total[mesh.left + 1]
+    if system.mean_pressure is not None:
+        weighted = np.dot(pressure, mesh.element_lengths) / mesh.network.total_length
+        pressure += system.mean_pressure - weighted
+        pressure_at += system.mean_pressure - weighted
+
+    residual = _residual(system, flux, rows, pressure, pressure_at)
+    if not residual <= RESIDUAL_TOL:
         raise SingularSystemError(
             _diagnose(system, f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL}")
         )
-
-    mesh = system.mesh
-    ids = mesh.branch_ids
-    p0, j0 = system.pressure_start, system.junction_start
     intersections = mesh.network.intersections
-    nodal = system.prescribed_flux.copy()
-    nodal[system.free] = x[:p0]
-    # element pressures followed by junction pressures, shifted together
-    pressures = x[p0 : j0 + len(intersections)].copy()
-    pressure = mesh.per_element(pressures[: j0 - p0])
-
-    multiplier = None
-    if system.mean_index is not None:
-        multiplier = float(x[system.mean_index])
-        weighted = sum(
-            float(np.dot(pressure[bid], np.diff(mesh.nodes[bid]))) for bid in ids
-        )
-        pressures += system.mean_pressure - weighted / mesh.network.total_length
-
     solution = Solution(
         mesh=mesh,
-        flux=mesh.per_node(nodal),
-        pressure=pressure,
-        junction_pressure=dict(zip([i.id for i in intersections], pressures[j0 - p0 :].tolist())),
+        flux=mesh.per_node(flux),
+        pressure=mesh.per_element(pressure),
+        junction_pressure=dict(
+            zip([i.id for i in intersections], pressure_at[: len(intersections)].tolist())
+        ),
         residual=residual,
-        multiplier=multiplier,
-        raw_vector=x,
     )
     if intersections:
         solution.junction_implied = implied_junction_pressures(system, solution)
     return solution
 
 
+def _flux_rows(system: SaddleSystem, flux: np.ndarray) -> np.ndarray:
+    """The flux row of every node without its pressure terms.
+
+    That is the flux-mass product minus half the body force of each element
+    at the node; the pressure terms bring the row to zero.
+    """
+    mesh = system.mesh
+    left = mesh.left
+    h = mesh.element_lengths
+    m = system.coefficient * h / 6.0
+    half_force = mesh.force[mesh.element_branch] * h / 2.0
+    u_left, u_right = flux[left], flux[left + 1]
+    n_nodes = len(mesh.x)
+    return np.bincount(
+        left, m * (2.0 * u_left + u_right) - half_force, minlength=n_nodes
+    ) + np.bincount(left + 1, m * (u_left + 2.0 * u_right) - half_force, minlength=n_nodes)
+
+
+def _residual(
+    system: SaddleSystem,
+    flux: np.ndarray,
+    flux_rows: np.ndarray,
+    pressure: np.ndarray,
+    pressure_at: np.ndarray,
+) -> float:
+    """Largest residual of the mixed equations, relative to their data.
+
+    Checks the flux row of every node without a velocity condition, the mass
+    balance of every element, the balance at every intersection and every
+    velocity condition. The mean of the pressures is set by the shift.
+    """
+    mesh = system.mesh
+    net = mesh.network
+    left = mesh.left
+    vertex, ends = net.end_vertex, mesh.end_nodes
+    rows = flux_rows.copy()
+    rows[left] += pressure
+    rows[left + 1] -= pressure
+    rows[ends] += _END_SIGN * pressure_at[vertex]
+    rows[ends[system.velocity[vertex]]] = 0.0
+    mass = flux[left] - flux[left + 1] + system.mu * mesh.element_lengths + system.source
+    balance = np.bincount(
+        vertex.ravel(), (_END_SIGN * flux[ends]).ravel(), minlength=len(pressure_at)
+    ) - system.outflux
+    balance[len(net.intersections) :][~system.velocity[len(net.intersections) :]] = 0.0
+    scale = max(
+        float(np.abs(mesh.force).max(initial=0.0)) * mesh.h,
+        float(np.abs(system.source).max()),
+        float(np.abs(system.vertex_pressure).max()),
+        float(np.abs(system.outflux).max()),
+        1e-30,
+    )
+    worst = max(np.abs(part).max(initial=0.0) for part in (rows, mass, balance))
+    return float(worst) / scale
+
+
 def _diagnose(system: SaddleSystem, reason: str) -> str:
-    hints = []
-    if system.size <= 2000:
-        cond = float(np.linalg.cond(system.matrix.toarray()))
-        hints.append(f"condition estimate {cond:.3e}")
-        if cond > 1e14:
-            hints.append(
-                "matrix numerically singular; check that the pressure level is "
-                "anchored by a pressure condition or the mean constraint"
-            )
     msg = f"saddle solve failed: {reason}"
-    if hints:
-        msg += " (" + "; ".join(hints) + ")"
+    if 0 < len(system.unknown) <= 2000:
+        msg += f" (reduced condition estimate {float(np.linalg.cond(system.matrix)):.3e})"
     return msg
 
 
@@ -405,28 +474,32 @@ def _diagnose(system: SaddleSystem, reason: str) -> str:
 def implied_junction_pressures(
     system: SaddleSystem, solution: Solution
 ) -> dict[str, list[float]]:
-    """Junction pressure implied by each incident branch's flux equation.
+    """Junction pressure implied by each incident branch's end-flux equation.
 
-    For every intersection, the flux equation of the incident branch at its
-    junction node can be solved for the pressure that branch "sees" there.
-    Each implied value is the junction unknown plus or minus that flux row's
-    solve residual (b - A x), so their spread is bounded by the residual that
-    ``solve_saddle`` already checks: it cannot reveal a coupling assembled
-    into the wrong rows. Values are reported in the same (possibly
-    mean-shifted) units as ``solution.junction_pressure``.
+    The flux equation at a branch's node on an intersection ties the
+    junction pressure to the pressure of the element at that end, the two
+    end fluxes of that element, its frozen coefficient and the body force.
+    Solving it for the junction pressure, from ``solution.flux`` and
+    ``solution.pressure``, gives the value each incident branch "sees"
+    there, in the same (possibly mean-shifted) units as
+    ``solution.junction_pressure``. Their spread is zero up to rounding for
+    a solve, and rises when a branch's fluxes or pressures are off.
     """
-    x = solution.raw_vector
-    if x is None:
-        raise ValueError("solution does not carry its raw solve vector")
-    intersections = system.mesh.network.intersections
-    nodes, owner, sign = _junction_ends(system.mesh)
-    rows = np.cumsum(system.free)[nodes] - 1
-    cols = system.junction_start + owner
-    # each flux row holds its junction unknown once, with coefficient sign
-    partial = (system.matrix @ x)[rows] - sign * x[cols]
-    reported = np.array([solution.junction_pressure[isec.id] for isec in intersections])
-    shift = reported[owner] - x[cols]
-    implied = (system.rhs[rows] - partial) / sign + shift
+    mesh = system.mesh
+    intersections = mesh.network.intersections
+    flux = mesh.flat_nodes(solution.flux, "fluxes")
+    pressure = mesh.flat_elements(solution.pressure, "pressures")
+    k, at_end, _ = mesh.network.junction_incidence.T
+    at_end = at_end == 1
+    sign = _END_SIGN[at_end.astype(np.intp)]
+    node = np.where(at_end, mesh.node_offset[k + 1] - 1, mesh.node_offset[k])
+    element = np.where(at_end, mesh.element_offset[k + 1] - 1, mesh.element_offset[k])
+    h = mesh.element_lengths[element]
+    m = system.coefficient[element] * h / 6.0
+    neighbour = flux[np.where(at_end, node - 1, node + 1)]
+    implied = pressure[element] + sign * (
+        mesh.force[k] * h / 2.0 - m * (2.0 * flux[node] + neighbour)
+    )
     bounds = np.cumsum([0] + [len(i.incident) for i in intersections]).tolist()
     implied = implied.tolist()
     return {i.id: implied[a:b] for i, a, b in zip(intersections, bounds, bounds[1:])}

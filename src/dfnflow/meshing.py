@@ -91,9 +91,23 @@ class Mesh:
         return np.repeat(np.arange(len(self.force)), np.diff(self.element_offset))
 
     @cached_property
+    def node_branch(self) -> np.ndarray:
+        """Branch position of every node."""
+        return np.repeat(np.arange(len(self.force)), np.diff(self.node_offset))
+
+    @cached_property
     def left(self) -> np.ndarray:
         """Global left node of every element."""
         return np.arange(self.total_elements) + self.element_branch
+
+    @cached_property
+    def element_lengths(self) -> np.ndarray:
+        return self.x[self.left + 1] - self.x[self.left]
+
+    @cached_property
+    def end_nodes(self) -> np.ndarray:
+        """Global node of the start and of the end of every branch, one row each."""
+        return np.column_stack([self.node_offset[:-1], self.node_offset[1:] - 1])
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -121,10 +135,21 @@ class Mesh:
 
         Raises ``ValueError`` naming ``what`` when they do not match the mesh.
         """
-        if isinstance(values, BranchArrays) and values.offset is self.element_offset:
+        return self._flat(values, self.element_offset, what)
+
+    def flat_nodes(self, values: Mapping[str, np.ndarray], what: str) -> np.ndarray:
+        """Per-branch arrays over the nodes as one array in mesh order.
+
+        Raises ``ValueError`` naming ``what`` when they do not match the mesh.
+        """
+        return self._flat(values, self.node_offset, what)
+
+    def _flat(self, values: Mapping[str, np.ndarray], offset: np.ndarray, what: str):
+        if isinstance(values, BranchArrays) and values.offset is offset:
             return values.array
-        for b in self.branch_ids:
-            if b not in values or len(values[b]) != self.element_count(b):
+        counts = np.diff(offset)
+        for b, count in zip(self.branch_ids, counts.tolist()):
+            if b not in values or len(values[b]) != count:
                 raise ValueError(f"{what} do not match the mesh on branch {b!r}")
         return np.concatenate([values[b] for b in self.branch_ids])
 
@@ -147,7 +172,7 @@ class Mesh:
     @property
     def h(self) -> float:
         """Global mesh size, the largest element length on any branch."""
-        return float((self.x[self.left + 1] - self.x[self.left]).max())
+        return float(self.element_lengths.max())
 
 
 def _partition(length: float, required: Iterable[float], target_h: float) -> np.ndarray:
@@ -214,8 +239,7 @@ def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
     keys = np.sort(branch_keys(branch, arc))
     # the nearest nodes below and above; both on the point's branch, which
     # has nodes at 0 and at its length
-    node_branch = np.repeat(np.arange(len(mesh.force)), np.diff(mesh.node_offset))
-    above = np.searchsorted(branch_keys(node_branch, mesh.x), keys, side="right")
+    above = np.searchsorted(branch_keys(mesh.node_branch, mesh.x), keys, side="right")
     branch, arc, below = keys.real.astype(np.intp), keys.imag, above - 1
     above = np.minimum(above, mesh.node_offset[branch + 1] - 1)
     near_node = np.minimum(np.abs(arc - mesh.x[below]), np.abs(mesh.x[above] - arc))

@@ -214,6 +214,38 @@ class FractureNetwork:
         ]
         return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
+    @cached_property
+    def end_vertex(self) -> np.ndarray:
+        """Vertex of the start and of the end of every branch, one row each.
+
+        Intersection ``j`` is vertex ``j``; every free end is a vertex of its
+        own, numbered after the intersections in ``free_ends`` order.
+        """
+        vertex = np.full((len(self.branches), 2), -1, dtype=np.intp)
+        k, at_end, owner = self.junction_incidence.T
+        vertex[k, at_end] = owner
+        free = vertex < 0
+        vertex[free] = len(self.intersections) + np.arange(np.count_nonzero(free))
+        return vertex
+
+    @cached_property
+    def vertex_component(self) -> np.ndarray:
+        """Connected component of every vertex, the branches being the edges.
+
+        Components are numbered from 0 in the order of their lowest vertex.
+        """
+        parent = list(range(int(self.end_vertex.max()) + 1))
+
+        def root(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for a, b in self.end_vertex.tolist():
+            parent[root(a)] = root(b)
+        return np.unique([root(v) for v in range(len(parent))], return_inverse=True)[1]
+
     @property
     def total_length(self) -> float:
         return sum(b.length for b in self.branches)

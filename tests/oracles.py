@@ -2,7 +2,8 @@
 
 These deliberately avoid the package code paths they check: the Darcy oracle
 is a cell-centered two-point flux scheme solved as its own linear system, the
-dissipation oracle is a brute-force midpoint rule, the set-distance oracle
+saddle oracle assembles the whole mixed system in coordinate form and solves
+it with SuperLU, the dissipation oracle is a brute-force midpoint rule, the set-distance oracle
 is a direct double loop, the energy-minimizer oracle scans the reduced
 energy on a uniform grid and refines by golden section, the plain-Picard
 oracle is the unaccelerated fixed-point loop on the frozen coefficient, and
@@ -16,10 +17,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from dfnflow.energy import MinimizationResult, _energies_on_grid, lift_field
-from dfnflow.fem import RegimeField, Solution, assemble, solve_saddle
-from dfnflow.laws import AdaptiveLaw, Regime
+from dfnflow.fem import RegimeField, Solution, assemble, solve_saddle, source_integrals
+from dfnflow.laws import AdaptiveLaw, Regime, eval_lambda_coefficient
 from dfnflow.meshing import Mesh
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
@@ -185,6 +188,88 @@ def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
                 vals[node] = (p[cell] - boundary_value + f * dist) / half
         fluxes[bid] = vals
     return pressures, junction, fluxes
+
+
+def sparse_saddle_solve(mesh, regimes, law, frozen_speed, sources, bcs):
+    """The whole mixed system, assembled in coordinate form and solved by SuperLU.
+
+    Unknowns: the flux at every node whose flux no velocity condition
+    prescribes, the pressure of every element, one pressure per
+    intersection, and a mean-pressure multiplier when no pressure condition
+    exists. Flux rows carry the flux mass matrix (coefficient frozen per
+    element at ``frozen_speed``: a number or per-branch arrays), the
+    pressure coupling, half the body force per element end and the pressure
+    data as natural boundary terms. Returns (flux over all nodes, pressure
+    over all elements, junction pressures in ``intersections`` order), the
+    pressures shifted to the prescribed mean when it is imposed.
+    """
+    net = mesh.network
+    n_nodes, n_elements = len(mesh.x), mesh.total_elements
+    n_junctions = len(net.intersections)
+    has_mean = not bcs.has_pressure_bc
+    n_full = n_nodes + n_elements + n_junctions + has_mean
+    left = mesh.left
+    right = left + 1
+    h = mesh.x[right] - mesh.x[left]
+    if isinstance(frozen_speed, (int, float)):
+        speed = np.full(n_elements, float(frozen_speed))
+    else:
+        speed = np.concatenate([frozen_speed[b] for b in mesh.branch_ids])
+    coeff = eval_lambda_coefficient(law, speed, regimes.on(mesh))
+
+    def end_node(bid, which):
+        k = net.branch_index[bid]
+        return mesh.node_offset[k + 1] - 1 if which == END else mesh.node_offset[k]
+
+    rhs = np.zeros(n_full)
+    half_force = mesh.force[mesh.element_branch] * h / 2.0
+    np.add.at(rhs, left, half_force)
+    np.add.at(rhs, right, half_force)
+    free = np.ones(n_nodes, dtype=bool)
+    prescribed = np.zeros(n_full)
+    for (bid, which), bc in bcs.conditions.items():
+        node = end_node(bid, which)
+        n_out = 1.0 if which == END else -1.0
+        if isinstance(bc, VelocityBC):
+            free[node] = False
+            prescribed[node] = bc.outflux * n_out
+        else:
+            rhs[node] -= bc.pressure * n_out
+    pressure = n_nodes + np.arange(n_elements)
+    rhs[pressure] = -source_integrals(mesh, sources)
+
+    m = coeff * h / 6.0
+    ones = np.ones(n_elements)
+    rows = [left, left, right, right, left, pressure, right, pressure]
+    cols = [left, right, left, right, pressure, left, pressure, right]
+    vals = [2.0 * m, m, m, 2.0 * m, ones, ones, -ones, -ones]
+    if has_mean:
+        mean = np.full(n_elements, n_full - 1)
+        rows += [pressure, mean]
+        cols += [mean, pressure]
+        vals += [h, h]
+    for j, isec in enumerate(net.intersections):
+        for bid, which in isec.incident:
+            node = np.array([end_node(bid, which)])
+            sign = np.array([1.0 if which == END else -1.0])
+            rows += [node, np.array([n_nodes + n_elements + j])]
+            cols += [np.array([n_nodes + n_elements + j]), node]
+            vals += [sign, sign]
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    full = sps.csr_matrix((vals, (rows, cols)), shape=(n_full, n_full))
+    rhs -= full @ prescribed
+    keep = np.concatenate([free, np.ones(n_full - n_nodes, dtype=bool)])
+    x = spla.spsolve(full[keep][:, keep].tocsc(), rhs[keep])
+
+    n_free = int(free.sum())
+    flux = prescribed[:n_nodes].copy()
+    flux[free] = x[:n_free]
+    pressures = x[n_free : n_free + n_elements + n_junctions]
+    if has_mean:
+        pressures = pressures + bcs.mean_pressure - np.dot(pressures[:n_elements], h) / (
+            net.total_length
+        )
+    return flux, pressures[:n_elements], pressures[n_elements:]
 
 
 def midpoint_dissipation(values, nodes, psi, subdivisions=10_000):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +168,28 @@ def test_bundle_config_round_trip(tmp_path):
     (path,) = export_bundle(bundle, tmp_path, "json")
     loaded = load_bundle(path)
     assert parse_config(loaded.config) == spec
+
+
+def test_running_and_exporting_a_preset_does_not_import_scipy(tmp_path):
+    # scipy is a test dependency only: importing it at run time would cost
+    # more start-up time and memory than the solve it was once used for
+    code = (
+        "import sys\n"
+        "import dfnflow\n"
+        "from dfnflow.export import export_bundle\n"
+        "from dfnflow.presets import run_preset\n"
+        f"export_bundle(run_preset('case3-nonlinear'), {str(tmp_path)!r}, 'json')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert [p.name for p in tmp_path.iterdir()] == ["case3-nonlinear.json"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from dfnflow.network import (
 )
 from dfnflow.presets import alternating_source, single_fracture_network
 
-from oracles import random_network, tpfa_darcy_solve
+from oracles import random_network, sparse_saddle_solve, tpfa_darcy_solve
 
 UNIT_LAW = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 1.0)
 
@@ -122,6 +124,36 @@ def test_three_branch_star_splits_influx():
     assert max(implied["J"]) - min(implied["J"]) <= 1e-12
 
 
+def test_junction_diagnostic_sees_shifted_branch_pressures():
+    # the end-flux equations are evaluated from the solution itself, so
+    # shifting one incident branch's element pressures shows as that shift
+    center = (0.5, 0.5)
+    net = FractureNetwork(
+        branches=(
+            Branch("A", (0.0, 0.5), center),
+            Branch("B", (1.0, 0.5), center),
+            Branch("C", (0.5, 1.0), center),
+        ),
+        intersections=(
+            Intersection("J", center, (("A", "end"), ("B", "end"), ("C", "end"))),
+        ),
+        boundary=BoundarySpec(
+            {
+                ("A", "start"): VelocityBC(-1.0),
+                ("B", "start"): PressureBC(0.3),
+                ("C", "start"): PressureBC(-0.2),
+            }
+        ),
+        sources=SourceSpec(scalar={"B": PiecewiseSource(pieces=(0.4,))}, force=(0.1, -0.3)),
+    )
+    system, sol = solve_network(net, 0.1)
+    assert sol.junction_continuity_defect() <= 1e-12
+    delta = 1e-6
+    sol.pressure["B"][:] += delta
+    sol.junction_implied = implied_junction_pressures(system, sol)
+    assert sol.junction_continuity_defect() == pytest.approx(delta, rel=1e-6)
+
+
 def test_case_data_mass_balance():
     # the alternating source integrates to 0.3 - 0.4 + 0.3 = 0.2
     net = single_fracture_network()
@@ -159,8 +191,8 @@ def test_matrix_is_symmetric():
         net.sources,
         net.boundary,
     )
-    diff = system.matrix - system.matrix.T
-    assert abs(diff).max() == 0.0
+    assert system.matrix.shape[0] > 0
+    assert np.array_equal(system.matrix, system.matrix.T)
 
 
 def test_orientation_flip_negates_flux_and_keeps_pressure():
@@ -398,7 +430,7 @@ def test_forchheimer_systems_on_random_networks_balance(seed):
     )
     speeds = {b: rng.uniform(0.0, 2.0, mesh.element_count(b)) for b in mesh.branch_ids}
     system = assemble(mesh, labels, law, speeds, net.sources, net.boundary)
-    assert abs(system.matrix - system.matrix.T).max() == 0.0
+    assert np.array_equal(system.matrix, system.matrix.T)
     sol = solve_saddle(system)
     for b in mesh.branch_ids:
         qint = mesh.per_element(source_integrals(mesh, net.sources))[b]
@@ -465,3 +497,94 @@ def test_floating_component_is_rejected(kind):
                 net.boundary,
             )
         )
+
+
+def _relative_gap(value, reference):
+    return float(np.abs(value - reference).max(initial=0.0)) / max(
+        float(np.abs(reference).max(initial=0.0)), 1e-300
+    )
+
+
+def _matches_sparse_oracle(net, law, labels, speeds):
+    mesh = build_mesh(net, 0.2)
+    labels = RegimeField(mesh.per_element(labels(mesh)))
+    speeds = speeds(mesh)
+    sol = solve_saddle(assemble(mesh, labels, law, speeds, net.sources, net.boundary))
+    flux, pressure, junction = sparse_saddle_solve(
+        mesh, labels, law, speeds, net.sources, net.boundary
+    )
+    ids = [isec.id for isec in net.intersections]
+    assert _relative_gap(sol.flux.array, flux) <= 1e-12
+    assert _relative_gap(sol.pressure.array, pressure) <= 1e-12
+    assert _relative_gap(np.array([sol.junction_pressure[j] for j in ids]), junction) <= 1e-12
+
+
+def _callable_sources(net, rng):
+    # every other constant piece becomes a smooth function of the same size
+    scalar = {
+        bid: PiecewiseSource(
+            src.breakpoints,
+            tuple(
+                (lambda x, c=float(c): c * np.cos(3.0 * x)) if rng.uniform() < 0.5 else c
+                for c in src.pieces
+            ),
+        )
+        for bid, src in net.sources.scalar.items()
+    }
+    return dataclasses.replace(net, sources=SourceSpec(scalar, net.sources.force))
+
+
+def _mean_anchored(net, rng):
+    # every pressure condition becomes a velocity condition; the mean pins the level
+    conditions = {
+        end: VelocityBC(float(rng.uniform(-0.5, 0.5))) if isinstance(bc, PressureBC) else bc
+        for end, bc in net.boundary.conditions.items()
+    }
+    return dataclasses.replace(
+        net, boundary=BoundarySpec(conditions, mean_pressure=float(rng.uniform(-1, 1)))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mean=st.booleans())
+def test_condensed_solve_matches_the_sparse_saddle_oracle(seed, mean):
+    # velocity ends, callable sources, body force, random labels and frozen
+    # speeds under a Darcy-Forchheimer law, anchored by pressure conditions or
+    # by the mean pressure
+    rng = np.random.default_rng(seed)
+    net = _callable_sources(random_network(rng), rng)
+    if mean:
+        net = _mean_anchored(net, rng)
+    law = AdaptiveLaw(
+        ConstantLaw(float(rng.uniform(0.1, 10.0))),
+        AffineSpeedLaw(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
+        float(rng.uniform(0.05, 1.0)),
+    )
+    _matches_sparse_oracle(
+        net,
+        law,
+        lambda mesh: rng.integers(0, 2, mesh.total_elements).astype(np.int8),
+        lambda mesh: mesh.per_element(rng.uniform(0.0, 2.0, mesh.total_elements)),
+    )
+
+
+def test_condensed_solve_matches_the_sparse_saddle_oracle_on_a_mean_anchored_branch():
+    rng = np.random.default_rng(5)
+    net = FractureNetwork(
+        branches=(Branch("f", (0.0, 0.0), (1.3, 0.4)),),
+        boundary=BoundarySpec(
+            {("f", "start"): VelocityBC(0.2), ("f", "end"): VelocityBC(-0.1)},
+            mean_pressure=0.4,
+        ),
+        sources=SourceSpec(
+            scalar={"f": PiecewiseSource((0.5,), (lambda x: np.sin(x), -0.3))},
+            force=(0.2, -0.1),
+        ),
+    )
+    law = AdaptiveLaw(ConstantLaw(2.0), AffineSpeedLaw(0.5, 3.0), 0.2)
+    _matches_sparse_oracle(
+        net,
+        law,
+        lambda mesh: rng.integers(0, 2, mesh.total_elements).astype(np.int8),
+        lambda mesh: mesh.per_element(rng.uniform(0.0, 2.0, mesh.total_elements)),
+    )
