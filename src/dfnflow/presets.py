@@ -9,6 +9,7 @@ rerunning one on the same machine reproduces the bundle bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from importlib import resources
@@ -16,9 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import ProblemSpec, network_from_dict, parse_config
+from .config import DEFAULT_H, ProblemSpec, SolverSettings, network_from_dict, spec_to_dict
 from .energy import build_energy_block
 from .export import ResultBundle, bundle_from_report
+from .fem import RegimeField
 from .laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw
 from .meshing import build_mesh
 from .network import (
@@ -29,13 +31,11 @@ from .network import (
     PiecewiseSource,
     PressureBC,
     SourceSpec,
-    VelocityBC,
 )
 from .picard import PicardSettings
 from .tracker import TrackerSettings, track
 
 THRESHOLD = 0.15
-DEFAULT_H = 0.05
 
 PRESET_NAMES = (
     "case1-linear",
@@ -161,11 +161,13 @@ def run_case(
     eps_nl: float = 1e-4,
     max_inner: int = 50,
     tracker: TrackerSettings | None = None,
-    initial: str = "low",
+    initial: str | RegimeField = "low",
     trace: bool = False,
-    with_energy: bool = True,
 ) -> ResultBundle:
-    """Track one problem and wrap the outcome in a result bundle."""
+    """Track one problem and wrap the outcome in a result bundle.
+
+    A single-fracture problem also gets the energy oracle's block.
+    """
     start = time.perf_counter()
     mesh = build_mesh(network, h)
     report = track(
@@ -177,7 +179,7 @@ def run_case(
         trace=trace,
     )
     energy = None
-    if with_energy and len(network.branches) == 1:
+    if len(network.branches) == 1:
         energy = build_energy_block(report.final_solution, mesh, law)
     return bundle_from_report(
         name,
@@ -185,6 +187,31 @@ def run_case(
         energy=energy,
         timing_seconds=time.perf_counter() - start,
     )
+
+
+def run_settings(solver: SolverSettings) -> dict:
+    """The ``run_case`` keyword arguments a configuration's solver block asks for.
+
+    The initial state is ``solver.init``, or the given label of every element
+    when ``solver.init_labels`` is set. Building the tracker settings checks
+    the tolerances and the outer cap.
+    """
+    initial: str | RegimeField = solver.init
+    if solver.init_labels is not None:
+        initial = RegimeField(
+            {b: np.array(labels, dtype=np.int8) for b, labels in solver.init_labels.items()}
+        )
+    return {
+        "h": solver.h,
+        "eps_nl": solver.eps_nl,
+        "max_inner": solver.max_inner,
+        "tracker": TrackerSettings(
+            eps_gamma=solver.eps_gamma,
+            eps_omega=solver.eps_omega,
+            max_outer=solver.max_outer,
+        ),
+        "initial": initial,
+    }
 
 
 def k2_grid() -> np.ndarray:
@@ -205,6 +232,67 @@ def oscillation_variant_network() -> FractureNetwork:
     )
 
 
+def sweep_k2(
+    name: str,
+    network: FractureNetwork,
+    law: AdaptiveLaw,
+    values: Iterable[float],
+    solver: SolverSettings,
+    trace: bool = False,
+) -> ResultBundle:
+    """Track one problem once per high-regime permeability k2 in ``values``.
+
+    Each member replaces the constant high branch of ``law`` by ``1 / k2`` and
+    keeps the rest of the problem. Its row records the tracker status and
+    whether every inner solve met its tolerance; a member failure is recorded
+    without aborting the sweep, and a sweep whose members all fail raises.
+    The bundle reports the last member that ran, with the rows in its extras.
+    """
+    if not isinstance(law.high, ConstantLaw):
+        raise ValueError("the k2 sweep needs a constant high-regime law")
+    start = time.perf_counter()
+    mesh = build_mesh(network, solver.h)
+    rows = []
+    last = None
+    for k2 in map(float, values):
+        member = dataclasses.replace(law, high=ConstantLaw(1.0 / k2))
+        row = {"k2": k2, "lambda2": member.lambda2}
+        try:
+            settings = run_settings(solver)
+            report = track(
+                mesh,
+                member,
+                picard_settings=PicardSettings(
+                    tolerance=settings["eps_nl"], max_iterations=settings["max_inner"]
+                ),
+                settings=settings["tracker"],
+                initial=settings["initial"],
+                trace=trace,
+            )
+        except Exception as exc:  # keep sweeping; record the failure
+            row.update(
+                status="error",
+                period=0,
+                outer_iterations=0,
+                inner_converged=None,
+                message=str(exc),
+            )
+        else:
+            row.update(
+                status=report.status.value,
+                period=report.period or 0,
+                outer_iterations=report.outer_iterations,
+                inner_converged=all(e.inner_converged for e in report.history),
+            )
+            last = report
+        rows.append(row)
+    if last is None:
+        raise RuntimeError(f"every sweep member failed: {rows[0]['message']}")
+    return bundle_from_report(
+        name, last, extras={"sweep": rows}, timing_seconds=time.perf_counter() - start
+    )
+
+
 def run_k2_sweep(
     values: Iterable[float] | None = None,
     h: float = DEFAULT_H,
@@ -214,59 +302,16 @@ def run_k2_sweep(
     """Sweep the high-regime permeability on the source-free variant.
 
     The driving is the end pressure of 0.2 alone; the low-regime permeability
-    stays 1. Each sweep member records its tracker status and whether every
-    inner solve met its tolerance, and a member failure is recorded without
-    aborting the sweep.
+    stays 1. ``values`` defaults to ``k2_grid()``.
     """
-    start = time.perf_counter()
-    network = oscillation_variant_network()
-    mesh = build_mesh(network, h)
-    rows = []
-    for k2 in values if values is not None else k2_grid():
-        law = darcy_pair(k1=1.0, k2=float(k2))
-        try:
-            report = track(
-                mesh,
-                law,
-                settings=TrackerSettings(max_outer=max_outer),
-            )
-            rows.append(
-                {
-                    "k2": float(k2),
-                    "lambda2": law.lambda2,
-                    "status": report.status.value,
-                    "period": report.period if report.period is not None else 0,
-                    "outer_iterations": report.outer_iterations,
-                    "inner_converged": all(e.inner_converged for e in report.history),
-                }
-            )
-        except Exception as exc:  # keep sweeping; record the failure
-            rows.append(
-                {
-                    "k2": float(k2),
-                    "lambda2": law.lambda2,
-                    "status": "error",
-                    "period": 0,
-                    "outer_iterations": 0,
-                    "inner_converged": None,
-                    "message": str(exc),
-                }
-            )
-    ok = [r for r in rows if r["status"] != "error"]
-    if not ok:
-        raise RuntimeError(f"every sweep member failed: {rows[0]['message']}")
-    last_ok = ok[-1]
-    bundle = run_case(
+    return sweep_k2(
         "k2-sweep",
-        network,
-        darcy_pair(k1=1.0, k2=float(last_ok["k2"])),
-        h=h,
-        trace=trace,
-        with_energy=False,
+        oscillation_variant_network(),
+        darcy_pair(),
+        k2_grid() if values is None else values,
+        SolverSettings(h=h, max_outer=max_outer),
+        trace,
     )
-    bundle.extras = {"sweep": rows}
-    bundle.timing_seconds = time.perf_counter() - start
-    return bundle
 
 
 NL_TOLERANCES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-8)
@@ -333,9 +378,7 @@ def run_nl_tolerance_table(h: float = DEFAULT_H, trace: bool = False) -> ResultB
                 "err_u": float(np.linalg.norm(ref_flux - flux) / np.linalg.norm(ref_flux)),
             }
         )
-    bundle = run_case(
-        "nl-tolerance-table", network, law, h=h, trace=trace, with_energy=True
-    )
+    bundle = run_case("nl-tolerance-table", network, law, h=h, trace=trace)
     bundle.extras = {"table": rows}
     bundle.timing_seconds = time.perf_counter() - start
     return bundle
@@ -378,41 +421,12 @@ def run_preset(name: str, h: float | None = None, trace: bool = False, **kwargs)
 
 def run_spec(spec: ProblemSpec, trace: bool | None = None) -> ResultBundle:
     """Run the full pipeline described by a parsed configuration."""
-    from .config import spec_to_dict
-    from .fem import RegimeField
-    from .laws import Regime
-
-    start = time.perf_counter()
-    mesh = spec.build_mesh()
-    initial: str | RegimeField = spec.solver.init
-    if spec.solver.init_labels is not None:
-        initial = RegimeField(
-            {
-                b: np.array([int(v) for v in labels], dtype=np.int8)
-                for b, labels in spec.solver.init_labels.items()
-            }
-        )
-    report = track(
-        mesh,
-        spec.law,
-        picard_settings=PicardSettings(
-            tolerance=spec.solver.eps_nl, max_iterations=spec.solver.max_inner
-        ),
-        settings=TrackerSettings(
-            eps_gamma=spec.solver.eps_gamma,
-            eps_omega=spec.solver.eps_omega,
-            max_outer=spec.solver.max_outer,
-        ),
-        initial=initial,
-        trace=spec.output.trace if trace is None else trace,
-    )
-    energy = None
-    if len(spec.network.branches) == 1:
-        energy = build_energy_block(report.final_solution, mesh, spec.law)
-    return bundle_from_report(
+    bundle = run_case(
         "solve",
-        report,
-        config=spec_to_dict(spec),
-        energy=energy,
-        timing_seconds=time.perf_counter() - start,
+        spec.network,
+        spec.law,
+        trace=spec.output.trace if trace is None else trace,
+        **run_settings(spec.solver),
     )
+    bundle.config = spec_to_dict(spec)
+    return bundle

@@ -71,6 +71,9 @@ DEFAULT_EPS_OMEGA = 1e-8
 # iterations.
 OUTER_MIXING_DEPTH = 3
 
+# Longest label-pattern cycle, in outer iterations, reported as oscillating.
+OSCILLATION_WINDOW = 6
+
 
 @dataclass(frozen=True)
 class TrackerSettings:
@@ -87,7 +90,6 @@ class TrackerSettings:
     eps_gamma: float = 1e-10
     eps_omega: float | None = None
     max_outer: int = 50
-    oscillation_window: int = 6
 
     def __post_init__(self):
         if self.eps_gamma <= 0:
@@ -430,7 +432,7 @@ def track(
             status = TrackerStatus.CONVERGED
             break
 
-        period = _detect_period(signatures, sig, settings.oscillation_window)
+        period = _detect_period(signatures, sig, OSCILLATION_WINDOW)
         if period is not None:
             status = TrackerStatus.OSCILLATING
             break

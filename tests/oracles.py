@@ -27,6 +27,7 @@ from dfnflow.meshing import Mesh
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
     DEFAULT_EPS_OMEGA,
+    OSCILLATION_WINDOW,
     Configuration,
     HistoryEntry,
     InterfacePoint,
@@ -675,7 +676,7 @@ def plain_track(
             status = TrackerStatus.CONVERGED
             break
 
-        period = _detect_period(signatures, sig, settings.oscillation_window)
+        period = _detect_period(signatures, sig, OSCILLATION_WINDOW)
         if period is not None:
             status = TrackerStatus.OSCILLATING
             break

@@ -158,3 +158,49 @@ def test_sweep_k2_with_every_member_failing_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "every sweep member failed: need at least one outer iteration" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--eps-nl", "1e-6"], ["--eps-gamma", "1e-9"], ["--eps-omega", "1e-3"],
+             ["--max-outer", "1"], ["--init", "high"]],
+    ids=lambda flag: flag[0],
+)
+def test_preset_rejects_solver_flags_it_cannot_apply(tmp_path, flag):
+    # a preset fixes its solver settings; a flag it ignored would go unnoticed
+    assert main(["preset", "case1-linear", *flag, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    # exit code 2 means "oscillating", so a usage error must not return it
+    assert main(["preset", "nosuch"]) == 1
+    assert main(["sweep-k2"]) == 1
+    assert main(["--help"]) == 0
+    assert main(["solve", "--help"]) == 0
+
+
+def test_sweep_k2_trace_writes_snapshots(tmp_path):
+    config = write_config(tmp_path, oscillating_document())
+    out = tmp_path / "out"
+    code = main(["sweep-k2", str(config), "--k2-values", "0.5625,4", "--trace", "--out", str(out)])
+    assert code == 0
+    bundle = json.loads((out / "sweep-k2.json").read_text())
+    last = bundle["extras"]["sweep"][-1]
+    assert last["status"] == "converged"
+    assert len(bundle["snapshots"]) == bundle["outer_iterations"] == last["outer_iterations"]
+
+
+def test_sweep_k2_starts_members_from_init_labels(tmp_path):
+    # with these labels the solve needs 13 outer iterations, from uniform low 17
+    doc = case1_document()
+    doc["solver"] = {"h": 0.25, "init_labels": {"f": [0, 1, 1, 0, 0, 1]}}
+    config = write_config(tmp_path, doc)
+    assert main(["solve", str(config), "--out", str(tmp_path / "solve")]) == 0
+    # the config's high coefficient is 0.1, so k2 = 10 is the same law
+    code = main(["sweep-k2", str(config), "--k2-values", "10", "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    solved = json.loads((tmp_path / "solve" / "solve.json").read_text())
+    swept = json.loads((tmp_path / "sweep" / "sweep-k2.json").read_text())
+    assert swept["outer_iterations"] == solved["outer_iterations"] == 13
+    for key in ("distances", "inner_iteration_counts", "final"):
+        assert swept[key] == solved[key]

@@ -10,7 +10,17 @@ import pytest
 
 from dfnflow.config import parse_config
 from dfnflow.export import export_bundle, load_bundle
-from dfnflow.presets import PRESET_NAMES, run_k2_sweep, run_preset, run_spec
+import dfnflow.presets
+from dfnflow.presets import (
+    PRESET_NAMES,
+    darcy_pair,
+    oscillation_variant_network,
+    run_case,
+    run_k2_sweep,
+    run_preset,
+    run_spec,
+)
+from dfnflow.tracker import TrackerSettings
 
 from test_config import MINIMAL
 
@@ -115,6 +125,31 @@ def test_k2_sweep_records_status_per_member():
         assert by_k2[k2]["status"] == "converged"
     oscillating = [r for r in rows if r["status"] == "oscillating"]
     assert all(r["k2"] < 1.0 for r in oscillating)
+
+
+def test_k2_sweep_bundle_is_its_last_members_run(monkeypatch):
+    # every member converges in 2 outer iterations, so a cap of 1 stops them
+    # all; the bundle must report that capped run, not a fresh uncapped one
+    calls = []
+    track = dfnflow.presets.track
+
+    def counting_track(*args, **kwargs):
+        calls.append(args[1])
+        return track(*args, **kwargs)
+
+    monkeypatch.setattr(dfnflow.presets, "track", counting_track)
+    bundle = run_preset("k2-sweep", values=[0.5625, 4.0], max_outer=1)
+    assert len(calls) == 2
+    last = bundle.extras["sweep"][-1]
+    assert bundle.status == last["status"] == "max-iterations"
+    member = run_case(
+        "member",
+        oscillation_variant_network(),
+        darcy_pair(k2=last["k2"]),
+        tracker=TrackerSettings(max_outer=1),
+    )
+    assert bundle.final == member.final
+    assert bundle.distances == member.distances
 
 
 def test_k2_sweep_with_every_member_failing_raises():
