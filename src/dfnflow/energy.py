@@ -11,15 +11,18 @@ field itself is the unique candidate.
 
 Between the breakpoints where a lifted node value plus alpha crosses zero or
 the threshold speed, the derivative E' is a polynomial of degree at most
-three, so minimizers are located exactly where the closed-form E' turns from
-negative to nonnegative. E' is continuous except where the node value of a
-flat element crosses the threshold and the law coefficient jumps.
+three, so minimizers are located where the closed-form E' turns from
+negative to nonnegative: each such zero is the root of the cubic fitted to E'
+on its bracket, refined by one Newton step on the closed-form E' and clipped
+to the interval of the bracket that holds the root. E' is continuous except
+where the node value of a flat element crosses the threshold and the law
+coefficient jumps.
 
 The dissipation integrand is the piecewise potential composed with the
 squared speed; it is smooth except where the speed crosses the regime
 threshold, so elements are pre-split at those crossings (and at sign changes
 of the flux) before applying a 3-point Gauss rule, which is then exact for
-the supported law kinds.
+the supported law kinds. All elements are integrated in one array pass.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ from .meshing import Mesh
 from .network import END, START, VelocityBC
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
+# E' is sampled at the four Chebyshev nodes of each bracket; by their discrete
+# orthogonality, samples @ _CHEB_FIT are the interpolating cubic's coefficients
+_CHEB_NODES = np.cos(np.pi * np.arange(7, 0, -2) / 8.0)
+_CHEB_S = (_CHEB_NODES + 1.0) / 2.0
+_CHEB_FIT = np.polynomial.chebyshev.chebvander(_CHEB_NODES, 3) * [0.25, 0.5, 0.5, 0.5]
 
 
 def _single_branch(mesh: Mesh) -> str:
@@ -126,53 +134,38 @@ class EnergyReport:
     quadrature: str = "gauss3-kink-split"
 
 
-def _element_dissipation(
-    x1: float, x2: float, w1: float, w2: float, psi: PsiPotential
-) -> float:
-    """Integral of the physical potential of the squared field over [x1, x2]."""
-    ubar = psi.threshold
-    cuts = [x1, x2]
-    if w2 != w1:
-        for level in (ubar, -ubar, 0.0):
-            t = (level - w1) / (w2 - w1)
-            if 0.0 < t < 1.0:
-                cuts.append(x1 + t * (x2 - x1))
-    cuts.sort()
-    pts, wts = _GAUSS3
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a <= 0.0:
-            continue
-        xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
-        ws = w1 + (w2 - w1) * (xs - x1) / (x2 - x1)
-        total += 0.5 * (b - a) * float(np.dot(wts, psi.value_physical(ws**2)))
-    return total
-
-
 def energy_of(field: FieldLike, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
     """Dissipation and energy of a nodal flux field on a single branch.
 
-    The field is the total flux (lifted part included). The load term uses
-    the constant reduced forcing, integrated exactly against the piecewise
-    linear field.
+    The field is the total flux (lifted part included). Each element is cut
+    where the linear field crosses the threshold speed, its negative and
+    zero, and the 3-point Gauss rule runs on the up to four pieces at once;
+    a cut that does not fall inside its element stays at the element's start
+    as a piece of length zero. The load term uses the constant reduced
+    forcing, integrated exactly against the piecewise linear field.
     """
     bid = _single_branch(mesh)
     values = _nodal_values(field, mesh, bid)
     x = mesh.nodes[bid]
     forcing = tangential_forcing(mesh)
 
-    dissipation = 0.0
-    load = 0.0
-    for e in range(len(x) - 1):
-        dissipation += _element_dissipation(
-            float(x[e]), float(x[e + 1]), float(values[e]), float(values[e + 1]), psi
-        )
-        load += forcing * 0.5 * (values[e] + values[e + 1]) * (x[e + 1] - x[e])
+    # axes: element, cut or piece, Gauss point
+    x1, x2, w1, w2 = (v[:, None, None] for v in (x[:-1], x[1:], values[:-1], values[1:]))
+    levels = np.array([[psi.threshold], [-psi.threshold], [0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (levels - w1) / (w2 - w1)
+    inside = (t > 0.0) & (t < 1.0)  # never true for a flat element's inf or nan
+    cuts = np.concatenate([x1, np.where(inside, x1 + t * (x2 - x1), x1), x2], axis=1)
+    cuts.sort(axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    pts, wts = _GAUSS3
+    xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
+    ws = w1 + (w2 - w1) * (xs - x1) / (x2 - x1)
+    dissipation = float(np.sum(0.5 * (b - a)[..., 0] * (psi.value_physical(ws**2) @ wts)))
+    # the load is accumulated in element order, as a running sum
+    load = float(np.cumsum(forcing * 0.5 * (values[:-1] + values[1:]) * np.diff(x))[-1])
     return EnergyReport(
-        dissipation=dissipation,
-        load=load,
-        energy=dissipation - load,
-        forcing=forcing,
+        dissipation=dissipation, load=load, energy=dissipation - load, forcing=forcing
     )
 
 
@@ -191,7 +184,8 @@ class MinimizationResult:
     ``candidates`` lists every local minimizer whose energy lies within the
     near-optimal window of the global value; in the convex case it has a
     single entry. ``alphas`` holds the sorted breakpoints of E inside the
-    search interval plus its two ends, and ``energies`` the values of E there.
+    search interval plus its two ends, ``energies`` the values of E there,
+    and ``lifted`` the lifted field that alpha is added to.
     """
 
     alpha_star: float
@@ -199,6 +193,7 @@ class MinimizationResult:
     candidates: list[tuple[float, float]]
     alphas: np.ndarray = field(repr=False, default=None)
     energies: np.ndarray = field(repr=False, default=None)
+    lifted: LiftedField = field(repr=False, default=None)
 
 
 def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
@@ -206,18 +201,16 @@ def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
 
     wa and wb are the element's node values of the lifted field plus alpha.
     An element with equal node values contributes h * limit(wa), where limit
-    is the derivative of prim.
+    is the derivative of prim. prim is evaluated once per node and alpha.
     """
     h = np.diff(mesh.nodes[lifted.branch_id])
-    ua, ub = lifted.values[:-1], lifted.values[1:]
-    wa = alphas[None, :] + ua[:, None]
-    wb = alphas[None, :] + ub[:, None]
-    delta = (ub - ua)[:, None]
-    flat = np.abs(ub - ua) < 1e-14
+    w = alphas[None, :] + lifted.values[:, None]
+    delta = np.diff(lifted.values)
+    flat = np.abs(delta) < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_element = h[:, None] * (prim(wb) - prim(wa)) / delta
+        per_element = h[:, None] * np.diff(prim(w), axis=0) / delta[:, None]
     if flat.any():
-        per_element[flat, :] = h[flat, None] * limit(wa[flat, :])
+        per_element[flat, :] = h[flat, None] * limit(w[:-1][flat, :])
     return per_element.sum(axis=0)
 
 
@@ -247,45 +240,74 @@ def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotenti
     return dissipation - tangential_forcing(mesh) * (x[-1] - x[0])
 
 
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots in [-1, 1] of each row's Chebyshev series, ascending.
+
+    Rows are padded with NaN to three roots. Trailing coefficients up to
+    1e-13 of the row's absolute sum are dropped first, and the colleague
+    matrices of each remaining degree are solved in one ``eigvals`` call.
+    Roots within 1e-9 of the real axis are real, roots within 1e-9 outside
+    [-1, 1] are clipped onto it, and a root repeated after that is kept once.
+    """
+    size = np.abs(coeffs).sum(axis=1, keepdims=True)
+    degree = np.max(np.where(np.abs(coeffs) > 1e-13 * size, np.arange(4), 0), axis=1)
+    roots = np.full((len(coeffs), 3), np.nan, dtype=complex)
+    linear = degree == 1
+    roots[linear, 0] = -coeffs[linear, 0] / coeffs[linear, 1]
+    for d in (2, 3):
+        c = coeffs[degree == d, : d + 1]
+        colleague = np.zeros((len(c), d, d))
+        i = np.arange(d - 1)
+        colleague[:, i, i + 1] = colleague[:, i + 1, i] = 0.5
+        colleague[:, 0, 1] = colleague[:, 1, 0] = np.sqrt(0.5)
+        ratio = c[:, :-1] / c[:, -1:] * 0.5
+        ratio[:, 0] *= np.sqrt(2.0)
+        colleague[:, :, -1] -= ratio
+        roots[degree == d, :d] = np.linalg.eigvals(colleague[:, ::-1, ::-1])
+    real = np.where(np.abs(roots.imag) <= 1e-9, roots.real, np.nan)
+    real = np.sort(np.where(np.abs(real) <= 1.0 + 1e-9, np.clip(real, -1.0, 1.0), np.nan))
+    real[:, 1:][real[:, 1:] == real[:, :-1]] = np.nan
+    return np.sort(real)
+
+
 def _rising_zeros(lo: np.ndarray, hi: np.ndarray, slope) -> np.ndarray:
     """Every point where E' turns from negative to nonnegative, left to right.
 
     E' is a cubic on each bracket [lo, hi], fixed by its values at four
     interior Chebyshev points; no sample lies on a breakpoint, where E'
     jumps if an element is flat. The real roots of each cubic split its
-    bracket into intervals holding one root each, and an interval whose ends
-    read E' < 0 <= E' is bisected on the closed-form E'. A breakpoint where
-    the cubic on its left ends below zero and the one on its right starts at
-    or above zero is itself such a point. Points within 1e-9 of each other
-    are one zero seen from two brackets through rounding, reported once.
+    bracket into intervals holding one root each. In an interval whose ends
+    read E' < 0 <= E', the zero is the cubic's root plus one Newton step on
+    the closed-form E' with the cubic's derivative, clipped to the interval
+    (the right end where rounding left the interval without a root). A
+    breakpoint where the cubic on its left ends below zero and the one on
+    its right starts at or above zero is itself such a point. Points within
+    1e-9 of each other are one zero seen from two brackets through
+    rounding, reported once.
     """
     cheb = np.polynomial.chebyshev
-    nodes = np.cos(np.pi * np.arange(7, 0, -2) / 8.0)
-    s = (nodes + 1.0) / 2.0
-    samples = slope((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel())
-    coeffs = cheb.chebfit(nodes, samples.reshape(-1, 4).T, 3).T
+    samples = slope((lo[:, None] * (1.0 - _CHEB_S) + hi[:, None] * _CHEB_S).ravel())
+    coeffs = samples.reshape(-1, 4) @ _CHEB_FIT
     at_lo, at_hi = coeffs @ [1.0, -1.0, 1.0, -1.0], coeffs.sum(axis=1)
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
     # |c0| > sum |ck| bounds the cubic away from zero on [-1, 1]
-    size = np.abs(coeffs).sum(axis=1)
-    left, right = [], []
-    for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
-        roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
-        real = roots.real[np.abs(roots.imag) <= 1e-9]
-        t = np.unique(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
-        t = np.concatenate([[-1.0], 0.5 * (t[1:] + t[:-1]), [1.0]])
-        values = cheb.chebval(t, coeffs[k])
-        rising = (values[:-1] < 0.0) & (values[1:] >= 0.0)
-        ends = lo[k] * (1.0 - t) / 2.0 + hi[k] * (1.0 + t) / 2.0
-        left.extend(ends[:-1][rising])
-        right.extend(ends[1:][rising])
-    a, b = np.array(left), np.array(right)
-    # 64 halvings shrink any bracket below one unit in the last place
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        below = slope(mid) < 0.0
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
-    zeros = np.sort(np.concatenate([on_breakpoints, b]))
+    k = np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= np.abs(coeffs).sum(axis=1) * (1.0 + 1e-8))
+    lo, hi, coeffs = lo[k], hi[k], coeffs[k]
+    roots = _real_roots(coeffs)
+    # interval ends -1, the midpoints between the roots, 1; missing roots
+    # leave empty intervals [1, 1], so interval j holds root j
+    mids = 0.5 * (roots[:, 1:] + roots[:, :-1])
+    ones = np.ones((len(k), 1))
+    t = np.hstack([-ones, np.where(np.isnan(mids), 1.0, mids), ones])
+    values = cheb.chebval(t.T, coeffs.T, tensor=False).T
+    row, j = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
+    lo, width, root = lo[row], (hi - lo)[row], roots[row, j]
+    left, right, at_root = (lo + width * (1.0 + s) / 2.0 for s in (t[row, j], t[row, j + 1], root))
+    zero = np.where(np.isnan(root), right, at_root)
+    rate = cheb.chebval(root, cheb.chebder(coeffs[row].T), tensor=False) * 2.0 / width
+    usable = np.isfinite(rate) & (rate != 0.0)
+    zero[usable] -= slope(zero[usable]) / rate[usable]
+    zeros = np.sort(np.concatenate([on_breakpoints, np.clip(zero, left, right)]))
     return zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
 
@@ -318,6 +340,7 @@ def reduce_and_minimize(
             candidates=[(0.0, report.energy)],
             alphas=np.array([0.0]),
             energies=np.array([report.energy]),
+            lifted=lifted,
         )
 
     amax = grid.alpha_max
@@ -333,13 +356,13 @@ def reduce_and_minimize(
     keep = values <= values[best] + grid.near_optimal_window
     keep[[0, -1]] = False
     keep[best] = True
-    candidates = [(float(a), float(e)) for a, e in zip(points[keep], values[keep])]
     return MinimizationResult(
         alpha_star=float(points[best]),
         energy=float(values[best]),
-        candidates=candidates,
+        candidates=[(float(a), float(e)) for a, e in zip(points[keep], values[keep])],
         alphas=alphas,
         energies=energies,
+        lifted=lifted,
     )
 
 
@@ -357,9 +380,8 @@ def build_energy_block(solution: Solution, mesh: Mesh, law) -> dict:
     work = solution.mesh
     bid = work.branch_ids[0]
     report = energy_of(solution.flux[bid], work, psi)
-    lifted = lift_field(work)
-    offsets = solution.flux[bid] - lifted.values
     reduction = reduce_and_minimize(work, psi)
+    offsets = solution.flux[bid] - reduction.lifted.values
     return {
         "dissipation": report.dissipation,
         "load": report.load,

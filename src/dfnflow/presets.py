@@ -244,8 +244,9 @@ def sweep_k2(
 
     Each member replaces the constant high branch of ``law`` by ``1 / k2`` and
     keeps the rest of the problem. Its row records the tracker status and
-    whether every inner solve met its tolerance; a member failure is recorded
-    without aborting the sweep, and a sweep whose members all fail raises.
+    whether every inner solve met its tolerance; a member failure, a k2 with
+    no valid law among them (``lambda2`` is then None), is recorded without
+    aborting the sweep, and a sweep whose members all fail raises.
     The bundle reports the last member that ran, with the rows in its extras.
     """
     if not isinstance(law.high, ConstantLaw):
@@ -255,9 +256,10 @@ def sweep_k2(
     rows = []
     last = None
     for k2 in map(float, values):
-        member = dataclasses.replace(law, high=ConstantLaw(1.0 / k2))
-        row = {"k2": k2, "lambda2": member.lambda2}
+        row = {"k2": k2, "lambda2": None}
         try:
+            member = dataclasses.replace(law, high=ConstantLaw(1.0 / k2))
+            row["lambda2"] = member.lambda2
             settings = run_settings(solver)
             report = track(
                 mesh,

@@ -5,8 +5,11 @@ is a cell-centered two-point flux scheme solved as its own linear system, the
 saddle oracle assembles the whole mixed system in coordinate form and solves
 it with SuperLU, the dissipation oracle is a brute-force midpoint rule, the set-distance oracle
 is a direct double loop, the energy-minimizer oracle scans the reduced
-energy on a uniform grid and refines by golden section, the plain-Picard
-oracle is the unaccelerated fixed-point loop on the frozen coefficient, and
+energy on a uniform grid and refines by golden section, the bisecting
+minimizer finds the zeros of E' by 64 halvings instead of one Newton step,
+the loop integrator applies the kink-split Gauss rule element by element,
+the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
+coefficient, and
 the plain-tracking oracle is the outer loop without interface mixing. The
 run-based classification, labelling and point-by-point mesh splitting are
 the per-branch loops the flat tracker and ``split_mesh_at`` replaced.
@@ -20,7 +23,16 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from dfnflow.energy import MinimizationResult, _energies_on_grid, lift_field
+from dfnflow.energy import (
+    EnergyReport,
+    GridSpec,
+    MinimizationResult,
+    _energies_on_grid,
+    _nodal_values,
+    _slopes,
+    lift_field,
+    tangential_forcing,
+)
 from dfnflow.fem import RegimeField, Solution, assemble, solve_saddle, source_integrals
 from dfnflow.laws import AdaptiveLaw, Regime, eval_lambda_coefficient
 from dfnflow.meshing import Mesh
@@ -458,6 +470,103 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
         candidates=candidates,
         alphas=alphas,
         energies=energies,
+    )
+
+
+def bisect_reduce(mesh, psi, grid=None):
+    """Exact minimization with the zeros of E' bisected, a drop-in for
+    ``reduce_and_minimize`` on a pressure-only branch.
+
+    The same breakpoint brackets, four-point Chebyshev fits (by ``chebfit``),
+    per-bracket ``chebroots`` and candidate selection; each interval where a
+    fitted cubic turns from negative to nonnegative is then bisected 64 times
+    on the closed-form E', which shrinks it below one unit in the last place.
+    """
+    grid = grid or GridSpec()
+    lifted = lift_field(mesh)
+    amax = grid.alpha_max
+    w, u = lifted.values, psi.threshold
+    kinks = np.concatenate([-w, u - w, -u - w])
+    alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
+    energies = _energies_on_grid(alphas, lifted, mesh, psi)
+
+    lo, hi = alphas[:-1], alphas[1:]
+    cheb = np.polynomial.chebyshev
+    nodes = np.cos(np.pi * np.arange(7, 0, -2) / 8.0)
+    s = (nodes + 1.0) / 2.0
+    samples = _slopes((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel(), lifted, mesh, psi)
+    coeffs = cheb.chebfit(nodes, samples.reshape(-1, 4).T, 3).T
+    at_lo, at_hi = coeffs @ [1.0, -1.0, 1.0, -1.0], coeffs.sum(axis=1)
+    on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
+    size = np.abs(coeffs).sum(axis=1)
+    left, right = [], []
+    for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
+        roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
+        real = roots.real[np.abs(roots.imag) <= 1e-9]
+        t = np.unique(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
+        t = np.concatenate([[-1.0], 0.5 * (t[1:] + t[:-1]), [1.0]])
+        values = cheb.chebval(t, coeffs[k])
+        rising = (values[:-1] < 0.0) & (values[1:] >= 0.0)
+        ends = lo[k] * (1.0 - t) / 2.0 + hi[k] * (1.0 + t) / 2.0
+        left.extend(ends[:-1][rising])
+        right.extend(ends[1:][rising])
+    a, b = np.array(left), np.array(right)
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        below = _slopes(mid, lifted, mesh, psi) < 0.0
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    zeros = np.sort(np.concatenate([on_breakpoints, b]))
+    zeros = zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
+
+    points = np.concatenate([[-amax], zeros, [amax]])
+    values = _energies_on_grid(points, lifted, mesh, psi)
+    best = int(np.argmin(values))
+    keep = values <= values[best] + grid.near_optimal_window
+    keep[[0, -1]] = False
+    keep[best] = True
+    return MinimizationResult(
+        alpha_star=float(points[best]),
+        energy=float(values[best]),
+        candidates=[(float(a), float(e)) for a, e in zip(points[keep], values[keep])],
+        alphas=alphas,
+        energies=energies,
+    )
+
+
+def loop_energy_of(field, mesh, psi):
+    """Element-by-element kink-split Gauss quadrature, a drop-in for ``energy_of``.
+
+    Each element is cut at the points where the linear field crosses the
+    threshold speed, its negative and zero, and a 3-point Gauss rule is
+    applied on every piece; the load is summed element by element.
+    """
+    bid = mesh.branch_ids[0]
+    values = _nodal_values(field, mesh, bid)
+    x = mesh.nodes[bid]
+    forcing = tangential_forcing(mesh)
+    pts, wts = np.polynomial.legendre.leggauss(3)
+    dissipation = 0.0
+    load = 0.0
+    for e in range(len(x) - 1):
+        x1, x2, w1, w2 = float(x[e]), float(x[e + 1]), float(values[e]), float(values[e + 1])
+        cuts = [x1, x2]
+        if w2 != w1:
+            for level in (psi.threshold, -psi.threshold, 0.0):
+                t = (level - w1) / (w2 - w1)
+                if 0.0 < t < 1.0:
+                    cuts.append(x1 + t * (x2 - x1))
+        cuts.sort()
+        total = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a <= 0.0:
+                continue
+            xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
+            ws = w1 + (w2 - w1) * (xs - x1) / (x2 - x1)
+            total += 0.5 * (b - a) * float(np.dot(wts, psi.value_physical(ws**2)))
+        dissipation += total
+        load += forcing * 0.5 * (values[e] + values[e + 1]) * (x[e + 1] - x[e])
+    return EnergyReport(
+        dissipation=dissipation, load=load, energy=dissipation - load, forcing=forcing
     )
 
 

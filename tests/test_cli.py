@@ -160,6 +160,19 @@ def test_sweep_k2_with_every_member_failing_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_k2_records_invalid_k2_values_and_keeps_sweeping(tmp_path, capsys):
+    config = write_config(tmp_path, oscillating_document())
+    out = tmp_path / "out"
+    code = main(["sweep-k2", str(config), "--k2-values", "1,-2,0,4", "--out", str(out)])
+    assert code == 0
+    rows = json.loads((out / "sweep-k2.json").read_text())["extras"]["sweep"]
+    assert [row["k2"] for row in rows] == [1.0, -2.0, 0.0, 4.0]
+    assert [row["status"] for row in rows] == ["converged", "error", "error", "converged"]
+    assert [row["lambda2"] for row in rows] == [1.0, None, None, 0.25]
+    assert "must be positive" in rows[1]["message"]
+    assert "division by zero" in rows[2]["message"]
+
+
 @pytest.mark.parametrize(
     "flag", [["--eps-nl", "1e-6"], ["--eps-gamma", "1e-9"], ["--eps-omega", "1e-3"],
              ["--max-outer", "1"], ["--init", "high"]],

@@ -28,7 +28,7 @@ from dfnflow.presets import (
 )
 from dfnflow.tracker import TrackerSettings, track
 
-from oracles import brute_reduce, midpoint_dissipation
+from oracles import bisect_reduce, brute_reduce, loop_energy_of, midpoint_dissipation
 
 
 def plain_branch(
@@ -113,6 +113,48 @@ class TestEnergyOf:
         exact = 2.0 / 2.0 * (0.02**2 / 3.0 - 0.15**2)
         report = energy_of(values, mesh, psi)
         assert report.dissipation == pytest.approx(exact, abs=1e-12)
+
+    def assert_matches_the_loop(self, values, mesh, psi):
+        report = energy_of(values, mesh, psi)
+        reference = loop_energy_of(values, mesh, psi)
+        assert np.isfinite([report.dissipation, report.load, report.energy]).all()
+        assert report.quadrature == "gauss3-kink-split"
+        for key in ("dissipation", "load", "energy"):
+            assert getattr(report, key) == pytest.approx(getattr(reference, key), abs=1e-14)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_field_crossing_every_level_matches_the_loop(self, seed):
+        mesh, psi = random_single_fracture(np.random.default_rng(seed))
+        ubar = psi.threshold
+        rng = np.random.default_rng(1000 + seed)
+        n = len(mesh.nodes["f"])
+        values = rng.uniform(-2.0 * ubar, 2.0 * ubar, n)
+        # alternating signs beyond the threshold cut the first elements at all three levels
+        values[: n // 2] = rng.uniform(1.1 * ubar, 2.0 * ubar, n // 2) * (-1.0) ** np.arange(n // 2)
+        signs = np.sign(values[:, None] - [ubar, -ubar, 0.0])
+        assert (signs[:-1] != signs[1:]).any(axis=0).all()  # every level is crossed
+        self.assert_matches_the_loop(values, mesh, psi)
+
+    def test_flat_elements_match_the_loop(self):
+        mesh, psi = random_single_fracture(np.random.default_rng(3))
+        values = np.resize(np.repeat([0.3, -0.05, 0.7, -0.4], 2), len(mesh.nodes["f"]))
+        assert (np.diff(values) == 0.0).any()
+        self.assert_matches_the_loop(values, mesh, psi)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_node_on_the_threshold_matches_the_loop(self, sign):
+        mesh, psi = random_single_fracture(np.random.default_rng(5))
+        values = np.linspace(-1.0, 1.0, len(mesh.nodes["f"]))
+        values[len(values) // 2] = sign * psi.threshold
+        values[len(values) // 2 + 1] = sign * psi.threshold  # a flat element on it
+        values[1] = sign * psi.threshold
+        self.assert_matches_the_loop(values, mesh, psi)
+
+    def test_field_zero_on_an_element_matches_the_loop(self):
+        mesh, psi = random_single_fracture(np.random.default_rng(7))
+        values = np.linspace(-0.8, 0.9, len(mesh.nodes["f"]))
+        values[2:4] = 0.0
+        self.assert_matches_the_loop(values, mesh, psi)
 
     def test_kink_split_quadrature_matches_midpoint_oracle(self):
         psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), AffineSpeedLaw(0.01, 3.0), 0.15))
@@ -276,6 +318,19 @@ def test_exact_minimizer_matches_the_brute_scan(seed):
     assert len(set(alphas)) == len(alphas)
     assert abs(exact.alpha_star - brute.alpha_star) <= 1e-6
     assert exact.energy <= brute.energy + 1e-13
+
+
+@pytest.mark.parametrize("seed", [*range(200), 955])
+def test_newton_zeros_match_the_bisection(seed):
+    # the cubic's root plus one Newton step lands where 64 bisections do;
+    # on seed 955 the cubic's root alone is 2.9e-12 away
+    mesh, psi = random_single_fracture(np.random.default_rng(seed))
+    exact = reduce_and_minimize(mesh, psi)
+    bisected = bisect_reduce(mesh, psi)
+    assert len(exact.candidates) == len(bisected.candidates)
+    for (alpha, energy), (ref_alpha, ref_energy) in zip(exact.candidates, bisected.candidates):
+        assert abs(alpha - ref_alpha) <= 1e-12
+        assert abs(energy - ref_energy) <= 1e-13
 
 
 class TestFemOracleAgreement:
