@@ -244,9 +244,10 @@ def sweep_k2(
 
     Each member replaces the constant high branch of ``law`` by ``1 / k2`` and
     keeps the rest of the problem. Its row records the tracker status and
-    whether every inner solve met its tolerance; a member failure, a k2 with
-    no valid law among them (``lambda2`` is then None), is recorded without
-    aborting the sweep, and a sweep whose members all fail raises.
+    whether every inner solve met its tolerance. A member that fails, a k2
+    that gives no valid law included (its ``lambda2`` is then None), is
+    recorded without aborting the sweep; a sweep whose members all fail
+    raises.
     The bundle reports the last member that ran, with the rows in its extras.
     """
     if not isinstance(law.high, ConstantLaw):
