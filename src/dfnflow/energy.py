@@ -240,72 +240,46 @@ def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotenti
     return dissipation - tangential_forcing(mesh) * (x[-1] - x[0])
 
 
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots in [-1, 1] of each row's Chebyshev series, ascending.
-
-    Rows are padded with NaN to three roots. Trailing coefficients up to
-    1e-13 of the row's absolute sum are dropped first, and the colleague
-    matrices of each remaining degree are solved in one ``eigvals`` call.
-    Roots within 1e-9 of the real axis are real, roots within 1e-9 outside
-    [-1, 1] are clipped onto it, and a root repeated after that is kept once.
-    """
-    size = np.abs(coeffs).sum(axis=1, keepdims=True)
-    degree = np.max(np.where(np.abs(coeffs) > 1e-13 * size, np.arange(4), 0), axis=1)
-    roots = np.full((len(coeffs), 3), np.nan, dtype=complex)
-    linear = degree == 1
-    roots[linear, 0] = -coeffs[linear, 0] / coeffs[linear, 1]
-    for d in (2, 3):
-        c = coeffs[degree == d, : d + 1]
-        colleague = np.zeros((len(c), d, d))
-        i = np.arange(d - 1)
-        colleague[:, i, i + 1] = colleague[:, i + 1, i] = 0.5
-        colleague[:, 0, 1] = colleague[:, 1, 0] = np.sqrt(0.5)
-        ratio = c[:, :-1] / c[:, -1:] * 0.5
-        ratio[:, 0] *= np.sqrt(2.0)
-        colleague[:, :, -1] -= ratio
-        roots[degree == d, :d] = np.linalg.eigvals(colleague[:, ::-1, ::-1])
-    real = np.where(np.abs(roots.imag) <= 1e-9, roots.real, np.nan)
-    real = np.sort(np.where(np.abs(real) <= 1.0 + 1e-9, np.clip(real, -1.0, 1.0), np.nan))
-    real[:, 1:][real[:, 1:] == real[:, :-1]] = np.nan
-    return np.sort(real)
-
-
 def _rising_zeros(lo: np.ndarray, hi: np.ndarray, slope) -> np.ndarray:
     """Every point where E' turns from negative to nonnegative, left to right.
 
     E' is a cubic on each bracket [lo, hi], fixed by its values at four
-    interior Chebyshev points; no sample lies on a breakpoint, where E'
+    interior Chebyshev points, so no sample lies on a breakpoint, where E'
     jumps if an element is flat. The real roots of each cubic split its
     bracket into intervals holding one root each. In an interval whose ends
     read E' < 0 <= E', the zero is the cubic's root plus one Newton step on
     the closed-form E' with the cubic's derivative, clipped to the interval
-    (the right end where rounding left the interval without a root). A
-    breakpoint where the cubic on its left ends below zero and the one on
-    its right starts at or above zero is itself such a point. Points within
-    1e-9 of each other are one zero seen from two brackets through
-    rounding, reported once.
+    (the right end where rounding left the interval without a root). A root
+    on a breakpoint is taken as it is: the closed-form E' there may read the
+    other side of a jump. A breakpoint where the cubic on its left ends below
+    zero and the one on its right starts at or above zero is itself such a
+    point. Points within 1e-9 of each other are one zero seen from two
+    brackets through rounding, reported once.
     """
     cheb = np.polynomial.chebyshev
     samples = slope((lo[:, None] * (1.0 - _CHEB_S) + hi[:, None] * _CHEB_S).ravel())
     coeffs = samples.reshape(-1, 4) @ _CHEB_FIT
-    at_lo, at_hi = coeffs @ [1.0, -1.0, 1.0, -1.0], coeffs.sum(axis=1)
+    # the same chebval as the intervals below, so both tests read one sign at a breakpoint
+    at_lo, at_hi = cheb.chebval([-1.0, 1.0], coeffs.T).T
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
     # |c0| > sum |ck| bounds the cubic away from zero on [-1, 1]
-    k = np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= np.abs(coeffs).sum(axis=1) * (1.0 + 1e-8))
-    lo, hi, coeffs = lo[k], hi[k], coeffs[k]
-    roots = _real_roots(coeffs)
-    # interval ends -1, the midpoints between the roots, 1; missing roots
-    # leave empty intervals [1, 1], so interval j holds root j
-    mids = 0.5 * (roots[:, 1:] + roots[:, :-1])
-    ones = np.ones((len(k), 1))
-    t = np.hstack([-ones, np.where(np.isnan(mids), 1.0, mids), ones])
-    values = cheb.chebval(t.T, coeffs.T, tensor=False).T
-    row, j = np.nonzero((values[:, :-1] < 0.0) & (values[:, 1:] >= 0.0))
-    lo, width, root = lo[row], (hi - lo)[row], roots[row, j]
-    left, right, at_root = (lo + width * (1.0 + s) / 2.0 for s in (t[row, j], t[row, j + 1], root))
+    size = np.abs(coeffs).sum(axis=1)
+    rising = []  # bracket, interval ends and root, the last three in [-1, 1]
+    for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
+        roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
+        real = roots.real[np.abs(roots.imag) <= 1e-9]
+        roots = np.unique(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
+        t = np.concatenate([[-1.0], 0.5 * (roots[1:] + roots[:-1]), [1.0]])
+        values = cheb.chebval(t, coeffs[k])
+        for j in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
+            rising.append((k, t[j], t[j + 1], roots[j] if len(roots) else np.nan))
+    k, t_left, t_right, root = np.array(rising).reshape(-1, 4).T
+    k = k.astype(int)
+    lo, width = lo[k], (hi - lo)[k]
+    left, right, at_root = (lo + width * (1.0 + s) / 2.0 for s in (t_left, t_right, root))
     zero = np.where(np.isnan(root), right, at_root)
-    rate = cheb.chebval(root, cheb.chebder(coeffs[row].T), tensor=False) * 2.0 / width
-    usable = np.isfinite(rate) & (rate != 0.0)
+    rate = cheb.chebval(root, cheb.chebder(coeffs[k].T), tensor=False) * 2.0 / width
+    usable = np.isfinite(rate) & (rate != 0.0) & (at_root > lo) & (at_root < lo + width)
     zero[usable] -= slope(zero[usable]) / rate[usable]
     zeros = np.sort(np.concatenate([on_breakpoints, np.clip(zero, left, right)]))
     return zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]

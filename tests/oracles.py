@@ -481,6 +481,8 @@ def bisect_reduce(mesh, psi, grid=None):
     per-bracket ``chebroots`` and candidate selection; each interval where a
     fitted cubic turns from negative to nonnegative is then bisected 64 times
     on the closed-form E', which shrinks it below one unit in the last place.
+    The bracket ends are read with ``chebval``, as the intervals are, so a
+    zero on a breakpoint is found by one of the two tests.
     """
     grid = grid or GridSpec()
     lifted = lift_field(mesh)
@@ -496,7 +498,7 @@ def bisect_reduce(mesh, psi, grid=None):
     s = (nodes + 1.0) / 2.0
     samples = _slopes((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel(), lifted, mesh, psi)
     coeffs = cheb.chebfit(nodes, samples.reshape(-1, 4).T, 3).T
-    at_lo, at_hi = coeffs @ [1.0, -1.0, 1.0, -1.0], coeffs.sum(axis=1)
+    at_lo, at_hi = cheb.chebval([-1.0, 1.0], coeffs.T).T
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
     size = np.abs(coeffs).sum(axis=1)
     left, right = [], []

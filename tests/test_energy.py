@@ -333,6 +333,35 @@ def test_newton_zeros_match_the_bisection(seed):
         assert abs(energy - ref_energy) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "k2, threshold, sign, h",
+    [
+        # the cubic's root rounds onto the breakpoint, where the closed-form
+        # E' reads the other side of its jump: a Newton step from there
+        # lands 0.066 (then 0.044) away
+        (0.5625, 0.15, 1.0, 0.05),
+        (0.5625, 0.1, -1.0, 0.2),
+        # the bracket end read below zero by one evaluation of the cubic
+        # and at or above it by another: the zero was lost and alpha_max won
+        # (the last case also with the fit by chebfit)
+        (0.8, 0.07, 1.0, 0.2),
+        (0.3, 0.3, -1.0, 0.05),
+        (0.5625, 0.3, 1.0, 0.2),
+    ],
+)
+def test_kink_minimizer_with_a_zero_one_sided_slope(k2, threshold, sign, h):
+    # no source and force sign * lambda2 * u: E' is zero on the high side
+    # of alpha = sign * u and jumps to the low law's value across it
+    law = darcy_pair(1.0, k2, threshold)
+    mesh = build_mesh(plain_branch(force=(sign * law.lambda2 * law.threshold, 0.0)), h)
+    psi = build_psi(law)
+    exact = reduce_and_minimize(mesh, psi)
+    bisected = bisect_reduce(mesh, psi)
+    assert [a for a, _ in exact.candidates] == pytest.approx([sign * threshold], abs=1e-12)
+    assert exact.alpha_star == pytest.approx(bisected.alpha_star, abs=1e-12)
+    assert exact.energy == pytest.approx(bisected.energy, abs=1e-13)
+
+
 class TestFemOracleAgreement:
     def induced_offsets(self, mesh, law, alpha):
         """Mixed solve on the configuration induced by the reduced minimizer."""
