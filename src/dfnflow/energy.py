@@ -32,10 +32,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .fem import Solution, lift_pressure_data, source_integrals
+from .fem import Solution, lift_pressure_data
 from .laws import PsiPotential
 from .meshing import Mesh
-from .network import END, START, VelocityBC
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
 # E' is sampled at the four Chebyshev nodes of each bracket; by their discrete
@@ -78,17 +77,13 @@ class LiftedField:
 def lift_field(mesh: Mesh) -> LiftedField:
     """Lifted flux field of a single-branch problem."""
     bid = _single_branch(mesh)
-    network = mesh.network
-    qint = source_integrals(mesh, network.sources)
-    cumulative = np.concatenate([[0.0], np.cumsum(qint)])
-
+    cumulative = np.concatenate([[0.0], np.cumsum(mesh.element_sources)])
+    plan, (start, end) = mesh.network.boundary_plan, mesh.network.end_vertex[0]
     anchor = 0.0
-    bc_start = network.boundary.condition_at(bid, START)
-    bc_end = network.boundary.condition_at(bid, END)
-    if isinstance(bc_start, VelocityBC):
-        anchor = -bc_start.outflux
-    elif isinstance(bc_end, VelocityBC):
-        anchor = bc_end.outflux - cumulative[-1]
+    if plan.velocity[start]:
+        anchor = -plan.outflux[start]
+    elif plan.velocity[end]:
+        anchor = plan.outflux[end] - cumulative[-1]
     return LiftedField(
         branch_id=bid, nodes=np.array(mesh.nodes[bid]), values=anchor + cumulative
     )
@@ -299,14 +294,9 @@ def reduce_and_minimize(
     global minimum.
     """
     grid = grid or GridSpec()
-    bid = _single_branch(mesh)
     lifted = lift_field(mesh)
 
-    has_velocity_bc = any(
-        isinstance(mesh.network.boundary.condition_at(bid, which), VelocityBC)
-        for which in (START, END)
-    )
-    if has_velocity_bc:
+    if mesh.network.boundary_plan.velocity.any():
         report = energy_of(lifted, mesh, psi)
         return MinimizationResult(
             alpha_star=0.0,
@@ -396,11 +386,7 @@ def local_minimality_probe(
     bid = _single_branch(mesh)
     values = _nodal_values(field, mesh, bid)
 
-    has_velocity_bc = any(
-        isinstance(mesh.network.boundary.condition_at(bid, which), VelocityBC)
-        for which in (START, END)
-    )
-    if has_velocity_bc:
+    if mesh.network.boundary_plan.velocity.any():
         return ProbeReport(decrease_fraction=0.0, tested_directions=0, worst_drop=0.0)
 
     base = energy_of(values, mesh, psi).energy

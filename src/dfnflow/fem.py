@@ -26,6 +26,10 @@ and ``solve_saddle`` solves it densely, recovers the fluxes and then the
 element pressures by cumulative sums along each branch, and checks the
 residual of every mixed equation. Per-node and per-element data are single
 arrays over all branches, in the flat layout of ``Mesh``.
+
+Only λ changes between the solves of one configuration, so ``assemble``
+computes only what depends on it; the boundary data and unknowns are cached
+on the network (``boundary_plan``), W + μx and μ on the mesh.
 """
 
 from __future__ import annotations
@@ -36,27 +40,21 @@ from typing import Mapping, Union
 import numpy as np
 
 from .laws import AdaptiveLaw, Regime, eval_lambda_coefficient
-from .meshing import Mesh, branch_keys
+from .meshing import BranchArrays, Mesh, source_integrals  # noqa: F401 (re-export)
 from .network import (
     END,
     START,
     BoundarySpec,
     Branch,
     PressureBC,
+    SingularSystemError,
     SourceSpec,
-    VelocityBC,
 )
-
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 RESIDUAL_TOL = 1e-10
 
 # Outward sign of the start and of the end of a branch.
 _END_SIGN = np.array([-1.0, 1.0])
-
-
-class SingularSystemError(RuntimeError):
-    """Raised when the saddle system is singular or numerically unsolvable."""
 
 
 @dataclass(frozen=True)
@@ -77,42 +75,6 @@ class RegimeField:
         Raises ``ValueError`` when the labels do not match the mesh.
         """
         return mesh.flat_elements(self.labels, "regime labels")
-
-
-def source_integrals(mesh: Mesh, sources: SourceSpec) -> np.ndarray:
-    """Integral of the scalar source over every element, in mesh order.
-
-    Constant pieces integrate exactly; callable pieces use a 5-point Gauss
-    rule per element. Breakpoints are mesh nodes by construction, so every
-    element lies inside a single piece.
-    """
-    # Number the pieces of all sourced branches in one table; an element's
-    # piece is its branch's first plus the breakpoints below its midpoint.
-    index = mesh.network.branch_index
-    first = np.full(len(index), -1)
-    breaks, pieces = [], []
-    for bid, src in sources.scalar.items():
-        k = index[bid]
-        first[k] = len(pieces)
-        breaks += [complex(k, bp) for bp in src.breakpoints]
-        pieces += src.pieces
-    breaks = np.sort(np.array(breaks, dtype=complex))
-    branch = mesh.element_branch
-    below = np.searchsorted(breaks, branch_keys(branch, mesh.midpoints))
-    piece = first[branch] + below - np.searchsorted(breaks.real, branch)
-    sourced = first[branch] >= 0
-
-    a, b = mesh.x[mesh.left], mesh.x[mesh.left + 1]
-    rate = np.array([np.nan if callable(p) else p for p in pieces] + [0.0])
-    out = rate[np.where(sourced, piece, -1)] * (b - a)
-    pts, wts = _GAUSS5
-    for j, p in enumerate(pieces):
-        if callable(p):
-            sel = np.flatnonzero(sourced & (piece == j))
-            half = 0.5 * (b[sel] - a[sel])
-            xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
-            out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
-    return out
 
 
 def lift_pressure_data(bcs: BoundarySpec, branch: Branch) -> float:
@@ -136,19 +98,11 @@ def lift_pressure_data(bcs: BoundarySpec, branch: Branch) -> float:
 class SaddleSystem:
     """The mixed system of one configuration, condensed onto vertex pressures.
 
-    Vertices are numbered as in ``network.end_vertex``. ``matrix`` and
-    ``rhs`` are the reduced system on the vertices listed in ``unknown``;
-    every other vertex has its pressure in ``vertex_pressure``: the data of
-    a pressure condition, or zero for the vertex grounded under the mean
-    anchor, whose pressures are shifted afterwards. ``outflux`` holds the
-    outward flux that a velocity condition prescribes, at the vertices that
-    ``velocity`` marks. Per branch, the flux constant is
-    ``(drive - P_end + P_start) / resistance`` and is added to ``profile``
-    at every node, the source integral from the branch start plus ``mu``
-    times the arc coordinate. ``coefficient`` is the frozen λ and ``source``
-    the source integral of every element. ``size`` is the dimension of the
-    mixed system: free node fluxes, element and junction pressures and the
-    multiplier.
+    ``matrix`` and ``rhs`` are the reduced system on the unknown vertices of
+    ``mesh.network.boundary_plan``; ``(drive - P_end + P_start) / resistance``
+    is each branch's flux constant on top of ``mesh.source_profile``, and
+    ``coefficient`` the frozen λ per element. ``size`` is the dimension of the
+    mixed system: free node fluxes, element and junction pressures, multiplier.
     """
 
     matrix: np.ndarray
@@ -156,16 +110,8 @@ class SaddleSystem:
     mesh: Mesh
     size: int
     coefficient: np.ndarray
-    source: np.ndarray
-    unknown: np.ndarray
-    vertex_pressure: np.ndarray
-    velocity: np.ndarray
-    outflux: np.ndarray
     resistance: np.ndarray
     drive: np.ndarray
-    profile: np.ndarray
-    mu: float
-    mean_pressure: float | None
 
 
 @dataclass
@@ -191,10 +137,8 @@ class Solution:
         spreads = [max(v) - min(v) for v in self.junction_implied.values() if v]
         return max(spreads, default=0.0)
 
-    def midpoint_speeds(self) -> dict[str, np.ndarray]:
-        return {
-            b: np.abs(0.5 * (u[:-1] + u[1:])) for b, u in self.flux.items()
-        }
+    def midpoint_speeds(self) -> BranchArrays:
+        return frozen_speeds(self.mesh, self.mesh.flat_nodes(self.flux, "fluxes"))
 
     def stacked(self) -> np.ndarray:
         parts = [self.flux[b] for b in self.mesh.branch_ids]
@@ -209,10 +153,9 @@ class Solution:
 FrozenSpeed = Union[float, Mapping[str, np.ndarray]]
 
 
-def _element_speeds(mesh: Mesh, frozen_speed: FrozenSpeed) -> np.ndarray:
-    if not isinstance(frozen_speed, Mapping):
-        return np.full(mesh.total_elements, float(frozen_speed))
-    return np.asarray(mesh.flat_elements(frozen_speed, "frozen speeds"), dtype=float)
+def frozen_speeds(mesh: Mesh, flux: np.ndarray) -> BranchArrays:
+    """|u| at the element midpoints, where λ is frozen; ``flux`` may run past the nodes."""
+    return mesh.per_element(np.abs(0.5 * (flux[mesh.left] + flux[mesh.left + 1])))
 
 
 def assemble(
@@ -220,28 +163,33 @@ def assemble(
     regimes: RegimeField,
     law: AdaptiveLaw,
     frozen_speed: FrozenSpeed,
-    sources: SourceSpec,
-    bcs: BoundarySpec,
+    sources: SourceSpec | None = None,
+    bcs: BoundarySpec | None = None,
 ) -> SaddleSystem:
     """Condense the mixed system of a fixed configuration and frozen speeds.
 
     Velocity conditions hold the flux at their node; pressure conditions
     enter the flux equations as natural boundary terms. The flux-mass block
     integrates coefficient times the linear basis pair exactly, with the
-    coefficient constant per element at the frozen speed. Raises
-    ``SingularSystemError`` when the pressure level of some part of the
-    network is not fixed, or a coefficient is not positive.
+    coefficient constant per element at the frozen speed. Only λ is computed
+    here: the boundary data and unknowns come from ``mesh.network.boundary_plan``,
+    the source profile from the mesh. ``sources`` and ``bcs`` other than the
+    network's own raise ``ValueError``; the parameters go once the benchmark
+    stops passing them. Raises ``SingularSystemError`` when the pressure level
+    of some part of the network is not fixed, or a coefficient is not positive.
     """
-    labels = regimes.on(mesh)
-    if not bcs.has_pressure_bc and bcs.mean_pressure is None:
-        raise SingularSystemError(
-            "no pressure anchor: the problem has no pressure boundary condition "
-            "and no mean-pressure constraint"
-        )
     net = mesh.network
+    if any(a is not None and a is not b for a, b in ((sources, net.sources), (bcs, net.boundary))):
+        raise ValueError("assemble takes only the sources and boundary conditions of mesh.network")
+    labels = regimes.on(mesh)
+    plan = net.boundary_plan
     branch_of = mesh.element_branch
     left = mesh.left
-    coeff = eval_lambda_coefficient(law, _element_speeds(mesh, frozen_speed), labels)
+    if isinstance(frozen_speed, Mapping):
+        speeds = np.asarray(mesh.flat_elements(frozen_speed, "frozen speeds"), dtype=float)
+    else:
+        speeds = np.full(mesh.total_elements, float(frozen_speed))
+    coeff = eval_lambda_coefficient(law, speeds, labels)
     bad = np.flatnonzero(coeff <= 0.0)
     if bad.size:
         k = int(branch_of[bad[0]])
@@ -250,63 +198,7 @@ def assemble(
             f"{int(bad[0] - mesh.element_offset[k])} of branch {mesh.branch_ids[k]!r}"
         )
 
-    # Boundary data per vertex. A free end without a condition keeps the
-    # natural condition of the mixed form, zero pressure.
-    vertex, component = net.end_vertex, net.vertex_component
-    n_vertices, n_junctions = len(component), len(net.intersections)
-    ends, conditions = list(bcs.conditions), list(bcs.conditions.values())
-    index = net.branch_index
-    where = vertex[
-        np.array([index[bid] for bid, _ in ends], dtype=np.intp),
-        np.array([which == END for _, which in ends], dtype=np.intp),
-    ]
-    if np.any(where < n_junctions):
-        bid, which = ends[int(np.argmax(where < n_junctions))]
-        raise SingularSystemError(
-            f"branch end ({bid!r}, {which}) is both at an intersection and "
-            "boundary-constrained"
-        )
-    is_velocity = np.array([isinstance(bc, VelocityBC) for bc in conditions], dtype=bool)
-    data = [bc.outflux if v else bc.pressure for bc, v in zip(conditions, is_velocity)]
-    data = np.array(data, dtype=float)
-    velocity = np.zeros(n_vertices, dtype=bool)
-    velocity[where[is_velocity]] = True
-    outflux = np.zeros(n_vertices)
-    outflux[where[is_velocity]] = data[is_velocity]
-    vertex_pressure = np.zeros(n_vertices)
-    vertex_pressure[where[~is_velocity]] = data[~is_velocity]
-
-    # Every component needs a known pressure; the mean anchor fixes one
-    # level, so it needs a connected network, and grounds one vertex.
-    known = ~velocity
-    known[:n_junctions] = False
-    has_mean = not bcs.has_pressure_bc
-    anchored = np.zeros(component.max() + 1, dtype=bool)
-    anchored[component[known]] = True
-    if has_mean:
-        anchored[0] = len(anchored) == 1
-        known[0] = True
-    if not anchored.all():
-        k = int(np.argmax(~anchored[component[vertex[:, 0]]]))
-        raise SingularSystemError(
-            f"the pressure level of the part of the network holding branch "
-            f"{mesh.branch_ids[k]!r} is undetermined: "
-            + ("the mean-pressure constraint fixes one level, but the network "
-               "is not connected" if has_mean else "it has no pressure condition")
-        )
-    unknown = np.flatnonzero(~known)
-
-    # The flux profile on each branch: source integral from its start, plus
-    # mu times the arc coordinate, mu balancing all sources and outfluxes.
-    source = source_integrals(mesh, sources)
-    profile = np.zeros(len(mesh.x))
-    profile[left + 1] = source
-    profile = np.cumsum(profile)
-    profile -= profile[mesh.node_offset[:-1]][mesh.node_branch]
-    mu = 0.0
-    if has_mean:
-        mu = (outflux.sum() - source.sum()) / net.total_length
-        profile += mu * mesh.x
+    profile = mesh.source_profile
     weight = coeff * mesh.element_lengths
     n_branches = len(mesh.force)
     resistance = np.bincount(branch_of, weight, minlength=n_branches)
@@ -317,40 +209,24 @@ def assemble(
     # Junction balance or velocity condition at each unknown vertex; one
     # branch contributes its conductance to each pair of its unknown ends,
     # branch by branch, so the matrix comes out exactly symmetric.
-    number = np.full(n_vertices, -1)
-    number[unknown] = np.arange(len(unknown))
-    at = number[vertex]
-    known_drop = vertex_pressure[vertex] @ _END_SIGN
     end_rhs = _END_SIGN * (
-        ((drive - known_drop) / resistance)[:, None] + profile[mesh.end_nodes]
+        ((drive - plan.known_drop) / resistance)[:, None] + profile[mesh.end_nodes]
     )
-    n = len(unknown)
-    free = at >= 0
-    rhs = np.bincount(at[free], end_rhs[free], minlength=n) - outflux[unknown]
-    rows, cols = at[:, [0, 0, 1, 1]], at[:, [0, 1, 0, 1]]
+    n = len(plan.unknown)
+    rhs = np.bincount(plan.at[plan.free], end_rhs[plan.free], minlength=n)
     conductance = np.array([1.0, -1.0, -1.0, 1.0]) / resistance[:, None]
-    inside = (rows >= 0) & (cols >= 0)
-    matrix = np.bincount(
-        rows[inside] * n + cols[inside], conductance[inside], minlength=n * n
-    ).reshape(n, n)
+    matrix = np.bincount(plan.entry, conductance[plan.inside], minlength=n * n)
 
-    n_free_nodes = len(mesh.x) - int(np.count_nonzero(velocity))
+    n_free_nodes = len(mesh.x) - int(np.count_nonzero(plan.velocity))
+    n_multipliers = len(net.intersections) + (plan.mean_pressure is not None)
     return SaddleSystem(
-        matrix=matrix,
-        rhs=rhs,
+        matrix=matrix.reshape(n, n),
+        rhs=rhs - plan.outflux[plan.unknown],
         mesh=mesh,
-        size=n_free_nodes + mesh.total_elements + n_junctions + has_mean,
+        size=n_free_nodes + mesh.total_elements + n_multipliers,
         coefficient=coeff,
-        source=source,
-        unknown=unknown,
-        vertex_pressure=vertex_pressure,
-        velocity=velocity,
-        outflux=outflux,
         resistance=resistance,
         drive=drive,
-        profile=profile,
-        mu=mu,
-        mean_pressure=bcs.mean_pressure if has_mean else None,
     )
 
 
@@ -363,27 +239,28 @@ def solve_saddle(system: SaddleSystem) -> Solution:
     When the mean-pressure constraint is active, the reported pressures are
     shifted so their length-weighted mean equals the prescribed value.
     """
-    pressure_at = system.vertex_pressure.copy()
-    if len(system.unknown):
+    mesh = system.mesh
+    plan = mesh.network.boundary_plan
+    pressure_at = plan.vertex_pressure.copy()
+    if len(plan.unknown):
         try:
-            pressure_at[system.unknown] = np.linalg.solve(system.matrix, system.rhs)
+            pressure_at[plan.unknown] = np.linalg.solve(system.matrix, system.rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(_diagnose(system, str(exc))) from exc
 
-    mesh = system.mesh
     vertex = mesh.network.end_vertex
     constant = (system.drive - pressure_at[vertex] @ _END_SIGN) / system.resistance
-    flux = constant[mesh.node_branch] + system.profile
+    flux = constant[mesh.node_branch] + mesh.source_profile
     # Each flux row gives the pressure step from one element to the next;
     # summing them from the branch start gives every element pressure.
     rows = _flux_rows(system, flux)
     total = np.concatenate([[0.0], np.cumsum(rows)])
     start = pressure_at[vertex[:, 0]] + total[mesh.node_offset[:-1]]
     pressure = start[mesh.element_branch] - total[mesh.left + 1]
-    if system.mean_pressure is not None:
+    if plan.mean_pressure is not None:
         weighted = np.dot(pressure, mesh.element_lengths) / mesh.network.total_length
-        pressure += system.mean_pressure - weighted
-        pressure_at += system.mean_pressure - weighted
+        pressure += plan.mean_pressure - weighted
+        pressure_at += plan.mean_pressure - weighted
 
     residual = _residual(system, flux, rows, pressure, pressure_at)
     if not residual <= RESIDUAL_TOL:
@@ -438,23 +315,25 @@ def _residual(
     """
     mesh = system.mesh
     net = mesh.network
+    plan = net.boundary_plan
     left = mesh.left
     vertex, ends = net.end_vertex, mesh.end_nodes
     rows = flux_rows.copy()
     rows[left] += pressure
     rows[left + 1] -= pressure
     rows[ends] += _END_SIGN * pressure_at[vertex]
-    rows[ends[system.velocity[vertex]]] = 0.0
-    mass = flux[left] - flux[left + 1] + system.mu * mesh.element_lengths + system.source
+    rows[ends[plan.velocity[vertex]]] = 0.0
+    source = mesh.element_sources
+    mass = flux[left] - flux[left + 1] + mesh.mean_multiplier * mesh.element_lengths + source
     balance = np.bincount(
         vertex.ravel(), (_END_SIGN * flux[ends]).ravel(), minlength=len(pressure_at)
-    ) - system.outflux
-    balance[len(net.intersections) :][~system.velocity[len(net.intersections) :]] = 0.0
+    ) - plan.outflux
+    balance[len(net.intersections) :][~plan.velocity[len(net.intersections) :]] = 0.0
     scale = max(
         float(np.abs(mesh.force).max(initial=0.0)) * mesh.h,
-        float(np.abs(system.source).max()),
-        float(np.abs(system.vertex_pressure).max()),
-        float(np.abs(system.outflux).max()),
+        float(np.abs(source).max()),
+        float(np.abs(plan.vertex_pressure).max()),
+        float(np.abs(plan.outflux).max()),
         1e-30,
     )
     worst = max(np.abs(part).max(initial=0.0) for part in (rows, mass, balance))
@@ -463,7 +342,7 @@ def _residual(
 
 def _diagnose(system: SaddleSystem, reason: str) -> str:
     msg = f"saddle solve failed: {reason}"
-    if 0 < len(system.unknown) <= 2000:
+    if 0 < len(system.rhs) <= 2000:
         msg += f" (reduced condition estimate {float(np.linalg.cond(system.matrix)):.3e})"
     return msg
 

@@ -15,7 +15,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .network import COINCIDENCE_TOL, FractureNetwork, validate_network
+from .network import COINCIDENCE_TOL, FractureNetwork, SourceSpec, validate_network
+
+_GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 
 def branch_keys(branch: np.ndarray, arc: np.ndarray) -> np.ndarray:
@@ -174,6 +176,64 @@ class Mesh:
         """Global mesh size, the largest element length on any branch."""
         return float(self.element_lengths.max())
 
+    @cached_property
+    def element_sources(self) -> np.ndarray:
+        """Integral of the network's scalar source over every element."""
+        return source_integrals(self, self.network.sources)
+
+    @cached_property
+    def mean_multiplier(self) -> float:
+        """μ, the uniform sink balancing sources and outfluxes under the mean anchor; else 0."""
+        plan = self.network.boundary_plan
+        if plan.mean_pressure is None:
+            return 0.0
+        return (plan.outflux.sum() - self.element_sources.sum()) / self.network.total_length
+
+    @cached_property
+    def source_profile(self) -> np.ndarray:
+        """Nodal flux up to a constant per branch: the source integral from its start + μx."""
+        profile = np.zeros(len(self.x))
+        profile[self.left + 1] = self.element_sources
+        profile = np.cumsum(profile)
+        profile -= profile[self.node_offset[:-1]][self.node_branch]
+        return profile + self.mean_multiplier * self.x
+
+
+def source_integrals(mesh: Mesh, sources: SourceSpec) -> np.ndarray:
+    """Integral of the scalar source over every element, in mesh order.
+
+    Constant pieces integrate exactly; callable pieces use a 5-point Gauss
+    rule per element. Breakpoints are mesh nodes by construction, so every
+    element lies inside a single piece.
+    """
+    # Number the pieces of all sourced branches in one table; an element's
+    # piece is its branch's first plus the breakpoints below its midpoint.
+    index = mesh.network.branch_index
+    first = np.full(len(index), -1)
+    breaks, pieces = [], []
+    for bid, src in sources.scalar.items():
+        k = index[bid]
+        first[k] = len(pieces)
+        breaks += [complex(k, bp) for bp in src.breakpoints]
+        pieces += src.pieces
+    breaks = np.sort(np.array(breaks, dtype=complex))
+    branch = mesh.element_branch
+    below = np.searchsorted(breaks, branch_keys(branch, mesh.midpoints))
+    piece = first[branch] + below - np.searchsorted(breaks.real, branch)
+    sourced = first[branch] >= 0
+
+    a, b = mesh.x[mesh.left], mesh.x[mesh.left + 1]
+    rate = np.array([np.nan if callable(p) else p for p in pieces] + [0.0])
+    out = rate[np.where(sourced, piece, -1)] * (b - a)
+    pts, wts = _GAUSS5
+    for j, p in enumerate(pieces):
+        if callable(p):
+            sel = np.flatnonzero(sourced & (piece == j))
+            half = 0.5 * (b[sel] - a[sel])
+            xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
+            out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
+    return out
+
 
 def _partition(length: float, required: Iterable[float], target_h: float) -> np.ndarray:
     """Quasi-uniform partition of [0, length] through all required points."""
@@ -218,6 +278,7 @@ def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
     branch, taken in increasing arc order, one within ``1e-12`` of the point
     before it is skipped too, so of two such points the smaller is kept. The
     operation is idempotent and does not depend on the order of the points.
+    With no point to insert it returns ``mesh`` itself, cached data and all.
     """
     points = list(points)
     if not points:
@@ -248,6 +309,8 @@ def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
     keep = np.ones(len(arc), dtype=bool)
     keep[1:] = (arc[1:] - arc[:-1] > COINCIDENCE_TOL) | (branch[1:] != branch[:-1])
     branch, arc, below = branch[keep], arc[keep], below[keep]
+    if not len(arc):
+        return mesh
     inserted = np.searchsorted(branch, np.arange(len(mesh.node_offset)))
     return Mesh(
         network=mesh.network,

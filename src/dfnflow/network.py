@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class Branch:
         if which == END:
             return self.end
         raise ValueError(f"unknown branch end {which!r}")
-
-    def point_at(self, arc: float) -> tuple[float, float]:
-        tx, ty = self.tangent
-        return (self.start[0] + arc * tx, self.start[1] + arc * ty)
 
 
 @dataclass(frozen=True)
@@ -175,6 +171,36 @@ class SourceSpec:
         return self.scalar.get(branch_id, ZERO_SOURCE)
 
 
+class SingularSystemError(RuntimeError):
+    """Raised when the saddle system is singular or numerically unsolvable."""
+
+
+@dataclass(frozen=True)
+class BoundaryPlan:
+    """The boundary data of a network per vertex, and the unknowns they leave.
+
+    Per vertex of ``end_vertex``, ``velocity`` marks velocity conditions,
+    ``outflux`` holds their data and ``vertex_pressure`` that of pressure
+    conditions (zero at the vertex grounded when ``mean_pressure`` is set).
+    ``at`` numbers each branch end among the ``unknown`` vertices, -1 if
+    known, and ``free`` marks the numbered ends. ``entry`` is the flat index
+    in the reduced matrix of the entries of each branch's 2 x 2 conductance
+    block that ``inside`` marks: those coupling two unknowns. ``known_drop``
+    is the known pressure at each branch's end minus that at its start.
+    """
+
+    velocity: np.ndarray
+    outflux: np.ndarray
+    vertex_pressure: np.ndarray
+    unknown: np.ndarray
+    known_drop: np.ndarray
+    at: np.ndarray
+    free: np.ndarray
+    inside: np.ndarray
+    entry: np.ndarray
+    mean_pressure: float | None
+
+
 @dataclass(frozen=True)
 class FractureNetwork:
     """A 1D fracture network with boundary conditions and sources."""
@@ -245,6 +271,71 @@ class FractureNetwork:
         for a, b in self.end_vertex.tolist():
             parent[root(a)] = root(b)
         return np.unique([root(v) for v in range(len(parent))], return_inverse=True)[1]
+
+    @cached_property
+    def boundary_plan(self) -> BoundaryPlan:
+        """The boundary data of every vertex and the unknown pressures.
+
+        A free end without a condition keeps the natural condition, zero
+        pressure. Raises ``SingularSystemError`` when a condition sits on an
+        intersection, or the pressure level of some part is not fixed.
+        """
+        bcs = self.boundary
+        if not bcs.has_pressure_bc and bcs.mean_pressure is None:
+            raise SingularSystemError(
+                "no pressure anchor: the problem has no pressure boundary condition "
+                "and no mean-pressure constraint"
+            )
+        vertex, component = self.end_vertex, self.vertex_component
+        n_vertices, n_junctions = len(component), len(self.intersections)
+        velocity = np.zeros(n_vertices, dtype=bool)
+        outflux, vertex_pressure = np.zeros(n_vertices), np.zeros(n_vertices)
+        for (bid, which), bc in bcs.conditions.items():
+            v = vertex[self.branch_index[bid], int(which == END)]
+            if v < n_junctions:
+                raise SingularSystemError(
+                    f"branch end ({bid!r}, {which}) is both at an intersection and "
+                    "boundary-constrained"
+                )
+            if isinstance(bc, VelocityBC):
+                velocity[v], outflux[v] = True, bc.outflux
+            else:
+                vertex_pressure[v] = bc.pressure
+
+        # Every component needs a known pressure; the mean anchor fixes one
+        # level, so it needs a connected network, and grounds one vertex.
+        known = ~velocity
+        known[:n_junctions] = False
+        has_mean = not bcs.has_pressure_bc
+        anchored = np.zeros(component.max() + 1, dtype=bool)
+        anchored[component[known]] = True
+        if has_mean:
+            anchored[0] = len(anchored) == 1
+            known[0] = True
+        if not anchored.all():
+            k = int(np.argmax(~anchored[component[vertex[:, 0]]]))
+            raise SingularSystemError(
+                f"the pressure level of the part of the network holding branch "
+                f"{self.branch_ids[k]!r} is undetermined: "
+                + ("the mean-pressure constraint fixes one level, but the network "
+                   "is not connected" if has_mean else "it has no pressure condition")
+            )
+        unknown = np.flatnonzero(~known)
+        at = np.where(known, -1, np.cumsum(~known) - 1)[vertex]
+        rows, cols = at[:, [0, 0, 1, 1]], at[:, [0, 1, 0, 1]]
+        inside = (rows >= 0) & (cols >= 0)
+        return BoundaryPlan(
+            velocity=velocity,
+            outflux=outflux,
+            vertex_pressure=vertex_pressure,
+            unknown=unknown,
+            known_drop=vertex_pressure[vertex[:, 1]] - vertex_pressure[vertex[:, 0]],
+            at=at,
+            free=at >= 0,
+            inside=inside,
+            entry=rows[inside] * len(unknown) + cols[inside],
+            mean_pressure=bcs.mean_pressure if has_mean else None,
+        )
 
     @property
     def total_length(self) -> float:

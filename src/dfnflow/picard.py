@@ -19,8 +19,8 @@ solves. The first solve runs at ``initial_speed`` and has no iterate to
 compare against, so ``update_history`` holds one residual per later cycle.
 
 A configuration whose active law branches are all speed-independent is
-linear, so a single solve is exact and the loop short-circuits with a
-recorded zero residual.
+linear, so the first solve is exact and the loop stops there with a recorded
+zero residual.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .fem import RegimeField, Solution, assemble, solve_saddle
+from .fem import RegimeField, Solution, assemble, frozen_speeds, solve_saddle
 from .laws import AdaptiveLaw, ConstantLaw, Regime
-from .meshing import BranchArrays, Mesh
-from .network import BoundarySpec, SourceSpec
+from .meshing import Mesh
 
 # Singular values of the residual-difference matrix below this fraction of
 # the largest are dropped from the mixing least-squares problem: near-parallel
@@ -129,45 +128,31 @@ def _is_linear(labels: np.ndarray, law: AdaptiveLaw) -> bool:
     )
 
 
-def _midpoint_speeds(mesh: Mesh, stacked: np.ndarray) -> BranchArrays:
-    """Element-midpoint speeds of the flux part of a stacked vector."""
-    return mesh.per_element(np.abs(0.5 * (stacked[mesh.left] + stacked[mesh.left + 1])))
-
-
 def picard_solve(
     mesh: Mesh,
     regimes: RegimeField,
     law: AdaptiveLaw,
-    sources: SourceSpec,
-    bcs: BoundarySpec,
     settings: PicardSettings | None = None,
 ) -> PicardResult:
     """Solve the fixed-configuration problem, iterating on the frozen speed.
 
-    Returns after the relative fixed-point residual of a solve drops to the
-    tolerance or the iteration cap is hit; non-convergence is reported
-    through ``converged``, not raised. Singular systems propagate.
+    The sources and boundary conditions are those of ``mesh.network``. Returns
+    after the relative fixed-point residual of a solve drops to the tolerance
+    or the iteration cap is hit; non-convergence is reported through
+    ``converged``, not raised. Singular systems propagate.
     """
     settings = settings or PicardSettings()
-
-    if _is_linear(regimes.on(mesh), law):
-        system = assemble(mesh, regimes, law, settings.initial_speed, sources, bcs)
-        solution = solve_saddle(system)
-        return PicardResult(
-            solution=solution, iterations=1, update_history=[0.0], converged=True
-        )
-
+    linear = _is_linear(regimes.on(mesh), law)
     speeds = settings.initial_speed
     iterate: np.ndarray | None = None
     mixer = AndersonMixer(settings.depth)
     history: list[float] = []
-    solution: Solution | None = None
-    iterations = 0
     converged = False
-    for _ in range(settings.max_iterations):
-        system = assemble(mesh, regimes, law, speeds, sources, bcs)
-        solution = solve_saddle(system)
-        iterations += 1
+    for iterations in range(1, settings.max_iterations + 1):
+        solution = solve_saddle(assemble(mesh, regimes, law, speeds))
+        if linear:
+            history, converged = [0.0], True
+            break
         image = solution.stacked()
         if iterate is None:
             iterate = image
@@ -179,7 +164,7 @@ def picard_solve(
                 converged = True
                 break
             iterate = mixer.step(residual, image)
-        speeds = _midpoint_speeds(mesh, iterate)
+        speeds = frozen_speeds(mesh, iterate)
     return PicardResult(
         solution=solution,
         iterations=iterations,

@@ -358,8 +358,6 @@ def track(
     eps_omega = (
         settings.eps_omega if settings.eps_omega is not None else DEFAULT_EPS_OMEGA
     )
-    sources = mesh.network.sources
-    bcs = mesh.network.boundary
     threshold = law.threshold
 
     if isinstance(initial, RegimeField):
@@ -392,9 +390,7 @@ def track(
         working = split_mesh_at(mesh, interfaces)
         regimes = RegimeField(working.per_element(_labels_on(working, changes)))
         try:
-            last_result = picard_solve(
-                working, regimes, law, sources, bcs, picard_settings
-            )
+            last_result = picard_solve(working, regimes, law, picard_settings)
         except Exception as exc:
             # prefix the message in place: the error keeps its type and
             # attributes whatever arguments its constructor takes

@@ -33,7 +33,14 @@ from dfnflow.energy import (
     lift_field,
     tangential_forcing,
 )
-from dfnflow.fem import RegimeField, Solution, assemble, solve_saddle, source_integrals
+from dfnflow.fem import (
+    RegimeField,
+    Solution,
+    assemble,
+    frozen_speeds,
+    solve_saddle,
+    source_integrals,
+)
 from dfnflow.laws import AdaptiveLaw, Regime, eval_lambda_coefficient
 from dfnflow.meshing import Mesh
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
@@ -572,7 +579,7 @@ def loop_energy_of(field, mesh, psi):
     )
 
 
-def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
+def plain_picard(mesh, regimes, law, settings=None):
     """Unaccelerated fixed-point iteration, a drop-in for ``picard_solve``.
 
     Solves at the previous solve's midpoint speeds and stops on the relative
@@ -581,13 +588,13 @@ def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
     """
     settings = settings or PicardSettings()
     if _is_linear(regimes.on(mesh), law):
-        system = assemble(mesh, regimes, law, settings.initial_speed, sources, bcs)
+        system = assemble(mesh, regimes, law, settings.initial_speed)
         return PicardResult(solve_saddle(system), 1, [0.0], True)
     speeds = settings.initial_speed
     previous = None
     history = []
     for iterations in range(1, settings.max_iterations + 1):
-        solution = solve_saddle(assemble(mesh, regimes, law, speeds, sources, bcs))
+        solution = solve_saddle(assemble(mesh, regimes, law, speeds))
         current = solution.stacked()
         if previous is not None:
             scale = max(float(np.linalg.norm(current)), 1e-300)
@@ -595,7 +602,7 @@ def plain_picard(mesh, regimes, law, sources, bcs, settings=None):
             if history[-1] <= settings.tolerance:
                 return PicardResult(solution, iterations, history, True)
         previous = current
-        speeds = solution.midpoint_speeds()
+        speeds = frozen_speeds(mesh, solution.flux.array)
     return PicardResult(solution, iterations, history, False)
 
 
@@ -714,8 +721,6 @@ def plain_track(
     eps_omega = (
         settings.eps_omega if settings.eps_omega is not None else DEFAULT_EPS_OMEGA
     )
-    sources = mesh.network.sources
-    bcs = mesh.network.boundary
     threshold = law.threshold
 
     if isinstance(initial, RegimeField):
@@ -743,9 +748,7 @@ def plain_track(
         working = loop_split_mesh_at(mesh, gamma_prev)
         regimes = labels_from_runs(working, runs_prev)
         try:
-            last_result = picard_solve(
-                working, regimes, law, sources, bcs, picard_settings
-            )
+            last_result = picard_solve(working, regimes, law, picard_settings)
         except Exception as exc:
             # prefix the message in place: the error keeps its type and
             # attributes whatever arguments its constructor takes

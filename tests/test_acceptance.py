@@ -290,7 +290,7 @@ def _induced_offsets(mesh, law, alpha):
     fine = lift_field(work)
     speeds = np.abs(fine.at(work.element_midpoints("f")) + alpha)
     labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
-    result = picard_solve(work, labels, law, work.network.sources, work.network.boundary)
+    result = picard_solve(work, labels, law)
     solved = np.abs(result.solution.flux["f"][:-1] + result.solution.flux["f"][1:]) / 2
     consistent = np.array_equal(
         np.where(solved < ubar, 0, 1), labels.labels["f"]

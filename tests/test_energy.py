@@ -384,9 +384,7 @@ class TestFemOracleAgreement:
         fine = lift_field(work)
         speeds = np.abs(fine.at(work.element_midpoints("f")) + alpha)
         labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
-        result = picard_solve(
-            work, labels, law, work.network.sources, work.network.boundary
-        )
+        result = picard_solve(work, labels, law)
         return result.solution.flux["f"] - fine.values
 
     @pytest.mark.parametrize("k2", [10.0, 0.5625])

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfnflow.fem import (
@@ -15,7 +15,7 @@ from dfnflow.fem import (
     source_integrals,
 )
 from dfnflow.laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, Regime
-from dfnflow.meshing import build_mesh
+from dfnflow.meshing import Mesh, build_mesh
 from dfnflow.network import (
     BoundarySpec,
     Branch,
@@ -29,6 +29,9 @@ from dfnflow.network import (
 )
 from dfnflow.presets import alternating_source, single_fracture_network
 
+from dfnflow import fem, meshing, network, picard
+from dfnflow.presets import benchmark_network, darcy_forchheimer_pair
+from dfnflow.tracker import track
 from oracles import random_network, sparse_saddle_solve, tpfa_darcy_solve
 
 UNIT_LAW = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 1.0)
@@ -324,28 +327,72 @@ def test_lift_pressure_data_gradients():
 
 
 def test_missing_pressure_anchor_raises():
+    # velocity conditions only and no mean: validation rejects the network,
+    # and assembling on a mesh built around validation fails the same way
     net = FractureNetwork(
         branches=(Branch("f", (0.0, 0.0), (1.0, 0.0)),),
         boundary=BoundarySpec(
             {("f", "start"): VelocityBC(0.0), ("f", "end"): VelocityBC(0.0)}
         ),
     )
-    mesh = build_mesh(
-        FractureNetwork(
-            branches=net.branches,
-            boundary=BoundarySpec(net.boundary.conditions, mean_pressure=0.0),
-        ),
-        0.5,
+    with pytest.raises(ValueError, match=r"\[pressure-level\]"):
+        build_mesh(net, 0.5)
+    mesh = Mesh(
+        network=net,
+        x=np.array([0.0, 0.5, 1.0]),
+        node_offset=np.array([0, 3]),
+        force=np.zeros(1),
     )
     with pytest.raises(SingularSystemError, match="pressure anchor"):
-        assemble(
-            mesh,
-            RegimeField.uniform(mesh, Regime.LOW),
-            UNIT_LAW,
-            0.0,
-            net.sources,
-            net.boundary,
-        )
+        assemble(mesh, RegimeField.uniform(mesh, Regime.LOW), UNIT_LAW, 0.0)
+
+
+def test_assemble_takes_only_the_networks_own_sources_and_conditions():
+    net = single_fracture_network()
+    other = single_fracture_network()  # equal data, other objects
+    mesh = build_mesh(net, 0.25)
+    regimes = RegimeField.uniform(mesh, Regime.LOW)
+    own = solve_saddle(assemble(mesh, regimes, UNIT_LAW, 0.0, net.sources, net.boundary))
+    assert np.array_equal(
+        own.stacked(), solve_saddle(assemble(mesh, regimes, UNIT_LAW, 0.0)).stacked()
+    )
+    for sources, bcs in ((other.sources, None), (None, other.boundary)):
+        with pytest.raises(ValueError, match="mesh.network"):
+            assemble(mesh, regimes, UNIT_LAW, 0.0, sources, bcs)
+
+
+def test_moved_names_stay_importable_from_fem():
+    assert fem.SingularSystemError is network.SingularSystemError
+    assert fem.source_integrals is meshing.source_integrals
+
+
+def test_tracking_builds_the_plan_once_and_the_sources_once_per_mesh(monkeypatch):
+    # case3-nonlinear: many assembles on few working meshes of one network
+    plans, integrated, assembled = [], [], []
+
+    def plan(**fields):
+        plans.append(fields)
+        return real_plan(**fields)
+
+    def integrals(mesh, sources):
+        integrated.append(mesh)
+        return real_integrals(mesh, sources)
+
+    def counted_assemble(mesh, *args):
+        assembled.append(mesh)
+        return real_assemble(mesh, *args)
+
+    real_plan, real_integrals = network.BoundaryPlan, meshing.source_integrals
+    real_assemble = picard.assemble
+    monkeypatch.setattr(network, "BoundaryPlan", plan)
+    monkeypatch.setattr(meshing, "source_integrals", integrals)
+    monkeypatch.setattr(picard, "assemble", counted_assemble)
+    net, _ = benchmark_network()
+    report = track(build_mesh(net, 0.05), darcy_forchheimer_pair(intercept=0.01, slope=0.25))
+    meshes = list({id(mesh): mesh for mesh in assembled}.values())
+    assert len(plans) == 1
+    assert len(assembled) == sum(report.inner_iteration_counts) > len(meshes)
+    assert [id(mesh) for mesh in integrated] == [id(mesh) for mesh in meshes]
 
 
 def test_degenerate_coefficient_raises():
@@ -499,10 +546,10 @@ def test_floating_component_is_rejected(kind):
         )
 
 
-def _relative_gap(value, reference):
-    return float(np.abs(value - reference).max(initial=0.0)) / max(
-        float(np.abs(reference).max(initial=0.0)), 1e-300
-    )
+def _relative_gap(value, reference, scale=None):
+    if scale is None:
+        scale = float(np.abs(reference).max(initial=0.0))
+    return float(np.abs(value - reference).max(initial=0.0)) / max(scale, 1e-300)
 
 
 def _matches_sparse_oracle(net, law, labels, speeds):
@@ -516,7 +563,13 @@ def _matches_sparse_oracle(net, law, labels, speeds):
     ids = [isec.id for isec in net.intersections]
     assert _relative_gap(sol.flux.array, flux) <= 1e-12
     assert _relative_gap(sol.pressure.array, pressure) <= 1e-12
-    assert _relative_gap(np.array([sol.junction_pressure[j] for j in ids]), junction) <= 1e-12
+    # junction pressures against the oracle's pressure scale: one junction
+    # pressure near zero must not turn rounding into a relative gap
+    scale = float(np.abs(np.concatenate([pressure, junction])).max(initial=0.0))
+    junction_gap = _relative_gap(
+        np.array([sol.junction_pressure[j] for j in ids]), junction, scale
+    )
+    assert junction_gap <= 1e-12
 
 
 def _callable_sources(net, rng):
@@ -547,6 +600,7 @@ def _mean_anchored(net, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mean=st.booleans())
+@example(seed=530306, mean=False)
 def test_condensed_solve_matches_the_sparse_saddle_oracle(seed, mean):
     # velocity ends, callable sources, body force, random labels and frozen
     # speeds under a Darcy-Forchheimer law, anchored by pressure conditions or

@@ -85,6 +85,13 @@ def test_split_is_idempotent_on_existing_nodes():
     assert np.array_equal(same.nodes["f"], mesh.nodes["f"])
 
 
+def test_split_without_a_new_node_returns_the_mesh_itself():
+    # the working mesh keeps the base mesh's cached source profile
+    mesh = build_mesh(unit_branch_network(), 0.5)
+    assert split_mesh_at(mesh, []) is mesh
+    assert split_mesh_at(mesh, [("f", 0.5), ("f", 1.0 - 1e-13)]) is mesh
+
+
 def test_split_increases_element_count_per_new_point():
     mesh = build_mesh(unit_branch_network(), 1.0)
     fine = split_mesh_at(mesh, [("f", 0.2), ("f", 0.8)])

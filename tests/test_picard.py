@@ -30,9 +30,7 @@ def test_linear_law_converges_in_one_iteration():
     net = single_fracture_network()
     mesh = build_mesh(net, 0.05)
     law = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 0.15)
-    result = picard_solve(
-        mesh, RegimeField.uniform(mesh, Regime.LOW), law, net.sources, net.boundary
-    )
+    result = picard_solve(mesh, RegimeField.uniform(mesh, Regime.LOW), law)
     assert result.converged
     assert result.iterations == 1
     assert result.update_history == [0.0]
@@ -42,7 +40,7 @@ def test_linear_shortcut_even_with_high_labels_present():
     net = single_fracture_network()
     mesh = build_mesh(net, 0.05)
     law = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 0.15)
-    result = picard_solve(mesh, mixed_configuration(mesh), law, net.sources, net.boundary)
+    result = picard_solve(mesh, mixed_configuration(mesh), law)
     assert result.converged and result.iterations == 1
 
 
@@ -54,8 +52,6 @@ def test_nonlinear_mixed_configuration_iterates():
         mesh,
         mixed_configuration(mesh),
         law,
-        net.sources,
-        net.boundary,
         PicardSettings(tolerance=1e-4),
     )
     assert result.converged
@@ -71,8 +67,6 @@ def test_update_norms_eventually_monotone():
         mesh,
         mixed_configuration(mesh),
         law,
-        net.sources,
-        net.boundary,
         PicardSettings(tolerance=1e-12, max_iterations=60),
     )
     updates = result.update_history
@@ -91,8 +85,6 @@ def test_iteration_counts_monotone_in_tolerance():
             mesh,
             mixed_configuration(mesh),
             law,
-            net.sources,
-            net.boundary,
             PicardSettings(tolerance=tol, max_iterations=80),
         )
         assert result.converged
@@ -110,8 +102,6 @@ def test_tight_tolerances_agree():
             mesh,
             mixed_configuration(mesh),
             law,
-            net.sources,
-            net.boundary,
             PicardSettings(tolerance=tol, max_iterations=100),
         ).solution.stacked()
 
@@ -128,8 +118,6 @@ def test_non_convergence_reported_not_raised():
         mesh,
         mixed_configuration(mesh),
         law,
-        net.sources,
-        net.boundary,
         PicardSettings(tolerance=1e-12, max_iterations=3),
     )
     assert not result.converged
@@ -194,7 +182,7 @@ def test_depth_zero_is_plain_picard(monkeypatch):
     )
 
     tight = PicardSettings(tolerance=1e-12, max_iterations=60, depth=0)
-    args = (mesh, mixed_configuration(mesh), law, net.sources, net.boundary, tight)
+    args = (mesh, mixed_configuration(mesh), law, tight)
     result, expected = picard_solve(*args), plain_picard(*args)
     assert result.update_history == expected.update_history
     assert np.array_equal(result.solution.stacked(), expected.solution.stacked())
@@ -208,7 +196,7 @@ def test_default_depth_converges_fast_on_the_six_fracture_network():
     regimes = RegimeField.uniform(mesh, Regime.HIGH)
 
     def run(settings):
-        result = picard_solve(mesh, regimes, law, net.sources, net.boundary, settings)
+        result = picard_solve(mesh, regimes, law, settings)
         assert result.converged
         return result
 
@@ -236,9 +224,7 @@ def test_one_more_frozen_step_on_the_all_high_fracture(tolerance):
     mesh = build_mesh(net, 0.05)
     law = darcy_forchheimer_pair()
     regimes = RegimeField.uniform(mesh, Regime.HIGH)
-    result = picard_solve(
-        mesh, regimes, law, net.sources, net.boundary, PicardSettings(tolerance)
-    )
+    result = picard_solve(mesh, regimes, law, PicardSettings(tolerance))
     assert result.converged
     assert frozen_step_change(mesh, regimes, law, result) <= tolerance
 
@@ -263,8 +249,6 @@ def test_one_more_frozen_step_moves_a_converged_solve_within_tolerance(seed):
         }
     )
     tolerance = 1e-6
-    result = picard_solve(
-        mesh, labels, law, net.sources, net.boundary, PicardSettings(tolerance=tolerance)
-    )
+    result = picard_solve(mesh, labels, law, PicardSettings(tolerance=tolerance))
     assert result.converged
     assert frozen_step_change(mesh, labels, law, result) <= tolerance
