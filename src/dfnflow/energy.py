@@ -179,15 +179,14 @@ class MinimizationResult:
     ``candidates`` lists every local minimizer whose energy lies within the
     near-optimal window of the global value; in the convex case it has a
     single entry. ``alphas`` holds the sorted breakpoints of E inside the
-    search interval plus its two ends, ``energies`` the values of E there,
-    and ``lifted`` the lifted field that alpha is added to.
+    search interval plus its two ends, and ``lifted`` the lifted field that
+    alpha is added to.
     """
 
     alpha_star: float
     energy: float
     candidates: list[tuple[float, float]]
     alphas: np.ndarray = field(repr=False, default=None)
-    energies: np.ndarray = field(repr=False, default=None)
     lifted: LiftedField = field(repr=False, default=None)
 
 
@@ -263,7 +262,8 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, slope) -> np.ndarray:
     for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
         roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
         real = roots.real[np.abs(roots.imag) <= 1e-9]
-        roots = np.unique(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
+        roots = np.sort(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
+        roots = roots[np.diff(roots, prepend=-np.inf) > 0.0]
         t = np.concatenate([[-1.0], 0.5 * (roots[1:] + roots[:-1]), [1.0]])
         values = cheb.chebval(t, coeffs[k])
         for j in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
@@ -303,15 +303,14 @@ def reduce_and_minimize(
             energy=report.energy,
             candidates=[(0.0, report.energy)],
             alphas=np.array([0.0]),
-            energies=np.array([report.energy]),
             lifted=lifted,
         )
 
     amax = grid.alpha_max
     w, u = lifted.values, psi.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
-    alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
-    energies = _energies_on_grid(alphas, lifted, mesh, psi)
+    alphas = np.sort(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
+    alphas = alphas[np.diff(alphas, prepend=-np.inf) > 0.0]
 
     zeros = _rising_zeros(alphas[:-1], alphas[1:], lambda a: _slopes(a, lifted, mesh, psi))
     points = np.concatenate([[-amax], zeros, [amax]])
@@ -325,7 +324,6 @@ def reduce_and_minimize(
         energy=float(values[best]),
         candidates=[(float(a), float(e)) for a, e in zip(points[keep], values[keep])],
         alphas=alphas,
-        energies=energies,
         lifted=lifted,
     )
 

@@ -2,10 +2,10 @@
 
 A bundle is a plain-data record of one run (or one sweep): tracker outcome,
 final fields, optional per-iteration snapshots and preset-specific extras.
-JSON export writes the bundle as a single document with full float precision,
-so importing it back reproduces the bundle bit for bit; CSV export writes one
-file per field per iteration with (branch, arc, value) rows sorted by branch
-and arc.
+JSON export writes the bundle as one compact document with full float
+precision, so importing it back still reproduces it bit for bit; CSV export
+writes one file per field per iteration with (branch, arc, value) rows
+sorted by branch and arc.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def export_bundle(bundle: ResultBundle, out_dir: str | Path, format: str = "json
     created: list[Path] = []
     if format == "json":
         path = out / f"{bundle.name}.json"
-        path.write_text(json.dumps(bundle.to_dict(), indent=2))
+        path.write_text(json.dumps(bundle.to_dict()))
         created.append(path)
         return created
     if format != "csv":
@@ -232,7 +232,7 @@ def export_bundle(bundle: ResultBundle, out_dir: str | Path, format: str = "json
         if k not in ("final", "snapshots")
     }
     path = out / "report.json"
-    path.write_text(json.dumps(report, indent=2))
+    path.write_text(json.dumps(report))
     created.append(path)
     return created
 

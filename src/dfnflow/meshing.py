@@ -8,7 +8,6 @@ are always nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -235,16 +234,6 @@ def source_integrals(mesh: Mesh, sources: SourceSpec) -> np.ndarray:
     return out
 
 
-def _partition(length: float, required: Iterable[float], target_h: float) -> np.ndarray:
-    """Quasi-uniform partition of [0, length] through all required points."""
-    anchors = sorted({0.0, length, *required})
-    parts = [np.array([0.0])]
-    for a, b in zip(anchors, anchors[1:]):
-        n = max(1, math.ceil((b - a) / target_h - 1e-12))
-        parts.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(parts)
-
-
 def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
     """Mesh every branch with elements no longer than ``target_h``.
 
@@ -258,16 +247,29 @@ def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
     if not report.ok:
         raise ValueError(f"cannot mesh an invalid network:\n{report}")
 
+    # Each branch's required points in order: its start, its breakpoints (strictly
+    # inside, by validation) and its end, so 0.0 marks the starts. Point b ends the
+    # interval from the point a before it (a start: from 0.0), meshed as linspace
+    # does: node i at i * ((b - a) / n) + a for i = 1..n, the last one set to b.
+    b = np.array([
+        arc for br in network.branches
+        for arc in (0.0, *network.sources.scalar_for(br.id).breakpoints, br.length)
+    ])
+    start = b == 0.0
+    a = np.concatenate([[0.0], b[:-1]])
+    a[start] = 0.0
+    n = np.maximum(1, np.ceil((b - a) / target_h - 1e-12)).astype(np.intp)
+    last = np.cumsum(n)
+    interval = np.repeat(np.arange(len(n)), n)
+    x = (np.arange(1, last[-1] + 1) - (last - n)[interval]) * ((b - a) / n)[interval] + a[interval]
+    x[last - 1] = b
+
     fx, fy = network.sources.force
-    parts = [
-        _partition(b.length, network.sources.scalar_for(b.id).breakpoints, target_h)
-        for b in network.branches
-    ]
     return Mesh(
         network=network,
-        x=np.concatenate(parts),
-        node_offset=np.cumsum([0] + [len(p) for p in parts]),
-        force=np.array([fx * b.tangent[0] + fy * b.tangent[1] for b in network.branches]),
+        x=x,
+        node_offset=np.append((last - n)[start], last[-1]),
+        force=np.array([fx * br.tangent[0] + fy * br.tangent[1] for br in network.branches]),
     )
 
 

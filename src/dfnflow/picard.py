@@ -124,7 +124,7 @@ def _is_linear(labels: np.ndarray, law: AdaptiveLaw) -> bool:
     """Whether the law branch of every label present is speed-independent."""
     return all(
         isinstance(law.branch_for(Regime(r)), ConstantLaw)
-        for r in np.unique(labels).tolist()
+        for r in set(labels.tolist())
     )
 
 

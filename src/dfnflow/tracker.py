@@ -362,7 +362,7 @@ def track(
 
     if isinstance(initial, RegimeField):
         start_labels = initial.on(mesh)
-        for r in np.unique(start_labels).tolist():
+        for r in sorted(set(start_labels.tolist())):
             Regime(r)  # raises ValueError for a label that is no regime
     elif initial in ("low", "high"):
         regime = Regime.LOW if initial == "low" else Regime.HIGH

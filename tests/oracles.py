@@ -12,12 +12,14 @@ the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
 coefficient, and
 the plain-tracking oracle is the outer loop without interface mixing. The
 run-based classification, labelling and point-by-point mesh splitting are
-the per-branch loops the flat tracker and ``split_mesh_at`` replaced.
+the per-branch loops the flat tracker and ``split_mesh_at`` replaced, and the
+linspace partition is the per-interval loop ``build_mesh`` replaced.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
@@ -435,13 +437,21 @@ def _golden_section(f, lo, hi, tol):
     return mid, f(mid)
 
 
+@dataclass
+class GridMinimization(MinimizationResult):
+    """A ``MinimizationResult`` whose ``alphas`` are a scan grid, with ``energies``
+    the values of E on it."""
+
+    energies: np.ndarray = field(repr=False, default=None)
+
+
 def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
     """Brute-force minimization of the reduced energy of a pressure-only branch.
 
     Scans the closed-form E(alpha) on a uniform grid over [-alpha_max,
     alpha_max], refines every grid minimum within 1e-8 of the best grid value
     by golden section (to 1e-10) between its grid neighbours, and
-    returns a ``MinimizationResult`` whose ``alphas``/``energies`` are the
+    returns a ``GridMinimization`` whose ``alphas``/``energies`` are the
     grid and E on it. Location accuracy is limited to sqrt(machine eps) by
     value rounding.
     """
@@ -471,7 +481,7 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
         candidates.append(_golden_section(scalar_energy, lo, hi, 1e-10))
 
     alpha_star, energy = min(candidates, key=lambda pair: pair[1])
-    return MinimizationResult(
+    return GridMinimization(
         alpha_star=alpha_star,
         energy=energy,
         candidates=candidates,
@@ -497,7 +507,6 @@ def bisect_reduce(mesh, psi, grid=None):
     w, u = lifted.values, psi.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
     alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
-    energies = _energies_on_grid(alphas, lifted, mesh, psi)
 
     lo, hi = alphas[:-1], alphas[1:]
     cheb = np.polynomial.chebyshev
@@ -538,7 +547,6 @@ def bisect_reduce(mesh, psi, grid=None):
         energy=float(values[best]),
         candidates=[(float(a), float(e)) for a, e in zip(points[keep], values[keep])],
         alphas=alphas,
-        energies=energies,
     )
 
 
@@ -604,6 +612,20 @@ def plain_picard(mesh, regimes, law, settings=None):
         previous = current
         speeds = frozen_speeds(mesh, solution.flux.array)
     return PicardResult(solution, iterations, history, False)
+
+
+def linspace_partition(length, required, target_h) -> np.ndarray:
+    """Quasi-uniform partition of [0, length] through all required points.
+
+    One ``np.linspace`` per interval between consecutive required points,
+    with as few elements as keep them no longer than ``target_h``.
+    """
+    anchors = sorted({0.0, length, *required})
+    parts = [np.array([0.0])]
+    for a, b in zip(anchors, anchors[1:]):
+        n = max(1, math.ceil((b - a) / target_h - 1e-12))
+        parts.append(np.linspace(a, b, n + 1)[1:])
+    return np.concatenate(parts)
 
 
 def loop_split_mesh_at(mesh: Mesh, points) -> Mesh:

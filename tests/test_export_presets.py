@@ -207,14 +207,19 @@ def test_bundle_config_round_trip(tmp_path):
 
 def test_running_and_exporting_a_preset_does_not_import_scipy(tmp_path):
     # scipy is a test dependency only: importing it at run time would cost
-    # more start-up time and memory than the solve it was once used for
+    # more start-up time and memory than the solve it was once used for.
+    # numpy.ma is loaded lazily by some numpy calls (np.unique in numpy 2.x)
+    # and costs about 10 ms inside the run; numpy 1.x loads it with numpy.
     code = (
         "import sys\n"
+        "import numpy\n"
+        "ma_with_numpy = 'numpy.ma' in sys.modules\n"
         "import dfnflow\n"
         "from dfnflow.export import export_bundle\n"
         "from dfnflow.presets import run_preset\n"
         f"export_bundle(run_preset('case3-nonlinear'), {str(tmp_path)!r}, 'json')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(ma_with_numpy or 'numpy.ma' not in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -226,5 +231,7 @@ def test_running_and_exporting_a_preset_does_not_import_scipy(tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    scipy_modules, no_lazy_numpy_ma = result.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert no_lazy_numpy_ma == "True", "running and exporting the preset imported numpy.ma"
     assert [p.name for p in tmp_path.iterdir()] == ["case3-nonlinear.json"]

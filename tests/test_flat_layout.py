@@ -8,11 +8,20 @@ and splits it, and requires the array version to agree with the loop in
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfnflow.fem import RegimeField
 from dfnflow.meshing import build_mesh, split_mesh_at
+from dfnflow.network import (
+    BoundarySpec,
+    Branch,
+    FractureNetwork,
+    PiecewiseSource,
+    PressureBC,
+    SourceSpec,
+)
 from dfnflow.tracker import (
     _changes_of,
     _classify,
@@ -24,6 +33,7 @@ from oracles import (
     classify_branch,
     hausdorff_by_enumeration,
     labels_from_runs,
+    linspace_partition,
     loop_split_mesh_at,
     random_network,
     uniform_runs,
@@ -72,6 +82,57 @@ def random_flux(rng, mesh):
 
 def split_base(rng, mesh):
     return split_mesh_at(mesh, random_points(rng, mesh, int(rng.integers(0, 6))))
+
+
+@st.composite
+def parallel_branches(draw):
+    """Unconnected parallel branches of random lengths with pressure ends and
+    random breakpoints: next to a branch end, close enough to another to leave
+    an interval shorter than the mesh size, and in a quarter of the networks
+    one on a branch end; and a mesh size that may exceed every branch."""
+    lengths = draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=4))
+    branches = tuple(
+        Branch(f"b{k}", (0.0, 2.0 * k), (length, 2.0 * k)) for k, length in enumerate(lengths)
+    )
+    on_end = draw(st.sampled_from([None] * 6 + [0.0, 1.0]))
+    scalar = {}
+    for j, b in enumerate(draw(st.permutations(branches))):
+        length = b.length
+        inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda t: t * length)
+        near_end = st.sampled_from([math.nextafter(0.0, 1.0), math.nextafter(length, 0.0)])
+        bps = draw(st.lists(st.one_of(inside, near_end), max_size=4))
+        if j == 0 and on_end is not None:
+            bps.append(on_end * length)
+        bps += [bp + draw(st.floats(1e-12, 1e-4)) * length for bp in bps[: draw(st.integers(0, 2))]]
+        bps = sorted(set(bps))
+        if bps or draw(st.booleans()):
+            scalar[b.id] = PiecewiseSource(breakpoints=tuple(bps), pieces=(1.0,) * (len(bps) + 1))
+    conditions = {(b.id, end): PressureBC(0.0) for b in branches for end in ("start", "end")}
+    network = FractureNetwork(
+        branches=branches,
+        boundary=BoundarySpec(conditions),
+        sources=SourceSpec(scalar=scalar),
+    )
+    longest = max(b.length for b in branches)
+    target_h = draw(st.one_of(st.floats(longest / 2000, longest), st.floats(longest, 4 * longest)))
+    return network, target_h
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=parallel_branches())
+def test_build_mesh_matches_the_linspace_partition_bit_for_bit(case):
+    network, target_h = case
+    required = {b.id: network.sources.scalar_for(b.id).breakpoints for b in network.branches}
+    if not all(0.0 < bp < b.length for b in network.branches for bp in required[b.id]):
+        # validation rejects a breakpoint on a branch end before any meshing
+        with pytest.raises(ValueError, match="breakpoint-range"):
+            build_mesh(network, target_h)
+        return
+    mesh = build_mesh(network, target_h)
+    parts = [linspace_partition(b.length, required[b.id], target_h) for b in network.branches]
+    assert mesh.x.tobytes() == np.concatenate(parts).tobytes()
+    expected_offset = np.cumsum([0] + [len(p) for p in parts])
+    assert mesh.node_offset.tobytes() == expected_offset.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
