@@ -22,10 +22,8 @@ from .energy import (
     GridSpec,
     LiftedField,
     MinimizationResult,
-    ProbeReport,
     energy_of,
     lift_field,
-    local_minimality_probe,
     reduce_and_minimize,
     tangential_forcing,
 )
@@ -37,7 +35,6 @@ from .fem import (
     Solution,
     assemble,
     implied_junction_pressures,
-    lift_pressure_data,
     solve_saddle,
     source_integrals,
 )

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, LawBranch
-from .meshing import Mesh, build_mesh
 from .network import (
     END,
     START,
@@ -66,9 +65,6 @@ class ProblemSpec:
     solver: SolverSettings = field(default_factory=SolverSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
     approximate: bool = False
-
-    def build_mesh(self) -> Mesh:
-        return build_mesh(self.network, self.solver.h)
 
 
 def _require_keys(section: Mapping, allowed: set[str], path: str) -> None:

@@ -22,17 +22,20 @@ The dissipation integrand is the piecewise potential composed with the
 squared speed; it is smooth except where the speed crosses the regime
 threshold, so elements are pre-split at those crossings (and at sign changes
 of the flux) before applying a 3-point Gauss rule, which is then exact for
-the supported law kinds. All elements are integrated in one array pass.
+the supported law kinds. All elements are integrated in one array pass. This
+quadrature is the only dissipation integrator: ``energy_of`` runs it on one
+field, and the minimizer runs it once on the fields at all its zeros of E'
+and at the ends of the search interval, so every energy it reports equals
+``energy_of`` of the field it names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
-from .fem import Solution, lift_pressure_data
+from .fem import Solution
 from .laws import PsiPotential
 from .meshing import Mesh
 
@@ -93,29 +96,24 @@ def tangential_forcing(mesh: Mesh) -> float:
     """Constant forcing of the reduced problem on a single branch.
 
     The tangential body force minus the gradient of the linear extension of
-    the pressure boundary data; pressure data therefore enters the energy the
-    same way the mixed solver sees it through its natural boundary terms.
+    the pressure boundary data, the known pressure drop over the length; with
+    a velocity condition at one end the constant extension of the other
+    end's pressure has zero gradient. Pressure data therefore enters the
+    energy the same way the mixed solver sees it through its natural
+    boundary terms.
     """
-    bid = _single_branch(mesh)
-    branch = mesh.network.branch(bid)
-    return mesh.tangential_force[bid] - lift_pressure_data(
-        mesh.network.boundary, branch
-    )
+    _single_branch(mesh)
+    plan = mesh.network.boundary_plan
+    if plan.velocity.any():
+        return float(mesh.force[0])
+    return float(mesh.force[0] - plan.known_drop[0] / mesh.lengths[0])
 
 
-FieldLike = Union[np.ndarray, Sequence[float], LiftedField, Solution]
-
-
-def _nodal_values(field: FieldLike, mesh: Mesh, bid: str) -> np.ndarray:
-    if isinstance(field, Solution):
-        values = field.flux[bid]
-    elif isinstance(field, LiftedField):
-        values = field.values
-    else:
-        values = np.asarray(field, dtype=float)
+def _nodal_values(values, mesh: Mesh, bid: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     if len(values) != len(mesh.nodes[bid]):
         raise ValueError("field values do not match the mesh nodes")
-    return np.asarray(values, dtype=float)
+    return values
 
 
 @dataclass(frozen=True)
@@ -126,41 +124,56 @@ class EnergyReport:
     load: float
     energy: float
     forcing: float
-    quadrature: str = "gauss3-kink-split"
 
 
-def energy_of(field: FieldLike, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
-    """Dissipation and energy of a nodal flux field on a single branch.
+def _dissipation_and_load(
+    values: np.ndarray, x: np.ndarray, forcing: float, psi: PsiPotential
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dissipation and load of every row of node values, shape (..., nodes).
 
-    The field is the total flux (lifted part included). Each element is cut
-    where the linear field crosses the threshold speed, its negative and
-    zero, and the 3-point Gauss rule runs on the up to four pieces at once;
-    a cut that does not fall inside its element stays at the element's start
-    as a piece of length zero. The load term uses the constant reduced
-    forcing, integrated exactly against the piecewise linear field.
+    Each element is cut where the linear field crosses the threshold speed,
+    its negative and zero, and the 3-point Gauss rule runs on the up to four
+    pieces at once; a cut that does not fall inside its element stays at the
+    element's start as a piece of length zero. The load term uses the
+    constant reduced forcing, integrated exactly against the piecewise
+    linear field. Every row is integrated as it would be on its own.
     """
-    bid = _single_branch(mesh)
-    values = _nodal_values(field, mesh, bid)
-    x = mesh.nodes[bid]
-    forcing = tangential_forcing(mesh)
-
-    # axes: element, cut or piece, Gauss point
-    x1, x2, w1, w2 = (v[:, None, None] for v in (x[:-1], x[1:], values[:-1], values[1:]))
+    # axes: rows if any, element, cut or piece, Gauss point
+    x1, x2 = x[:-1, None, None], x[1:, None, None]
+    w1, w2 = values[..., :-1, None, None], values[..., 1:, None, None]
     levels = np.array([[psi.threshold], [-psi.threshold], [0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (levels - w1) / (w2 - w1)
     inside = (t > 0.0) & (t < 1.0)  # never true for a flat element's inf or nan
-    cuts = np.concatenate([x1, np.where(inside, x1 + t * (x2 - x1), x1), x2], axis=1)
-    cuts.sort(axis=1)
-    a, b = cuts[:, :-1], cuts[:, 1:]
+    ends = (np.broadcast_to(x1, w1.shape), np.broadcast_to(x2, w1.shape))
+    cuts = np.concatenate([ends[0], np.where(inside, x1 + t * (x2 - x1), x1), ends[1]], axis=-2)
+    cuts.sort(axis=-2)
+    a, b = cuts[..., :-1, :], cuts[..., 1:, :]
     pts, wts = _GAUSS3
     xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
     ws = w1 + (w2 - w1) * (xs - x1) / (x2 - x1)
-    dissipation = float(np.sum(0.5 * (b - a)[..., 0] * (psi.value_physical(ws**2) @ wts)))
+    pieces = 0.5 * (b - a)[..., 0] * (psi.value_physical(ws**2) @ wts)
+    dissipation = pieces.reshape(*values.shape[:-1], -1).sum(axis=-1)
     # the load is accumulated in element order, as a running sum
-    load = float(np.cumsum(forcing * 0.5 * (values[:-1] + values[1:]) * np.diff(x))[-1])
+    load = np.cumsum(forcing * 0.5 * (values[..., :-1] + values[..., 1:]) * np.diff(x), axis=-1)
+    return dissipation, load[..., -1]
+
+
+def energy_of(values, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
+    """Dissipation and energy of the node values of a flux on a single branch.
+
+    The field is the total flux (lifted part included).
+    """
+    bid = _single_branch(mesh)
+    forcing = tangential_forcing(mesh)
+    dissipation, load = _dissipation_and_load(
+        _nodal_values(values, mesh, bid), mesh.nodes[bid], forcing, psi
+    )
     return EnergyReport(
-        dissipation=dissipation, load=load, energy=dissipation - load, forcing=forcing
+        dissipation=float(dissipation),
+        load=float(load),
+        energy=float(dissipation - load),
+        forcing=forcing,
     )
 
 
@@ -208,23 +221,12 @@ def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
     return per_element.sum(axis=0)
 
 
-def _energies_on_grid(
-    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential
-) -> np.ndarray:
-    """Reduced energy E(alpha) at each alpha, in closed form."""
-    x = mesh.nodes[lifted.branch_id]
-    lifted_integral = float(np.dot(np.diff(x), 0.5 * (lifted.values[:-1] + lifted.values[1:])))
-    dissipation = _element_quotients(
-        alphas, lifted, mesh, psi.flux_antiderivative, lambda w: psi.value_physical(w**2)
-    )
-    return dissipation - tangential_forcing(mesh) * (alphas * (x[-1] - x[0]) + lifted_integral)
-
-
 def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential) -> np.ndarray:
     """Derivative E'(alpha) at each alpha, in closed form.
 
-    The same element quotient as E, one antiderivative lower; on a
-    breakpoint where E' jumps it returns one of the two one-sided values.
+    Per element, the difference quotient of the dissipation potential over
+    the element's node values; on a breakpoint where E' jumps it returns one
+    of the two one-sided values.
     """
     x = mesh.nodes[lifted.branch_id]
     u2 = psi.threshold**2
@@ -290,14 +292,15 @@ def reduce_and_minimize(
     piecewise smooth with breakpoints where a lifted node value plus alpha
     crosses 0 or the threshold speed; its local minimizers are the points
     where the closed-form E' turns from - to +, found bracket by bracket.
-    An end of the search interval counts as a candidate when it is the
-    global minimum.
+    E at them and at the ends of the search interval comes from one batched
+    call of the quadrature ``energy_of`` runs. An end of the search interval
+    counts as a candidate when it is the global minimum.
     """
     grid = grid or GridSpec()
     lifted = lift_field(mesh)
 
     if mesh.network.boundary_plan.velocity.any():
-        report = energy_of(lifted, mesh, psi)
+        report = energy_of(lifted.values, mesh, psi)
         return MinimizationResult(
             alpha_star=0.0,
             energy=report.energy,
@@ -314,7 +317,10 @@ def reduce_and_minimize(
 
     zeros = _rising_zeros(alphas[:-1], alphas[1:], lambda a: _slopes(a, lifted, mesh, psi))
     points = np.concatenate([[-amax], zeros, [amax]])
-    values = _energies_on_grid(points, lifted, mesh, psi)
+    dissipation, load = _dissipation_and_load(
+        lifted.values + points[:, None], lifted.nodes, tangential_forcing(mesh), psi
+    )
+    values = dissipation - load
     best = int(np.argmin(values))
     keep = values <= values[best] + grid.near_optimal_window
     keep[[0, -1]] = False
@@ -328,7 +334,7 @@ def reduce_and_minimize(
     )
 
 
-def build_energy_block(solution: Solution, mesh: Mesh, law) -> dict:
+def build_energy_block(solution: Solution, law) -> dict:
     """Energy summary of a single-branch solution, JSON-ready.
 
     Evaluates the dissipation and energy of the solver's flux on its own
@@ -355,53 +361,3 @@ def build_energy_block(solution: Solution, mesh: Mesh, law) -> dict:
         "fem_offset_mean": float(np.mean(offsets)),
         "fem_offset_spread": float(np.max(offsets) - np.min(offsets)),
     }
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    decrease_fraction: float
-    tested_directions: int
-    worst_drop: float
-
-
-def local_minimality_probe(
-    field: FieldLike,
-    mesh: Mesh,
-    psi: PsiPotential,
-    directions: int = 100,
-    scale: float = 1e-3,
-    seed: int = 0,
-) -> ProbeReport:
-    """Check a flux field for descent directions in the divergence-free space.
-
-    Random admissible perturbations (constants on a single branch; none at
-    all when a velocity condition pins the flux) are added at the given scale
-    and two halvings of it. The report counts the fraction of directions
-    along which the energy drops by more than 1e-10.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    bid = _single_branch(mesh)
-    values = _nodal_values(field, mesh, bid)
-
-    if mesh.network.boundary_plan.velocity.any():
-        return ProbeReport(decrease_fraction=0.0, tested_directions=0, worst_drop=0.0)
-
-    base = energy_of(values, mesh, psi).energy
-    rng = np.random.default_rng(seed)
-    decreasing = 0
-    worst = 0.0
-    for _ in range(directions):
-        direction = 1.0 if rng.standard_normal() >= 0.0 else -1.0
-        drops = []
-        for delta in (scale, scale / 2.0, scale / 4.0):
-            perturbed = energy_of(values + delta * direction, mesh, psi).energy
-            drops.append(perturbed - base)
-        worst = min(worst, min(drops))
-        if min(drops) < -1e-10:
-            decreasing += 1
-    return ProbeReport(
-        decrease_fraction=decreasing / directions,
-        tested_directions=directions,
-        worst_drop=worst,
-    )

@@ -41,15 +41,7 @@ import numpy as np
 
 from .laws import AdaptiveLaw, Regime, eval_lambda_coefficient
 from .meshing import BranchArrays, Mesh, source_integrals  # noqa: F401 (re-export)
-from .network import (
-    END,
-    START,
-    BoundarySpec,
-    Branch,
-    PressureBC,
-    SingularSystemError,
-    SourceSpec,
-)
+from .network import BoundarySpec, SingularSystemError, SourceSpec
 
 RESIDUAL_TOL = 1e-10
 
@@ -75,23 +67,6 @@ class RegimeField:
         Raises ``ValueError`` when the labels do not match the mesh.
         """
         return mesh.flat_elements(self.labels, "regime labels")
-
-
-def lift_pressure_data(bcs: BoundarySpec, branch: Branch) -> float:
-    """Tangential gradient of the linear extension of pressure boundary data.
-
-    With pressure data at both ends the extension interpolates linearly and
-    the gradient is the end-to-end difference over the length; with data at
-    one end the constant extension has zero gradient (the constant itself is
-    absorbed into the pressure level). The energy oracle subtracts this
-    gradient from the body force so that its stationary points coincide with
-    the mixed solves, which impose the same data as natural boundary terms.
-    """
-    p_start = bcs.condition_at(branch.id, START)
-    p_end = bcs.condition_at(branch.id, END)
-    if isinstance(p_start, PressureBC) and isinstance(p_end, PressureBC):
-        return (p_end.pressure - p_start.pressure) / branch.length
-    return 0.0
 
 
 @dataclass
@@ -141,13 +116,13 @@ class Solution:
         return frozen_speeds(self.mesh, self.mesh.flat_nodes(self.flux, "fluxes"))
 
     def stacked(self) -> np.ndarray:
-        parts = [self.flux[b] for b in self.mesh.branch_ids]
-        parts += [self.pressure[b] for b in self.mesh.branch_ids]
-        parts += [
-            np.array([self.junction_pressure[i.id]])
-            for i in self.mesh.network.intersections
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        """Node fluxes, element pressures and junction pressures, in mesh order."""
+        junctions = [self.junction_pressure[i.id] for i in self.mesh.network.intersections]
+        return np.concatenate([
+            self.mesh.flat_nodes(self.flux, "fluxes"),
+            self.mesh.flat_elements(self.pressure, "pressures"),
+            np.array(junctions, dtype=float),
+        ])
 
 
 FrozenSpeed = Union[float, Mapping[str, np.ndarray]]

@@ -119,10 +119,6 @@ class Mesh:
     def nodes(self) -> BranchArrays:
         return self.per_node(self.x)
 
-    @cached_property
-    def tangential_force(self) -> dict[str, float]:
-        return dict(zip(self.branch_ids, self.force.tolist()))
-
     def per_node(self, values: np.ndarray) -> BranchArrays:
         """Per-branch views of an array over all nodes."""
         return BranchArrays(self.network.branch_index, values, self.node_offset)

@@ -37,7 +37,7 @@ class Branch:
     start: tuple[float, float]
     end: tuple[float, float]
 
-    @property
+    @cached_property
     def length(self) -> float:
         return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
 
@@ -337,7 +337,7 @@ class FractureNetwork:
             mean_pressure=bcs.mean_pressure if has_mean else None,
         )
 
-    @property
+    @cached_property
     def total_length(self) -> float:
         return sum(b.length for b in self.branches)
 

@@ -15,8 +15,8 @@ differences of residuals and images (Walker & Ni, SIAM J. Numer. Anal. 49,
 2011), computed by ``AndersonMixer``, which the outer tracking loop applies
 to the interface positions too. With ``depth=0`` it is T(x̃) itself: plain
 Picard iteration, whose residual is the relative update between consecutive
-solves. The first solve runs at ``initial_speed`` and has no iterate to
-compare against, so ``update_history`` holds one residual per later cycle.
+solves. The first solve runs at speed 0 and has no iterate to compare
+against, so ``update_history`` holds one residual per later cycle.
 
 A configuration whose active law branches are all speed-independent is
 linear, so the first solve is exact and the loop stops there with a recorded
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Union
 
 import numpy as np
 
@@ -93,7 +92,6 @@ class PicardSettings:
 
     tolerance: float = 1e-4
     max_iterations: int = 50
-    initial_speed: Union[float, Mapping[str, np.ndarray]] = 0.0
     depth: int = 5
 
     def __post_init__(self):
@@ -143,7 +141,7 @@ def picard_solve(
     """
     settings = settings or PicardSettings()
     linear = _is_linear(regimes.on(mesh), law)
-    speeds = settings.initial_speed
+    speeds = 0.0
     iterate: np.ndarray | None = None
     mixer = AndersonMixer(settings.depth)
     history: list[float] = []

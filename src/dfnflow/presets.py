@@ -180,7 +180,7 @@ def run_case(
     )
     energy = None
     if len(network.branches) == 1:
-        energy = build_energy_block(report.final_solution, mesh, law)
+        energy = build_energy_block(report.final_solution, law)
     return bundle_from_report(
         name,
         report,

@@ -136,13 +136,19 @@ class TrackerReport:
     period: int | None
     history: list[HistoryEntry]
     final_solution: Solution
-    outer_iterations: int
-    inner_iteration_counts: list[int]
     snapshots: list[Solution] | None = None
 
     @property
     def final_configuration(self) -> Configuration:
         return self.history[-1].configuration
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def inner_iteration_counts(self) -> list[int]:
+        return [entry.inner_iterations for entry in self.history]
 
 
 def classify_endpoints(
@@ -380,7 +386,6 @@ def track(
     mixed = False
 
     history: list[HistoryEntry] = []
-    inner_counts: list[int] = []
     snapshots: list[Solution] | None = [] if trace else None
     status = TrackerStatus.MAX_ITERATIONS
     period: int | None = None
@@ -418,7 +423,6 @@ def track(
                 mixed=mixed,
             )
         )
-        inner_counts.append(last_result.iterations)
         if snapshots is not None:
             snapshots.append(solution)
 
@@ -456,7 +460,5 @@ def track(
         period=period if status == TrackerStatus.OSCILLATING else None,
         history=history,
         final_solution=last_result.solution,
-        outer_iterations=len(history),
-        inner_iteration_counts=inner_counts,
         snapshots=snapshots,
     )

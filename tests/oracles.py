@@ -5,7 +5,7 @@ is a cell-centered two-point flux scheme solved as its own linear system, the
 saddle oracle assembles the whole mixed system in coordinate form and solves
 it with SuperLU, the dissipation oracle is a brute-force midpoint rule, the set-distance oracle
 is a direct double loop, the energy-minimizer oracle scans the reduced
-energy on a uniform grid and refines by golden section, the bisecting
+energy in closed form on a uniform grid and refines by golden section, the bisecting
 minimizer finds the zeros of E' by 64 halvings instead of one Newton step,
 the loop integrator applies the kink-split Gauss rule element by element,
 the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
@@ -29,7 +29,7 @@ from dfnflow.energy import (
     EnergyReport,
     GridSpec,
     MinimizationResult,
-    _energies_on_grid,
+    _element_quotients,
     _nodal_values,
     _slopes,
     lift_field,
@@ -101,7 +101,7 @@ def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
         x = mesh.nodes[bid]
         h = np.diff(x)
         ne = len(h)
-        f = mesh.tangential_force[bid]
+        f = mesh.force[mesh.network.branch_index[bid]]
         from dfnflow.fem import source_integrals
 
         qint = mesh.per_element(source_integrals(mesh, sources))[bid]
@@ -180,7 +180,7 @@ def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
         x = mesh.nodes[bid]
         h = np.diff(x)
         ne = len(h)
-        f = mesh.tangential_force[bid]
+        f = mesh.force[mesh.network.branch_index[bid]]
         p = pressures[bid]
         vals = np.empty(ne + 1)
         for e in range(ne - 1):
@@ -437,6 +437,21 @@ def _golden_section(f, lo, hi, tol):
     return mid, f(mid)
 
 
+def closed_form_energies(alphas, lifted, mesh, psi) -> np.ndarray:
+    """Reduced energy E(alpha) at each alpha from antiderivative difference quotients.
+
+    Per element, h times the difference of the antiderivative of the flux
+    potential over the node values, divided by their difference: exact in
+    arithmetic, but the quotient cancels about 1e-13 near |alpha| = 10.
+    """
+    x = mesh.nodes[lifted.branch_id]
+    lifted_integral = float(np.dot(np.diff(x), 0.5 * (lifted.values[:-1] + lifted.values[1:])))
+    dissipation = _element_quotients(
+        alphas, lifted, mesh, psi.flux_antiderivative, lambda w: psi.value_physical(w**2)
+    )
+    return dissipation - tangential_forcing(mesh) * (alphas * (x[-1] - x[0]) + lifted_integral)
+
+
 @dataclass
 class GridMinimization(MinimizationResult):
     """A ``MinimizationResult`` whose ``alphas`` are a scan grid, with ``energies``
@@ -457,10 +472,10 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
     """
     lifted = lift_field(mesh)
     alphas = np.linspace(-alpha_max, alpha_max, count)
-    energies = _energies_on_grid(alphas, lifted, mesh, psi)
+    energies = closed_form_energies(alphas, lifted, mesh, psi)
 
     def scalar_energy(a):
-        return float(_energies_on_grid(np.array([a]), lifted, mesh, psi)[0])
+        return float(closed_form_energies(np.array([a]), lifted, mesh, psi)[0])
 
     interior = np.arange(1, len(alphas) - 1)
     is_local_min = (energies[interior] <= energies[interior - 1]) & (
@@ -499,7 +514,8 @@ def bisect_reduce(mesh, psi, grid=None):
     fitted cubic turns from negative to nonnegative is then bisected 64 times
     on the closed-form E', which shrinks it below one unit in the last place.
     The bracket ends are read with ``chebval``, as the intervals are, so a
-    zero on a breakpoint is found by one of the two tests.
+    zero on a breakpoint is found by one of the two tests. E at the zeros is
+    ``closed_form_energies``, not the package's quadrature.
     """
     grid = grid or GridSpec()
     lifted = lift_field(mesh)
@@ -537,7 +553,7 @@ def bisect_reduce(mesh, psi, grid=None):
     zeros = zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
     points = np.concatenate([[-amax], zeros, [amax]])
-    values = _energies_on_grid(points, lifted, mesh, psi)
+    values = closed_form_energies(points, lifted, mesh, psi)
     best = int(np.argmin(values))
     keep = values <= values[best] + grid.near_optimal_window
     keep[[0, -1]] = False
@@ -596,9 +612,9 @@ def plain_picard(mesh, regimes, law, settings=None):
     """
     settings = settings or PicardSettings()
     if _is_linear(regimes.on(mesh), law):
-        system = assemble(mesh, regimes, law, settings.initial_speed)
+        system = assemble(mesh, regimes, law, 0.0)
         return PicardResult(solve_saddle(system), 1, [0.0], True)
-    speeds = settings.initial_speed
+    speeds = 0.0
     previous = None
     history = []
     for iterations in range(1, settings.max_iterations + 1):
@@ -760,7 +776,6 @@ def plain_track(
     signatures: list[tuple] = [run_signature(mesh, runs_prev)]
 
     history: list[HistoryEntry] = []
-    inner_counts: list[int] = []
     snapshots: list[Solution] | None = [] if trace else None
     status = TrackerStatus.MAX_ITERATIONS
     period: int | None = None
@@ -803,7 +818,6 @@ def plain_track(
                 inner_converged=last_result.converged,
             )
         )
-        inner_counts.append(last_result.iterations)
         if snapshots is not None:
             snapshots.append(solution)
 
@@ -825,7 +839,5 @@ def plain_track(
         period=period if status == TrackerStatus.OSCILLATING else None,
         history=history,
         final_solution=last_result.solution,
-        outer_iterations=len(history),
-        inner_iteration_counts=inner_counts,
         snapshots=snapshots,
     )

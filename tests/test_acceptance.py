@@ -15,12 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from dfnflow.energy import (
-    build_energy_block,
-    lift_field,
-    local_minimality_probe,
-    reduce_and_minimize,
-)
+from dfnflow.energy import build_energy_block, lift_field, reduce_and_minimize
 from dfnflow.fem import RegimeField, assemble, solve_saddle, source_integrals
 from dfnflow.laws import (
     AdaptiveLaw,
@@ -355,21 +350,22 @@ def test_criterion_09_local_minimality():
     start = time.perf_counter()
     mesh = build_mesh(single_fracture_network(), 0.05)
     law = darcy_pair()
-    # sharpen the configuration well below the probe scales so the reported
-    # state is an exact stationary point of the discrete energy
+    # sharpen the configuration so that the reported state is an exact
+    # stationary point of the discrete energy; on one branch the admissible
+    # directions are the constants, so it must be the exact line minimum:
+    # the lifted field plus alpha*, with the energy E(alpha*)
     report = track(mesh, law, settings=TrackerSettings(eps_omega=1e-8, max_outer=100))
-    psi = build_psi(law)
-    sol = report.final_solution
-    fractions = {}
-    for scale in (1e-3, 1e-4):
-        probe = local_minimality_probe(
-            sol, sol.mesh, psi, directions=100, scale=scale, seed=13
-        )
-        fractions[scale] = probe.decrease_fraction
+    block = build_energy_block(report.final_solution, law)
+    count = len(block["candidates"])
+    mean_gap = abs(block["fem_offset_mean"] - block["alpha_star"])
+    spread = block["fem_offset_spread"]
+    energy_gap = abs(block["energy"] - block["alpha_energy"])
     checks = {
         "tracker converged sharply": report.status is TrackerStatus.CONVERGED,
-        f"decrease fraction at 1e-3 is {fractions[1e-3]} == 0": fractions[1e-3] == 0.0,
-        f"decrease fraction at 1e-4 is {fractions[1e-4]} == 0": fractions[1e-4] == 0.0,
+        f"{count} candidate == 1": count == 1,
+        f"|offset mean - alpha*| = {mean_gap:.1e} <= 1e-12": mean_gap <= 1e-12,
+        f"offset spread {spread:.1e} <= 1e-12": spread <= 1e-12,
+        f"|E(solver) - E(alpha*)| = {energy_gap:.1e} <= 1e-15": energy_gap <= 1e-15,
     }
     _finish(9, "local minimality of the tracked state", 5.0, time.perf_counter() - start, checks)
 

@@ -10,7 +10,6 @@ from dfnflow.fem import (
     SingularSystemError,
     assemble,
     implied_junction_pressures,
-    lift_pressure_data,
     solve_saddle,
     source_integrals,
 )
@@ -304,26 +303,6 @@ def test_matches_two_point_flux_oracle_heterogeneous():
             assert np.abs(sol.flux[b] - u_ref[b]).max() <= 1e-12
         for j, v in j_ref.items():
             assert abs(sol.junction_pressure[j] - v) <= 1e-12
-
-
-def test_lift_pressure_data_gradients():
-    both = BoundarySpec(
-        {("f", "start"): PressureBC(0.0), ("f", "end"): PressureBC(0.2)}
-    )
-    flat = BoundarySpec(
-        {("f", "start"): PressureBC(0.1), ("f", "end"): PressureBC(0.1)}
-    )
-    zero = BoundarySpec(
-        {("f", "start"): PressureBC(0.0), ("f", "end"): PressureBC(0.0)}
-    )
-    one_side = BoundarySpec(
-        {("f", "start"): VelocityBC(0.0), ("f", "end"): PressureBC(0.2)}
-    )
-    branch = Branch("f", (0.0, 0.0), (1.0, 0.0))
-    assert lift_pressure_data(zero, branch) == 0.0
-    assert lift_pressure_data(both, branch) == pytest.approx(0.2)
-    assert lift_pressure_data(flat, branch) == 0.0
-    assert lift_pressure_data(one_side, branch) == 0.0
 
 
 def test_missing_pressure_anchor_raises():

@@ -67,9 +67,8 @@ def test_tangential_force_projection():
         sources=SourceSpec(force=(0.05, 0.0)),
     )
     mesh = build_mesh(net, 0.5)
-    assert mesh.tangential_force["x"] == pytest.approx(0.05)
-    assert mesh.tangential_force["y"] == pytest.approx(0.0)
-    assert mesh.tangential_force["d"] == pytest.approx(0.05 / np.sqrt(2))
+    assert mesh.branch_ids == ("x", "y", "d")
+    assert mesh.force == pytest.approx([0.05, 0.0, 0.05 / np.sqrt(2)])
 
 
 def test_split_inserts_interior_point():

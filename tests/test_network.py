@@ -136,3 +136,13 @@ def test_source_breakpoint_outside_branch_detected():
         ),
     )
     assert any(v.code == "breakpoint-range" for v in validate_network(net).violations)
+
+
+def test_cached_length_leaves_branch_equality_and_hash_alone():
+    a, b = Branch("f", (0.0, 0.0), (3.0, 4.0)), Branch("f", (0.0, 0.0), (3.0, 4.0))
+    assert a.length == 5.0 and "length" in vars(a) and "length" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert a != Branch("f", (0.0, 0.0), (4.0, 3.0))
+    net = FractureNetwork(branches=(a, Branch("g", (0.0, 0.0), (0.0, 2.0))))
+    assert net.total_length == 7.0
+    assert net == FractureNetwork(branches=(b, Branch("g", (0.0, 0.0), (0.0, 2.0))))

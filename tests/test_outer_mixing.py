@@ -76,7 +76,7 @@ def test_converged_mixed_runs_pass_the_energy_oracle_gates(k2, h):
     # the test as unsatisfiable
     assume(report.status == TrackerStatus.CONVERGED)
     assume(any(e.mixed for e in report.history))
-    block = build_energy_block(report.final_solution, mesh, law)
+    block = build_energy_block(report.final_solution, law)
     assert block["fem_offset_spread"] <= 1e-8
     assert block["energy"] - block["alpha_energy"] >= -1e-12
 
