@@ -10,12 +10,18 @@ condition present the divergence-free space collapses to zero and the lifted
 field itself is the unique candidate.
 
 Between the breakpoints where a lifted node value plus alpha crosses zero or
-the threshold speed, the derivative E' is a polynomial of degree at most
-three, so minimizers are located where the closed-form E' turns from
-negative to nonnegative: each such zero is the root of the cubic fitted to E'
-on its bracket, refined by one Newton step on the closed-form E' and clipped
-to the interval of the bracket that holds the root. E' is continuous except
-where the node value of a flat element crosses the threshold and the law
+the threshold speed, the potential of the flux is a cubic in each node value,
+so E', a sum of its divided differences over the elements, is a quadratic in
+alpha. Its values at four points of every bracket come from one running sum
+over the brackets, of the quadratic that each element adds while both its
+node values stay in one piece of the potential, plus the closed-form
+quotients of the elements straddling a kink there; this costs O(N) beyond
+sorting the breakpoints, not the O(N**2) of summing all N elements at every
+point. Minimizers are located where E' turns from negative to nonnegative:
+each such zero is the root of the cubic fitted to the samples of its
+bracket, refined by one Newton step on the closed-form E' and clipped to the
+interval of the bracket that holds the root. E' is continuous except where
+the node value of a flat element crosses the threshold and the law
 coefficient jumps.
 
 The dissipation integrand is the piecewise potential composed with the
@@ -203,6 +209,22 @@ class MinimizationResult:
     lifted: LiftedField = field(repr=False, default=None)
 
 
+def _divided(h, wa, delta, difference, limit) -> np.ndarray:
+    """h * difference / delta, elementwise, the arrays broadcasting together.
+
+    Where |delta| < 1e-14 the element counts as flat and the quotient is
+    h * limit(wa), limit being the derivative of the function differenced.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = h * difference / delta
+    flat = np.abs(delta) < 1e-14
+    if flat.any():
+        flat = np.broadcast_to(flat, quotient.shape)
+        h, wa = (np.broadcast_to(array, quotient.shape)[flat] for array in (h, wa))
+        quotient[flat] = h * limit(wa)
+    return quotient
+
+
 def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
     """Sum over elements of h * (prim(wb) - prim(wa)) / (wb - wa), per alpha.
 
@@ -212,13 +234,13 @@ def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
     """
     h = np.diff(mesh.nodes[lifted.branch_id])
     w = alphas[None, :] + lifted.values[:, None]
-    delta = np.diff(lifted.values)
-    flat = np.abs(delta) < 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_element = h[:, None] * np.diff(prim(w), axis=0) / delta[:, None]
-    if flat.any():
-        per_element[flat, :] = h[flat, None] * limit(w[:-1][flat, :])
-    return per_element.sum(axis=0)
+    delta = np.diff(lifted.values)[:, None]
+    return _divided(h[:, None], w[:-1], delta, np.diff(prim(w), axis=0), limit).sum(axis=0)
+
+
+def _potential(psi: PsiPotential):
+    """The potential of the flux, prim(w) = value_physical(w**2), and its derivative."""
+    return lambda w: psi.value_physical(w**2), lambda w: w * psi.phi(w**2 / psi.threshold**2)
 
 
 def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential) -> np.ndarray:
@@ -229,32 +251,104 @@ def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotenti
     of the two one-sided values.
     """
     x = mesh.nodes[lifted.branch_id]
-    u2 = psi.threshold**2
-    dissipation = _element_quotients(
-        alphas, lifted, mesh, lambda w: psi.value_physical(w**2), lambda w: w * psi.phi(w**2 / u2)
-    )
+    dissipation = _element_quotients(alphas, lifted, mesh, *_potential(psi))
     return dissipation - tangential_forcing(mesh) * (x[-1] - x[0])
 
 
-def _rising_zeros(lo: np.ndarray, hi: np.ndarray, slope) -> np.ndarray:
+def _bracket_slopes(
+    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential
+) -> np.ndarray:
+    """E' at the four Chebyshev points of every bracket between consecutive alphas.
+
+    ``alphas`` are the sorted breakpoints and the two ends of the search
+    interval, as ``reduce_and_minimize`` builds them; returns shape
+    (brackets, 4). On each piece of the node value v, (-inf, -u), [-u, 0),
+    [0, u] and (u, inf), the potential of the flux is u**2 c0 + c1 v**2 +
+    c15 |v|**3 / u with the coefficients of the law branch in force. An
+    element whose node values a and b lie in one piece adds that cubic's
+    divided difference, h [c1 (a + b) +- c15 (a**2 + ab + b**2) / u], a
+    quadratic in alpha: its coefficients are added at the bracket where the
+    element enters the piece and taken off where it leaves, and one running
+    sum over the brackets holds every bracket's quadratic. An element
+    straddling a kink, over the brackets between the breakpoints of its two
+    nodes, adds its closed-form quotient at the sample points directly, so
+    no 1/(b - a) enters the running sum. Time and memory are O(N) in the
+    element count N beyond the sort of the breakpoints, as long as each
+    straddled range holds few breakpoints.
+    """
+    w, u = lifted.values, psi.threshold
+    h = np.diff(lifted.nodes)
+    brackets = len(alphas) - 1
+    points = alphas[:-1, None] * (1.0 - _CHEB_S) + alphas[1:, None] * _CHEB_S
+    # the bracket each node's breakpoint at the kinks -u, 0 and u opens, as
+    # computed for alphas; a breakpoint outside the search interval clips
+    rank = np.minimum(np.searchsorted(alphas, np.stack([-u - w, -w, u - w])), brackets)
+    first = np.minimum(rank[:, :-1], rank[:, 1:])  # (kink, element)
+    last = np.maximum(rank[:, :-1], rank[:, 1:])
+
+    # per piece: the brackets holding both node values, the quadratic there
+    start = np.concatenate([np.zeros((1, len(h)), dtype=first.dtype), last])
+    end = np.concatenate([first, np.full((1, len(h)), brackets)])
+    low, high = psi.low.potential_coefficients(), psi.high.potential_coefficients()
+    square = np.array([high[1], low[1], low[1], high[1]])[:, None]
+    cube = np.array([-high[2], -low[2], low[2], high[2]])[:, None] / u
+    sums, products = w[:-1] + w[1:], w[:-1] ** 2 + w[:-1] * w[1:] + w[1:] ** 2
+    quadratic = h[:, None] * np.stack(
+        [
+            square * sums + cube * products,
+            2.0 * square + 3.0 * cube * sums,
+            3.0 * cube * np.ones_like(sums),
+        ],
+        axis=-1,
+    )
+    inside = start < end
+    jumps = np.bincount(
+        (np.concatenate([start[inside], end[inside]])[:, None] * 3 + np.arange(3)).ravel(),
+        np.concatenate([quadratic[inside], -quadratic[inside]]).ravel(),
+        minlength=3 * (brackets + 1),
+    )
+    c0, c1, c2 = np.cumsum(jumps.reshape(-1, 3)[:-1], axis=0).T[:, :, None]
+    samples = c0 + points * (c1 + points * c2)
+
+    # the brackets straddling each kink, less those of the kink below, so
+    # that an element straddling two kinks at once counts once
+    lower = np.concatenate([first[:1], np.maximum(first[1:], last[:-1])]).ravel()
+    counts = np.maximum(last.ravel() - lower, 0)
+    element = np.repeat(np.tile(np.arange(len(h)), 3), counts)
+    bracket = np.repeat(lower - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    wa, wb = w[element, None] + points[bracket], w[element + 1, None] + points[bracket]
+    prim, limit = _potential(psi)
+    delta = np.diff(w)[element, None]
+    straddling = _divided(h[element, None], wa, delta, prim(wb) - prim(wa), limit)
+    samples += np.bincount(
+        (bracket[:, None] * 4 + np.arange(4)).ravel(), straddling.ravel(), minlength=4 * brackets
+    ).reshape(-1, 4)
+    x = lifted.nodes
+    return samples - tangential_forcing(mesh) * (x[-1] - x[0])
+
+
+def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) -> np.ndarray:
     """Every point where E' turns from negative to nonnegative, left to right.
 
-    E' is a cubic on each bracket [lo, hi], fixed by its values at four
-    interior Chebyshev points, so no sample lies on a breakpoint, where E'
-    jumps if an element is flat. The real roots of each cubic split its
-    bracket into intervals holding one root each. In an interval whose ends
-    read E' < 0 <= E', the zero is the cubic's root plus one Newton step on
-    the closed-form E' with the cubic's derivative, clipped to the interval
-    (the right end where rounding left the interval without a root). A root
-    on a breakpoint is taken as it is: the closed-form E' there may read the
-    other side of a jump. A breakpoint where the cubic on its left ends below
-    zero and the one on its right starts at or above zero is itself such a
-    point. Points within 1e-9 of each other are one zero seen from two
-    brackets through rounding, reported once.
+    Between breakpoints the potential is a cubic in the node values, so E',
+    a sum of its divided differences, is a polynomial of degree at most two
+    in alpha on each bracket [lo, hi]. ``samples`` holds E' at the bracket's
+    four interior Chebyshev points, so no sample lies on a breakpoint, where
+    E' jumps if an element is flat; the cubic fitted to them is E' on the
+    bracket up to rounding. ``slope`` is the closed-form E'. The real roots
+    of each cubic split its bracket into intervals holding one root each. In
+    an interval whose ends read E' < 0 <= E', the zero is the cubic's root
+    plus one Newton step on the closed-form E' with the cubic's derivative,
+    clipped to the interval (the right end where rounding left the interval
+    without a root). A root on a breakpoint is taken as it is: the
+    closed-form E' there may read the other side of a jump. A breakpoint
+    where the cubic on its left ends below zero and the one on its right
+    starts at or above zero is itself such a point. Points within 1e-9 of
+    each other are one zero seen from two brackets through rounding,
+    reported once.
     """
     cheb = np.polynomial.chebyshev
-    samples = slope((lo[:, None] * (1.0 - _CHEB_S) + hi[:, None] * _CHEB_S).ravel())
-    coeffs = samples.reshape(-1, 4) @ _CHEB_FIT
+    coeffs = samples @ _CHEB_FIT
     # the same chebval as the intervals below, so both tests read one sign at a breakpoint
     at_lo, at_hi = cheb.chebval([-1.0, 1.0], coeffs.T).T
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
@@ -315,7 +409,12 @@ def reduce_and_minimize(
     alphas = np.sort(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
     alphas = alphas[np.diff(alphas, prepend=-np.inf) > 0.0]
 
-    zeros = _rising_zeros(alphas[:-1], alphas[1:], lambda a: _slopes(a, lifted, mesh, psi))
+    zeros = _rising_zeros(
+        alphas[:-1],
+        alphas[1:],
+        _bracket_slopes(alphas, lifted, mesh, psi),
+        lambda a: _slopes(a, lifted, mesh, psi),
+    )
     points = np.concatenate([[-amax], zeros, [amax]])
     dissipation, load = _dissipation_and_load(
         lifted.values + points[:, None], lifted.nodes, tangential_forcing(mesh), psi

@@ -15,35 +15,33 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .fem import Solution
+from .meshing import BranchArrays
 from .tracker import TrackerReport, TrackerStatus
 
 SCHEMA_VERSION = 3
 
 
-def _field_block(nodes: np.ndarray, values: np.ndarray) -> dict:
-    return {
-        "arc": np.asarray(nodes, dtype=float).tolist(),
-        "value": np.asarray(values, dtype=float).tolist(),
-    }
+def _branch_lists(values: BranchArrays) -> dict[str, list]:
+    """Every branch's slice of the flat array as a list, from one ``tolist`` of it."""
+    flat, offset = values.array.tolist(), values.offset.tolist()
+    return {b: flat[offset[k] : offset[k + 1]] for b, k in values.index.items()}
 
 
 def _regime_block(regimes) -> dict:
-    return {b: np.asarray(labels).tolist() for b, labels in sorted(regimes.labels.items())}
+    """The labels of every branch, by branch id; tracked labels are views of one array."""
+    return dict(sorted(_branch_lists(regimes.labels).items()))
 
 
 def solution_fields(solution: Solution) -> dict:
     mesh = solution.mesh
+    arc = _branch_lists(mesh.nodes)
+    flux = _branch_lists(mesh.per_node(mesh.flat_nodes(solution.flux, "fluxes")))
+    midpoint = _branch_lists(mesh.per_element(mesh.midpoints))
+    pressure = _branch_lists(mesh.per_element(mesh.flat_elements(solution.pressure, "pressures")))
     return {
-        "flux": {
-            b: _field_block(mesh.nodes[b], solution.flux[b]) for b in mesh.branch_ids
-        },
-        "pressure": {
-            b: _field_block(mesh.element_midpoints(b), solution.pressure[b])
-            for b in mesh.branch_ids
-        },
+        "flux": {b: {"arc": arc[b], "value": flux[b]} for b in mesh.branch_ids},
+        "pressure": {b: {"arc": midpoint[b], "value": pressure[b]} for b in mesh.branch_ids},
         "junction_pressure": {
             k: float(v) for k, v in sorted(solution.junction_pressure.items())
         },

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .network import COINCIDENCE_TOL, FractureNetwork, SourceSpec, validate_network
+from .network import COINCIDENCE_TOL, FractureNetwork, validate_network
 
 _GAUSS5 = np.polynomial.legendre.leggauss(5)
 
@@ -174,7 +174,7 @@ class Mesh:
     @cached_property
     def element_sources(self) -> np.ndarray:
         """Integral of the network's scalar source over every element."""
-        return source_integrals(self, self.network.sources)
+        return source_integrals(self)
 
     @cached_property
     def mean_multiplier(self) -> float:
@@ -194,39 +194,27 @@ class Mesh:
         return profile + self.mean_multiplier * self.x
 
 
-def source_integrals(mesh: Mesh, sources: SourceSpec) -> np.ndarray:
-    """Integral of the scalar source over every element, in mesh order.
+def source_integrals(mesh: Mesh) -> np.ndarray:
+    """Integral of the network's scalar source over every element, in mesh order.
 
     Constant pieces integrate exactly; callable pieces use a 5-point Gauss
     rule per element. Breakpoints are mesh nodes by construction, so every
-    element lies inside a single piece.
+    element lies inside a single piece: the one holding its midpoint, looked
+    up in the network's ``source_pieces``.
     """
-    # Number the pieces of all sourced branches in one table; an element's
-    # piece is its branch's first plus the breakpoints below its midpoint.
-    index = mesh.network.branch_index
-    first = np.full(len(index), -1)
-    breaks, pieces = [], []
-    for bid, src in sources.scalar.items():
-        k = index[bid]
-        first[k] = len(pieces)
-        breaks += [complex(k, bp) for bp in src.breakpoints]
-        pieces += src.pieces
-    breaks = np.sort(np.array(breaks, dtype=complex))
+    table = mesh.network.source_pieces
     branch = mesh.element_branch
-    below = np.searchsorted(breaks, branch_keys(branch, mesh.midpoints))
-    piece = first[branch] + below - np.searchsorted(breaks.real, branch)
-    sourced = first[branch] >= 0
+    piece = table.base[branch] + np.searchsorted(table.breaks, branch_keys(branch, mesh.midpoints))
+    sourced = table.sourced[branch]
 
     a, b = mesh.x[mesh.left], mesh.x[mesh.left + 1]
-    rate = np.array([np.nan if callable(p) else p for p in pieces] + [0.0])
-    out = rate[np.where(sourced, piece, -1)] * (b - a)
+    out = table.rate[np.where(sourced, piece, -1)] * (b - a)
     pts, wts = _GAUSS5
-    for j, p in enumerate(pieces):
-        if callable(p):
-            sel = np.flatnonzero(sourced & (piece == j))
-            half = 0.5 * (b[sel] - a[sel])
-            xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
-            out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
+    for j, p in table.callables:
+        sel = np.flatnonzero(sourced & (piece == j))
+        half = 0.5 * (b[sel] - a[sel])
+        xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
+        out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
     return out
 
 

@@ -171,6 +171,25 @@ class SourceSpec:
         return self.scalar.get(branch_id, ZERO_SOURCE)
 
 
+@dataclass(frozen=True)
+class SourcePieces:
+    """The scalar source pieces of all branches of a network, numbered in one table.
+
+    ``breaks`` holds every source breakpoint as a (branch position, arc)
+    complex key, sorted. A point on branch k lies in piece ``base[k]`` plus
+    the number of keys below its own key; ``sourced[k]`` marks the branches
+    with a source. ``rate`` is the constant rate of every piece, nan for a
+    callable one, then 0.0 for elements without a source; ``callables``
+    pairs each callable piece with its number.
+    """
+
+    breaks: np.ndarray
+    base: np.ndarray
+    sourced: np.ndarray
+    rate: np.ndarray
+    callables: tuple[tuple[int, Callable[[np.ndarray], np.ndarray]], ...]
+
+
 class SingularSystemError(RuntimeError):
     """Raised when the saddle system is singular or numerically unsolvable."""
 
@@ -335,6 +354,25 @@ class FractureNetwork:
             inside=inside,
             entry=rows[inside] * len(unknown) + cols[inside],
             mean_pressure=bcs.mean_pressure if has_mean else None,
+        )
+
+    @cached_property
+    def source_pieces(self) -> SourcePieces:
+        """The pieces of ``sources.scalar``, the table every mesh integrates from."""
+        first = np.full(len(self.branches), -1)
+        breaks, pieces = [], []
+        for bid, src in self.sources.scalar.items():
+            k = self.branch_index[bid]
+            first[k] = len(pieces)
+            breaks += [complex(k, bp) for bp in src.breakpoints]
+            pieces += src.pieces
+        breaks = np.sort(np.array(breaks, dtype=complex))
+        return SourcePieces(
+            breaks=breaks,
+            base=first - np.searchsorted(breaks.real, np.arange(len(first))),
+            sourced=first >= 0,
+            rate=np.array([np.nan if callable(p) else p for p in pieces] + [0.0]),
+            callables=tuple((j, p) for j, p in enumerate(pieces) if callable(p)),
         )
 
     @cached_property

@@ -73,7 +73,7 @@ from dfnflow.network import (
 )
 
 
-def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
+def tpfa_darcy_solve(mesh, coefficients, bcs):
     """Cell-centered two-point-flux Darcy solve on a meshed network.
 
     ``coefficients`` maps branch id to the per-element inverse permeability
@@ -104,7 +104,7 @@ def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
         f = mesh.force[mesh.network.branch_index[bid]]
         from dfnflow.fem import source_integrals
 
-        qint = mesh.per_element(source_integrals(mesh, sources))[bid]
+        qint = mesh.per_element(source_integrals(mesh))[bid]
         for e in range(ne):
             rhs[cell_index[(bid, e)]] += qint[e]
         # interior faces
@@ -212,7 +212,7 @@ def tpfa_darcy_solve(mesh, coefficients, sources, bcs):
     return pressures, junction, fluxes
 
 
-def sparse_saddle_solve(mesh, regimes, law, frozen_speed, sources, bcs):
+def sparse_saddle_solve(mesh, regimes, law, frozen_speed, bcs):
     """The whole mixed system, assembled in coordinate form and solved by SuperLU.
 
     Unknowns: the flux at every node whose flux no velocity condition
@@ -258,7 +258,7 @@ def sparse_saddle_solve(mesh, regimes, law, frozen_speed, sources, bcs):
         else:
             rhs[node] -= bc.pressure * n_out
     pressure = n_nodes + np.arange(n_elements)
-    rhs[pressure] = -source_integrals(mesh, sources)
+    rhs[pressure] = -source_integrals(mesh)
 
     m = coeff * h / 6.0
     ones = np.ones(n_elements)
@@ -841,3 +841,27 @@ def plain_track(
         final_solution=last_result.solution,
         snapshots=snapshots,
     )
+
+
+def per_branch_fields(solution):
+    """``export.solution_fields`` built branch by branch, one ``tolist`` per slice."""
+    mesh = solution.mesh
+
+    def block(arc, values):
+        return {
+            "arc": np.asarray(arc, dtype=float).tolist(),
+            "value": np.asarray(values, dtype=float).tolist(),
+        }
+
+    return {
+        "flux": {b: block(mesh.nodes[b], solution.flux[b]) for b in mesh.branch_ids},
+        "pressure": {
+            b: block(mesh.element_midpoints(b), solution.pressure[b]) for b in mesh.branch_ids
+        },
+        "junction_pressure": {k: float(v) for k, v in sorted(solution.junction_pressure.items())},
+    }
+
+
+def per_branch_regimes(regimes):
+    """``export._regime_block`` built branch by branch."""
+    return {b: np.asarray(labels).tolist() for b, labels in sorted(regimes.labels.items())}

@@ -128,7 +128,7 @@ def test_criterion_02_conservation_suite():
             assemble(mesh, labels, law, 0.0, net.sources, net.boundary)
         )
         for b in mesh.branch_ids:
-            qint = mesh.per_element(source_integrals(mesh, net.sources))[b]
+            qint = mesh.per_element(source_integrals(mesh))[b]
             worst_mass = max(worst_mass, float(np.abs(np.diff(sol.flux[b]) - qint).max()))
         for isec in net.intersections:
             total = 0.0

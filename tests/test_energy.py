@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dfnflow.energy import (
+    _CHEB_S,
     GridSpec,
+    _bracket_slopes,
+    _slopes,
     energy_of,
     lift_field,
     reduce_and_minimize,
@@ -358,6 +363,54 @@ def test_candidate_energies_are_energy_of_their_fields(seed):
     result = reduce_and_minimize(mesh, psi)
     for alpha, energy in result.candidates:
         assert energy == energy_of(result.lifted.values + alpha, mesh, psi).energy
+
+
+def assert_bracket_samples_match_the_closed_form(mesh, psi):
+    # the running sum of per-piece quadratics plus the straddling elements
+    # against the sum over all elements at every sample point; measured
+    # worst case over the seeds below 1.3e-12
+    lifted = lift_field(mesh)
+    alphas = reduce_and_minimize(mesh, psi).alphas
+    samples = _bracket_slopes(alphas, lifted, mesh, psi)
+    points = alphas[:-1, None] * (1.0 - _CHEB_S) + alphas[1:, None] * _CHEB_S
+    closed = _slopes(points.ravel(), lifted, mesh, psi).reshape(-1, 4)
+    assert np.abs(samples - closed).max() <= 1e-11 * max(1.0, np.abs(closed).max())
+
+
+@pytest.mark.parametrize("seed", [*range(200), 955])
+def test_bracket_samples_match_the_closed_form_slopes(seed):
+    assert_bracket_samples_match_the_closed_form(
+        *random_single_fracture(np.random.default_rng(seed))
+    )
+
+
+def test_bracket_samples_of_an_element_straddling_two_kinks():
+    # an element whose node values lie more than the threshold apart
+    # straddles two kinks over the brackets between them, and counts once
+    mesh, psi = random_single_fracture(np.random.default_rng(190))
+    assert np.abs(np.diff(lift_field(mesh).values)).max() > psi.threshold
+    assert_bracket_samples_match_the_closed_form(mesh, psi)
+
+
+def test_bracket_samples_on_a_source_free_branch():
+    # every element is flat and adds h * prim'(w) inside its piece
+    mesh = build_mesh(plain_branch(force=(0.3, 0.0)), 0.1)
+    assert (np.diff(lift_field(mesh).values) == 0.0).all()
+    assert_bracket_samples_match_the_closed_form(mesh, build_psi(darcy_forchheimer_pair()))
+
+
+def test_reduce_peak_memory_is_linear_in_the_elements():
+    # N = 500: sampling every bracket over all elements took a 105 MB peak
+    mesh = build_mesh(single_fracture_network(), 0.002)
+    psi = build_psi(darcy_forchheimer_pair())
+    reduce_and_minimize(mesh, psi)  # the mesh's cached data
+    tracemalloc.start()
+    try:
+        reduce_and_minimize(mesh, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize(

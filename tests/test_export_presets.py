@@ -10,6 +10,7 @@ import pytest
 
 from dfnflow.config import parse_config
 from dfnflow.export import export_bundle, load_bundle
+import dfnflow.export
 import dfnflow.presets
 from dfnflow.presets import (
     PRESET_NAMES,
@@ -22,7 +23,11 @@ from dfnflow.presets import (
 )
 from dfnflow.tracker import TrackerSettings
 
+from oracles import per_branch_fields, per_branch_regimes
 from test_config import MINIMAL
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from lattice import lattice_network  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +240,32 @@ def test_running_and_exporting_a_preset_does_not_import_scipy(tmp_path):
     assert scipy_modules == "[]"
     assert no_lazy_numpy_ma == "True", "running and exporting the preset imported numpy.ma"
     assert [p.name for p in tmp_path.iterdir()] == ["case3-nonlinear.json"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_preset("case3-nonlinear", trace=True),
+        lambda: run_case(
+            "lattice",
+            lattice_network(1, 4),
+            darcy_pair(1.0, 10.0),
+            h=0.05,
+            tracker=TrackerSettings(max_outer=4),
+            trace=True,
+        ),
+    ],
+    ids=["case3-nonlinear", "lattice"],
+)
+def test_bundle_json_matches_the_per_branch_fields(monkeypatch, run):
+    # the fields are sliced from one list per flat array; the document must
+    # come out byte for byte as when every branch is converted on its own
+    def document():
+        bundle = run()
+        bundle.timing_seconds = 0.0
+        return json.dumps(bundle.to_dict())
+
+    flat = document()
+    monkeypatch.setattr(dfnflow.export, "solution_fields", per_branch_fields)
+    monkeypatch.setattr(dfnflow.export, "_regime_block", per_branch_regimes)
+    assert document() == flat

@@ -177,7 +177,7 @@ def test_local_conservation_per_element():
     )
     sol = solve_saddle(system)
     u = sol.flux["f"]
-    qint = source_integrals(mesh, net.sources)
+    qint = source_integrals(mesh)
     assert np.abs(np.diff(u) - qint).max() <= 1e-12
 
 
@@ -271,7 +271,7 @@ def test_matches_two_point_flux_oracle_single_law():
         )
         sol = solve_saddle(system)
         coeffs = {b: np.full(mesh.element_count(b), lam) for b in mesh.branch_ids}
-        p_ref, j_ref, u_ref = tpfa_darcy_solve(mesh, coeffs, net.sources, net.boundary)
+        p_ref, j_ref, u_ref = tpfa_darcy_solve(mesh, coeffs, net.boundary)
         for b in mesh.branch_ids:
             assert np.abs(sol.pressure[b] - p_ref[b]).max() <= 1e-12
             assert np.abs(sol.flux[b] - u_ref[b]).max() <= 1e-12
@@ -297,7 +297,7 @@ def test_matches_two_point_flux_oracle_heterogeneous():
             net.boundary,
         )
         sol = solve_saddle(system)
-        p_ref, j_ref, u_ref = tpfa_darcy_solve(mesh, coeffs, net.sources, net.boundary)
+        p_ref, j_ref, u_ref = tpfa_darcy_solve(mesh, coeffs, net.boundary)
         for b in mesh.branch_ids:
             assert np.abs(sol.pressure[b] - p_ref[b]).max() <= 1e-12
             assert np.abs(sol.flux[b] - u_ref[b]).max() <= 1e-12
@@ -353,9 +353,9 @@ def test_tracking_builds_the_plan_once_and_the_sources_once_per_mesh(monkeypatch
         plans.append(fields)
         return real_plan(**fields)
 
-    def integrals(mesh, sources):
+    def integrals(mesh):
         integrated.append(mesh)
-        return real_integrals(mesh, sources)
+        return real_integrals(mesh)
 
     def counted_assemble(mesh, *args):
         assembled.append(mesh)
@@ -421,7 +421,7 @@ def test_conservation_on_random_networks():
         system = assemble(mesh, labels, law, 0.0, net.sources, net.boundary)
         sol = solve_saddle(system)
         for b in mesh.branch_ids:
-            qint = mesh.per_element(source_integrals(mesh, net.sources))[b]
+            qint = mesh.per_element(source_integrals(mesh))[b]
             assert np.abs(np.diff(sol.flux[b]) - qint).max() <= 1e-10
         for isec in net.intersections:
             total = 0.0
@@ -459,7 +459,7 @@ def test_forchheimer_systems_on_random_networks_balance(seed):
     assert np.array_equal(system.matrix, system.matrix.T)
     sol = solve_saddle(system)
     for b in mesh.branch_ids:
-        qint = mesh.per_element(source_integrals(mesh, net.sources))[b]
+        qint = mesh.per_element(source_integrals(mesh))[b]
         assert np.abs(np.diff(sol.flux[b]) - qint).max() <= 1e-10
     for isec in net.intersections:
         total = sum(
@@ -537,7 +537,7 @@ def _matches_sparse_oracle(net, law, labels, speeds):
     speeds = speeds(mesh)
     sol = solve_saddle(assemble(mesh, labels, law, speeds, net.sources, net.boundary))
     flux, pressure, junction = sparse_saddle_solve(
-        mesh, labels, law, speeds, net.sources, net.boundary
+        mesh, labels, law, speeds, net.boundary
     )
     ids = [isec.id for isec in net.intersections]
     assert _relative_gap(sol.flux.array, flux) <= 1e-12

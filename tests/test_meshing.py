@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfnflow import network
 from dfnflow.meshing import build_mesh, split_mesh_at
 from dfnflow.network import (
     BoundarySpec,
@@ -89,6 +90,27 @@ def test_split_without_a_new_node_returns_the_mesh_itself():
     mesh = build_mesh(unit_branch_network(), 0.5)
     assert split_mesh_at(mesh, []) is mesh
     assert split_mesh_at(mesh, [("f", 0.5), ("f", 1.0 - 1e-13)]) is mesh
+
+
+def test_working_meshes_of_one_network_share_one_source_table(monkeypatch):
+    # the piece table is built once per network; a mesh only looks up the
+    # piece of each of its elements
+    built = []
+    real = network.SourcePieces
+
+    def counted(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(network, "SourcePieces", counted)
+    net = unit_branch_network((0.3, 0.7), (1.0, lambda x: x**2, -0.5))
+    base = build_mesh(net, 0.1)
+    work = split_mesh_at(base, [("f", 0.25), ("f", 0.55)])
+    exact = 0.3 + (0.7**3 - 0.3**3) / 3.0 - 0.5 * 0.3
+    for mesh in (base, work):
+        assert mesh.element_sources.sum() == pytest.approx(exact, abs=1e-14)
+    assert len(built) == 1
+    assert work.network.source_pieces is base.network.source_pieces
 
 
 def test_split_increases_element_count_per_new_point():
