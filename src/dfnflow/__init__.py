@@ -73,9 +73,7 @@ from .tracker import (
     TrackerReport,
     TrackerSettings,
     TrackerStatus,
-    classify_endpoints,
     configuration_distance,
-    locate_interface,
     track,
 )
 

@@ -11,7 +11,7 @@ Subcommands:
 
 Every subcommand takes ``--h``, ``--trace``, ``--out`` and ``--format``;
 ``solve`` and ``sweep-k2`` also take the solver overrides ``--eps-nl``,
-``--eps-gamma``, ``--eps-omega``, ``--max-outer`` and ``--init``.
+``--eps-omega``, ``--max-outer`` and ``--init``.
 
 The exit code reports the tracker outcome: 0 converged, 2 oscillating,
 3 iteration cap reached, 4 when the inner solve of some outer iteration hit
@@ -41,7 +41,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps-nl", type=float, default=None, help="inner solver tolerance")
-    parser.add_argument("--eps-gamma", type=float, default=None, help="interface location tolerance")
     parser.add_argument("--eps-omega", type=float, default=None, help="configuration distance tolerance")
     parser.add_argument("--max-outer", type=int, default=None, help="outer iteration cap")
     parser.add_argument("--init", choices=("low", "high"), default=None, help="initial configuration")
@@ -75,18 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(spec, args):
     solver = spec.solver
     replacements = {}
-    if args.h is not None:
-        replacements["h"] = args.h
-    if args.eps_nl is not None:
-        replacements["eps_nl"] = args.eps_nl
-    if args.eps_gamma is not None:
-        replacements["eps_gamma"] = args.eps_gamma
-    if args.eps_omega is not None:
-        replacements["eps_omega"] = args.eps_omega
-    if args.max_outer is not None:
-        replacements["max_outer"] = args.max_outer
-    if args.init is not None:
-        replacements["init"] = args.init
+    for name in ("h", "eps_nl", "eps_omega", "max_outer", "init"):
+        if getattr(args, name) is not None:
+            replacements[name] = getattr(args, name)
     if replacements:
         solver = dataclasses.replace(solver, **replacements)
     output = spec.output

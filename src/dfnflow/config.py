@@ -9,7 +9,7 @@ offending key path. See docs/config-schema.md for the full format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -35,7 +35,6 @@ class ConfigError(ValueError):
 
 DEFAULT_H = 0.05
 DEFAULT_EPS_NL = 1e-4
-DEFAULT_EPS_GAMMA = 1e-10
 DEFAULT_MAX_OUTER = 50
 DEFAULT_MAX_INNER = 50
 
@@ -44,7 +43,6 @@ DEFAULT_MAX_INNER = 50
 class SolverSettings:
     h: float = DEFAULT_H
     eps_nl: float = DEFAULT_EPS_NL
-    eps_gamma: float = DEFAULT_EPS_GAMMA
     eps_omega: float | None = None
     max_outer: int = DEFAULT_MAX_OUTER
     max_inner: int = DEFAULT_MAX_INNER
@@ -239,20 +237,7 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     law = law_from_dict(_get(document, "law", ""))
 
     solver_doc = document.get("solver", {})
-    _require_keys(
-        solver_doc,
-        {
-            "h",
-            "eps_nl",
-            "eps_gamma",
-            "eps_omega",
-            "max_outer",
-            "max_inner",
-            "init",
-            "init_labels",
-        },
-        "solver.",
-    )
+    _require_keys(solver_doc, {f.name for f in fields(SolverSettings)}, "solver.")
     init = solver_doc.get("init", "low")
     if init not in ("low", "high"):
         raise ConfigError("solver.init must be 'low' or 'high'")
@@ -265,9 +250,6 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     solver = SolverSettings(
         h=_positive(solver_doc.get("h", DEFAULT_H), "solver.h"),
         eps_nl=_positive(solver_doc.get("eps_nl", DEFAULT_EPS_NL), "solver.eps_nl"),
-        eps_gamma=_positive(
-            solver_doc.get("eps_gamma", DEFAULT_EPS_GAMMA), "solver.eps_gamma"
-        ),
         eps_omega=None if eps_omega is None else _positive(eps_omega, "solver.eps_omega"),
         max_outer=int(solver_doc.get("max_outer", DEFAULT_MAX_OUTER)),
         max_inner=int(solver_doc.get("max_inner", DEFAULT_MAX_INNER)),
@@ -367,7 +349,6 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
         "solver": {
             "h": spec.solver.h,
             "eps_nl": spec.solver.eps_nl,
-            "eps_gamma": spec.solver.eps_gamma,
             "max_outer": spec.solver.max_outer,
             "max_inner": spec.solver.max_inner,
             "init": spec.solver.init,

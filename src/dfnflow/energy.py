@@ -11,11 +11,14 @@ field itself is the unique candidate.
 
 Between the breakpoints where a lifted node value plus alpha crosses zero or
 the threshold speed, the potential of the flux is a cubic in each node value,
-so E', a sum of its divided differences over the elements, is a quadratic in
-alpha. Its values at four points of every bracket come from one running sum
-over the brackets, of the quadratic that each element adds while both its
-node values stay in one piece of the potential, plus the closed-form
-quotients of the elements straddling a kink there; this costs O(N) beyond
+and E' is the sum of its divided differences over the elements. An element
+whose node values stay in one piece of the potential adds a quadratic in
+alpha; one straddling a kink adds a cubic wherever the cubic term of the
+potential changes there (at zero or at the threshold when a law branch is
+affine in the speed), so E' is a cubic on each bracket. Its values at four
+points of every bracket come from one running sum over the brackets, of the
+quadratics of the elements inside one piece, plus the closed-form quotients
+of the elements straddling a kink there; this costs O(N) beyond
 sorting the breakpoints, not the O(N**2) of summing all N elements at every
 point. Minimizers are located where E' turns from negative to nonnegative:
 each such zero is the root of the cubic fitted to the samples of its
@@ -331,11 +334,12 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     """Every point where E' turns from negative to nonnegative, left to right.
 
     Between breakpoints the potential is a cubic in the node values, so E',
-    a sum of its divided differences, is a polynomial of degree at most two
-    in alpha on each bracket [lo, hi]. ``samples`` holds E' at the bracket's
-    four interior Chebyshev points, so no sample lies on a breakpoint, where
-    E' jumps if an element is flat; the cubic fitted to them is E' on the
-    bracket up to rounding. ``slope`` is the closed-form E'. The real roots
+    a sum of its divided differences, is a polynomial of degree at most
+    three in alpha on each bracket [lo, hi]: an element inside one piece of
+    the potential adds a quadratic, one straddling a kink a cubic.
+    ``samples`` holds E' at the bracket's four interior Chebyshev points, so
+    no sample lies on a breakpoint, where E' jumps if an element is flat;
+    the cubic fitted to them is E' on the bracket up to rounding. ``slope`` is the closed-form E'. The real roots
     of each cubic split its bracket into intervals holding one root each. In
     an interval whose ends read E' < 0 <= E', the zero is the cubic's root
     plus one Newton step on the closed-form E' with the cubic's derivative,

@@ -2,14 +2,15 @@
 six-fracture network, a permeability sweep and a nonlinear-tolerance study.
 
 All presets share the threshold speed 0.15 and the default tolerances
-(h = 0.05, interface tolerance 1e-10, configuration tolerance 1e-8, iteration
-caps 50); every knob can be overridden per run. Presets are deterministic:
-rerunning one on the same machine reproduces the bundle bit for bit.
+(h = 0.05, configuration tolerance 1e-8, iteration caps 50); every knob can
+be overridden per run. Presets are deterministic: rerunning one on the same
+machine reproduces the bundle bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from importlib import resources
@@ -36,17 +37,6 @@ from .picard import PicardSettings
 from .tracker import TrackerSettings, track
 
 THRESHOLD = 0.15
-
-PRESET_NAMES = (
-    "case1-linear",
-    "case1-nonlinear",
-    "case2-linear",
-    "case2-nonlinear",
-    "case3-linear",
-    "case3-nonlinear",
-    "k2-sweep",
-    "nl-tolerance-table",
-)
 
 
 def alternating_source() -> PiecewiseSource:
@@ -206,7 +196,6 @@ def run_settings(solver: SolverSettings) -> dict:
         "eps_nl": solver.eps_nl,
         "max_inner": solver.max_inner,
         "tracker": TrackerSettings(
-            eps_gamma=solver.eps_gamma,
             eps_omega=solver.eps_omega,
             max_outer=solver.max_outer,
         ),
@@ -387,34 +376,28 @@ def run_nl_tolerance_table(h: float = DEFAULT_H, trace: bool = False) -> ResultB
     return bundle
 
 
+# The network and law factories of every preset that tracks one problem.
+_CASES = {
+    "case1-linear": (single_fracture_network, darcy_pair),
+    "case1-nonlinear": (single_fracture_network, darcy_forchheimer_pair),
+    "case2-linear": (crossing_network, darcy_pair),
+    "case2-nonlinear": (crossing_network, darcy_forchheimer_pair),
+    "case3-linear": (lambda: benchmark_network()[0], darcy_pair),
+    "case3-nonlinear": (
+        lambda: benchmark_network()[0],
+        functools.partial(darcy_forchheimer_pair, intercept=0.01, slope=0.25),
+    ),
+}
+
+PRESET_NAMES = (*_CASES, "k2-sweep", "nl-tolerance-table")
+
+
 def run_preset(name: str, h: float | None = None, trace: bool = False, **kwargs) -> ResultBundle:
     """Run a named preset; see ``PRESET_NAMES`` for the choices."""
     h = DEFAULT_H if h is None else h
-    if name == "case1-linear":
-        return run_case(name, single_fracture_network(), darcy_pair(), h=h, trace=trace, **kwargs)
-    if name == "case1-nonlinear":
-        return run_case(
-            name, single_fracture_network(), darcy_forchheimer_pair(), h=h, trace=trace, **kwargs
-        )
-    if name == "case2-linear":
-        return run_case(name, crossing_network(), darcy_pair(), h=h, trace=trace, **kwargs)
-    if name == "case2-nonlinear":
-        return run_case(
-            name, crossing_network(), darcy_forchheimer_pair(), h=h, trace=trace, **kwargs
-        )
-    if name == "case3-linear":
-        network, _ = benchmark_network()
-        return run_case(name, network, darcy_pair(), h=h, trace=trace, **kwargs)
-    if name == "case3-nonlinear":
-        network, _ = benchmark_network()
-        return run_case(
-            name,
-            network,
-            darcy_forchheimer_pair(intercept=0.01, slope=0.25),
-            h=h,
-            trace=trace,
-            **kwargs,
-        )
+    if name in _CASES:
+        network, law = _CASES[name]
+        return run_case(name, network(), law(), h=h, trace=trace, **kwargs)
     if name == "k2-sweep":
         return run_k2_sweep(h=h, trace=trace, **kwargs)
     if name == "nl-tolerance-table":

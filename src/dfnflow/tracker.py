@@ -3,7 +3,7 @@
 The outer loop solves the flow problem on the current configuration, then
 classifies every element by comparing the nodal speed magnitudes against the
 threshold at its two endpoints. Where the endpoints disagree, the crossing of
-the interpolated speed with the threshold is located inside the element, the
+the interpolated speed with the threshold is solved in closed form, the
 base mesh is split there and the two sides inherit their endpoint's regime.
 The loop stops when the configuration is stable, when it cycles, or at the
 iteration cap. Stability means the interface point set moved less than a
@@ -87,13 +87,10 @@ class TrackerSettings:
     part-way.
     """
 
-    eps_gamma: float = 1e-10
     eps_omega: float | None = None
     max_outer: int = 50
 
     def __post_init__(self):
-        if self.eps_gamma <= 0:
-            raise ValueError("interface tolerance must be positive")
         if self.eps_omega is not None and self.eps_omega <= 0:
             raise ValueError("configuration tolerance must be positive")
         if self.max_outer < 1:
@@ -149,67 +146,6 @@ class TrackerReport:
     @property
     def inner_iteration_counts(self) -> list[int]:
         return [entry.inner_iterations for entry in self.history]
-
-
-def classify_endpoints(
-    solution: Solution, branch_id: str, element_index: int, threshold: float
-) -> tuple[bool, bool]:
-    """Whether the nodal speed is strictly below the threshold at each end.
-
-    Speeds exactly at the threshold classify as high: the comparison is a
-    strict "below".
-    """
-    u = solution.flux[branch_id]
-    return (
-        bool(abs(u[element_index]) < threshold),
-        bool(abs(u[element_index + 1]) < threshold),
-    )
-
-
-def _locate(
-    x1: float, x2: float, u1: float, u2: float, threshold: float, eps_gamma: float
-) -> float:
-    c1 = abs(u1) < threshold
-    c2 = abs(u2) < threshold
-    if c1 == c2:
-        raise ValueError(
-            "element endpoints classify identically; no interface bracket"
-        )
-    if u1 * u2 >= 0.0:
-        # The speed magnitude is linear here; solve it directly.
-        s1, s2 = abs(u1), abs(u2)
-        return x1 + (threshold - s1) / (s2 - s1) * (x2 - x1)
-    a, b = x1, x2
-    ga = abs(u1) - threshold
-    while b - a > eps_gamma:
-        m = 0.5 * (a + b)
-        um = u1 + (u2 - u1) * (m - x1) / (x2 - x1)
-        gm = abs(um) - threshold
-        if (gm < 0.0) == (ga < 0.0):
-            a, ga = m, gm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def locate_interface(
-    solution: Solution,
-    branch_id: str,
-    element_index: int,
-    threshold: float,
-    eps_gamma: float = 1e-10,
-) -> float:
-    """Arc coordinate where the interpolated speed crosses the threshold.
-
-    Requires the element endpoints to classify to opposite regimes. When the
-    nodal flux changes sign inside the element the speed profile is V-shaped
-    and the unique crossing is bisected to ``eps_gamma``; otherwise the
-    crossing of the linear profile is solved in closed form.
-    """
-    x = solution.mesh.nodes[branch_id]
-    u = solution.flux[branch_id]
-    e = element_index
-    return _locate(x[e], x[e + 1], u[e], u[e + 1], threshold, eps_gamma)
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -268,22 +204,22 @@ class _Changes(NamedTuple):
         return branch_keys(self.branch, self.arc)
 
 
-def _classify(
-    mesh: Mesh, flux: np.ndarray, threshold: float, eps_gamma: float
-) -> _Changes:
+def _classify(mesh: Mesh, flux: np.ndarray, threshold: float) -> _Changes:
     """The interfaces classified from a nodal flux on ``mesh``.
 
-    An element whose ends classify differently holds one interface.
+    An element whose ends classify differently holds one interface: the
+    flux is linear on the element, so it crosses ±threshold, signed as the
+    flux at the high-speed end, exactly once there, also where it changes
+    sign inside the element.
     """
     low = np.abs(flux) < threshold
     left = mesh.left
     e = np.flatnonzero(low[left] != low[left + 1])
-    x1, x2 = mesh.x[left[e]], mesh.x[left[e] + 1]
-    u1, u2 = flux[left[e]], flux[left[e] + 1]
-    s1, s2 = np.abs(u1), np.abs(u2)
-    arc = x1 + (threshold - s1) / (s2 - s1) * (x2 - x1)
-    for j in np.flatnonzero(u1 * u2 < 0.0):
-        arc[j] = _locate(x1[j], x2[j], float(u1[j]), float(u2[j]), threshold, eps_gamma)
+    start = left[e]
+    x1, x2 = mesh.x[start], mesh.x[start + 1]
+    u1, u2 = flux[start], flux[start + 1]
+    level = np.copysign(threshold, np.where(low[start], u2, u1))
+    arc = x1 + (level - u1) / (u2 - u1) * (x2 - x1)
 
     # A run between an interface and the next one, or the branch end, is
     # empty when both meet at the node between them.
@@ -403,7 +339,7 @@ def track(
             raise
         solution = last_result.solution
 
-        new = _classify(working, solution.flux.array, threshold, settings.eps_gamma)
+        new = _classify(working, solution.flux.array, threshold)
         names = [mesh.branch_ids[k] for k in new.branch.tolist()]
         new_interfaces = tuple(zip(names, new.arc.tolist()))
 

@@ -9,8 +9,9 @@ energy in closed form on a uniform grid and refines by golden section, the bisec
 minimizer finds the zeros of E' by 64 halvings instead of one Newton step,
 the loop integrator applies the kink-split Gauss rule element by element,
 the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
-coefficient, and
-the plain-tracking oracle is the outer loop without interface mixing. The
+coefficient, the plain-tracking oracle is the outer loop without interface
+mixing, and the crossing oracle bisects the speed with exact rational
+comparisons. The
 run-based classification, labelling and point-by-point mesh splitting are
 the per-branch loops the flat tracker and ``split_mesh_at`` replaced, and the
 linspace partition is the per-interval loop ``build_mesh`` replaced.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sps
@@ -56,7 +58,6 @@ from dfnflow.tracker import (
     TrackerSettings,
     TrackerStatus,
     _detect_period,
-    _locate,
 )
 from dfnflow.network import (
     COINCIDENCE_TOL,
@@ -678,8 +679,39 @@ def loop_split_mesh_at(mesh: Mesh, points) -> Mesh:
 Run = tuple[float, float, Regime]
 
 
+def crossing(x1: float, x2: float, u1: float, u2: float, threshold: float) -> float:
+    """Arc where the linear flux from u1 at x1 to u2 at x2 meets ±threshold,
+    signed as the flux at the end whose speed is not below it."""
+    level = math.copysign(threshold, u2 if abs(u1) < threshold else u1)
+    return x1 + (level - u1) / (u2 - u1) * (x2 - x1)
+
+
+def bisect_crossing(x1: float, x2: float, u1: float, u2: float, threshold: float) -> float:
+    """Arc where the speed of the linear flux from u1 at x1 to u2 at x2
+    crosses the threshold, by bisection down to adjacent floats.
+
+    The ends must classify differently. Each midpoint's speed is compared
+    with the threshold in exact rational arithmetic, so the result is
+    within an ulp of the true crossing.
+    """
+    low_at_a = abs(u1) < threshold
+    if low_at_a == (abs(u2) < threshold):
+        raise ValueError("element endpoints classify identically; no interface bracket")
+    X1, U1, T = Fraction(x1), Fraction(u1), Fraction(threshold)
+    slope = (Fraction(u2) - U1) / (Fraction(x2) - X1)
+    a, b = x1, x2
+    while True:
+        m = 0.5 * (a + b)
+        if m in (a, b):
+            return m
+        if (abs(U1 + slope * (Fraction(m) - X1)) < T) == low_at_a:
+            a = m
+        else:
+            b = m
+
+
 def classify_branch(
-    nodes: np.ndarray, flux: np.ndarray, threshold: float, eps_gamma: float
+    nodes: np.ndarray, flux: np.ndarray, threshold: float
 ) -> tuple[list[Run], list[float]]:
     """Runs and interfaces of one branch, element by element."""
     raw: list[list] = []
@@ -692,7 +724,7 @@ def classify_branch(
         if c1 == c2:
             raw.append([nodes[e], nodes[e + 1], lab1])
         else:
-            xs = _locate(nodes[e], nodes[e + 1], u1, u2, threshold, eps_gamma)
+            xs = crossing(float(nodes[e]), float(nodes[e + 1]), u1, u2, threshold)
             interfaces.append(xs)
             raw.append([nodes[e], xs, lab1])
             raw.append([xs, nodes[e + 1], lab2])
@@ -796,9 +828,7 @@ def plain_track(
         runs_new: dict[str, list[Run]] = {}
         gamma_new: list[InterfacePoint] = []
         for bid in working.branch_ids:
-            runs, crossings = classify_branch(
-                working.nodes[bid], solution.flux[bid], threshold, settings.eps_gamma
-            )
+            runs, crossings = classify_branch(working.nodes[bid], solution.flux[bid], threshold)
             runs_new[bid] = runs
             gamma_new.extend((bid, arc) for arc in crossings)
         gamma_tuple = tuple(gamma_new)

@@ -174,8 +174,8 @@ def test_sweep_k2_records_invalid_k2_values_and_keeps_sweeping(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "flag", [["--eps-nl", "1e-6"], ["--eps-gamma", "1e-9"], ["--eps-omega", "1e-3"],
-             ["--max-outer", "1"], ["--init", "high"]],
+    "flag", [["--eps-nl", "1e-6"], ["--eps-omega", "1e-3"], ["--max-outer", "1"],
+             ["--init", "high"]],
     ids=lambda flag: flag[0],
 )
 def test_preset_rejects_solver_flags_it_cannot_apply(tmp_path, flag):

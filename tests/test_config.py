@@ -1,13 +1,19 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from dfnflow.config import (
     ConfigError,
+    SolverSettings,
     load_config,
     parse_config,
     spec_to_dict,
 )
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
 
 MINIMAL = {
     "network": {
@@ -30,7 +36,6 @@ MINIMAL = {
 def test_minimal_document_gets_defaults():
     spec = parse_config(MINIMAL)
     assert spec.solver.h == 0.05
-    assert spec.solver.eps_gamma == 1e-10
     assert spec.solver.eps_nl == 1e-4
     assert spec.solver.eps_omega is None
     assert spec.solver.max_outer == 50
@@ -50,6 +55,25 @@ def test_unknown_solver_key_reports_section():
     doc = json.loads(json.dumps(MINIMAL))
     doc["solver"] = {"eps_nll": 1.0}
     with pytest.raises(ConfigError, match="solver.*eps_nll"):
+        parse_config(doc)
+
+
+def test_schema_doc_lists_exactly_the_solver_settings():
+    # the json block of the doc's solver section, without its // comments
+    section = SCHEMA.read_text().split("## `solver`", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    documented = json.loads(re.sub(r"//.*", "", block))
+    assert list(documented) == [f.name for f in dataclasses.fields(SolverSettings)]
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = documented
+    labels = {b: tuple(v) for b, v in documented["init_labels"].items()}
+    assert parse_config(doc).solver == SolverSettings(init_labels=labels)
+
+
+def test_removed_interface_tolerance_is_an_unknown_key():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"eps_gamma": 1e-10}
+    with pytest.raises(ConfigError, match=r"unknown key solver\.'eps_gamma'"):
         parse_config(doc)
 
 

@@ -170,13 +170,12 @@ def test_flat_classification_and_labels_match_the_run_loops(seed):
     base = build_mesh(random_network(rng), float(rng.uniform(0.1, 0.5)))
     working = split_base(rng, base)
     flux = random_flux(rng, working)
-    eps_gamma = 1e-10
 
-    changes = _classify(working, flux, THRESHOLD, eps_gamma)
+    changes = _classify(working, flux, THRESHOLD)
     runs, interfaces, intact = {}, [], True
     for bid in working.branch_ids:
         branch_runs, crossings = classify_branch(
-            working.nodes[bid], working.per_node(flux)[bid], THRESHOLD, eps_gamma
+            working.nodes[bid], working.per_node(flux)[bid], THRESHOLD
         )
         runs[bid] = branch_runs
         interfaces += [(bid, arc) for arc in crossings]

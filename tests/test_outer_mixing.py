@@ -98,6 +98,6 @@ def test_moved_runs_keep_labels_and_reject_escaping_or_reordered_points():
     # at arc 0 that separates no two runs: its label change cannot move
     flux = np.full(len(mesh.x), 0.1)
     flux[0] = 0.15
-    at_start = _classify(mesh, flux, 0.15, 1e-10)
+    at_start = _classify(mesh, flux, 0.15)
     assert at_start.arc.tolist() == [0.0] and not at_start.intact
     assert _moved(mesh, at_start, np.array([0.01])) is None

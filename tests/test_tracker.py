@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfnflow.energy import lift_field, reduce_and_minimize
-from dfnflow.fem import RegimeField, Solution
+from dfnflow.fem import RegimeField
 from dfnflow.laws import Regime, build_psi
 from dfnflow.meshing import build_mesh, split_mesh_at
 from dfnflow.network import (
@@ -23,13 +25,12 @@ from dfnflow.presets import (
 from dfnflow.tracker import (
     TrackerSettings,
     TrackerStatus,
-    classify_endpoints,
+    _classify,
     configuration_distance,
-    locate_interface,
     track,
 )
 
-from oracles import hausdorff_by_enumeration
+from oracles import bisect_crossing, hausdorff_by_enumeration
 
 
 def multi_interface_case():
@@ -49,7 +50,8 @@ def oracle_offsets(report, mesh, law):
     return offsets, reduce_and_minimize(mesh, build_psi(law)).alpha_star
 
 
-def fake_solution(nodes, values):
+def one_branch_mesh(nodes):
+    """A mesh of one branch from 0 to ``nodes[-1]`` with the given nodes."""
     net = FractureNetwork(
         branches=(Branch("f", (0.0, 0.0), (float(nodes[-1]), 0.0)),),
         boundary=BoundarySpec(
@@ -57,49 +59,69 @@ def fake_solution(nodes, values):
         ),
     )
     mesh = build_mesh(net, float(nodes[-1]))
-    mesh = split_mesh_at(mesh, [("f", x) for x in nodes[1:-1]])
-    return Solution(
-        mesh=mesh,
-        flux={"f": np.asarray(values, dtype=float)},
-        pressure={"f": np.zeros(len(nodes) - 1)},
-        junction_pressure={},
-        residual=0.0,
-    )
+    return split_mesh_at(mesh, [("f", x) for x in nodes[1:-1]])
+
+
+def classify_element(nodes, values, threshold=0.15):
+    """The regimes at the two ends of one element and the interface arcs
+    that ``_classify`` finds on it."""
+    changes = _classify(one_branch_mesh(nodes), np.asarray(values, dtype=float), threshold)
+    first = Regime(changes.first[0])
+    return (first, Regime(first ^ (len(changes.arc) & 1))), changes.arc.tolist()
 
 
 class TestClassification:
     def test_straddling_endpoints(self):
-        sol = fake_solution([0.0, 1.0], [0.1, 0.2])
-        assert classify_endpoints(sol, "f", 0, 0.15) == (True, False)
+        ends, arcs = classify_element([0.0, 1.0], [0.1, 0.2])
+        assert ends == (Regime.LOW, Regime.HIGH)
+        assert len(arcs) == 1
 
     def test_speed_at_threshold_counts_as_high(self):
-        sol = fake_solution([0.0, 1.0], [0.15, -0.15])
-        assert classify_endpoints(sol, "f", 0, 0.15) == (False, False)
+        # the comparison is a strict "below"
+        assert classify_element([0.0, 1.0], [0.15, -0.15]) == ((Regime.HIGH, Regime.HIGH), [])
 
     def test_both_below(self):
-        sol = fake_solution([0.0, 1.0], [0.01, -0.01])
-        assert classify_endpoints(sol, "f", 0, 0.15) == (True, True)
+        assert classify_element([0.0, 1.0], [0.01, -0.01]) == ((Regime.LOW, Regime.LOW), [])
+
+
+@st.composite
+def flux_on_a_branch(draw):
+    """A split branch, a threshold and nodal fluxes that sit below, at and
+    above it with either sign, so elements change sign inside or not."""
+    length = draw(st.floats(1e-2, 100.0))
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8))
+    mesh = one_branch_mesh([0.0, *sorted(t * length for t in cuts), length])
+    threshold = draw(st.floats(1e-3, 10.0))
+    ratio = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0, 0.0]))
+    ratios = draw(st.lists(ratio, min_size=len(mesh.x), max_size=len(mesh.x)))
+    return mesh, threshold * np.array(ratios), threshold
 
 
 class TestInterfaceLocation:
     def test_midpoint_crossing(self):
-        sol = fake_solution([0.0, 1.0], [0.1, 0.2])
-        assert locate_interface(sol, "f", 0, 0.15) == pytest.approx(0.5, abs=1e-12)
+        assert classify_element([0.0, 1.0], [0.1, 0.2])[1] == pytest.approx([0.5], abs=1e-12)
 
     def test_short_element_crossing(self):
-        sol = fake_solution([0.0, 0.05], [0.2, 0.1])
-        assert locate_interface(sol, "f", 0, 0.15) == pytest.approx(0.025, abs=1e-12)
+        assert classify_element([0.0, 0.05], [0.2, 0.1])[1] == pytest.approx([0.025], abs=1e-12)
 
-    def test_sign_change_uses_bisection(self):
+    def test_sign_change_crossing(self):
         # |u| = |-0.2 + 0.3 x| crosses 0.15 once, at x = 1/6
-        sol = fake_solution([0.0, 1.0], [-0.2, 0.1])
-        got = locate_interface(sol, "f", 0, 0.15, eps_gamma=1e-12)
-        assert got == pytest.approx(1.0 / 6.0, abs=1e-10)
+        ends, arcs = classify_element([0.0, 1.0], [-0.2, 0.1])
+        assert ends == (Regime.HIGH, Regime.LOW)
+        assert arcs == pytest.approx([1.0 / 6.0], abs=1e-12)
 
-    def test_agreeing_endpoints_rejected(self):
-        sol = fake_solution([0.0, 1.0], [0.05, 0.1])
-        with pytest.raises(ValueError):
-            locate_interface(sol, "f", 0, 0.15)
+    @settings(max_examples=200, deadline=None)
+    @given(case=flux_on_a_branch())
+    def test_closed_form_matches_the_bisection(self, case):
+        mesh, flux, threshold = case
+        low = np.abs(flux) < threshold
+        x = mesh.x
+        expected = [
+            bisect_crossing(x[e], x[e + 1], flux[e], flux[e + 1], threshold)
+            for e in np.flatnonzero(low[:-1] != low[1:])
+        ]
+        got = _classify(mesh, flux, threshold).arc
+        assert got.tolist() == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestConfigurationDistance:
@@ -263,7 +285,7 @@ class TestTracking:
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            TrackerSettings(eps_gamma=0.0)
+            TrackerSettings(eps_omega=0.0)
         with pytest.raises(ValueError):
             TrackerSettings(max_outer=0)
         mesh = build_mesh(single_fracture_network(), 0.5)
