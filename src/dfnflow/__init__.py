@@ -19,7 +19,6 @@ from .config import (
 )
 from .energy import (
     EnergyReport,
-    GridSpec,
     LiftedField,
     MinimizationResult,
     energy_of,
@@ -42,14 +41,10 @@ from .laws import (
     AdaptiveLaw,
     AffineSpeedLaw,
     ConstantLaw,
-    ConvexityReport,
-    GrowthReport,
     JumpSign,
     PsiPotential,
     Regime,
     build_psi,
-    check_growth_bound,
-    convexity_probe,
     eval_lambda_coefficient,
     jump_sign,
 )
@@ -73,7 +68,6 @@ from .tracker import (
     TrackerReport,
     TrackerSettings,
     TrackerStatus,
-    configuration_distance,
     track,
 )
 

@@ -2,13 +2,16 @@
 
 A configuration is a JSON-compatible mapping with a network block (or a
 reference to a separate network file), a law block, solver settings and
-output settings. Unknown keys anywhere are errors; error messages carry the
-offending key path. See docs/config-schema.md for the full format.
+output settings. Unknown keys anywhere are errors, and so are values of the
+wrong type; error messages carry the offending key path. See
+docs/config-schema.md for the full format.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -65,7 +68,13 @@ class ProblemSpec:
     approximate: bool = False
 
 
+# The type checks below try the concrete types a JSON document holds (dict,
+# float, int) before the abstract ones, which are much slower to test.
+
+
 def _require_keys(section: Mapping, allowed: set[str], path: str) -> None:
+    if not isinstance(section, (dict, Mapping)):
+        raise ConfigError(f"{path.rstrip('.:') or 'the configuration'} must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}{key!r}")
@@ -79,14 +88,43 @@ def _get(section: Mapping, key: str, path: str, required: bool = True, default=N
     return section[key]
 
 
+def _number(value, path: str) -> float:
+    real = not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
+    if not real or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path)))
+
+
 def _as_point(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path} must be a pair of coordinates")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
 def _positive(value, path: str) -> float:
-    v = float(value)
+    v = _number(value, path)
     if v <= 0:
         raise ConfigError(f"{path} must be positive, got {v}")
     return v
@@ -95,12 +133,14 @@ def _positive(value, path: str) -> float:
 def law_branch_from_dict(doc: Mapping, path: str) -> LawBranch:
     _require_keys(doc, {"type", "value", "intercept", "slope"}, path)
     kind = _get(doc, "type", path)
+
+    def number(key: str) -> float:
+        return _number(_get(doc, key, path), path + key)
+
     if kind == "constant":
-        return ConstantLaw(float(_get(doc, "value", path)))
+        return ConstantLaw(number("value"))
     if kind == "affine":
-        return AffineSpeedLaw(
-            float(_get(doc, "intercept", path)), float(_get(doc, "slope", path))
-        )
+        return AffineSpeedLaw(number("intercept"), number("slope"))
     raise ConfigError(f"{path}type must be 'constant' or 'affine', got {kind!r}")
 
 
@@ -112,6 +152,8 @@ def law_from_dict(doc: Mapping, path: str = "law.") -> AdaptiveLaw:
             high=law_branch_from_dict(_get(doc, "high", path), path + "high."),
             threshold=_positive(_get(doc, "threshold", path), path + "threshold"),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -120,7 +162,7 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
     _require_keys(doc, {"branches", "intersections", "boundary", "sources"}, path)
 
     branches = []
-    for k, item in enumerate(_get(doc, "branches", path)):
+    for k, item in enumerate(_list(_get(doc, "branches", path), path + "branches")):
         p = f"{path}branches[{k}]."
         _require_keys(item, {"id", "start", "end"}, p)
         branches.append(
@@ -132,15 +174,14 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
         )
 
     intersections = []
-    for k, item in enumerate(doc.get("intersections", [])):
+    for k, item in enumerate(_list(doc.get("intersections", []), path + "intersections")):
         p = f"{path}intersections[{k}]."
         _require_keys(item, {"id", "point", "incident"}, p)
         incident = []
-        for pair in _get(item, "incident", p):
+        for j, pair in enumerate(_list(_get(item, "incident", p), p + "incident")):
+            pair = _list(pair, f"{p}incident[{j}]")
             if len(pair) != 2 or pair[1] not in (START, END):
-                raise ConfigError(
-                    f"{p}incident entries must be [branch, 'start'|'end']"
-                )
+                raise ConfigError(f"{p}incident entries must be [branch, 'start'|'end']")
             incident.append((str(pair[0]), str(pair[1])))
         intersections.append(
             Intersection(
@@ -153,14 +194,15 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
     boundary_doc = doc.get("boundary", {})
     _require_keys(boundary_doc, {"conditions", "mean_pressure"}, path + "boundary.")
     conditions = {}
-    for k, item in enumerate(boundary_doc.get("conditions", [])):
+    conditions_doc = _list(boundary_doc.get("conditions", []), path + "boundary.conditions")
+    for k, item in enumerate(conditions_doc):
         p = f"{path}boundary.conditions[{k}]."
         _require_keys(item, {"branch", "end", "type", "value"}, p)
         end = _get(item, "end", p)
         if end not in (START, END):
             raise ConfigError(f"{p}end must be 'start' or 'end'")
         kind = _get(item, "type", p)
-        value = float(_get(item, "value", p))
+        value = _number(_get(item, "value", p), p + "value")
         key = (str(_get(item, "branch", p)), end)
         if key in conditions:
             raise ConfigError(f"{p}: duplicate condition on end {key}")
@@ -171,22 +213,20 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
         else:
             raise ConfigError(f"{p}type must be 'pressure' or 'velocity'")
     mean_pressure = boundary_doc.get("mean_pressure")
-    boundary = BoundarySpec(
-        conditions=conditions,
-        mean_pressure=None if mean_pressure is None else float(mean_pressure),
-    )
+    if mean_pressure is not None:
+        mean_pressure = _number(mean_pressure, path + "boundary.mean_pressure")
+    boundary = BoundarySpec(conditions=conditions, mean_pressure=mean_pressure)
 
     sources_doc = doc.get("sources", {})
     _require_keys(sources_doc, {"scalar", "force"}, path + "sources.")
     scalar = {}
-    for k, item in enumerate(sources_doc.get("scalar", [])):
+    for k, item in enumerate(_list(sources_doc.get("scalar", []), path + "sources.scalar")):
         p = f"{path}sources.scalar[{k}]."
         _require_keys(item, {"branch", "breakpoints", "values"}, p)
+        breakpoints = _numbers(item.get("breakpoints", []), p + "breakpoints")
+        pieces = _numbers(_get(item, "values", p), p + "values")
         try:
-            source = PiecewiseSource(
-                breakpoints=tuple(float(x) for x in item.get("breakpoints", [])),
-                pieces=tuple(float(x) for x in _get(item, "values", p)),
-            )
+            source = PiecewiseSource(breakpoints=breakpoints, pieces=pieces)
         except ValueError as exc:
             raise ConfigError(f"{p}: {exc}") from exc
         scalar[str(_get(item, "branch", p))] = source
@@ -199,6 +239,19 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
         boundary=boundary,
         sources=sources,
     )
+
+
+def _init_labels(doc) -> dict[str, tuple[int, ...]]:
+    if not isinstance(doc, Mapping):
+        raise ConfigError("solver.init_labels must be an object")
+    init_labels = {}
+    for b, labels in doc.items():
+        p = f"solver.init_labels.{b}"
+        labels = tuple(_integer(v, f"{p}[{i}]") for i, v in enumerate(_list(labels, p)))
+        if not set(labels) <= {0, 1}:
+            raise ConfigError(f"{p} must hold 0 (low) or 1 (high), got {list(labels)}")
+        init_labels[str(b)] = labels
+    return init_labels
 
 
 def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec:
@@ -219,6 +272,8 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     if "network" in document:
         network_doc = document["network"]
     else:
+        if not isinstance(document["network_file"], str):
+            raise ConfigError("network_file must be a path string")
         ref = Path(document["network_file"])
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
@@ -226,7 +281,9 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
             payload = json.loads(ref.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read network file {ref}: {exc}") from exc
-        _require_keys(payload, {"network", "approximate"}, f"{ref.name}:")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"network file {ref} is not valid JSON: {exc}") from exc
+        _require_keys(payload, {"network", "approximate", "notes"}, f"{ref.name}:")
         network_doc = _get(payload, "network", f"{ref.name}:")
     network = network_from_dict(network_doc)
 
@@ -243,16 +300,14 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         raise ConfigError("solver.init must be 'low' or 'high'")
     init_labels = solver_doc.get("init_labels")
     if init_labels is not None:
-        init_labels = {
-            str(b): tuple(int(v) for v in labels) for b, labels in init_labels.items()
-        }
+        init_labels = _init_labels(init_labels)
     eps_omega = solver_doc.get("eps_omega")
     solver = SolverSettings(
         h=_positive(solver_doc.get("h", DEFAULT_H), "solver.h"),
         eps_nl=_positive(solver_doc.get("eps_nl", DEFAULT_EPS_NL), "solver.eps_nl"),
         eps_omega=None if eps_omega is None else _positive(eps_omega, "solver.eps_omega"),
-        max_outer=int(solver_doc.get("max_outer", DEFAULT_MAX_OUTER)),
-        max_inner=int(solver_doc.get("max_inner", DEFAULT_MAX_INNER)),
+        max_outer=_integer(solver_doc.get("max_outer", DEFAULT_MAX_OUTER), "solver.max_outer"),
+        max_inner=_integer(solver_doc.get("max_inner", DEFAULT_MAX_INNER), "solver.max_inner"),
         init=init,
         init_labels=init_labels,
     )
@@ -264,14 +319,15 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     fmt = output_doc.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("output.format must be 'json' or 'csv'")
-    output = OutputSettings(trace=bool(output_doc.get("trace", False)), format=fmt)
+    trace = _flag(output_doc.get("trace", False), "output.trace")
+    output = OutputSettings(trace=trace, format=fmt)
 
     return ProblemSpec(
         network=network,
         law=law,
         solver=solver,
         output=output,
-        approximate=bool(document.get("approximate", False)),
+        approximate=_flag(document.get("approximate", False), "approximate"),
     )
 
 

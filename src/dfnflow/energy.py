@@ -48,6 +48,12 @@ from .fem import Solution
 from .laws import PsiPotential
 from .meshing import Mesh
 
+# The minimizer searches alpha in [-ALPHA_MAX, ALPHA_MAX] and reports as
+# candidates the minimizers whose energy is within NEAR_OPTIMAL_WINDOW of the
+# best.
+ALPHA_MAX = 10.0
+NEAR_OPTIMAL_WINDOW = 1e-8
+
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
 # E' is sampled at the four Chebyshev nodes of each bracket; by their discrete
 # orthogonality, samples @ _CHEB_FIT are the interpolating cubic's coefficients
@@ -184,14 +190,6 @@ def energy_of(values, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
         energy=float(dissipation - load),
         forcing=forcing,
     )
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search interval [-alpha_max, alpha_max] and near-optimal energy window."""
-
-    alpha_max: float = 10.0
-    near_optimal_window: float = 1e-8
 
 
 @dataclass
@@ -380,9 +378,7 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     return zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
 
-def reduce_and_minimize(
-    mesh: Mesh, psi: PsiPotential, grid: GridSpec | None = None
-) -> MinimizationResult:
+def reduce_and_minimize(mesh: Mesh, psi: PsiPotential) -> MinimizationResult:
     """Minimize the reduced scalar energy of a single-branch problem.
 
     With a velocity condition anywhere on the boundary the divergence-free
@@ -394,7 +390,6 @@ def reduce_and_minimize(
     call of the quadrature ``energy_of`` runs. An end of the search interval
     counts as a candidate when it is the global minimum.
     """
-    grid = grid or GridSpec()
     lifted = lift_field(mesh)
 
     if mesh.network.boundary_plan.velocity.any():
@@ -407,10 +402,10 @@ def reduce_and_minimize(
             lifted=lifted,
         )
 
-    amax = grid.alpha_max
     w, u = lifted.values, psi.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
-    alphas = np.sort(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
+    inside = kinks[np.abs(kinks) < ALPHA_MAX]
+    alphas = np.sort(np.concatenate([[-ALPHA_MAX, ALPHA_MAX], inside]))
     alphas = alphas[np.diff(alphas, prepend=-np.inf) > 0.0]
 
     zeros = _rising_zeros(
@@ -419,13 +414,13 @@ def reduce_and_minimize(
         _bracket_slopes(alphas, lifted, mesh, psi),
         lambda a: _slopes(a, lifted, mesh, psi),
     )
-    points = np.concatenate([[-amax], zeros, [amax]])
+    points = np.concatenate([[-ALPHA_MAX], zeros, [ALPHA_MAX]])
     dissipation, load = _dissipation_and_load(
         lifted.values + points[:, None], lifted.nodes, tangential_forcing(mesh), psi
     )
     values = dissipation - load
     best = int(np.argmin(values))
-    keep = values <= values[best] + grid.near_optimal_window
+    keep = values <= values[best] + NEAR_OPTIMAL_WINDOW
     keep[[0, -1]] = False
     keep[best] = True
     return MinimizationResult(

@@ -8,14 +8,12 @@ are supplied in physical units and rescaled once at construction.
 
 The piecewise potential glues the antiderivatives of the two branch
 coefficients, normalized to vanish at the switch. Its convexity is decided by
-the sign of the coefficient jump at the switch, which the probe in this module
-checks empirically.
+the sign of the coefficient jump at the switch.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -128,21 +126,6 @@ class AdaptiveLaw:
     def lambda2(self) -> float:
         return float(self.high_normalized.phi(1.0))
 
-    @property
-    def growth_exponent(self) -> float:
-        """Growth rate r of the high branch: 2 for constant, 3 for affine."""
-        high = self.high
-        if isinstance(high, ConstantLaw):
-            return 2.0
-        if isinstance(high, AffineSpeedLaw):
-            return 3.0
-        return high.growth_exponent
-
-    @property
-    def conjugate_exponent(self) -> float:
-        r = self.growth_exponent
-        return r / (r - 1.0)
-
     def branch_for(self, regime: Regime) -> LawBranch:
         return self.low_normalized if regime == Regime.LOW else self.high_normalized
 
@@ -197,27 +180,6 @@ class PsiPotential:
         u2 = self.threshold**2
         return u2 * self.value(np.asarray(a_phys, dtype=float) / u2)
 
-    def flux_antiderivative(self, w):
-        """G(w) = integral from 0 to w of value_physical(s**2) ds, closed form.
-
-        Odd in w. Exact antiderivatives exist for the constant and affine
-        branch kinds.
-        """
-        ubar = self.threshold
-        w = np.asarray(w, dtype=float)
-        s = np.sign(w)
-        x = np.abs(w)
-
-        def poly(coeffs, x):
-            c0, c1, c15 = coeffs
-            return ubar**2 * c0 * x + c1 * x**3 / 3.0 + c15 * x**4 / (4.0 * ubar)
-
-        lo = self.low.potential_coefficients()
-        hi = self.high.potential_coefficients()
-        inner = poly(lo, np.minimum(x, ubar))
-        outer = poly(hi, np.maximum(x, ubar)) - poly(hi, ubar)
-        return s * (inner + outer)
-
 
 def build_psi(law: AdaptiveLaw) -> PsiPotential:
     """Dissipation potential of an adaptive law, in normalized variables."""
@@ -236,72 +198,3 @@ def jump_sign(law: AdaptiveLaw) -> JumpSign:
     if l2 == l1:
         return JumpSign.ZERO
     return JumpSign.POSITIVE if l2 > l1 else JumpSign.NEGATIVE
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Empirical constants bracketing the high branch growth."""
-
-    c: float
-    C: float
-    satisfied: bool
-
-
-def check_growth_bound(law: AdaptiveLaw, sample_count: int = 200) -> GrowthReport:
-    """Sample the high branch on [1, 1e6] against its expected growth rate.
-
-    Reports the tightest empirical constants c and C with
-    c * a**((r-2)/2) <= phi2(a) <= C * (1 + a**((r-2)/2)) on the sampled grid.
-    The bound counts as satisfied when both constants are positive and finite
-    and the lower ratio has stabilized over the last sampled decade (a ratio
-    still decaying there signals that no positive c works for large speeds).
-    """
-    if sample_count < 2:
-        raise ValueError("need at least 2 samples")
-    r = law.growth_exponent
-    a = np.geomspace(1.0, 1e6, sample_count)
-    growth = a ** ((r - 2.0) / 2.0)
-    phi2 = np.asarray(law.high_normalized.phi(a), dtype=float)
-
-    lower_ratio = phi2 / growth
-    upper_ratio = phi2 / (1.0 + growth)
-    c = float(lower_ratio.min())
-    C = float(upper_ratio.max())
-
-    tail = lower_ratio[a >= a[-1] / 10.0]
-    drop = (tail[0] - tail[-1]) / max(abs(tail[0]), 1e-300)
-    satisfied = c > 0 and math.isfinite(C) and drop <= 0.05
-    return GrowthReport(c=c, C=C, satisfied=bool(satisfied))
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    violations: int
-    worst_gap: float
-    trials: int
-
-
-def convexity_probe(psi: PsiPotential, trials: int, seed: int = 0) -> ConvexityReport:
-    """Randomized midpoint-convexity check of the potential.
-
-    Draws (a, b, t) with a, b in [0, 25] and t in [0, 1] and counts how often
-    psi((1-t)a + tb) exceeds the chord value beyond 1e-12. Half of the
-    samples are stratified to straddle the switch (a < 1 < b), which is where
-    a convexity defect of the glued potential must show up. The worst signed
-    gap (chord minus function; negative means violated) is reported.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    n_strat = trials // 2
-    n_free = trials - n_strat
-    a = np.concatenate([rng.uniform(0.0, 25.0, n_free), rng.uniform(0.0, 1.0, n_strat)])
-    b = np.concatenate([rng.uniform(0.0, 25.0, n_free), rng.uniform(1.0, 25.0, n_strat)])
-    t = rng.uniform(0.0, 1.0, trials)
-
-    chord = (1.0 - t) * psi.value(a) + t * psi.value(b)
-    gap = chord - psi.value((1.0 - t) * a + t * b)
-    violations = int(np.sum(gap < -1e-12))
-    return ConvexityReport(
-        violations=violations, worst_gap=float(gap.min()), trials=trials
-    )

@@ -157,10 +157,6 @@ class Mesh:
     def total_elements(self) -> int:
         return len(self.x) - len(self.force)
 
-    def element_midpoints(self, branch_id: str) -> np.ndarray:
-        x = self.nodes[branch_id]
-        return 0.5 * (x[:-1] + x[1:])
-
     @cached_property
     def midpoints(self) -> np.ndarray:
         """Midpoint of every element."""

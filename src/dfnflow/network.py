@@ -129,15 +129,6 @@ class PiecewiseSource:
         if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
             raise ValueError("breakpoints must be strictly increasing")
 
-    def piece_at(self, arc: float) -> ScalarPiece:
-        """Piece owning the given arc; breakpoints belong to the left piece.
-
-        Point values exactly at a breakpoint never enter element integrals,
-        since breakpoints are forced to be mesh nodes.
-        """
-        idx = int(np.searchsorted(np.asarray(self.breakpoints), arc, side="left"))
-        return self.pieces[idx]
-
     def __call__(self, arc: np.ndarray) -> np.ndarray:
         arc = np.asarray(arc, dtype=float)
         out = np.empty_like(arc)

@@ -119,9 +119,11 @@ def benchmark_network() -> tuple[FractureNetwork, dict]:
     The geometry is approximate (see the data file notes); returns the
     network and the raw document including its provenance notes.
     """
-    payload = json.loads(
-        resources.files("dfnflow.data").joinpath("case3_network.json").read_text()
-    )
+    # data/ is package data of dfnflow, not a package: reading it through
+    # dfnflow imports nothing, where files("dfnflow.data") imports it as a
+    # namespace package on the first call
+    data = resources.files("dfnflow") / "data" / "case3_network.json"
+    payload = json.loads(data.read_text())
     return network_from_dict(payload["network"]), payload
 
 

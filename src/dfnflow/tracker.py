@@ -166,24 +166,6 @@ def _directed(p: np.ndarray, q: np.ndarray) -> float:
     return float(nearest.max(initial=0.0))
 
 
-def configuration_distance(a, b) -> float:
-    """Symmetric Hausdorff distance between two interface point sets.
-
-    Distances are measured in arc length along a branch; points on different
-    branches are infinitely far apart, as is a nonempty set from an empty
-    one. Two empty sets are at distance zero.
-    """
-    code: dict[str, int] = {}
-
-    def keys(points) -> np.ndarray:
-        points = points.interfaces if isinstance(points, Configuration) else tuple(points)
-        branch = [code.setdefault(bid, len(code)) for bid, _ in points]
-        arcs = np.array([arc for _, arc in points])
-        return branch_keys(np.array(branch, dtype=float), arcs)
-
-    return _distance(keys(a), keys(b))
-
-
 class _Changes(NamedTuple):
     """Where the labels change along every branch of a mesh.
 

@@ -15,6 +15,12 @@ comparisons. The
 run-based classification, labelling and point-by-point mesh splitting are
 the per-branch loops the flat tracker and ``split_mesh_at`` replaced, and the
 linspace partition is the per-interval loop ``build_mesh`` replaced.
+
+Some helpers here are read by tests only and by no run: the law probes
+(the growth bound of the high branch and the randomized midpoint-convexity
+check of the potential), the closed-form antiderivative of the flux
+potential behind ``closed_form_energies``, and ``configuration_distance``,
+the tracker's distance on (branch id, arc) interface lists.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from dfnflow.energy import (
+    ALPHA_MAX,
+    NEAR_OPTIMAL_WINDOW,
     EnergyReport,
-    GridSpec,
     MinimizationResult,
     _element_quotients,
     _nodal_values,
@@ -45,8 +52,15 @@ from dfnflow.fem import (
     solve_saddle,
     source_integrals,
 )
-from dfnflow.laws import AdaptiveLaw, Regime, eval_lambda_coefficient
-from dfnflow.meshing import Mesh
+from dfnflow.laws import (
+    AdaptiveLaw,
+    AffineSpeedLaw,
+    ConstantLaw,
+    PsiPotential,
+    Regime,
+    eval_lambda_coefficient,
+)
+from dfnflow.meshing import Mesh, branch_keys
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
     DEFAULT_EPS_OMEGA,
@@ -58,6 +72,7 @@ from dfnflow.tracker import (
     TrackerSettings,
     TrackerStatus,
     _detect_period,
+    _distance,
 )
 from dfnflow.network import (
     COINCIDENCE_TOL,
@@ -72,6 +87,92 @@ from dfnflow.network import (
     SourceSpec,
     VelocityBC,
 )
+
+
+def growth_exponent(branch) -> float:
+    """Growth rate r of a law branch: 2 for constant, 3 for affine.
+
+    Any other branch object states its own ``growth_exponent``.
+    """
+    if isinstance(branch, ConstantLaw):
+        return 2.0
+    if isinstance(branch, AffineSpeedLaw):
+        return 3.0
+    return branch.growth_exponent
+
+
+def conjugate_exponent(branch) -> float:
+    r = growth_exponent(branch)
+    return r / (r - 1.0)
+
+
+@dataclass(frozen=True)
+class GrowthReport:
+    """Empirical constants bracketing the high branch growth."""
+
+    c: float
+    C: float
+    satisfied: bool
+
+
+def check_growth_bound(law: AdaptiveLaw, sample_count: int = 200) -> GrowthReport:
+    """Sample the high branch on [1, 1e6] against its expected growth rate.
+
+    Reports the tightest empirical constants c and C with
+    c * a**((r-2)/2) <= phi2(a) <= C * (1 + a**((r-2)/2)) on the sampled grid.
+    The bound counts as satisfied when both constants are positive and finite
+    and the lower ratio has stabilized over the last sampled decade (a ratio
+    still decaying there signals that no positive c works for large speeds).
+    """
+    if sample_count < 2:
+        raise ValueError("need at least 2 samples")
+    r = growth_exponent(law.high)
+    a = np.geomspace(1.0, 1e6, sample_count)
+    growth = a ** ((r - 2.0) / 2.0)
+    phi2 = np.asarray(law.high_normalized.phi(a), dtype=float)
+
+    lower_ratio = phi2 / growth
+    upper_ratio = phi2 / (1.0 + growth)
+    c = float(lower_ratio.min())
+    C = float(upper_ratio.max())
+
+    tail = lower_ratio[a >= a[-1] / 10.0]
+    drop = (tail[0] - tail[-1]) / max(abs(tail[0]), 1e-300)
+    satisfied = c > 0 and math.isfinite(C) and drop <= 0.05
+    return GrowthReport(c=c, C=C, satisfied=bool(satisfied))
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    violations: int
+    worst_gap: float
+    trials: int
+
+
+def convexity_probe(psi: PsiPotential, trials: int, seed: int = 0) -> ConvexityReport:
+    """Randomized midpoint-convexity check of the potential.
+
+    Draws (a, b, t) with a, b in [0, 25] and t in [0, 1] and counts how often
+    psi((1-t)a + tb) exceeds the chord value beyond 1e-12. Half of the
+    samples are stratified to straddle the switch (a < 1 < b), which is where
+    a convexity defect of the glued potential must show up. The worst signed
+    gap (chord minus function; negative means violated) is reported.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = np.random.default_rng(seed)
+    n_strat = trials // 2
+    n_free = trials - n_strat
+    a = np.concatenate([rng.uniform(0.0, 25.0, n_free), rng.uniform(0.0, 1.0, n_strat)])
+    b = np.concatenate([rng.uniform(0.0, 25.0, n_free), rng.uniform(1.0, 25.0, n_strat)])
+    t = rng.uniform(0.0, 1.0, trials)
+
+    chord = (1.0 - t) * psi.value(a) + t * psi.value(b)
+    gap = chord - psi.value((1.0 - t) * a + t * b)
+    violations = int(np.sum(gap < -1e-12))
+    return ConvexityReport(
+        violations=violations, worst_gap=float(gap.min()), trials=trials
+    )
 
 
 def tpfa_darcy_solve(mesh, coefficients, bcs):
@@ -330,6 +431,26 @@ def hausdorff_by_enumeration(set_a, set_b):
     return max(one_way(set_a, set_b), one_way(set_b, set_a))
 
 
+def configuration_distance(a, b) -> float:
+    """Symmetric Hausdorff distance between two interface point sets.
+
+    ``a`` and ``b`` are ``Configuration``s or (branch id, arc) lists. The
+    distance is the tracker's ``_distance`` on their ``branch_keys``:
+    measured in arc length along a branch, with points on different branches
+    infinitely far apart, as is a nonempty set from an empty one. Two empty
+    sets are at distance zero.
+    """
+    code: dict[str, int] = {}
+
+    def keys(points) -> np.ndarray:
+        points = points.interfaces if isinstance(points, Configuration) else tuple(points)
+        branch = [code.setdefault(bid, len(code)) for bid, _ in points]
+        arcs = np.array([arc for _, arc in points])
+        return branch_keys(np.array(branch, dtype=float), arcs)
+
+    return _distance(keys(a), keys(b))
+
+
 def random_network(rng, with_sources=True, velocity_fraction=0.35):
     """Random small network: a single branch, a chain, a star or two stars.
 
@@ -438,6 +559,28 @@ def _golden_section(f, lo, hi, tol):
     return mid, f(mid)
 
 
+def flux_antiderivative(psi: PsiPotential, w):
+    """G(w) = integral from 0 to w of psi.value_physical(s**2) ds, closed form.
+
+    Odd in w. Exact antiderivatives exist for the constant and affine
+    branch kinds.
+    """
+    ubar = psi.threshold
+    w = np.asarray(w, dtype=float)
+    s = np.sign(w)
+    x = np.abs(w)
+
+    def poly(coeffs, x):
+        c0, c1, c15 = coeffs
+        return ubar**2 * c0 * x + c1 * x**3 / 3.0 + c15 * x**4 / (4.0 * ubar)
+
+    lo = psi.low.potential_coefficients()
+    hi = psi.high.potential_coefficients()
+    inner = poly(lo, np.minimum(x, ubar))
+    outer = poly(hi, np.maximum(x, ubar)) - poly(hi, ubar)
+    return s * (inner + outer)
+
+
 def closed_form_energies(alphas, lifted, mesh, psi) -> np.ndarray:
     """Reduced energy E(alpha) at each alpha from antiderivative difference quotients.
 
@@ -448,7 +591,11 @@ def closed_form_energies(alphas, lifted, mesh, psi) -> np.ndarray:
     x = mesh.nodes[lifted.branch_id]
     lifted_integral = float(np.dot(np.diff(x), 0.5 * (lifted.values[:-1] + lifted.values[1:])))
     dissipation = _element_quotients(
-        alphas, lifted, mesh, psi.flux_antiderivative, lambda w: psi.value_physical(w**2)
+        alphas,
+        lifted,
+        mesh,
+        lambda w: flux_antiderivative(psi, w),
+        lambda w: psi.value_physical(w**2),
     )
     return dissipation - tangential_forcing(mesh) * (alphas * (x[-1] - x[0]) + lifted_integral)
 
@@ -506,7 +653,7 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
     )
 
 
-def bisect_reduce(mesh, psi, grid=None):
+def bisect_reduce(mesh, psi):
     """Exact minimization with the zeros of E' bisected, a drop-in for
     ``reduce_and_minimize`` on a pressure-only branch.
 
@@ -518,9 +665,8 @@ def bisect_reduce(mesh, psi, grid=None):
     zero on a breakpoint is found by one of the two tests. E at the zeros is
     ``closed_form_energies``, not the package's quadrature.
     """
-    grid = grid or GridSpec()
     lifted = lift_field(mesh)
-    amax = grid.alpha_max
+    amax = ALPHA_MAX
     w, u = lifted.values, psi.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
     alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
@@ -556,7 +702,7 @@ def bisect_reduce(mesh, psi, grid=None):
     points = np.concatenate([[-amax], zeros, [amax]])
     values = closed_form_energies(points, lifted, mesh, psi)
     best = int(np.argmin(values))
-    keep = values <= values[best] + grid.near_optimal_window
+    keep = values <= values[best] + NEAR_OPTIMAL_WINDOW
     keep[[0, -1]] = False
     keep[best] = True
     return MinimizationResult(
@@ -739,13 +885,18 @@ def classify_branch(
     return [(a, b, lab) for a, b, lab in merged], interfaces
 
 
+def midpoints(x: np.ndarray) -> np.ndarray:
+    """Midpoints of the elements between consecutive nodes ``x`` of one branch."""
+    return 0.5 * (x[:-1] + x[1:])
+
+
 def labels_from_runs(mesh: Mesh, runs_by_branch: dict[str, list[Run]]) -> RegimeField:
     """The label of the run that holds each element's midpoint."""
     labels = {}
     for bid in mesh.branch_ids:
         runs = runs_by_branch[bid]
         ends = np.array([b for _, b, _ in runs])
-        owner = np.searchsorted(ends, mesh.element_midpoints(bid), side="left")
+        owner = np.searchsorted(ends, midpoints(mesh.nodes[bid]), side="left")
         run_labels = np.array([int(lab) for _, _, lab in runs], dtype=np.int8)
         labels[bid] = run_labels[np.minimum(owner, len(runs) - 1)]
     return RegimeField(labels)
@@ -886,7 +1037,7 @@ def per_branch_fields(solution):
     return {
         "flux": {b: block(mesh.nodes[b], solution.flux[b]) for b in mesh.branch_ids},
         "pressure": {
-            b: block(mesh.element_midpoints(b), solution.pressure[b]) for b in mesh.branch_ids
+            b: block(midpoints(mesh.nodes[b]), solution.pressure[b]) for b in mesh.branch_ids
         },
         "junction_pressure": {k: float(v) for k, v in sorted(solution.junction_pressure.items())},
     }

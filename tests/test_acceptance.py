@@ -23,7 +23,6 @@ from dfnflow.laws import (
     ConstantLaw,
     Regime,
     build_psi,
-    convexity_probe,
     jump_sign,
 )
 from dfnflow.meshing import build_mesh, split_mesh_at
@@ -46,11 +45,10 @@ from dfnflow.presets import (
 from dfnflow.tracker import (
     TrackerSettings,
     TrackerStatus,
-    configuration_distance,
     track,
 )
 
-from oracles import random_network
+from oracles import configuration_distance, convexity_probe, random_network
 
 
 def _finish(number, name, budget_s, elapsed, checks):
@@ -283,7 +281,7 @@ def _induced_offsets(mesh, law, alpha):
     ubar = law.threshold
     work = split_mesh_at(mesh, _oracle_crossings(mesh, law, alpha))
     fine = lift_field(work)
-    speeds = np.abs(fine.at(work.element_midpoints("f")) + alpha)
+    speeds = np.abs(fine.at(work.per_element(work.midpoints)["f"]) + alpha)
     labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
     result = picard_solve(work, labels, law)
     solved = np.abs(result.solution.flux["f"][:-1] + result.solution.flux["f"][1:]) / 2

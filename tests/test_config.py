@@ -12,8 +12,10 @@ from dfnflow.config import (
     parse_config,
     spec_to_dict,
 )
+from dfnflow.laws import AffineSpeedLaw
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
+EXAMPLES = SCHEMA.parent / "examples"
 
 MINIMAL = {
     "network": {
@@ -102,7 +104,7 @@ def test_affine_law_block():
     doc = json.loads(json.dumps(MINIMAL))
     doc["law"]["high"] = {"type": "affine", "intercept": 0.01, "slope": 3.0}
     spec = parse_config(doc)
-    assert spec.law.growth_exponent == 3.0
+    assert spec.law.high == AffineSpeedLaw(0.01, 3.0)
 
 
 def test_bad_law_type_rejected():
@@ -157,6 +159,84 @@ def test_network_file_reference(tmp_path):
     config_path.write_text(json.dumps(doc))
     spec = load_config(config_path)
     assert spec.network.branch_ids == ("f",)
+
+
+def test_malformed_network_file_reference_is_a_config_error(tmp_path):
+    (tmp_path / "net.json").write_text("{not json")
+    with pytest.raises(ConfigError, match="net.json is not valid JSON"):
+        parse_config({"network_file": "net.json", "law": MINIMAL["law"]}, base_dir=tmp_path)
+    with pytest.raises(ConfigError, match="network_file must be a path string"):
+        parse_config({"network_file": 5, "law": MINIMAL["law"]})
+
+
+def test_packaged_network_file_loads_through_network_file():
+    # the packaged file carries the optional "notes" key of the format; the
+    # example config points at it relative to its own directory
+    from dfnflow.presets import benchmark_network, darcy_forchheimer_pair
+
+    spec = load_config(EXAMPLES / "case3-network-file.json")
+    network, payload = benchmark_network()
+    assert "notes" in payload
+    assert spec.network == network
+    assert spec.law == darcy_forchheimer_pair(intercept=0.01, slope=0.25)
+    assert spec.approximate
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+MALFORMED = [
+    (("solver", "h"), "abc", r"solver\.h must be a finite number, got 'abc'"),
+    (("solver", "eps_omega"), "x", r"solver\.eps_omega must be a finite number"),
+    (("solver", "h"), True, r"solver\.h must be a finite number, got True"),
+    (("solver", "eps_nl"), float("nan"), r"solver\.eps_nl must be a finite number"),
+    (("solver", "max_outer"), 2.7, r"solver\.max_outer must be an integer, got 2\.7"),
+    (("solver", "max_inner"), "5", r"solver\.max_inner must be an integer"),
+    (("solver", "init_labels"), {"f": ["a"]}, r"solver\.init_labels\.f\[0\] must be an integer"),
+    (("solver", "init_labels"), [0, 1], r"solver\.init_labels must be an object"),
+    (("solver", "init_labels"), {"f": [0, 2]}, r"solver\.init_labels\.f must hold 0 \(low\) or 1"),
+    (("output", "trace"), "no", r"output\.trace must be true or false, got 'no'"),
+    (("approximate",), 1, r"approximate must be true or false"),
+    (
+        ("network", "boundary", "conditions", 0, "value"),
+        "p",
+        r"network\.boundary\.conditions\[0\]\.value must be a finite number",
+    ),
+    (("network", "boundary", "mean_pressure"), "0", r"network\.boundary\.mean_pressure"),
+    (
+        ("network", "branches", 0, "start"),
+        ["a", 0],
+        r"network\.branches\[0\]\.start\[0\] must be a finite number, got 'a'",
+    ),
+    (("network", "branches"), {"id": "f"}, r"network\.branches must be a list"),
+    (("network", "branches", 0), "f", r"network\.branches\[0\] must be an object"),
+    (
+        ("network", "sources"),
+        {"scalar": [{"branch": "f", "values": ["1"]}]},
+        r"network\.sources\.scalar\[0\]\.values\[0\] must be a finite number",
+    ),
+    (("law", "low", "value"), "1", r"law\.low\.value must be a finite number"),
+    (("law", "threshold"), None, r"law\.threshold must be a finite number"),
+    (("solver",), [], r"solver must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    MALFORMED,
+    ids=[f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in MALFORMED],
+)
+def test_malformed_values_are_config_errors_with_their_key_path(path, value, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc.setdefault("solver", {})
+    doc.setdefault("output", {})
+    _set(doc, path, value)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
 
 
 def test_sources_block_parsed():

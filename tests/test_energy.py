@@ -5,7 +5,7 @@ import pytest
 
 from dfnflow.energy import (
     _CHEB_S,
-    GridSpec,
+    ALPHA_MAX,
     _bracket_slopes,
     _slopes,
     energy_of,
@@ -191,7 +191,7 @@ class TestEnergyOf:
         mesh = build_mesh(net, 0.25)
         assert tangential_forcing(mesh) == pytest.approx(-0.2)
         psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 10.0))
-        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=2.0))
+        result = reduce_and_minimize(mesh, psi)
         assert result.alpha_star == pytest.approx(-0.2, abs=1e-6)
 
     def test_tangential_forcing_of_each_end_condition_pair(self):
@@ -257,7 +257,7 @@ class TestReduction:
     def test_refinement_improves_on_the_grid_minimum(self):
         psi = build_psi(darcy_pair())
         mesh = build_mesh(single_fracture_network(), 0.05)
-        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=1.0))
+        result = reduce_and_minimize(mesh, psi)
         grid_best = float(brute_reduce(mesh, psi, alpha_max=1.0, count=5001).energies.min())
         assert result.energy <= grid_best + 1e-15
 
@@ -266,7 +266,7 @@ class TestReduction:
         # sqrt(machine eps) that a search on E values allows
         mesh = build_mesh(plain_branch(bc_end=PressureBC(0.2)), 0.25)
         psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 10.0))
-        result = reduce_and_minimize(mesh, psi, GridSpec(alpha_max=2.0))
+        result = reduce_and_minimize(mesh, psi)
         assert result.alpha_star == pytest.approx(-0.2, abs=1e-12)
 
         mesh = build_mesh(single_fracture_network(), 0.05)
@@ -279,6 +279,16 @@ class TestReduction:
         mesh = build_mesh(plain_branch(force=(1.2 * law.threshold, 0.0)), 0.1)
         result = reduce_and_minimize(mesh, build_psi(law))
         assert result.alpha_star == pytest.approx(law.threshold, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_end_of_the_search_interval_is_reported_as_the_minimizer(self, sign):
+        # unit Darcy law and force 2 * ALPHA_MAX along the branch: E' < 0 on
+        # the whole interval, so the minimum sits at its end
+        mesh = build_mesh(plain_branch(force=(sign * 2.0 * ALPHA_MAX, 0.0)), 0.25)
+        result = reduce_and_minimize(mesh, UNIT_PSI)
+        assert result.alpha_star == sign * ALPHA_MAX
+        assert [a for a, _ in result.candidates] == [sign * ALPHA_MAX]
+        assert result.candidates[0][1] == result.energy
 
     def test_nonconvex_tie_reports_both_regime_minimizers(self):
         # no source and force u * sqrt(lambda1 * lambda2): the low-regime
@@ -462,7 +472,7 @@ class TestFemOracleAgreement:
                         crossings.append(("f", x[e] + t * (x[e + 1] - x[e])))
         work = split_mesh_at(mesh, crossings)
         fine = lift_field(work)
-        speeds = np.abs(fine.at(work.element_midpoints("f")) + alpha)
+        speeds = np.abs(fine.at(work.per_element(work.midpoints)["f"]) + alpha)
         labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
         result = picard_solve(work, labels, law)
         return result.solution.flux["f"] - fine.values

@@ -92,7 +92,7 @@ def test_end_pressure_difference_drives_back_flow():
     )
     _, sol = solve_network(net, 0.25)
     assert np.allclose(sol.flux["f"], -0.2, atol=1e-13)
-    assert np.allclose(sol.pressure["f"], 0.2 * (sol.mesh.element_midpoints("f")))
+    assert np.allclose(sol.pressure["f"], 0.2 * sol.mesh.per_element(sol.mesh.midpoints)["f"])
 
 
 def test_three_branch_star_splits_influx():
@@ -379,8 +379,6 @@ def test_degenerate_coefficient_raises():
     mesh = build_mesh(net, 0.25)
 
     class ZeroLaw:
-        growth_exponent = 2.0
-
         def phi(self, a):
             return np.zeros_like(np.asarray(a, dtype=float))
 

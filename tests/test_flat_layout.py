@@ -26,11 +26,11 @@ from dfnflow.tracker import (
     _changes_of,
     _classify,
     _labels_on,
-    configuration_distance,
 )
 
 from oracles import (
     classify_branch,
+    configuration_distance,
     hausdorff_by_enumeration,
     labels_from_runs,
     linspace_partition,

@@ -11,10 +11,16 @@ from dfnflow.laws import (
     JumpSign,
     Regime,
     build_psi,
-    check_growth_bound,
-    convexity_probe,
     eval_lambda_coefficient,
     jump_sign,
+)
+
+from oracles import (
+    check_growth_bound,
+    conjugate_exponent,
+    convexity_probe,
+    flux_antiderivative,
+    growth_exponent,
 )
 
 
@@ -105,7 +111,7 @@ class TestPotential:
         psi = build_psi(forchheimer_pair())
         for w in (-0.4, -0.1, 0.07, 0.15, 0.9):
             ref, _ = quad(lambda s: psi.value_physical(s**2), 0.0, w)
-            assert psi.flux_antiderivative(w) == pytest.approx(ref, abs=1e-12)
+            assert flux_antiderivative(psi, w) == pytest.approx(ref, abs=1e-12)
 
 
 class TestJumpSign:
@@ -130,7 +136,7 @@ class TestGrowthBound:
 
     def test_affine_high_branch_rate_three(self):
         law = AdaptiveLaw(ConstantLaw(1.0), AffineSpeedLaw(0.01, 3.0), 1.0)
-        assert law.growth_exponent == 3.0
+        assert growth_exponent(law.high) == 3.0
         report = check_growth_bound(law)
         assert report.satisfied
         assert report.c >= 3.0
@@ -211,11 +217,11 @@ class TestAdaptiveLawValidation:
             AffineSpeedLaw(-0.1, 1.0)
 
     def test_exponents(self):
-        assert linear_pair().growth_exponent == 2.0
-        assert linear_pair().conjugate_exponent == 2.0
+        assert growth_exponent(linear_pair().high) == 2.0
+        assert conjugate_exponent(linear_pair().high) == 2.0
         law = forchheimer_pair()
-        assert law.growth_exponent == 3.0
-        assert law.conjugate_exponent == pytest.approx(1.5)
+        assert growth_exponent(law.high) == 3.0
+        assert conjugate_exponent(law.high) == pytest.approx(1.5)
 
     def test_threshold_normalization_of_affine_branch(self):
         law = forchheimer_pair(ubar=0.15)

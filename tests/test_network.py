@@ -118,7 +118,6 @@ def test_piecewise_source_evaluation_and_validation():
     # breakpoints belong to the left piece; the values there are measure-zero
     x = np.array([0.0, 0.2, 0.3, 0.5, 0.7, 0.9])
     assert np.allclose(src(x), [1, 1, 1, -1, -1, 1])
-    assert src.piece_at(0.5) == -1.0
     with pytest.raises(ValueError):
         PiecewiseSource(breakpoints=(0.5,), pieces=(1.0,))
     with pytest.raises(ValueError):

@@ -26,11 +26,10 @@ from dfnflow.tracker import (
     TrackerSettings,
     TrackerStatus,
     _classify,
-    configuration_distance,
     track,
 )
 
-from oracles import bisect_crossing, hausdorff_by_enumeration
+from oracles import bisect_crossing, configuration_distance, hausdorff_by_enumeration
 
 
 def multi_interface_case():
