@@ -39,12 +39,9 @@ from .fem import (
 )
 from .laws import (
     AdaptiveLaw,
-    AffineSpeedLaw,
-    ConstantLaw,
     JumpSign,
-    PsiPotential,
+    LawBranch,
     Regime,
-    build_psi,
     eval_lambda_coefficient,
     jump_sign,
 )

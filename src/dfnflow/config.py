@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, LawBranch
+from .laws import AdaptiveLaw, LawBranch
 from .network import (
     END,
     START,
@@ -138,9 +138,9 @@ def law_branch_from_dict(doc: Mapping, path: str) -> LawBranch:
         return _number(_get(doc, key, path), path + key)
 
     if kind == "constant":
-        return ConstantLaw(number("value"))
+        return LawBranch(number("value"))
     if kind == "affine":
-        return AffineSpeedLaw(number("intercept"), number("slope"))
+        return LawBranch(number("intercept"), number("slope"))
     raise ConfigError(f"{path}type must be 'constant' or 'affine', got {kind!r}")
 
 
@@ -269,6 +269,7 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
 
     if ("network" in document) == ("network_file" in document):
         raise ConfigError("provide exactly one of 'network' or 'network_file'")
+    approximate = _flag(document.get("approximate", False), "approximate")
     if "network" in document:
         network_doc = document["network"]
     else:
@@ -285,6 +286,9 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
             raise ConfigError(f"network file {ref} is not valid JSON: {exc}") from exc
         _require_keys(payload, {"network", "approximate", "notes"}, f"{ref.name}:")
         network_doc = _get(payload, "network", f"{ref.name}:")
+        # geometry read off a figure stays approximate in every config using it
+        file_flag = _flag(payload.get("approximate", False), f"{ref.name}:approximate")
+        approximate = approximate or file_flag
     network = network_from_dict(network_doc)
 
     report = validate_network(network)
@@ -327,7 +331,7 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         law=law,
         solver=solver,
         output=output,
-        approximate=_flag(document.get("approximate", False), "approximate"),
+        approximate=approximate,
     )
 
 
@@ -387,11 +391,9 @@ def network_to_dict(network: FractureNetwork) -> dict:
 
 
 def law_branch_to_dict(branch: LawBranch) -> dict:
-    if isinstance(branch, ConstantLaw):
-        return {"type": "constant", "value": branch.value}
-    if isinstance(branch, AffineSpeedLaw):
-        return {"type": "affine", "intercept": branch.intercept, "slope": branch.slope}
-    raise ConfigError(f"law branch {type(branch).__name__} cannot be serialized")
+    if branch.slope == 0:
+        return {"type": "constant", "value": branch.intercept}
+    return {"type": "affine", "intercept": branch.intercept, "slope": branch.slope}
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:

@@ -14,8 +14,8 @@ the threshold speed, the potential of the flux is a cubic in each node value,
 and E' is the sum of its divided differences over the elements. An element
 whose node values stay in one piece of the potential adds a quadratic in
 alpha; one straddling a kink adds a cubic wherever the cubic term of the
-potential changes there (at zero or at the threshold when a law branch is
-affine in the speed), so E' is a cubic on each bracket. Its values at four
+potential changes there (at zero or at the threshold when a law branch has
+a nonzero slope), so E' is a cubic on each bracket. Its values at four
 points of every bracket come from one running sum over the brackets, of the
 quadratics of the elements inside one piece, plus the closed-form quotients
 of the elements straddling a kink there; this costs O(N) beyond
@@ -27,11 +27,13 @@ interval of the bracket that holds the root. E' is continuous except where
 the node value of a flat element crosses the threshold and the law
 coefficient jumps.
 
-The dissipation integrand is the piecewise potential composed with the
-squared speed; it is smooth except where the speed crosses the regime
-threshold, so elements are pre-split at those crossings (and at sign changes
-of the flux) before applying a 3-point Gauss rule, which is then exact for
-the supported law kinds. All elements are integrated in one array pass. This
+The dissipation integrand is the law's own piecewise potential,
+``AdaptiveLaw.potential_physical``, composed with the squared speed, so
+every function here takes the law itself. It is smooth except where the
+speed crosses the regime threshold, so elements are pre-split at those
+crossings (and at sign changes of the flux) before applying a 3-point Gauss
+rule, which is then exact: on each piece the potential of every law branch
+is a cubic in the flux. All elements are integrated in one array pass. This
 quadrature is the only dissipation integrator: ``energy_of`` runs it on one
 field, and the minimizer runs it once on the fields at all its zeros of E'
 and at the ends of the search interval, so every energy it reports equals
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import Solution
-from .laws import PsiPotential
+from .laws import AdaptiveLaw
 from .meshing import Mesh
 
 # The minimizer searches alpha in [-ALPHA_MAX, ALPHA_MAX] and reports as
@@ -142,7 +144,7 @@ class EnergyReport:
 
 
 def _dissipation_and_load(
-    values: np.ndarray, x: np.ndarray, forcing: float, psi: PsiPotential
+    values: np.ndarray, x: np.ndarray, forcing: float, law: AdaptiveLaw
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dissipation and load of every row of node values, shape (..., nodes).
 
@@ -156,7 +158,7 @@ def _dissipation_and_load(
     # axes: rows if any, element, cut or piece, Gauss point
     x1, x2 = x[:-1, None, None], x[1:, None, None]
     w1, w2 = values[..., :-1, None, None], values[..., 1:, None, None]
-    levels = np.array([[psi.threshold], [-psi.threshold], [0.0]])
+    levels = np.array([[law.threshold], [-law.threshold], [0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (levels - w1) / (w2 - w1)
     inside = (t > 0.0) & (t < 1.0)  # never true for a flat element's inf or nan
@@ -167,14 +169,14 @@ def _dissipation_and_load(
     pts, wts = _GAUSS3
     xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
     ws = w1 + (w2 - w1) * (xs - x1) / (x2 - x1)
-    pieces = 0.5 * (b - a)[..., 0] * (psi.value_physical(ws**2) @ wts)
+    pieces = 0.5 * (b - a)[..., 0] * (law.potential_physical(ws**2) @ wts)
     dissipation = pieces.reshape(*values.shape[:-1], -1).sum(axis=-1)
     # the load is accumulated in element order, as a running sum
     load = np.cumsum(forcing * 0.5 * (values[..., :-1] + values[..., 1:]) * np.diff(x), axis=-1)
     return dissipation, load[..., -1]
 
 
-def energy_of(values, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
+def energy_of(values, mesh: Mesh, law: AdaptiveLaw) -> EnergyReport:
     """Dissipation and energy of the node values of a flux on a single branch.
 
     The field is the total flux (lifted part included).
@@ -182,7 +184,7 @@ def energy_of(values, mesh: Mesh, psi: PsiPotential) -> EnergyReport:
     bid = _single_branch(mesh)
     forcing = tangential_forcing(mesh)
     dissipation, load = _dissipation_and_load(
-        _nodal_values(values, mesh, bid), mesh.nodes[bid], forcing, psi
+        _nodal_values(values, mesh, bid), mesh.nodes[bid], forcing, law
     )
     return EnergyReport(
         dissipation=float(dissipation),
@@ -239,12 +241,12 @@ def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
     return _divided(h[:, None], w[:-1], delta, np.diff(prim(w), axis=0), limit).sum(axis=0)
 
 
-def _potential(psi: PsiPotential):
-    """The potential of the flux, prim(w) = value_physical(w**2), and its derivative."""
-    return lambda w: psi.value_physical(w**2), lambda w: w * psi.phi(w**2 / psi.threshold**2)
+def _potential(law: AdaptiveLaw):
+    """The potential of the flux, prim(w) = potential_physical(w**2), and its derivative."""
+    return lambda w: law.potential_physical(w**2), lambda w: w * law.phi(w**2 / law.threshold**2)
 
 
-def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential) -> np.ndarray:
+def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, law: AdaptiveLaw) -> np.ndarray:
     """Derivative E'(alpha) at each alpha, in closed form.
 
     Per element, the difference quotient of the dissipation potential over
@@ -252,12 +254,12 @@ def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotenti
     of the two one-sided values.
     """
     x = mesh.nodes[lifted.branch_id]
-    dissipation = _element_quotients(alphas, lifted, mesh, *_potential(psi))
+    dissipation = _element_quotients(alphas, lifted, mesh, *_potential(law))
     return dissipation - tangential_forcing(mesh) * (x[-1] - x[0])
 
 
 def _bracket_slopes(
-    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, psi: PsiPotential
+    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, law: AdaptiveLaw
 ) -> np.ndarray:
     """E' at the four Chebyshev points of every bracket between consecutive alphas.
 
@@ -277,7 +279,7 @@ def _bracket_slopes(
     element count N beyond the sort of the breakpoints, as long as each
     straddled range holds few breakpoints.
     """
-    w, u = lifted.values, psi.threshold
+    w, u = lifted.values, law.threshold
     h = np.diff(lifted.nodes)
     brackets = len(alphas) - 1
     points = alphas[:-1, None] * (1.0 - _CHEB_S) + alphas[1:, None] * _CHEB_S
@@ -290,7 +292,8 @@ def _bracket_slopes(
     # per piece: the brackets holding both node values, the quadratic there
     start = np.concatenate([np.zeros((1, len(h)), dtype=first.dtype), last])
     end = np.concatenate([first, np.full((1, len(h)), brackets)])
-    low, high = psi.low.potential_coefficients(), psi.high.potential_coefficients()
+    low = law.low_normalized.potential_coefficients()
+    high = law.high_normalized.potential_coefficients()
     square = np.array([high[1], low[1], low[1], high[1]])[:, None]
     cube = np.array([-high[2], -low[2], low[2], high[2]])[:, None] / u
     sums, products = w[:-1] + w[1:], w[:-1] ** 2 + w[:-1] * w[1:] + w[1:] ** 2
@@ -318,7 +321,7 @@ def _bracket_slopes(
     element = np.repeat(np.tile(np.arange(len(h)), 3), counts)
     bracket = np.repeat(lower - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     wa, wb = w[element, None] + points[bracket], w[element + 1, None] + points[bracket]
-    prim, limit = _potential(psi)
+    prim, limit = _potential(law)
     delta = np.diff(w)[element, None]
     straddling = _divided(h[element, None], wa, delta, prim(wb) - prim(wa), limit)
     samples += np.bincount(
@@ -378,7 +381,7 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     return zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
 
-def reduce_and_minimize(mesh: Mesh, psi: PsiPotential) -> MinimizationResult:
+def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
     """Minimize the reduced scalar energy of a single-branch problem.
 
     With a velocity condition anywhere on the boundary the divergence-free
@@ -393,7 +396,7 @@ def reduce_and_minimize(mesh: Mesh, psi: PsiPotential) -> MinimizationResult:
     lifted = lift_field(mesh)
 
     if mesh.network.boundary_plan.velocity.any():
-        report = energy_of(lifted.values, mesh, psi)
+        report = energy_of(lifted.values, mesh, law)
         return MinimizationResult(
             alpha_star=0.0,
             energy=report.energy,
@@ -402,7 +405,7 @@ def reduce_and_minimize(mesh: Mesh, psi: PsiPotential) -> MinimizationResult:
             lifted=lifted,
         )
 
-    w, u = lifted.values, psi.threshold
+    w, u = lifted.values, law.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
     inside = kinks[np.abs(kinks) < ALPHA_MAX]
     alphas = np.sort(np.concatenate([[-ALPHA_MAX, ALPHA_MAX], inside]))
@@ -411,12 +414,12 @@ def reduce_and_minimize(mesh: Mesh, psi: PsiPotential) -> MinimizationResult:
     zeros = _rising_zeros(
         alphas[:-1],
         alphas[1:],
-        _bracket_slopes(alphas, lifted, mesh, psi),
-        lambda a: _slopes(a, lifted, mesh, psi),
+        _bracket_slopes(alphas, lifted, mesh, law),
+        lambda a: _slopes(a, lifted, mesh, law),
     )
     points = np.concatenate([[-ALPHA_MAX], zeros, [ALPHA_MAX]])
     dissipation, load = _dissipation_and_load(
-        lifted.values + points[:, None], lifted.nodes, tangential_forcing(mesh), psi
+        lifted.values + points[:, None], lifted.nodes, tangential_forcing(mesh), law
     )
     values = dissipation - load
     best = int(np.argmin(values))
@@ -432,7 +435,7 @@ def reduce_and_minimize(mesh: Mesh, psi: PsiPotential) -> MinimizationResult:
     )
 
 
-def build_energy_block(solution: Solution, law) -> dict:
+def build_energy_block(solution: Solution, law: AdaptiveLaw) -> dict:
     """Energy summary of a single-branch solution, JSON-ready.
 
     Evaluates the dissipation and energy of the solver's flux on its own
@@ -440,13 +443,10 @@ def build_energy_block(solution: Solution, law) -> dict:
     statistics quantify how far the flux deviates from lifted-plus-constant
     form, which is the discrete reduction the oracle relies on.
     """
-    from .laws import build_psi
-
-    psi = build_psi(law)
     work = solution.mesh
     bid = work.branch_ids[0]
-    report = energy_of(solution.flux[bid], work, psi)
-    reduction = reduce_and_minimize(work, psi)
+    report = energy_of(solution.flux[bid], work, law)
+    reduction = reduce_and_minimize(work, law)
     offsets = solution.flux[bid] - reduction.lifted.values
     return {
         "dissipation": report.dissipation,

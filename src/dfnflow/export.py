@@ -157,10 +157,14 @@ def exit_code(bundle: ResultBundle) -> int:
 
 
 def _write_csv(path: Path, rows: list[tuple], header: tuple[str, ...]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # the csv module quotes a cell holding a comma, such as an error message;
+    # it is imported here so that a JSON-only run does not load it
+    import csv
+
+    with path.open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
 
 
 def _snapshot_rows(block: dict) -> dict[str, list[tuple]]:
@@ -218,8 +222,9 @@ def export_bundle(bundle: ResultBundle, out_dir: str | Path, format: str = "json
     if bundle.extras:
         for key, value in bundle.extras.items():
             if isinstance(value, list) and value and isinstance(value[0], dict):
-                header = tuple(value[0].keys())
-                rows = [tuple(row[k] for k in header) for row in value]
+                # rows may differ in keys: a failed sweep member adds a message
+                header = tuple(dict.fromkeys(k for row in value for k in row))
+                rows = [tuple(row.get(k, "") for k in header) for row in value]
                 path = out / f"{key}.csv"
                 _write_csv(path, rows, header)
                 created.append(path)

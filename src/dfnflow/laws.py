@@ -1,10 +1,11 @@
 """Adaptive velocity-pressure laws and the associated dissipation potential.
 
-A law pair consists of a low-speed branch and a high-speed branch, each of the
-form coefficient(speed) * velocity, selected by a threshold speed. Internally
-all speeds are divided by the threshold, so branch evaluation happens in
-normalized variables where the regime switch sits at speed 1; law parameters
-are supplied in physical units and rescaled once at construction.
+A law pair consists of a low-speed and a high-speed branch, each of the form
+coefficient(speed) * velocity with the coefficient b0 + b1 * speed (Darcy for
+b1 = 0, Darcy-Forchheimer otherwise), selected by a threshold speed.
+Internally all speeds are divided by the threshold, so branch evaluation
+happens in normalized variables where the regime switch sits at speed 1; law
+parameters are supplied in physical units and rescaled once per law.
 
 The piecewise potential glues the antiderivatives of the two branch
 coefficients, normalized to vanish at the switch. Its convexity is decided by
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
 
 import numpy as np
 
@@ -32,63 +33,38 @@ class JumpSign(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ConstantLaw:
-    """Speed-independent coefficient (Darcy): phi(a) = value."""
+class LawBranch:
+    """Coefficient affine in speed: phi(a) = intercept + slope * sqrt(a).
 
-    value: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError(f"constant law coefficient must be positive, got {self.value}")
-
-    def phi(self, a):
-        return np.full_like(np.asarray(a, dtype=float), self.value)
-
-    def potential(self, a):
-        """Antiderivative of phi/2 in squared speed, vanishing at a = 1."""
-        return self.value * (np.asarray(a, dtype=float) - 1.0) / 2.0
-
-    def potential_coefficients(self) -> tuple[float, float, float]:
-        """(c0, c1, c15) with potential(a) = c0 + c1*a + c15*a**1.5."""
-        return (-self.value / 2.0, self.value / 2.0, 0.0)
-
-
-@dataclass(frozen=True)
-class AffineSpeedLaw:
-    """Coefficient affine in speed (Darcy-Forchheimer): phi(a) = b0 + b1*sqrt(a)."""
+    ``a`` is the squared speed; a zero slope is the speed-independent Darcy
+    law, a positive one Darcy-Forchheimer.
+    """
 
     intercept: float
-    slope: float
+    slope: float = 0.0
 
     def __post_init__(self):
         if self.intercept < 0 or self.slope < 0 or self.intercept + self.slope <= 0:
             raise ValueError(
-                "affine law needs intercept >= 0, slope >= 0 and a positive sum; "
-                f"got ({self.intercept}, {self.slope})"
+                "law branch needs intercept >= 0 and slope >= 0, and their sum must be "
+                f"positive; got ({self.intercept}, {self.slope})"
             )
 
     def phi(self, a):
         return self.intercept + self.slope * np.sqrt(np.asarray(a, dtype=float))
 
     def potential(self, a):
+        """Antiderivative of phi/2 in squared speed, vanishing at a = 1."""
         a = np.asarray(a, dtype=float)
         return self.intercept * (a - 1.0) / 2.0 + self.slope * (a**1.5 - 1.0) / 3.0
 
     def potential_coefficients(self) -> tuple[float, float, float]:
+        """(c0, c1, c15) with potential(a) = c0 + c1*a + c15*a**1.5."""
         return (
             -self.intercept / 2.0 - self.slope / 3.0,
             self.intercept / 2.0,
             self.slope / 3.0,
         )
-
-
-LawBranch = Union[ConstantLaw, AffineSpeedLaw]
-
-
-def _normalize(branch: LawBranch, threshold: float) -> LawBranch:
-    if isinstance(branch, AffineSpeedLaw):
-        return AffineSpeedLaw(branch.intercept, branch.slope * threshold)
-    return branch
 
 
 @dataclass(frozen=True)
@@ -98,6 +74,12 @@ class AdaptiveLaw:
     ``low`` and ``high`` are given in physical units; derived attributes are
     evaluated after normalizing speeds by the threshold, so ``lambda1`` and
     ``lambda2`` are the two coefficients exactly at the switch.
+
+    ``potential(a)`` is the dissipation potential in normalized squared
+    speed: the low branch potential for a <= 1 and the high branch one for
+    a > 1, both vanishing at a = 1 so that it is continuous at the switch.
+    ``potential_physical`` rescales it to physical squared speeds, the form
+    entering the energy functional of the flow problem.
     """
 
     low: LawBranch
@@ -107,16 +89,14 @@ class AdaptiveLaw:
     def __post_init__(self):
         if self.threshold <= 0:
             raise ValueError(f"threshold speed must be positive, got {self.threshold}")
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("law coefficients at the threshold must be positive")
 
-    @property
+    @cached_property
     def low_normalized(self) -> LawBranch:
-        return _normalize(self.low, self.threshold)
+        return LawBranch(self.low.intercept, self.low.slope * self.threshold)
 
-    @property
+    @cached_property
     def high_normalized(self) -> LawBranch:
-        return _normalize(self.high, self.threshold)
+        return LawBranch(self.high.intercept, self.high.slope * self.threshold)
 
     @property
     def lambda1(self) -> float:
@@ -128,6 +108,21 @@ class AdaptiveLaw:
 
     def branch_for(self, regime: Regime) -> LawBranch:
         return self.low_normalized if regime == Regime.LOW else self.high_normalized
+
+    def phi(self, a):
+        a = np.asarray(a, dtype=float)
+        return np.where(a <= 1.0, self.low_normalized.phi(a), self.high_normalized.phi(a))
+
+    def potential(self, a):
+        a = np.asarray(a, dtype=float)
+        return np.where(
+            a <= 1.0, self.low_normalized.potential(a), self.high_normalized.potential(a)
+        )
+
+    def potential_physical(self, a_phys):
+        """Potential of the physical squared speed, scaled by threshold**2."""
+        u2 = self.threshold**2
+        return u2 * self.potential(np.asarray(a_phys, dtype=float) / u2)
 
 
 def eval_lambda_coefficient(
@@ -151,41 +146,6 @@ def eval_lambda_coefficient(
         law.high_normalized.phi(a),
     )
     return float(coeff) if coeff.ndim == 0 else coeff
-
-
-@dataclass(frozen=True)
-class PsiPotential:
-    """Piecewise dissipation potential in normalized squared speed.
-
-    ``value(a)`` uses the low branch potential for a <= 1 and the high branch
-    for a > 1; both vanish at a = 1 so the potential is continuous at the
-    switch. ``value_physical`` rescales to physical squared speeds, which is
-    the form entering the energy functional of the flow problem.
-    """
-
-    low: LawBranch
-    high: LawBranch
-    threshold: float = 1.0
-
-    def value(self, a):
-        a = np.asarray(a, dtype=float)
-        return np.where(a <= 1.0, self.low.potential(a), self.high.potential(a))
-
-    def phi(self, a):
-        a = np.asarray(a, dtype=float)
-        return np.where(a <= 1.0, self.low.phi(a), self.high.phi(a))
-
-    def value_physical(self, a_phys):
-        """Potential of the physical squared speed, scaled by threshold**2."""
-        u2 = self.threshold**2
-        return u2 * self.value(np.asarray(a_phys, dtype=float) / u2)
-
-
-def build_psi(law: AdaptiveLaw) -> PsiPotential:
-    """Dissipation potential of an adaptive law, in normalized variables."""
-    return PsiPotential(
-        low=law.low_normalized, high=law.high_normalized, threshold=law.threshold
-    )
 
 
 def jump_sign(law: AdaptiveLaw) -> JumpSign:

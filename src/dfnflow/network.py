@@ -438,6 +438,13 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
                     f"intersection {isec.id!r} references unknown branch {bid!r}",
                 )
                 continue
+            if which not in (START, END):
+                report.add(
+                    "unknown-end",
+                    f"intersection {isec.id!r} references unknown end {which!r} "
+                    f"of branch {bid!r}",
+                )
+                continue
             point = network.branch(bid).endpoint(which)
             dist = math.hypot(point[0] - isec.point[0], point[1] - isec.point[1])
             if dist > COINCIDENCE_TOL:

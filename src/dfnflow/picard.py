@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import RegimeField, Solution, assemble, frozen_speeds, solve_saddle
-from .laws import AdaptiveLaw, ConstantLaw, Regime
+from .laws import AdaptiveLaw, Regime
 from .meshing import Mesh
 
 # Singular values of the residual-difference matrix below this fraction of
@@ -120,10 +120,7 @@ class PicardResult:
 
 def _is_linear(labels: np.ndarray, law: AdaptiveLaw) -> bool:
     """Whether the law branch of every label present is speed-independent."""
-    return all(
-        isinstance(law.branch_for(Regime(r)), ConstantLaw)
-        for r in set(labels.tolist())
-    )
+    return all(law.branch_for(Regime(r)).slope == 0 for r in set(labels.tolist()))
 
 
 def picard_solve(

@@ -22,7 +22,7 @@ from .config import DEFAULT_H, ProblemSpec, SolverSettings, network_from_dict, s
 from .energy import build_energy_block
 from .export import ResultBundle, bundle_from_report
 from .fem import RegimeField
-from .laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw
+from .laws import AdaptiveLaw, LawBranch
 from .meshing import build_mesh
 from .network import (
     BoundarySpec,
@@ -129,9 +129,7 @@ def benchmark_network() -> tuple[FractureNetwork, dict]:
 
 def darcy_pair(k1: float = 1.0, k2: float = 10.0, threshold: float = THRESHOLD) -> AdaptiveLaw:
     """Two constant-permeability laws; coefficients are inverse permeabilities."""
-    return AdaptiveLaw(
-        low=ConstantLaw(1.0 / k1), high=ConstantLaw(1.0 / k2), threshold=threshold
-    )
+    return AdaptiveLaw(low=LawBranch(1.0 / k1), high=LawBranch(1.0 / k2), threshold=threshold)
 
 
 def darcy_forchheimer_pair(
@@ -139,8 +137,8 @@ def darcy_forchheimer_pair(
 ) -> AdaptiveLaw:
     """Unit Darcy law below the threshold, affine-in-speed law above it."""
     return AdaptiveLaw(
-        low=ConstantLaw(1.0),
-        high=AffineSpeedLaw(intercept, slope),
+        low=LawBranch(1.0),
+        high=LawBranch(intercept, slope),
         threshold=threshold,
     )
 
@@ -238,19 +236,22 @@ def sweep_k2(
     whether every inner solve met its tolerance. A member that fails, a k2
     that gives no valid law included (its ``lambda2`` is then None), is
     recorded without aborting the sweep; a sweep whose members all fail
-    raises.
+    raises, and so does one without values, before meshing.
     The bundle reports the last member that ran, with the rows in its extras.
     """
-    if not isinstance(law.high, ConstantLaw):
+    if law.high.slope != 0:
         raise ValueError("the k2 sweep needs a constant high-regime law")
+    values = [float(k2) for k2 in values]
+    if not values:
+        raise ValueError("the k2 sweep needs at least one k2 value")
     start = time.perf_counter()
     mesh = build_mesh(network, solver.h)
     rows = []
     last = None
-    for k2 in map(float, values):
+    for k2 in values:
         row = {"k2": k2, "lambda2": None}
         try:
-            member = dataclasses.replace(law, high=ConstantLaw(1.0 / k2))
+            member = dataclasses.replace(law, high=LawBranch(1.0 / k2))
             row["lambda2"] = member.lambda2
             settings = run_settings(solver)
             report = track(
@@ -407,14 +408,10 @@ def run_preset(name: str, h: float | None = None, trace: bool = False, **kwargs)
     raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
 
 
-def run_spec(spec: ProblemSpec, trace: bool | None = None) -> ResultBundle:
+def run_spec(spec: ProblemSpec) -> ResultBundle:
     """Run the full pipeline described by a parsed configuration."""
     bundle = run_case(
-        "solve",
-        spec.network,
-        spec.law,
-        trace=spec.output.trace if trace is None else trace,
-        **run_settings(spec.solver),
+        "solve", spec.network, spec.law, trace=spec.output.trace, **run_settings(spec.solver)
     )
     bundle.config = spec_to_dict(spec)
     return bundle

@@ -54,9 +54,7 @@ from dfnflow.fem import (
 )
 from dfnflow.laws import (
     AdaptiveLaw,
-    AffineSpeedLaw,
-    ConstantLaw,
-    PsiPotential,
+    LawBranch,
     Regime,
     eval_lambda_coefficient,
 )
@@ -89,16 +87,9 @@ from dfnflow.network import (
 )
 
 
-def growth_exponent(branch) -> float:
-    """Growth rate r of a law branch: 2 for constant, 3 for affine.
-
-    Any other branch object states its own ``growth_exponent``.
-    """
-    if isinstance(branch, ConstantLaw):
-        return 2.0
-    if isinstance(branch, AffineSpeedLaw):
-        return 3.0
-    return branch.growth_exponent
+def growth_exponent(branch: LawBranch) -> float:
+    """Growth rate r of a law branch: 2 with a zero slope, 3 otherwise."""
+    return 2.0 if branch.slope == 0 else 3.0
 
 
 def conjugate_exponent(branch) -> float:
@@ -115,8 +106,13 @@ class GrowthReport:
     satisfied: bool
 
 
-def check_growth_bound(law: AdaptiveLaw, sample_count: int = 200) -> GrowthReport:
-    """Sample the high branch on [1, 1e6] against its expected growth rate.
+def check_growth_bound(
+    law: AdaptiveLaw, sample_count: int = 200, rate: float | None = None
+) -> GrowthReport:
+    """Sample the high branch on [1, 1e6] against a claimed growth rate r.
+
+    r defaults to the branch's own ``growth_exponent``; a larger claim is
+    the negative case the bound must reject.
 
     Reports the tightest empirical constants c and C with
     c * a**((r-2)/2) <= phi2(a) <= C * (1 + a**((r-2)/2)) on the sampled grid.
@@ -126,7 +122,7 @@ def check_growth_bound(law: AdaptiveLaw, sample_count: int = 200) -> GrowthRepor
     """
     if sample_count < 2:
         raise ValueError("need at least 2 samples")
-    r = growth_exponent(law.high)
+    r = growth_exponent(law.high) if rate is None else rate
     a = np.geomspace(1.0, 1e6, sample_count)
     growth = a ** ((r - 2.0) / 2.0)
     phi2 = np.asarray(law.high_normalized.phi(a), dtype=float)
@@ -149,11 +145,11 @@ class ConvexityReport:
     trials: int
 
 
-def convexity_probe(psi: PsiPotential, trials: int, seed: int = 0) -> ConvexityReport:
+def convexity_probe(law: AdaptiveLaw, trials: int, seed: int = 0) -> ConvexityReport:
     """Randomized midpoint-convexity check of the potential.
 
     Draws (a, b, t) with a, b in [0, 25] and t in [0, 1] and counts how often
-    psi((1-t)a + tb) exceeds the chord value beyond 1e-12. Half of the
+    law((1-t)a + tb) exceeds the chord value beyond 1e-12. Half of the
     samples are stratified to straddle the switch (a < 1 < b), which is where
     a convexity defect of the glued potential must show up. The worst signed
     gap (chord minus function; negative means violated) is reported.
@@ -167,8 +163,8 @@ def convexity_probe(psi: PsiPotential, trials: int, seed: int = 0) -> ConvexityR
     b = np.concatenate([rng.uniform(0.0, 25.0, n_free), rng.uniform(1.0, 25.0, n_strat)])
     t = rng.uniform(0.0, 1.0, trials)
 
-    chord = (1.0 - t) * psi.value(a) + t * psi.value(b)
-    gap = chord - psi.value((1.0 - t) * a + t * b)
+    chord = (1.0 - t) * law.potential(a) + t * law.potential(b)
+    gap = chord - law.potential((1.0 - t) * a + t * b)
     violations = int(np.sum(gap < -1e-12))
     return ConvexityReport(
         violations=violations, worst_gap=float(gap.min()), trials=trials
@@ -396,7 +392,7 @@ def sparse_saddle_solve(mesh, regimes, law, frozen_speed, bcs):
     return flux, pressures[:n_elements], pressures[n_elements:]
 
 
-def midpoint_dissipation(values, nodes, psi, subdivisions=10_000):
+def midpoint_dissipation(values, nodes, law, subdivisions=10_000):
     """Brute-force midpoint rule for the dissipation of a nodal field."""
     total = 0.0
     for e in range(len(nodes) - 1):
@@ -406,7 +402,7 @@ def midpoint_dissipation(values, nodes, psi, subdivisions=10_000):
             nodes[e + 1] - nodes[e]
         )
         total += float(
-            np.sum(psi.value_physical(w**2)) * (nodes[e + 1] - nodes[e]) / subdivisions
+            np.sum(law.potential_physical(w**2)) * (nodes[e + 1] - nodes[e]) / subdivisions
         )
     return total
 
@@ -559,13 +555,13 @@ def _golden_section(f, lo, hi, tol):
     return mid, f(mid)
 
 
-def flux_antiderivative(psi: PsiPotential, w):
-    """G(w) = integral from 0 to w of psi.value_physical(s**2) ds, closed form.
+def flux_antiderivative(law: AdaptiveLaw, w):
+    """G(w) = integral from 0 to w of law.potential_physical(s**2) ds, closed form.
 
     Odd in w. Exact antiderivatives exist for the constant and affine
     branch kinds.
     """
-    ubar = psi.threshold
+    ubar = law.threshold
     w = np.asarray(w, dtype=float)
     s = np.sign(w)
     x = np.abs(w)
@@ -574,14 +570,14 @@ def flux_antiderivative(psi: PsiPotential, w):
         c0, c1, c15 = coeffs
         return ubar**2 * c0 * x + c1 * x**3 / 3.0 + c15 * x**4 / (4.0 * ubar)
 
-    lo = psi.low.potential_coefficients()
-    hi = psi.high.potential_coefficients()
+    lo = law.low_normalized.potential_coefficients()
+    hi = law.high_normalized.potential_coefficients()
     inner = poly(lo, np.minimum(x, ubar))
     outer = poly(hi, np.maximum(x, ubar)) - poly(hi, ubar)
     return s * (inner + outer)
 
 
-def closed_form_energies(alphas, lifted, mesh, psi) -> np.ndarray:
+def closed_form_energies(alphas, lifted, mesh, law) -> np.ndarray:
     """Reduced energy E(alpha) at each alpha from antiderivative difference quotients.
 
     Per element, h times the difference of the antiderivative of the flux
@@ -594,8 +590,8 @@ def closed_form_energies(alphas, lifted, mesh, psi) -> np.ndarray:
         alphas,
         lifted,
         mesh,
-        lambda w: flux_antiderivative(psi, w),
-        lambda w: psi.value_physical(w**2),
+        lambda w: flux_antiderivative(law, w),
+        lambda w: law.potential_physical(w**2),
     )
     return dissipation - tangential_forcing(mesh) * (alphas * (x[-1] - x[0]) + lifted_integral)
 
@@ -608,7 +604,7 @@ class GridMinimization(MinimizationResult):
     energies: np.ndarray = field(repr=False, default=None)
 
 
-def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
+def brute_reduce(mesh, law, alpha_max=10.0, count=100_001):
     """Brute-force minimization of the reduced energy of a pressure-only branch.
 
     Scans the closed-form E(alpha) on a uniform grid over [-alpha_max,
@@ -620,10 +616,10 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
     """
     lifted = lift_field(mesh)
     alphas = np.linspace(-alpha_max, alpha_max, count)
-    energies = closed_form_energies(alphas, lifted, mesh, psi)
+    energies = closed_form_energies(alphas, lifted, mesh, law)
 
     def scalar_energy(a):
-        return float(closed_form_energies(np.array([a]), lifted, mesh, psi)[0])
+        return float(closed_form_energies(np.array([a]), lifted, mesh, law)[0])
 
     interior = np.arange(1, len(alphas) - 1)
     is_local_min = (energies[interior] <= energies[interior - 1]) & (
@@ -653,7 +649,7 @@ def brute_reduce(mesh, psi, alpha_max=10.0, count=100_001):
     )
 
 
-def bisect_reduce(mesh, psi):
+def bisect_reduce(mesh, law):
     """Exact minimization with the zeros of E' bisected, a drop-in for
     ``reduce_and_minimize`` on a pressure-only branch.
 
@@ -667,7 +663,7 @@ def bisect_reduce(mesh, psi):
     """
     lifted = lift_field(mesh)
     amax = ALPHA_MAX
-    w, u = lifted.values, psi.threshold
+    w, u = lifted.values, law.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
     alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
 
@@ -675,7 +671,7 @@ def bisect_reduce(mesh, psi):
     cheb = np.polynomial.chebyshev
     nodes = np.cos(np.pi * np.arange(7, 0, -2) / 8.0)
     s = (nodes + 1.0) / 2.0
-    samples = _slopes((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel(), lifted, mesh, psi)
+    samples = _slopes((lo[:, None] * (1.0 - s) + hi[:, None] * s).ravel(), lifted, mesh, law)
     coeffs = cheb.chebfit(nodes, samples.reshape(-1, 4).T, 3).T
     at_lo, at_hi = cheb.chebval([-1.0, 1.0], coeffs.T).T
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
@@ -694,13 +690,13 @@ def bisect_reduce(mesh, psi):
     a, b = np.array(left), np.array(right)
     for _ in range(64):
         mid = 0.5 * (a + b)
-        below = _slopes(mid, lifted, mesh, psi) < 0.0
+        below = _slopes(mid, lifted, mesh, law) < 0.0
         a, b = np.where(below, mid, a), np.where(below, b, mid)
     zeros = np.sort(np.concatenate([on_breakpoints, b]))
     zeros = zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
     points = np.concatenate([[-amax], zeros, [amax]])
-    values = closed_form_energies(points, lifted, mesh, psi)
+    values = closed_form_energies(points, lifted, mesh, law)
     best = int(np.argmin(values))
     keep = values <= values[best] + NEAR_OPTIMAL_WINDOW
     keep[[0, -1]] = False
@@ -713,7 +709,7 @@ def bisect_reduce(mesh, psi):
     )
 
 
-def loop_energy_of(field, mesh, psi):
+def loop_energy_of(field, mesh, law):
     """Element-by-element kink-split Gauss quadrature, a drop-in for ``energy_of``.
 
     Each element is cut at the points where the linear field crosses the
@@ -731,7 +727,7 @@ def loop_energy_of(field, mesh, psi):
         x1, x2, w1, w2 = float(x[e]), float(x[e + 1]), float(values[e]), float(values[e + 1])
         cuts = [x1, x2]
         if w2 != w1:
-            for level in (psi.threshold, -psi.threshold, 0.0):
+            for level in (law.threshold, -law.threshold, 0.0):
                 t = (level - w1) / (w2 - w1)
                 if 0.0 < t < 1.0:
                     cuts.append(x1 + t * (x2 - x1))
@@ -742,7 +738,7 @@ def loop_energy_of(field, mesh, psi):
                 continue
             xs = 0.5 * (b - a) * pts + 0.5 * (a + b)
             ws = w1 + (w2 - w1) * (xs - x1) / (x2 - x1)
-            total += 0.5 * (b - a) * float(np.dot(wts, psi.value_physical(ws**2)))
+            total += 0.5 * (b - a) * float(np.dot(wts, law.potential_physical(ws**2)))
         dissipation += total
         load += forcing * 0.5 * (values[e] + values[e + 1]) * (x[e + 1] - x[e])
     return EnergyReport(

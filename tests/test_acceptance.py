@@ -19,10 +19,8 @@ from dfnflow.energy import build_energy_block, lift_field, reduce_and_minimize
 from dfnflow.fem import RegimeField, assemble, solve_saddle, source_integrals
 from dfnflow.laws import (
     AdaptiveLaw,
-    AffineSpeedLaw,
-    ConstantLaw,
+    LawBranch,
     Regime,
-    build_psi,
     jump_sign,
 )
 from dfnflow.meshing import build_mesh, split_mesh_at
@@ -70,7 +68,7 @@ def test_criterion_01_manufactured_solution_convergence():
         ),
         sources=SourceSpec(scalar={"f": q}),
     )
-    law = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 1e9)
+    law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 1e9)
     pts, wts = np.polynomial.legendre.leggauss(5)
     errors = []
     for n in (8, 16, 32, 64):
@@ -112,8 +110,8 @@ def test_criterion_02_conservation_suite():
         net = random_network(rng)
         mesh = build_mesh(net, 0.2)
         law = AdaptiveLaw(
-            ConstantLaw(float(rng.uniform(0.1, 10.0))),
-            ConstantLaw(float(rng.uniform(0.1, 10.0))),
+            LawBranch(float(rng.uniform(0.1, 10.0))),
+            LawBranch(float(rng.uniform(0.1, 10.0))),
             1.0,
         )
         labels = RegimeField(
@@ -167,7 +165,7 @@ def test_criterion_03_case1_linear_tracking():
     law = darcy_pair(k1=1.0, k2=10.0)
     low = track(mesh, law, initial="low")
     high = track(mesh, law, initial="high")
-    alpha_star = reduce_and_minimize(mesh, build_psi(law)).alpha_star
+    alpha_star = reduce_and_minimize(mesh, law).alpha_star
     final = low.final_solution
     offsets = final.flux["f"] - lift_field(final.mesh).values
     spread = float(offsets.max() - offsets.min())
@@ -297,7 +295,7 @@ def test_criterion_07_energy_oracle_equivalence():
     checks = {}
     for k2, tag in ((10.0, "negative jump"), (0.5625, "positive jump")):
         law = darcy_pair(k1=1.0, k2=k2)
-        result = reduce_and_minimize(mesh, build_psi(law))
+        result = reduce_and_minimize(mesh, law)
         offsets, consistent = _induced_offsets(mesh, law, result.alpha_star)
         spread = float(offsets.max() - offsets.min())
         mismatch = abs(float(offsets.mean()) - result.alpha_star)
@@ -316,11 +314,11 @@ def _random_law_pair(rng, upward):
     ratio = float(rng.uniform(1.0, 5.0)) if upward else float(rng.uniform(0.05, 0.9))
     lam2 = lam1 * ratio
     if rng.uniform() < 0.5:
-        high = ConstantLaw(lam2)
+        high = LawBranch(lam2)
     else:
         slope = lam2 * float(rng.uniform(0.2, 0.8))
-        high = AffineSpeedLaw(lam2 - slope, slope)
-    return AdaptiveLaw(ConstantLaw(lam1), high, 1.0)
+        high = LawBranch(lam2 - slope, slope)
+    return AdaptiveLaw(LawBranch(lam1), high, 1.0)
 
 
 def test_criterion_08_convexity_classification():
@@ -330,12 +328,12 @@ def test_criterion_08_convexity_classification():
     for _ in range(10):
         law = _random_law_pair(rng, upward=True)
         assert law.lambda2 >= law.lambda1
-        report = convexity_probe(build_psi(law), 10_000, seed=int(rng.integers(1 << 30)))
+        report = convexity_probe(law, 10_000, seed=int(rng.integers(1 << 30)))
         convex_ok &= report.violations == 0
     for _ in range(10):
         law = _random_law_pair(rng, upward=False)
         assert law.lambda2 < law.lambda1
-        report = convexity_probe(build_psi(law), 10_000, seed=int(rng.integers(1 << 30)))
+        report = convexity_probe(law, 10_000, seed=int(rng.integers(1 << 30)))
         nonconvex_ok &= report.violations >= 1
     checks = {
         "10 upward-jump pairs: zero violations": convex_ok,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -217,3 +218,31 @@ def test_sweep_k2_starts_members_from_init_labels(tmp_path):
     assert swept["outer_iterations"] == solved["outer_iterations"] == 13
     for key in ("distances", "inner_iteration_counts", "final"):
         assert swept[key] == solved[key]
+
+
+@pytest.mark.parametrize("values", ["-1,1,4", "1,-1"])
+def test_sweep_k2_csv_keeps_the_columns_of_every_row(tmp_path, values):
+    # a failed member adds a message column that the other rows leave empty,
+    # whichever row comes first
+    config = write_config(tmp_path, oscillating_document())
+    out = tmp_path / "out"
+    code = main(["sweep-k2", str(config), f"--k2-values={values}", "--format", "csv",
+                 "--out", str(out)])
+    assert code == 0
+    with open(out / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(row["k2"]) for row in rows] == [float(v) for v in values.split(",")]
+    for row in rows:
+        failed = float(row["k2"]) < 0
+        assert row["status"] == ("error" if failed else "converged")
+        assert ("must be positive" in row["message"]) if failed else row["message"] == ""
+        assert None not in row  # no row has more cells than the header
+
+
+def test_nl_tolerance_table_csv_matches_the_report(tmp_path):
+    out = tmp_path / "out"
+    assert main(["preset", "nl-tolerance-table", "--format", "csv", "--out", str(out)]) == 0
+    table = json.loads((out / "report.json").read_text())["extras"]["table"]
+    with open(out / "table.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [{k: float(v) for k, v in row.items()} for row in rows] == table

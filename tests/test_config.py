@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from dfnflow.config import (
     parse_config,
     spec_to_dict,
 )
-from dfnflow.laws import AffineSpeedLaw
+from dfnflow.laws import LawBranch
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
 EXAMPLES = SCHEMA.parent / "examples"
@@ -104,7 +105,7 @@ def test_affine_law_block():
     doc = json.loads(json.dumps(MINIMAL))
     doc["law"]["high"] = {"type": "affine", "intercept": 0.01, "slope": 3.0}
     spec = parse_config(doc)
-    assert spec.law.high == AffineSpeedLaw(0.01, 3.0)
+    assert spec.law.high == LawBranch(0.01, 3.0)
 
 
 def test_bad_law_type_rejected():
@@ -180,6 +181,38 @@ def test_packaged_network_file_loads_through_network_file():
     assert spec.network == network
     assert spec.law == darcy_forchheimer_pair(intercept=0.01, slope=0.25)
     assert spec.approximate
+
+
+@pytest.mark.parametrize("own_flag", [None, False, True])
+def test_a_network_files_approximate_flag_carries_into_the_spec(own_flag):
+    # the packaged case3 network is read off a figure and says so itself
+    packaged = resources.files("dfnflow") / "data" / "case3_network.json"
+    doc = {"network_file": str(packaged), "law": MINIMAL["law"]}
+    if own_flag is not None:
+        doc["approximate"] = own_flag
+    spec = parse_config(doc)
+    assert spec.approximate
+    assert parse_config(spec_to_dict(spec)) == spec
+
+
+@pytest.mark.parametrize("file_flag", [None, False])
+def test_a_network_file_without_the_flag_leaves_the_document_to_decide(tmp_path, file_flag):
+    network_doc = {"network": MINIMAL["network"]}
+    if file_flag is not None:
+        network_doc["approximate"] = file_flag
+    (tmp_path / "net.json").write_text(json.dumps(network_doc))
+    doc = {"network_file": "net.json", "law": MINIMAL["law"]}
+    assert not parse_config(doc, base_dir=tmp_path).approximate
+    doc["approximate"] = True
+    assert parse_config(doc, base_dir=tmp_path).approximate
+
+
+def test_a_network_files_flag_is_checked_with_its_key_path(tmp_path):
+    network_doc = {"network": MINIMAL["network"], "approximate": "yes"}
+    (tmp_path / "net.json").write_text(json.dumps(network_doc))
+    doc = {"network_file": "net.json", "law": MINIMAL["law"]}
+    with pytest.raises(ConfigError, match="net.json:approximate must be true or false"):
+        parse_config(doc, base_dir=tmp_path)
 
 
 def _set(doc, path, value):

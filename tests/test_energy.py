@@ -13,7 +13,7 @@ from dfnflow.energy import (
     reduce_and_minimize,
     tangential_forcing,
 )
-from dfnflow.laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, build_psi
+from dfnflow.laws import AdaptiveLaw, LawBranch
 from dfnflow.meshing import build_mesh
 from dfnflow.network import (
     BoundarySpec,
@@ -46,7 +46,7 @@ def plain_branch(
     )
 
 
-UNIT_PSI = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 1.0))
+UNIT_LAW = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 1.0)
 
 
 class TestLiftedField:
@@ -98,37 +98,37 @@ class TestLiftedField:
 class TestEnergyOf:
     def test_zero_field_constant_law(self):
         mesh = build_mesh(plain_branch(), 0.25)
-        report = energy_of(np.zeros(5), mesh, UNIT_PSI)
+        report = energy_of(np.zeros(5), mesh, UNIT_LAW)
         assert report.dissipation == pytest.approx(-0.5, abs=1e-14)
         assert report.energy == pytest.approx(-0.5, abs=1e-14)
 
     def test_uniform_high_field_closed_form(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 1.0))
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 1.0)
         mesh = build_mesh(plain_branch(), 0.25)
-        report = energy_of(np.full(5, 2.0), mesh, psi)
+        report = energy_of(np.full(5, 2.0), mesh, law)
         assert report.dissipation == pytest.approx(0.15, abs=1e-14)
 
     def test_constant_law_exactness_away_from_threshold(self):
         # closed form: lambda/2 * integral of (u^2 - ubar^2)
-        psi = build_psi(AdaptiveLaw(ConstantLaw(2.0), ConstantLaw(0.5), 0.15))
+        law = AdaptiveLaw(LawBranch(2.0), LawBranch(0.5), 0.15)
         mesh = build_mesh(plain_branch(), 0.2)
         x = mesh.nodes["f"]
         values = 0.02 * x  # speeds stay below 0.15 everywhere
         exact = 2.0 / 2.0 * (0.02**2 / 3.0 - 0.15**2)
-        report = energy_of(values, mesh, psi)
+        report = energy_of(values, mesh, law)
         assert report.dissipation == pytest.approx(exact, abs=1e-12)
 
-    def assert_matches_the_loop(self, values, mesh, psi):
-        report = energy_of(values, mesh, psi)
-        reference = loop_energy_of(values, mesh, psi)
+    def assert_matches_the_loop(self, values, mesh, law):
+        report = energy_of(values, mesh, law)
+        reference = loop_energy_of(values, mesh, law)
         assert np.isfinite([report.dissipation, report.load, report.energy]).all()
         for key in ("dissipation", "load", "energy"):
             assert getattr(report, key) == pytest.approx(getattr(reference, key), abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_field_crossing_every_level_matches_the_loop(self, seed):
-        mesh, psi = random_single_fracture(np.random.default_rng(seed))
-        ubar = psi.threshold
+        mesh, law = random_single_fracture(np.random.default_rng(seed))
+        ubar = law.threshold
         rng = np.random.default_rng(1000 + seed)
         n = len(mesh.nodes["f"])
         values = rng.uniform(-2.0 * ubar, 2.0 * ubar, n)
@@ -136,51 +136,51 @@ class TestEnergyOf:
         values[: n // 2] = rng.uniform(1.1 * ubar, 2.0 * ubar, n // 2) * (-1.0) ** np.arange(n // 2)
         signs = np.sign(values[:, None] - [ubar, -ubar, 0.0])
         assert (signs[:-1] != signs[1:]).any(axis=0).all()  # every level is crossed
-        self.assert_matches_the_loop(values, mesh, psi)
+        self.assert_matches_the_loop(values, mesh, law)
 
     def test_flat_elements_match_the_loop(self):
-        mesh, psi = random_single_fracture(np.random.default_rng(3))
+        mesh, law = random_single_fracture(np.random.default_rng(3))
         values = np.resize(np.repeat([0.3, -0.05, 0.7, -0.4], 2), len(mesh.nodes["f"]))
         assert (np.diff(values) == 0.0).any()
-        self.assert_matches_the_loop(values, mesh, psi)
+        self.assert_matches_the_loop(values, mesh, law)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_node_on_the_threshold_matches_the_loop(self, sign):
-        mesh, psi = random_single_fracture(np.random.default_rng(5))
+        mesh, law = random_single_fracture(np.random.default_rng(5))
         values = np.linspace(-1.0, 1.0, len(mesh.nodes["f"]))
-        values[len(values) // 2] = sign * psi.threshold
-        values[len(values) // 2 + 1] = sign * psi.threshold  # a flat element on it
-        values[1] = sign * psi.threshold
-        self.assert_matches_the_loop(values, mesh, psi)
+        values[len(values) // 2] = sign * law.threshold
+        values[len(values) // 2 + 1] = sign * law.threshold  # a flat element on it
+        values[1] = sign * law.threshold
+        self.assert_matches_the_loop(values, mesh, law)
 
     def test_field_zero_on_an_element_matches_the_loop(self):
-        mesh, psi = random_single_fracture(np.random.default_rng(7))
+        mesh, law = random_single_fracture(np.random.default_rng(7))
         values = np.linspace(-0.8, 0.9, len(mesh.nodes["f"]))
         values[2:4] = 0.0
-        self.assert_matches_the_loop(values, mesh, psi)
+        self.assert_matches_the_loop(values, mesh, law)
 
     def test_kink_split_quadrature_matches_midpoint_oracle(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), AffineSpeedLaw(0.01, 3.0), 0.15))
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.01, 3.0), 0.15)
         mesh = build_mesh(single_fracture_network(), 0.1)
         lifted = lift_field(mesh)
         values = lifted.values - 0.05  # crosses the threshold inside elements
-        report = energy_of(values, mesh, psi)
-        reference = midpoint_dissipation(values, mesh.nodes["f"], psi)
+        report = energy_of(values, mesh, law)
+        reference = midpoint_dissipation(values, mesh.nodes["f"], law)
         assert report.dissipation == pytest.approx(reference, abs=1e-7)
 
     def test_lifted_dissipation_consistency_with_fine_quadrature(self):
-        psi = build_psi(darcy_pair())
+        law = darcy_pair()
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        report = energy_of(lifted.values, mesh, psi)
-        reference = midpoint_dissipation(lifted.values, mesh.nodes["f"], psi)
+        report = energy_of(lifted.values, mesh, law)
+        reference = midpoint_dissipation(lifted.values, mesh.nodes["f"], law)
         assert report.dissipation == pytest.approx(reference, abs=1e-9)
 
     def test_energy_identity(self):
-        psi = build_psi(darcy_pair())
+        law = darcy_pair()
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        report = energy_of(lifted.values, mesh, psi)
+        report = energy_of(lifted.values, mesh, law)
         assert report.energy == pytest.approx(
             report.dissipation - report.load, abs=1e-15
         )
@@ -190,8 +190,8 @@ class TestEnergyOf:
         net = plain_branch(bc_end=PressureBC(0.2))
         mesh = build_mesh(net, 0.25)
         assert tangential_forcing(mesh) == pytest.approx(-0.2)
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 10.0))
-        result = reduce_and_minimize(mesh, psi)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 10.0)
+        result = reduce_and_minimize(mesh, law)
         assert result.alpha_star == pytest.approx(-0.2, abs=1e-6)
 
     def test_tangential_forcing_of_each_end_condition_pair(self):
@@ -224,60 +224,60 @@ class TestEnergyOf:
 class TestReduction:
     def test_no_forcing_minimizes_at_rest(self):
         mesh = build_mesh(plain_branch(), 0.25)
-        result = reduce_and_minimize(mesh, UNIT_PSI)
+        result = reduce_and_minimize(mesh, UNIT_LAW)
         assert result.alpha_star == pytest.approx(0.0, abs=1e-7)
 
     def test_grid_profile_matches_pointwise_energy(self):
-        psi = build_psi(darcy_pair())
+        law = darcy_pair()
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        result = brute_reduce(mesh, psi, alpha_max=1.0, count=2001)
+        result = brute_reduce(mesh, law, alpha_max=1.0, count=2001)
         idx = np.linspace(0, 2000, 9, dtype=int)
         for k in idx:
-            direct = energy_of(lifted.values + result.alphas[k], mesh, psi).energy
+            direct = energy_of(lifted.values + result.alphas[k], mesh, law).energy
             assert result.energies[k] == pytest.approx(direct, abs=1e-11)
 
     def test_convex_profile_has_nonnegative_second_differences(self):
         law = darcy_pair(k1=1.0, k2=0.5625)  # coefficient rises at the switch
         mesh = build_mesh(single_fracture_network(), 0.05)
-        result = brute_reduce(mesh, build_psi(law), alpha_max=2.0, count=4001)
+        result = brute_reduce(mesh, law, alpha_max=2.0, count=4001)
         second = np.diff(result.energies, n=2)
         assert second.min() >= -1e-9
-        assert len(reduce_and_minimize(mesh, build_psi(law)).candidates) == 1
+        assert len(reduce_and_minimize(mesh, law).candidates) == 1
 
     def test_nonconvex_profile_shows_a_concave_region(self):
         law = darcy_pair(k1=1.0, k2=10.0)  # coefficient drops at the switch
         mesh = build_mesh(single_fracture_network(), 0.05)
         # second differences scale with the squared grid step, so probe the
         # concave region with a step large enough to clear the threshold
-        result = brute_reduce(mesh, build_psi(law), alpha_max=2.0, count=1001)
+        result = brute_reduce(mesh, law, alpha_max=2.0, count=1001)
         second = np.diff(result.energies, n=2)
         assert second.min() < -1e-6
 
     def test_refinement_improves_on_the_grid_minimum(self):
-        psi = build_psi(darcy_pair())
+        law = darcy_pair()
         mesh = build_mesh(single_fracture_network(), 0.05)
-        result = reduce_and_minimize(mesh, psi)
-        grid_best = float(brute_reduce(mesh, psi, alpha_max=1.0, count=5001).energies.min())
+        result = reduce_and_minimize(mesh, law)
+        grid_best = float(brute_reduce(mesh, law, alpha_max=1.0, count=5001).energies.min())
         assert result.energy <= grid_best + 1e-15
 
     def test_exact_minimizer_pins_closed_form_minimizers(self):
         # zeros of the closed-form E' are located to rounding, not to the
         # sqrt(machine eps) that a search on E values allows
         mesh = build_mesh(plain_branch(bc_end=PressureBC(0.2)), 0.25)
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 10.0))
-        result = reduce_and_minimize(mesh, psi)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 10.0)
+        result = reduce_and_minimize(mesh, law)
         assert result.alpha_star == pytest.approx(-0.2, abs=1e-12)
 
         mesh = build_mesh(single_fracture_network(), 0.05)
-        result = reduce_and_minimize(mesh, build_psi(darcy_pair(1.0, 10.0)))
+        result = reduce_and_minimize(mesh, darcy_pair(1.0, 10.0))
         assert result.alpha_star == pytest.approx(0.4, abs=1e-12)
 
         # no source: every element is flat and E' jumps from lambda1 * u - f
         # < 0 to lambda2 * u - f > 0 at alpha = u, a kink minimizer
         law = darcy_pair(1.0, 0.5625)
         mesh = build_mesh(plain_branch(force=(1.2 * law.threshold, 0.0)), 0.1)
-        result = reduce_and_minimize(mesh, build_psi(law))
+        result = reduce_and_minimize(mesh, law)
         assert result.alpha_star == pytest.approx(law.threshold, abs=1e-12)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -285,7 +285,7 @@ class TestReduction:
         # unit Darcy law and force 2 * ALPHA_MAX along the branch: E' < 0 on
         # the whole interval, so the minimum sits at its end
         mesh = build_mesh(plain_branch(force=(sign * 2.0 * ALPHA_MAX, 0.0)), 0.25)
-        result = reduce_and_minimize(mesh, UNIT_PSI)
+        result = reduce_and_minimize(mesh, UNIT_LAW)
         assert result.alpha_star == sign * ALPHA_MAX
         assert [a for a, _ in result.candidates] == [sign * ALPHA_MAX]
         assert result.candidates[0][1] == result.energy
@@ -297,10 +297,10 @@ class TestReduction:
         law = darcy_pair(1.0, 10.0)
         force = law.threshold * np.sqrt(law.lambda1 * law.lambda2)
         mesh = build_mesh(plain_branch(force=(force, 0.0)), 0.1)
-        result = reduce_and_minimize(mesh, build_psi(law))
+        result = reduce_and_minimize(mesh, law)
         alphas = [a for a, _ in result.candidates]
         assert alphas == pytest.approx([force / law.lambda1, force / law.lambda2], abs=1e-12)
-        assert len(brute_reduce(mesh, build_psi(law)).candidates) == 2
+        assert len(brute_reduce(mesh, law).candidates) == 2
 
 
 def random_single_fracture(rng):
@@ -332,19 +332,19 @@ def random_single_fracture(rng):
     low = float(rng.uniform(0.5, 2.0))
     high = low * float(rng.choice([rng.uniform(0.05, 0.8), rng.uniform(1.25, 4.0)]))
     if rng.uniform() < 0.5:
-        high_branch = ConstantLaw(high)
+        high_branch = LawBranch(high)
     else:
         share = float(rng.uniform(0.1, 0.9))
-        high_branch = AffineSpeedLaw(share * high, (1.0 - share) * high / threshold)
-    law = AdaptiveLaw(ConstantLaw(low), high_branch, threshold)
-    return build_mesh(net, float(rng.choice([0.05, 0.1, 0.2]))), build_psi(law)
+        high_branch = LawBranch(share * high, (1.0 - share) * high / threshold)
+    law = AdaptiveLaw(LawBranch(low), high_branch, threshold)
+    return build_mesh(net, float(rng.choice([0.05, 0.1, 0.2]))), law
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_exact_minimizer_matches_the_brute_scan(seed):
-    mesh, psi = random_single_fracture(np.random.default_rng(seed))
-    exact = reduce_and_minimize(mesh, psi)
-    brute = brute_reduce(mesh, psi)
+    mesh, law = random_single_fracture(np.random.default_rng(seed))
+    exact = reduce_and_minimize(mesh, law)
+    brute = brute_reduce(mesh, law)
     alphas = [a for a, _ in exact.candidates]
     assert len(alphas) == len(brute.candidates)
     assert len(set(alphas)) == len(alphas)
@@ -356,9 +356,9 @@ def test_exact_minimizer_matches_the_brute_scan(seed):
 def test_newton_zeros_match_the_bisection(seed):
     # the cubic's root plus one Newton step lands where 64 bisections do;
     # on seed 955 the cubic's root alone is 2.9e-12 away
-    mesh, psi = random_single_fracture(np.random.default_rng(seed))
-    exact = reduce_and_minimize(mesh, psi)
-    bisected = bisect_reduce(mesh, psi)
+    mesh, law = random_single_fracture(np.random.default_rng(seed))
+    exact = reduce_and_minimize(mesh, law)
+    bisected = bisect_reduce(mesh, law)
     assert len(exact.candidates) == len(bisected.candidates)
     for (alpha, energy), (ref_alpha, ref_energy) in zip(exact.candidates, bisected.candidates):
         assert abs(alpha - ref_alpha) <= 1e-12
@@ -369,21 +369,21 @@ def test_newton_zeros_match_the_bisection(seed):
 def test_candidate_energies_are_energy_of_their_fields(seed):
     # one dissipation integrator: the energy of every candidate is that of
     # the lifted field plus its alpha by energy_of, to the last bit
-    mesh, psi = random_single_fracture(np.random.default_rng(seed))
-    result = reduce_and_minimize(mesh, psi)
+    mesh, law = random_single_fracture(np.random.default_rng(seed))
+    result = reduce_and_minimize(mesh, law)
     for alpha, energy in result.candidates:
-        assert energy == energy_of(result.lifted.values + alpha, mesh, psi).energy
+        assert energy == energy_of(result.lifted.values + alpha, mesh, law).energy
 
 
-def assert_bracket_samples_match_the_closed_form(mesh, psi):
+def assert_bracket_samples_match_the_closed_form(mesh, law):
     # the running sum of per-piece quadratics plus the straddling elements
     # against the sum over all elements at every sample point; measured
     # worst case over the seeds below 1.3e-12
     lifted = lift_field(mesh)
-    alphas = reduce_and_minimize(mesh, psi).alphas
-    samples = _bracket_slopes(alphas, lifted, mesh, psi)
+    alphas = reduce_and_minimize(mesh, law).alphas
+    samples = _bracket_slopes(alphas, lifted, mesh, law)
     points = alphas[:-1, None] * (1.0 - _CHEB_S) + alphas[1:, None] * _CHEB_S
-    closed = _slopes(points.ravel(), lifted, mesh, psi).reshape(-1, 4)
+    closed = _slopes(points.ravel(), lifted, mesh, law).reshape(-1, 4)
     assert np.abs(samples - closed).max() <= 1e-11 * max(1.0, np.abs(closed).max())
 
 
@@ -397,26 +397,26 @@ def test_bracket_samples_match_the_closed_form_slopes(seed):
 def test_bracket_samples_of_an_element_straddling_two_kinks():
     # an element whose node values lie more than the threshold apart
     # straddles two kinks over the brackets between them, and counts once
-    mesh, psi = random_single_fracture(np.random.default_rng(190))
-    assert np.abs(np.diff(lift_field(mesh).values)).max() > psi.threshold
-    assert_bracket_samples_match_the_closed_form(mesh, psi)
+    mesh, law = random_single_fracture(np.random.default_rng(190))
+    assert np.abs(np.diff(lift_field(mesh).values)).max() > law.threshold
+    assert_bracket_samples_match_the_closed_form(mesh, law)
 
 
 def test_bracket_samples_on_a_source_free_branch():
     # every element is flat and adds h * prim'(w) inside its piece
     mesh = build_mesh(plain_branch(force=(0.3, 0.0)), 0.1)
     assert (np.diff(lift_field(mesh).values) == 0.0).all()
-    assert_bracket_samples_match_the_closed_form(mesh, build_psi(darcy_forchheimer_pair()))
+    assert_bracket_samples_match_the_closed_form(mesh, darcy_forchheimer_pair())
 
 
 def test_reduce_peak_memory_is_linear_in_the_elements():
     # N = 500: sampling every bracket over all elements took a 105 MB peak
     mesh = build_mesh(single_fracture_network(), 0.002)
-    psi = build_psi(darcy_forchheimer_pair())
-    reduce_and_minimize(mesh, psi)  # the mesh's cached data
+    law = darcy_forchheimer_pair()
+    reduce_and_minimize(mesh, law)  # the mesh's cached data
     tracemalloc.start()
     try:
-        reduce_and_minimize(mesh, psi)
+        reduce_and_minimize(mesh, law)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -444,9 +444,8 @@ def test_kink_minimizer_with_a_zero_one_sided_slope(k2, threshold, sign, h):
     # of alpha = sign * u and jumps to the low law's value across it
     law = darcy_pair(1.0, k2, threshold)
     mesh = build_mesh(plain_branch(force=(sign * law.lambda2 * law.threshold, 0.0)), h)
-    psi = build_psi(law)
-    exact = reduce_and_minimize(mesh, psi)
-    bisected = bisect_reduce(mesh, psi)
+    exact = reduce_and_minimize(mesh, law)
+    bisected = bisect_reduce(mesh, law)
     assert [a for a, _ in exact.candidates] == pytest.approx([sign * threshold], abs=1e-12)
     assert exact.alpha_star == pytest.approx(bisected.alpha_star, abs=1e-12)
     assert exact.energy == pytest.approx(bisected.energy, abs=1e-13)
@@ -481,7 +480,7 @@ class TestFemOracleAgreement:
     def test_minimizer_matches_the_mixed_solve(self, k2):
         mesh = build_mesh(single_fracture_network(), 0.05)
         law = darcy_pair(k1=1.0, k2=k2)
-        result = reduce_and_minimize(mesh, build_psi(law))
+        result = reduce_and_minimize(mesh, law)
         offsets = self.induced_offsets(mesh, law, result.alpha_star)
         assert offsets.max() - offsets.min() <= 1e-8
         assert float(offsets.mean()) == pytest.approx(result.alpha_star, abs=1e-6)
@@ -518,15 +517,15 @@ class TestLocalMinimalityProbe:
     alpha* and its energy is E(alpha*).
     """
 
-    def assert_is_the_line_minimum(self, solution, psi):
+    def assert_is_the_line_minimum(self, solution, law):
         mesh = solution.mesh
         flux = solution.flux["f"]
-        result = reduce_and_minimize(mesh, psi)
+        result = reduce_and_minimize(mesh, law)
         offsets = flux - result.lifted.values
         assert len(result.candidates) == 1
         assert abs(float(offsets.mean()) - result.alpha_star) <= 1e-12
         assert float(offsets.max() - offsets.min()) <= 1e-12
-        energy = energy_of(flux, mesh, psi).energy
+        energy = energy_of(flux, mesh, law).energy
         assert abs(energy - result.energy) <= 1e-15
         return energy
 
@@ -541,38 +540,38 @@ class TestLocalMinimalityProbe:
         )
         assert report.status.value == "converged"
         sol = report.final_solution
-        psi = build_psi(darcy_pair())
-        energy = self.assert_is_the_line_minimum(sol, psi)
+        law = darcy_pair()
+        energy = self.assert_is_the_line_minimum(sol, law)
         for step in (1e-3, -1e-3, 1e-4, -1e-4):
-            assert energy_of(sol.flux["f"] + step, sol.mesh, psi).energy > energy
+            assert energy_of(sol.flux["f"] + step, sol.mesh, law).energy > energy
 
     def test_perturbed_field_has_descent_directions(self):
         mesh = build_mesh(single_fracture_network(), 0.05)
-        psi = build_psi(darcy_pair())
+        law = darcy_pair()
         lifted = lift_field(mesh)
-        result = reduce_and_minimize(mesh, psi)
+        result = reduce_and_minimize(mesh, law)
         assert abs(result.alpha_star - 0.1) > 1e-3
-        energy = energy_of(lifted.values + 0.1, mesh, psi).energy
+        energy = energy_of(lifted.values + 0.1, mesh, law).energy
         assert energy > result.energy + 1e-10
         # a small step toward alpha* lowers the energy
         toward = 1e-3 * np.sign(result.alpha_star - 0.1)
-        assert energy_of(lifted.values + 0.1 + toward, mesh, psi).energy < energy - 1e-10
+        assert energy_of(lifted.values + 0.1 + toward, mesh, law).energy < energy - 1e-10
 
     def test_single_law_minimizer_passes(self):
         # equal coefficients: the classical quadratic energy, one minimizer
         mesh = build_mesh(single_fracture_network(), 0.05)
-        law = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 0.15)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 0.15)
         report = track(mesh, law)
-        self.assert_is_the_line_minimum(report.final_solution, build_psi(law))
+        self.assert_is_the_line_minimum(report.final_solution, law)
 
     def test_velocity_condition_leaves_no_directions(self):
         # the divergence-free space is zero: the lifted field is the only
         # candidate, with its own energy
         net = plain_branch(bc_start=VelocityBC(0.1))
         mesh = build_mesh(net, 0.25)
-        psi = build_psi(darcy_pair())
-        result = reduce_and_minimize(mesh, psi)
-        energy = energy_of(result.lifted.values, mesh, psi).energy
+        law = darcy_pair()
+        result = reduce_and_minimize(mesh, law)
+        energy = energy_of(result.lifted.values, mesh, law).energy
         assert result.alpha_star == 0.0
         assert result.alphas.tolist() == [0.0]
         assert result.candidates == [(0.0, energy)]

@@ -162,6 +162,16 @@ def test_k2_sweep_with_every_member_failing_raises():
         run_k2_sweep(values=[1.0], max_outer=0)
 
 
+@pytest.mark.parametrize("values", [[], iter(())], ids=["list", "iterator"])
+def test_k2_sweep_without_values_raises_before_meshing(monkeypatch, values):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed an empty sweep")
+
+    monkeypatch.setattr(dfnflow.presets, "build_mesh", no_mesh)
+    with pytest.raises(ValueError, match="the k2 sweep needs at least one k2 value"):
+        run_k2_sweep(values=values)
+
+
 def test_nl_tolerance_table_monotonicity():
     bundle = run_preset("nl-tolerance-table")
     rows = bundle.extras["table"]

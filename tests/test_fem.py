@@ -13,7 +13,7 @@ from dfnflow.fem import (
     solve_saddle,
     source_integrals,
 )
-from dfnflow.laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, Regime
+from dfnflow.laws import AdaptiveLaw, LawBranch, Regime
 from dfnflow.meshing import Mesh, build_mesh
 from dfnflow.network import (
     BoundarySpec,
@@ -33,7 +33,7 @@ from dfnflow.presets import benchmark_network, darcy_forchheimer_pair
 from dfnflow.tracker import track
 from oracles import random_network, sparse_saddle_solve, tpfa_darcy_solve
 
-UNIT_LAW = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 1.0)
+UNIT_LAW = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 1.0)
 
 
 def solve_network(net, h, law=UNIT_LAW, frozen=0.0, regime=Regime.LOW):
@@ -260,7 +260,7 @@ def test_matches_two_point_flux_oracle_single_law():
         net = random_network(rng, with_sources=False)
         mesh = build_mesh(net, 0.25)
         lam = float(rng.uniform(0.2, 5.0))
-        law = AdaptiveLaw(ConstantLaw(lam), ConstantLaw(lam), 1.0)
+        law = AdaptiveLaw(LawBranch(lam), LawBranch(lam), 1.0)
         system = assemble(
             mesh,
             RegimeField.uniform(mesh, Regime.LOW),
@@ -283,7 +283,7 @@ def test_matches_two_point_flux_oracle_heterogeneous():
     # per-element coefficients injected through an affine law frozen at the
     # coefficient value itself (phi(a) = sqrt(a) makes coefficient == speed)
     rng = np.random.default_rng(17)
-    law = AdaptiveLaw(AffineSpeedLaw(0.0, 1.0), AffineSpeedLaw(0.0, 1.0), 1.0)
+    law = AdaptiveLaw(LawBranch(0.0, 1.0), LawBranch(0.0, 1.0), 1.0)
     for _ in range(10):
         net = random_network(rng, with_sources=False)
         mesh = build_mesh(net, 0.25)
@@ -378,20 +378,14 @@ def test_degenerate_coefficient_raises():
     net = single_fracture_network()
     mesh = build_mesh(net, 0.25)
 
-    class ZeroLaw:
-        def phi(self, a):
-            return np.zeros_like(np.asarray(a, dtype=float))
-
-        def potential(self, a):
-            return np.zeros_like(np.asarray(a, dtype=float))
-
-        def potential_coefficients(self):
-            return (0.0, 0.0, 0.0)
-
-    law = AdaptiveLaw.__new__(AdaptiveLaw)
-    object.__setattr__(law, "low", ZeroLaw())
-    object.__setattr__(law, "high", ZeroLaw())
-    object.__setattr__(law, "threshold", 1.0)
+    # a zero coefficient cannot be constructed, so the branch skips its
+    # validation and stands in for both normalized branches of a valid law
+    zero = object.__new__(LawBranch)
+    object.__setattr__(zero, "intercept", 0.0)
+    object.__setattr__(zero, "slope", 0.0)
+    law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 1.0)
+    object.__setattr__(law, "low_normalized", zero)
+    object.__setattr__(law, "high_normalized", zero)
     with pytest.raises(SingularSystemError, match="degenerate"):
         assemble(
             mesh,
@@ -403,13 +397,50 @@ def test_degenerate_coefficient_raises():
         )
 
 
+def _junction_system():
+    """A case3 system, whose junction pressures are solved for."""
+    net = benchmark_network()[0]
+    mesh = build_mesh(net, 0.1)
+    system = assemble(mesh, RegimeField.uniform(mesh, Regime.LOW), UNIT_LAW, 0.0)
+    assert len(net.boundary_plan.unknown)
+    return system
+
+
+def test_failed_reduced_solve_raises_with_a_condition_estimate(monkeypatch):
+    system = _junction_system()
+
+    def singular(matrix, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(
+        SingularSystemError, match=r"Singular matrix \(reduced condition estimate \d"
+    ):
+        solve_saddle(system)
+
+
+def test_residual_above_the_tolerance_raises(monkeypatch):
+    system = _junction_system()
+    exact = np.linalg.solve
+
+    def perturbed(matrix, rhs):
+        return exact(matrix, rhs) + 1e-3
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(
+        SingularSystemError,
+        match=r"relative residual \d\.\d{3}e[-+]\d+ exceeds 1e-10 \(reduced condition estimate",
+    ):
+        solve_saddle(system)
+
+
 def test_conservation_on_random_networks():
     rng = np.random.default_rng(2024)
     for _ in range(25):
         net = random_network(rng)
         mesh = build_mesh(net, 0.2)
         lam1, lam2 = rng.uniform(0.1, 10.0, 2)
-        law = AdaptiveLaw(ConstantLaw(lam1), ConstantLaw(lam2), 1.0)
+        law = AdaptiveLaw(LawBranch(lam1), LawBranch(lam2), 1.0)
         labels = RegimeField(
             {
                 b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
@@ -442,8 +473,8 @@ def test_forchheimer_systems_on_random_networks_balance(seed):
     net = random_network(rng)
     mesh = build_mesh(net, 0.2)
     law = AdaptiveLaw(
-        ConstantLaw(float(rng.uniform(0.1, 10.0))),
-        AffineSpeedLaw(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
+        LawBranch(float(rng.uniform(0.1, 10.0))),
+        LawBranch(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
         float(rng.uniform(0.05, 1.0)),
     )
     labels = RegimeField(
@@ -587,8 +618,8 @@ def test_condensed_solve_matches_the_sparse_saddle_oracle(seed, mean):
     if mean:
         net = _mean_anchored(net, rng)
     law = AdaptiveLaw(
-        ConstantLaw(float(rng.uniform(0.1, 10.0))),
-        AffineSpeedLaw(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
+        LawBranch(float(rng.uniform(0.1, 10.0))),
+        LawBranch(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
         float(rng.uniform(0.05, 1.0)),
     )
     _matches_sparse_oracle(
@@ -612,7 +643,7 @@ def test_condensed_solve_matches_the_sparse_saddle_oracle_on_a_mean_anchored_bra
             force=(0.2, -0.1),
         ),
     )
-    law = AdaptiveLaw(ConstantLaw(2.0), AffineSpeedLaw(0.5, 3.0), 0.2)
+    law = AdaptiveLaw(LawBranch(2.0), LawBranch(0.5, 3.0), 0.2)
     _matches_sparse_oracle(
         net,
         law,

@@ -6,11 +6,9 @@ from scipy.integrate import quad
 
 from dfnflow.laws import (
     AdaptiveLaw,
-    AffineSpeedLaw,
-    ConstantLaw,
+    LawBranch,
     JumpSign,
     Regime,
-    build_psi,
     eval_lambda_coefficient,
     jump_sign,
 )
@@ -25,11 +23,11 @@ from oracles import (
 
 
 def linear_pair(l1=1.0, l2=0.1, ubar=0.15):
-    return AdaptiveLaw(ConstantLaw(l1), ConstantLaw(l2), ubar)
+    return AdaptiveLaw(LawBranch(l1), LawBranch(l2), ubar)
 
 
 def forchheimer_pair(ubar=0.15):
-    return AdaptiveLaw(ConstantLaw(1.0), AffineSpeedLaw(0.01, 3.0), ubar)
+    return AdaptiveLaw(LawBranch(1.0), LawBranch(0.01, 3.0), ubar)
 
 
 class TestCoefficientEvaluation:
@@ -70,48 +68,48 @@ class TestCoefficientEvaluation:
 
 class TestPotential:
     def test_constant_branch_closed_form(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 1.0))
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 1.0)
         a = np.array([0.0, 0.5, 1.0, 2.0])
-        assert np.allclose(psi.value(a), (a - 1.0) / 2.0)
-        assert psi.value(1.0) == 0.0
+        assert np.allclose(law.potential(a), (a - 1.0) / 2.0)
+        assert law.potential(1.0) == 0.0
 
     def test_constant_pair_value_above_switch(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 1.0))
-        assert psi.value(4.0) == pytest.approx(0.15, abs=1e-15)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 1.0)
+        assert law.potential(4.0) == pytest.approx(0.15, abs=1e-15)
 
     def test_affine_branch_value_matches_quadrature(self):
-        branch = AffineSpeedLaw(0.01, 3.0)
+        branch = LawBranch(0.01, 3.0)
         assert branch.potential(4.0) == pytest.approx(7.015, abs=1e-12)
         reference, err = quad(lambda a: (0.01 + 3.0 * np.sqrt(a)) / 2.0, 1.0, 4.0)
         assert branch.potential(4.0) == pytest.approx(reference, abs=1e-10)
 
     def test_kink_continuity_is_exact(self):
-        psi = build_psi(forchheimer_pair())
-        assert float(psi.low.potential(1.0)) == 0.0
-        assert float(psi.high.potential(1.0)) == 0.0
+        law = forchheimer_pair()
+        assert float(law.low_normalized.potential(1.0)) == 0.0
+        assert float(law.high_normalized.potential(1.0)) == 0.0
 
     def test_derivative_matches_half_coefficient(self):
-        psi = build_psi(forchheimer_pair())
-        for a, branch in ((0.5, psi.low), (2.0, psi.high)):
+        law = forchheimer_pair()
+        for a, branch in ((0.5, law.low_normalized), (2.0, law.high_normalized)):
             d = 1e-7
-            fd = (psi.value(a + d) - psi.value(a - d)) / (2 * d)
+            fd = (law.potential(a + d) - law.potential(a - d)) / (2 * d)
             assert fd == pytest.approx(float(branch.phi(a)) / 2.0, rel=1e-6)
 
     def test_increasing_away_from_zero(self):
-        psi = build_psi(forchheimer_pair())
+        law = forchheimer_pair()
         a = np.linspace(1e-6, 30.0, 500)
-        assert np.all(np.diff(psi.value(a)) > 0)
+        assert np.all(np.diff(law.potential(a)) > 0)
 
     def test_physical_scaling_reduces_to_normalized_at_unit_threshold(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(2.0), ConstantLaw(3.0), 1.0))
+        law = AdaptiveLaw(LawBranch(2.0), LawBranch(3.0), 1.0)
         a = np.array([0.3, 1.7])
-        assert np.allclose(psi.value_physical(a), psi.value(a))
+        assert np.allclose(law.potential_physical(a), law.potential(a))
 
     def test_flux_antiderivative_matches_numeric_integral(self):
-        psi = build_psi(forchheimer_pair())
+        law = forchheimer_pair()
         for w in (-0.4, -0.1, 0.07, 0.15, 0.9):
-            ref, _ = quad(lambda s: psi.value_physical(s**2), 0.0, w)
-            assert flux_antiderivative(psi, w) == pytest.approx(ref, abs=1e-12)
+            ref, _ = quad(lambda s: law.potential_physical(s**2), 0.0, w)
+            assert flux_antiderivative(law, w) == pytest.approx(ref, abs=1e-12)
 
 
 class TestJumpSign:
@@ -135,17 +133,16 @@ class TestGrowthBound:
         assert report.C == pytest.approx(0.05)
 
     def test_affine_high_branch_rate_three(self):
-        law = AdaptiveLaw(ConstantLaw(1.0), AffineSpeedLaw(0.01, 3.0), 1.0)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.01, 3.0), 1.0)
         assert growth_exponent(law.high) == 3.0
         report = check_growth_bound(law)
         assert report.satisfied
         assert report.c >= 3.0
 
     def test_constant_branch_cannot_match_rate_three(self):
-        law = AdaptiveLaw(
-            ConstantLaw(1.0), CustomConstantRateThree(0.5), threshold=1.0
-        )
-        report = check_growth_bound(law)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.5), threshold=1.0)
+        assert check_growth_bound(law).satisfied
+        report = check_growth_bound(law, rate=3.0)
         assert not report.satisfied
 
     def test_sample_count_validated(self):
@@ -153,42 +150,25 @@ class TestGrowthBound:
             check_growth_bound(linear_pair(), sample_count=1)
 
 
-class CustomConstantRateThree:
-    """Constant coefficient that claims cubic growth; used to break the bound."""
-
-    def __init__(self, value):
-        self.value = value
-        self.growth_exponent = 3.0
-
-    def phi(self, a):
-        return np.full_like(np.asarray(a, dtype=float), self.value)
-
-    def potential(self, a):
-        return self.value * (np.asarray(a, dtype=float) - 1.0) / 2.0
-
-    def potential_coefficients(self):
-        return (-self.value / 2.0, self.value / 2.0, 0.0)
-
-
 class TestConvexityProbe:
     def test_convex_when_high_coefficient_dominates(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.5), 1.0))
-        assert convexity_probe(psi, 10_000, seed=1).violations == 0
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(1.5), 1.0)
+        assert convexity_probe(law, 10_000, seed=1).violations == 0
 
     def test_nonconvex_when_high_coefficient_drops(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 1.0))
-        report = convexity_probe(psi, 10_000, seed=1)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 1.0)
+        report = convexity_probe(law, 10_000, seed=1)
         assert report.violations >= 1
         assert report.worst_gap < -1e-12
 
     def test_equal_coefficients_are_convex(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(0.7), ConstantLaw(0.7), 1.0))
-        assert convexity_probe(psi, 10_000, seed=2).violations == 0
+        law = AdaptiveLaw(LawBranch(0.7), LawBranch(0.7), 1.0)
+        assert convexity_probe(law, 10_000, seed=2).violations == 0
 
     def test_probe_deterministic_under_seed(self):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.5), 1.0))
-        a = convexity_probe(psi, 5000, seed=3)
-        b = convexity_probe(psi, 5000, seed=3)
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.5), 1.0)
+        a = convexity_probe(law, 5000, seed=3)
+        b = convexity_probe(law, 5000, seed=3)
         assert a == b
 
     @settings(max_examples=30, deadline=None)
@@ -197,24 +177,32 @@ class TestConvexityProbe:
         ratio=st.floats(1.0, 5.0),
     )
     def test_upward_jumps_never_violate(self, l1, ratio):
-        psi = build_psi(AdaptiveLaw(ConstantLaw(l1), ConstantLaw(l1 * ratio), 1.0))
-        assert convexity_probe(psi, 2000, seed=5).violations == 0
+        law = AdaptiveLaw(LawBranch(l1), LawBranch(l1 * ratio), 1.0)
+        assert convexity_probe(law, 2000, seed=5).violations == 0
 
 
 class TestAdaptiveLawValidation:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(1.0), 0.0)
+            AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 0.0)
 
     def test_constant_value_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ConstantLaw(0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            LawBranch(0.0)
 
     def test_affine_parameters_validated(self):
         with pytest.raises(ValueError):
-            AffineSpeedLaw(0.0, 0.0)
+            LawBranch(0.0, 0.0)
         with pytest.raises(ValueError):
-            AffineSpeedLaw(-0.1, 1.0)
+            LawBranch(-0.1, 1.0)
+        with pytest.raises(ValueError):
+            LawBranch(1.0, -0.1)
+
+    def test_normalized_branches_are_built_once(self):
+        law = forchheimer_pair(ubar=0.15)
+        assert law.high_normalized is law.high_normalized
+        assert law.high_normalized == LawBranch(0.01, 3.0 * 0.15)
+        assert law.low_normalized == law.low == LawBranch(1.0)
 
     def test_exponents(self):
         assert growth_exponent(linear_pair().high) == 2.0

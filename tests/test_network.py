@@ -145,3 +145,58 @@ def test_cached_length_leaves_branch_equality_and_hash_alone():
     net = FractureNetwork(branches=(a, Branch("g", (0.0, 0.0), (0.0, 2.0))))
     assert net.total_length == 7.0
     assert net == FractureNetwork(branches=(b, Branch("g", (0.0, 0.0), (0.0, 2.0))))
+
+
+def _junction_pair(branches=None, incident=(("h", "end"), ("v", "start")), extra=(), sources=None):
+    """Two branches meeting at J = (0.5, 0.5), with pressure on both free ends."""
+    return FractureNetwork(
+        branches=branches
+        or (Branch("h", (0.0, 0.5), (0.5, 0.5)), Branch("v", (0.5, 0.5), (0.5, 1.0))),
+        intersections=(Intersection("J", (0.5, 0.5), incident), *extra),
+        boundary=BoundarySpec(
+            {("h", "start"): PressureBC(0.0), ("v", "end"): PressureBC(0.1)}
+        ),
+        sources=sources or SourceSpec(),
+    )
+
+
+@pytest.mark.parametrize(
+    "code, net",
+    [
+        (
+            "duplicate-branch",
+            _junction_pair(
+                branches=(
+                    Branch("h", (0.0, 0.5), (0.5, 0.5)),
+                    Branch("h", (0.0, 0.5), (0.5, 0.5)),
+                    Branch("v", (0.5, 0.5), (0.5, 1.0)),
+                )
+            ),
+        ),
+        ("lonely-intersection", _junction_pair(extra=(Intersection("K", (0.5, 1.0), ()),))),
+        ("unknown-branch", _junction_pair(incident=(("h", "end"), ("v", "start"), ("x", "end")))),
+        (
+            "unknown-branch",
+            _junction_pair(sources=SourceSpec(scalar={"x": PiecewiseSource()})),
+        ),
+        (
+            "multiple-intersections",
+            _junction_pair(
+                extra=(Intersection("K", (0.5, 0.5), (("h", "end"), ("v", "start"))),)
+            ),
+        ),
+        ("unknown-end", _junction_pair(incident=(("h", "end"), ("v", "middle")))),
+    ],
+    ids=[
+        "duplicate-branch",
+        "lonely-intersection",
+        "unknown-branch-intersection",
+        "unknown-branch-source",
+        "multiple-intersections",
+        "unknown-end",
+    ],
+)
+def test_each_structural_fault_is_reported_not_raised(code, net):
+    assert validate_network(_junction_pair()).ok
+    report = validate_network(net)
+    assert code in {v.code for v in report.violations}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfnflow.fem import RegimeField, assemble, solve_saddle
-from dfnflow.laws import AdaptiveLaw, AffineSpeedLaw, ConstantLaw, Regime
+from dfnflow.laws import AdaptiveLaw, LawBranch, Regime
 from dfnflow.meshing import build_mesh
 from dfnflow.picard import AndersonMixer, PicardSettings, picard_solve
 from dfnflow.presets import (
@@ -29,7 +29,7 @@ def mixed_configuration(mesh):
 def test_linear_law_converges_in_one_iteration():
     net = single_fracture_network()
     mesh = build_mesh(net, 0.05)
-    law = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 0.15)
+    law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 0.15)
     result = picard_solve(mesh, RegimeField.uniform(mesh, Regime.LOW), law)
     assert result.converged
     assert result.iterations == 1
@@ -39,7 +39,7 @@ def test_linear_law_converges_in_one_iteration():
 def test_linear_shortcut_even_with_high_labels_present():
     net = single_fracture_network()
     mesh = build_mesh(net, 0.05)
-    law = AdaptiveLaw(ConstantLaw(1.0), ConstantLaw(0.1), 0.15)
+    law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 0.15)
     result = picard_solve(mesh, mixed_configuration(mesh), law)
     assert result.converged and result.iterations == 1
 
@@ -238,8 +238,8 @@ def test_one_more_frozen_step_moves_a_converged_solve_within_tolerance(seed):
     net = random_network(rng)
     mesh = build_mesh(net, 0.2)
     law = AdaptiveLaw(
-        ConstantLaw(float(rng.uniform(0.1, 10.0))),
-        AffineSpeedLaw(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
+        LawBranch(float(rng.uniform(0.1, 10.0))),
+        LawBranch(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.1, 5.0))),
         float(rng.uniform(0.05, 1.0)),
     )
     labels = RegimeField(

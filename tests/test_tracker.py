@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dfnflow.energy import lift_field, reduce_and_minimize
 from dfnflow.fem import RegimeField
-from dfnflow.laws import Regime, build_psi
+from dfnflow.laws import Regime
 from dfnflow.meshing import build_mesh, split_mesh_at
 from dfnflow.network import (
     BoundarySpec,
@@ -46,7 +46,7 @@ def oracle_offsets(report, mesh, law):
     """Final flux minus the lifted field, and the energy minimizer alpha*."""
     final = report.final_solution
     offsets = final.flux["f"] - lift_field(final.mesh).values
-    return offsets, reduce_and_minimize(mesh, build_psi(law)).alpha_star
+    return offsets, reduce_and_minimize(mesh, law).alpha_star
 
 
 def one_branch_mesh(nodes):
