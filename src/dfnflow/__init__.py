@@ -35,7 +35,6 @@ from .fem import (
     assemble,
     implied_junction_pressures,
     solve_saddle,
-    source_integrals,
 )
 from .laws import (
     AdaptiveLaw,
@@ -45,7 +44,7 @@ from .laws import (
     eval_lambda_coefficient,
     jump_sign,
 )
-from .meshing import Mesh, build_mesh, split_mesh_at
+from .meshing import Mesh, build_mesh, source_integrals, split_mesh_at
 from .network import (
     BoundarySpec,
     Branch,

@@ -6,8 +6,10 @@ Subcommands:
 * ``preset <name>``: run one of the packaged experiment presets.
 * ``sweep-k2 <config>``: sweep the high-regime permeability of a config
   whose high law is constant, keeping everything else fixed. Without
-  ``--k2-values`` it runs ``presets.k2_grid()``; ``--trace`` and the
-  config's ``solver.init_labels`` apply to every member.
+  ``--k2-values`` it runs ``presets.k2_grid()``; a list that starts with a
+  negative value needs the ``=`` form, ``--k2-values=-1,0.5,2``, or
+  argparse reads it as an option. ``--trace`` and the config's
+  ``solver.init_labels`` apply to every member.
 
 Every subcommand takes ``--h``, ``--trace``, ``--out`` and ``--format``;
 ``solve`` and ``sweep-k2`` also take the solver overrides ``--eps-nl``,
@@ -27,7 +29,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_init_labels, load_config
 from .export import exit_code, export_bundle
 from .presets import PRESET_NAMES, k2_grid, run_preset, run_spec, sweep_k2
 
@@ -65,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-k2", help="sweep the high-regime permeability")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--k2-values", default=None,
-                         help="comma-separated permeabilities (default: k2_grid())")
+                         help="comma-separated permeabilities (default: k2_grid()); a list "
+                              "starting with a negative value needs the = form: "
+                              "--k2-values=-1,0.5,2")
     _add_run_flags(p_sweep)
     _add_solver_flags(p_sweep)
     return parser
@@ -84,7 +88,9 @@ def _apply_overrides(spec, args):
         output = dataclasses.replace(output, trace=True)
     if args.format is not None:
         output = dataclasses.replace(output, format=args.format)
-    return dataclasses.replace(spec, solver=solver, output=output)
+    spec = dataclasses.replace(spec, solver=solver, output=output)
+    check_init_labels(spec)
+    return spec
 
 
 def _cmd_solve(args) -> int:
@@ -98,10 +104,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    kwargs = {}
-    if args.h is not None:
-        kwargs["h"] = args.h
-    bundle = run_preset(args.name, trace=args.trace, **kwargs)
+    bundle = run_preset(args.name, h=args.h, trace=args.trace)
     paths = export_bundle(bundle, args.out, args.format or "json")
     print(f"{bundle.name}: {bundle.status} after {bundle.outer_iterations} outer iterations")
     for path in paths:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .laws import AdaptiveLaw, LawBranch
+from .meshing import build_mesh
 from .network import (
     END,
     START,
@@ -30,6 +31,8 @@ from .network import (
     VelocityBC,
     validate_network,
 )
+from .picard import PicardSettings
+from .tracker import TrackerSettings
 
 
 class ConfigError(ValueError):
@@ -37,18 +40,17 @@ class ConfigError(ValueError):
 
 
 DEFAULT_H = 0.05
-DEFAULT_EPS_NL = 1e-4
-DEFAULT_MAX_OUTER = 50
-DEFAULT_MAX_INNER = 50
 
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """The ``solver`` block; the loops' settings default to their own defaults."""
+
     h: float = DEFAULT_H
-    eps_nl: float = DEFAULT_EPS_NL
+    eps_nl: float = PicardSettings.tolerance
     eps_omega: float | None = None
-    max_outer: int = DEFAULT_MAX_OUTER
-    max_inner: int = DEFAULT_MAX_INNER
+    max_outer: int = TrackerSettings.max_outer
+    max_inner: int = PicardSettings.max_iterations
     init: str = "low"
     init_labels: Mapping[str, tuple[int, ...]] | None = None
 
@@ -80,11 +82,9 @@ def _require_keys(section: Mapping, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key {path}{key!r}")
 
 
-def _get(section: Mapping, key: str, path: str, required: bool = True, default=None):
+def _get(section: Mapping, key: str, path: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing key {path}{key!r}")
-        return default
+        raise ConfigError(f"missing key {path}{key!r}")
     return section[key]
 
 
@@ -99,6 +99,13 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     return int(value)
+
+
+def _cap(value, path: str) -> int:
+    v = _integer(value, path)
+    if v < 1:
+        raise ConfigError(f"{path} must be at least 1, got {v}")
+    return v
 
 
 def _flag(value, path: str) -> bool:
@@ -258,8 +265,9 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     """Validate a configuration mapping and build a problem specification.
 
     Applies the solver defaults, enforces strict keys, and validates the
-    network; an undetermined pressure level (no pressure condition and no
-    mean value) is rejected here.
+    network; a connected part of it whose pressure level is undetermined (no
+    pressure condition, and no ``mean_pressure`` that can fix it) is
+    rejected here.
     """
     _require_keys(
         document,
@@ -299,7 +307,7 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
 
     solver_doc = document.get("solver", {})
     _require_keys(solver_doc, {f.name for f in fields(SolverSettings)}, "solver.")
-    init = solver_doc.get("init", "low")
+    init = solver_doc.get("init", SolverSettings.init)
     if init not in ("low", "high"):
         raise ConfigError("solver.init must be 'low' or 'high'")
     init_labels = solver_doc.get("init_labels")
@@ -307,16 +315,14 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         init_labels = _init_labels(init_labels)
     eps_omega = solver_doc.get("eps_omega")
     solver = SolverSettings(
-        h=_positive(solver_doc.get("h", DEFAULT_H), "solver.h"),
-        eps_nl=_positive(solver_doc.get("eps_nl", DEFAULT_EPS_NL), "solver.eps_nl"),
+        h=_positive(solver_doc.get("h", SolverSettings.h), "solver.h"),
+        eps_nl=_positive(solver_doc.get("eps_nl", SolverSettings.eps_nl), "solver.eps_nl"),
         eps_omega=None if eps_omega is None else _positive(eps_omega, "solver.eps_omega"),
-        max_outer=_integer(solver_doc.get("max_outer", DEFAULT_MAX_OUTER), "solver.max_outer"),
-        max_inner=_integer(solver_doc.get("max_inner", DEFAULT_MAX_INNER), "solver.max_inner"),
+        max_outer=_cap(solver_doc.get("max_outer", SolverSettings.max_outer), "solver.max_outer"),
+        max_inner=_cap(solver_doc.get("max_inner", SolverSettings.max_inner), "solver.max_inner"),
         init=init,
         init_labels=init_labels,
     )
-    if solver.max_outer < 1 or solver.max_inner < 1:
-        raise ConfigError("solver iteration caps must be at least 1")
 
     output_doc = document.get("output", {})
     _require_keys(output_doc, {"trace", "format"}, "output.")
@@ -333,6 +339,17 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         output=output,
         approximate=approximate,
     )
+
+
+def check_init_labels(spec: ProblemSpec) -> None:
+    """Check ``solver.init_labels`` against the base mesh at ``solver.h``, as overridden."""
+    if spec.solver.init_labels is None:
+        return
+    mesh = build_mesh(spec.network, spec.solver.h)
+    try:
+        mesh.flat_elements(spec.solver.init_labels, "solver.init_labels")
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at h = {spec.solver.h}") from None
 
 
 def load_config(path: str | Path) -> ProblemSpec:

@@ -90,9 +90,6 @@ class LiftedField:
     nodes: np.ndarray
     values: np.ndarray
 
-    def at(self, arc) -> np.ndarray:
-        return np.interp(np.asarray(arc, dtype=float), self.nodes, self.values)
-
 
 def lift_field(mesh: Mesh) -> LiftedField:
     """Lifted flux field of a single-branch problem."""

@@ -40,7 +40,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .laws import AdaptiveLaw, Regime, eval_lambda_coefficient
-from .meshing import BranchArrays, Mesh, source_integrals  # noqa: F401 (re-export)
+from .meshing import BranchArrays, Mesh
 from .network import BoundarySpec, SingularSystemError, SourceSpec
 
 RESIDUAL_TOL = 1e-10

@@ -146,12 +146,14 @@ class Mesh:
             return values.array
         counts = np.diff(offset)
         for b, count in zip(self.branch_ids, counts.tolist()):
-            if b not in values or len(values[b]) != count:
-                raise ValueError(f"{what} do not match the mesh on branch {b!r}")
+            given = len(values[b]) if b in values else 0
+            if given != count:
+                unit = "nodes" if offset is self.node_offset else "elements"
+                raise ValueError(
+                    f"{what} do not match the mesh on branch {b!r}: "
+                    f"{given} values for its {count} {unit}"
+                )
         return np.concatenate([values[b] for b in self.branch_ids])
-
-    def element_count(self, branch_id: str) -> int:
-        return len(self.nodes[branch_id]) - 1
 
     @property
     def total_elements(self) -> int:

@@ -90,9 +90,10 @@ BoundaryCondition = Union[VelocityBC, PressureBC]
 class BoundarySpec:
     """Boundary conditions per free branch end plus the optional pressure mean.
 
-    When no pressure condition is present anywhere the pressure field is
-    determined only up to a constant and ``mean_pressure`` fixes its average
-    over the network.
+    Pressure is determined only up to a constant on a connected part of the
+    network without a pressure condition. When no pressure condition is
+    present anywhere, ``mean_pressure`` fixes the average over the network,
+    which must then be connected.
     """
 
     conditions: Mapping[BranchEnd, BoundaryCondition] = field(default_factory=dict)
@@ -255,7 +256,7 @@ class FractureNetwork:
         """Vertex of the start and of the end of every branch, one row each.
 
         Intersection ``j`` is vertex ``j``; every free end is a vertex of its
-        own, numbered after the intersections in ``free_ends`` order.
+        own, numbered after the intersections in branch order, start first.
         """
         vertex = np.full((len(self.branches), 2), -1, dtype=np.intp)
         k, at_end, owner = self.junction_incidence.T
@@ -288,14 +289,11 @@ class FractureNetwork:
 
         A free end without a condition keeps the natural condition, zero
         pressure. Raises ``SingularSystemError`` when a condition sits on an
-        intersection, or the pressure level of some part is not fixed.
+        intersection, or the pressure level of some connected part is not
+        fixed: the part has no pressure condition, and ``mean_pressure`` is
+        unset or, the network not being connected, cannot fix every part.
         """
         bcs = self.boundary
-        if not bcs.has_pressure_bc and bcs.mean_pressure is None:
-            raise SingularSystemError(
-                "no pressure anchor: the problem has no pressure boundary condition "
-                "and no mean-pressure constraint"
-            )
         vertex, component = self.end_vertex, self.vertex_component
         n_vertices, n_junctions = len(component), len(self.intersections)
         velocity = np.zeros(n_vertices, dtype=bool)
@@ -312,11 +310,12 @@ class FractureNetwork:
             else:
                 vertex_pressure[v] = bc.pressure
 
-        # Every component needs a known pressure; the mean anchor fixes one
-        # level, so it needs a connected network, and grounds one vertex.
+        # Every component needs a known pressure. Without a pressure condition
+        # anywhere, the mean anchor fixes one level, so it needs a connected
+        # network, and grounds one vertex.
         known = ~velocity
         known[:n_junctions] = False
-        has_mean = not bcs.has_pressure_bc
+        has_mean = bcs.mean_pressure is not None and not bcs.has_pressure_bc
         anchored = np.zeros(component.max() + 1, dtype=bool)
         anchored[component[known]] = True
         if has_mean:
@@ -370,16 +369,6 @@ class FractureNetwork:
     def total_length(self) -> float:
         return sum(b.length for b in self.branches)
 
-    def free_ends(self) -> list[BranchEnd]:
-        """Branch ends not attached to any intersection."""
-        junctions = self.junction_ends
-        return [
-            (b.id, which)
-            for b in self.branches
-            for which in (START, END)
-            if (b.id, which) not in junctions
-        ]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -409,7 +398,9 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
 
     The report is empty exactly when the network is well-formed: positive
     branch lengths, coincident intersection points, each free end carrying one
-    boundary condition, and a determined pressure level.
+    boundary condition, and a determined pressure level. The last is checked
+    only on an otherwise well-formed network, by building its
+    ``boundary_plan``; its error is reported as ``pressure-level``.
     """
     report = ValidationReport()
 
@@ -483,13 +474,6 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
         if bid not in known or which not in (START, END):
             report.add("unknown-end", f"boundary condition on unknown end {end}")
 
-    if not network.boundary.has_pressure_bc and network.boundary.mean_pressure is None:
-        report.add(
-            "pressure-level",
-            "no pressure boundary condition anywhere and mean pressure unset: "
-            "pressure level undetermined",
-        )
-
     for bid, src in network.sources.scalar.items():
         if bid not in known:
             report.add("unknown-branch", f"source attached to unknown branch {bid!r}")
@@ -502,4 +486,9 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
                     f"source breakpoint {bp} on branch {bid!r} outside (0, {length})",
                 )
 
+    if report.ok:
+        try:
+            network.boundary_plan
+        except SingularSystemError as exc:
+            report.add("pressure-level", str(exc))
     return report

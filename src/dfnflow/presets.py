@@ -1,8 +1,8 @@
 """Ready-made experiment setups: single fracture, crossing fractures, a
 six-fracture network, a permeability sweep and a nonlinear-tolerance study.
 
-All presets share the threshold speed 0.15 and the default tolerances
-(h = 0.05, configuration tolerance 1e-8, iteration caps 50); every knob can
+All presets share the threshold speed 0.15, the mesh size ``DEFAULT_H`` and
+the defaults of ``PicardSettings`` and ``TrackerSettings``; every knob can
 be overridden per run. Presets are deterministic: rerunning one on the same
 machine reproduces the bundle bit for bit.
 """
@@ -148,22 +148,24 @@ def run_case(
     network: FractureNetwork,
     law: AdaptiveLaw,
     h: float = DEFAULT_H,
-    eps_nl: float = 1e-4,
-    max_inner: int = 50,
+    picard: PicardSettings | None = None,
     tracker: TrackerSettings | None = None,
     initial: str | RegimeField = "low",
     trace: bool = False,
 ) -> ResultBundle:
     """Track one problem and wrap the outcome in a result bundle.
 
-    A single-fracture problem also gets the energy oracle's block.
+    ``picard`` and ``tracker`` set the inner and the outer loop, for example
+    ``picard=PicardSettings(tolerance=1e-8)``; left unset they are the
+    loops' defaults. A single-fracture problem also gets the energy
+    oracle's block.
     """
     start = time.perf_counter()
     mesh = build_mesh(network, h)
     report = track(
         mesh,
         law,
-        picard_settings=PicardSettings(tolerance=eps_nl, max_iterations=max_inner),
+        picard_settings=picard or PicardSettings(),
         settings=tracker or TrackerSettings(),
         initial=initial,
         trace=trace,
@@ -183,8 +185,8 @@ def run_settings(solver: SolverSettings) -> dict:
     """The ``run_case`` keyword arguments a configuration's solver block asks for.
 
     The initial state is ``solver.init``, or the given label of every element
-    when ``solver.init_labels`` is set. Building the tracker settings checks
-    the tolerances and the outer cap.
+    when ``solver.init_labels`` is set. Building the settings of both loops
+    checks the tolerances and the caps.
     """
     initial: str | RegimeField = solver.init
     if solver.init_labels is not None:
@@ -193,12 +195,8 @@ def run_settings(solver: SolverSettings) -> dict:
         )
     return {
         "h": solver.h,
-        "eps_nl": solver.eps_nl,
-        "max_inner": solver.max_inner,
-        "tracker": TrackerSettings(
-            eps_omega=solver.eps_omega,
-            max_outer=solver.max_outer,
-        ),
+        "picard": PicardSettings(tolerance=solver.eps_nl, max_iterations=solver.max_inner),
+        "tracker": TrackerSettings(eps_omega=solver.eps_omega, max_outer=solver.max_outer),
         "initial": initial,
     }
 
@@ -257,9 +255,7 @@ def sweep_k2(
             report = track(
                 mesh,
                 member,
-                picard_settings=PicardSettings(
-                    tolerance=settings["eps_nl"], max_iterations=settings["max_inner"]
-                ),
+                picard_settings=settings["picard"],
                 settings=settings["tracker"],
                 initial=settings["initial"],
                 trace=trace,
@@ -291,7 +287,7 @@ def sweep_k2(
 def run_k2_sweep(
     values: Iterable[float] | None = None,
     h: float = DEFAULT_H,
-    max_outer: int = 50,
+    max_outer: int = TrackerSettings.max_outer,
     trace: bool = False,
 ) -> ResultBundle:
     """Sweep the high-regime permeability on the source-free variant.
@@ -338,14 +334,8 @@ def run_nl_tolerance_table(h: float = DEFAULT_H, trace: bool = False) -> ResultB
     mesh = build_mesh(network, h)
 
     def run(eps: float):
-        return track(
-            mesh,
-            law,
-            picard_settings=PicardSettings(
-                tolerance=eps, max_iterations=50, depth=0
-            ),
-            settings=TrackerSettings(eps_omega=mesh.h),
-        )
+        picard = PicardSettings(tolerance=eps, depth=0)
+        return track(mesh, law, picard_settings=picard, settings=TrackerSettings(eps_omega=mesh.h))
 
     reference = run(NL_REFERENCE_TOLERANCE)
     ref_flux = reference.final_solution.flux.array

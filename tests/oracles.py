@@ -50,7 +50,6 @@ from dfnflow.fem import (
     assemble,
     frozen_speeds,
     solve_saddle,
-    source_integrals,
 )
 from dfnflow.laws import (
     AdaptiveLaw,
@@ -58,7 +57,7 @@ from dfnflow.laws import (
     Regime,
     eval_lambda_coefficient,
 )
-from dfnflow.meshing import Mesh, branch_keys
+from dfnflow.meshing import Mesh, branch_keys, source_integrals
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
     DEFAULT_EPS_OMEGA,
@@ -183,7 +182,7 @@ def tpfa_darcy_solve(mesh, coefficients, bcs):
     cell_index: dict[tuple[str, int], int] = {}
     n = 0
     for bid in mesh.branch_ids:
-        for e in range(mesh.element_count(bid)):
+        for e in range(len(mesh.nodes[bid]) - 1):
             cell_index[(bid, e)] = n
             n += 1
     junction_index = {isec.id: n + k for k, isec in enumerate(net.intersections)}
@@ -200,8 +199,6 @@ def tpfa_darcy_solve(mesh, coefficients, bcs):
         h = np.diff(x)
         ne = len(h)
         f = mesh.force[mesh.network.branch_index[bid]]
-        from dfnflow.fem import source_integrals
-
         qint = mesh.per_element(source_integrals(mesh))[bid]
         for e in range(ne):
             rhs[cell_index[(bid, e)]] += qint[e]
@@ -269,7 +266,7 @@ def tpfa_darcy_solve(mesh, coefficients, bcs):
     pressures = {}
     sol = np.linalg.solve(A, rhs)
     for bid in mesh.branch_ids:
-        ne = mesh.element_count(bid)
+        ne = len(mesh.nodes[bid]) - 1
         pressures[bid] = np.array([sol[cell_index[(bid, e)]] for e in range(ne)])
     junction = {iid: float(sol[k]) for iid, k in junction_index.items()}
 
@@ -509,7 +506,8 @@ def random_network(rng, with_sources=True, velocity_fraction=0.35):
         )
 
     network = FractureNetwork(branches=tuple(branches), intersections=tuple(intersections))
-    free = network.free_ends()
+    junctions = network.junction_ends
+    free = [(b.id, w) for b in branches for w in (START, END) if (b.id, w) not in junctions]
     conditions = {}
     for k, end in enumerate(free):
         if k > 0 and rng.uniform() < velocity_fraction:

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from dfnflow.energy import build_energy_block, lift_field, reduce_and_minimize
-from dfnflow.fem import RegimeField, assemble, solve_saddle, source_integrals
+from dfnflow.fem import RegimeField, assemble, solve_saddle
 from dfnflow.laws import (
     AdaptiveLaw,
     LawBranch,
     Regime,
     jump_sign,
 )
-from dfnflow.meshing import build_mesh, split_mesh_at
+from dfnflow.meshing import build_mesh, source_integrals, split_mesh_at
 from dfnflow.network import (
     BoundarySpec,
     Branch,
@@ -116,7 +116,7 @@ def test_criterion_02_conservation_suite():
         )
         labels = RegimeField(
             {
-                b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
+                b: rng.integers(0, 2, len(mesh.nodes[b]) - 1).astype(np.int8)
                 for b in mesh.branch_ids
             }
         )
@@ -279,7 +279,8 @@ def _induced_offsets(mesh, law, alpha):
     ubar = law.threshold
     work = split_mesh_at(mesh, _oracle_crossings(mesh, law, alpha))
     fine = lift_field(work)
-    speeds = np.abs(fine.at(work.per_element(work.midpoints)["f"]) + alpha)
+    midpoints = work.per_element(work.midpoints)["f"]
+    speeds = np.abs(np.interp(midpoints, fine.nodes, fine.values) + alpha)
     labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
     result = picard_solve(work, labels, law)
     solved = np.abs(result.solution.flux["f"][:-1] + result.solution.flux["f"][1:]) / 2
@@ -378,23 +379,23 @@ def test_criterion_10_benchmark_network_end_to_end():
     elements = []
     node_of = {}
     for b in work.branch_ids:
-        for e in range(work.element_count(b)):
+        for e in range(len(work.nodes[b]) - 1):
             elements.append((b, e))
     high = {
         (b, e)
         for b in work.branch_ids
-        for e in range(work.element_count(b))
+        for e in range(len(work.nodes[b]) - 1)
         if final.regimes.labels[b][e] == 1
     }
     adjacency = {el: set() for el in elements}
     for b in work.branch_ids:
-        for e in range(work.element_count(b) - 1):
+        for e in range(len(work.nodes[b]) - 2):
             adjacency[(b, e)].add((b, e + 1))
             adjacency[(b, e + 1)].add((b, e))
     for isec in network.intersections:
         touching = []
         for bid, which in isec.incident:
-            el = (bid, 0) if which == "start" else (bid, work.element_count(bid) - 1)
+            el = (bid, 0) if which == "start" else (bid, len(work.nodes[bid]) - 2)
             touching.append(el)
         for a in touching:
             for c in touching:
@@ -402,7 +403,7 @@ def test_criterion_10_benchmark_network_end_to_end():
                     adjacency[a].add(c)
 
     inflow = ("h1a", 0)
-    outlets = {("h1d", work.element_count("h1d") - 1), ("h3c", work.element_count("h3c") - 1)}
+    outlets = {("h1d", len(work.nodes["h1d"]) - 2), ("h3c", len(work.nodes["h3c"]) - 2)}
     reached = set()
     stack = [inflow] if inflow in high else []
     while stack:

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+import dfnflow.presets
 from dfnflow.cli import main
+from dfnflow.export import load_bundle
+from dfnflow.presets import run_preset
 
-from test_config import MINIMAL
+from test_config import EXAMPLES, MINIMAL, floating_documents
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -90,6 +93,13 @@ def test_preset_command(tmp_path, capsys):
     code = main(["preset", "case1-linear", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "case1-linear.json").exists()
+
+
+def test_preset_h_flag_sets_the_mesh_size(tmp_path):
+    assert main(["preset", "case1-linear", "--h", "0.25", "--out", str(tmp_path)]) == 0
+    bundle = load_bundle(tmp_path / "case1-linear.json")
+    assert bundle.final == run_preset("case1-linear", h=0.25).final
+    assert bundle.final != run_preset("case1-linear").final
 
 
 def test_preset_csv_format(tmp_path):
@@ -246,3 +256,47 @@ def test_nl_tolerance_table_csv_matches_the_report(tmp_path):
     with open(out / "table.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [{k: float(v) for k, v in row.items()} for row in rows] == table
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-k2"])
+def test_init_labels_of_the_wrong_length_are_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch, command
+):
+    # h = 0.25 gives the unit fracture 4 elements; the list holds 2 labels
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"h": 0.25, "init_labels": {"f": [0, 1]}}
+    config = write_config(tmp_path, doc)
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: solver.init_labels ")
+    assert "on branch 'f': 2 values for its 4 elements at h = 0.25" in err
+    # the labels are checked against the mesh of the overridden h
+    monkeypatch.undo()
+    assert main([command, str(config), "--h", "0.5", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("kind", ["velocity-only-part", "mean-unconnected"])
+def test_a_floating_part_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch, kind):
+    doc, message = floating_documents()[kind]
+    config = write_config(tmp_path, doc)
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    assert main(["solve", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid network:\n[pressure-level] ")
+    assert message in err
+
+
+def test_the_mean_anchored_darcy_example_sweeps_from_a_negative_k2(tmp_path, capsys):
+    # a list starting with a negative value needs the = form
+    example = str(EXAMPLES / "mean-anchored-darcy.json")
+    out = tmp_path / "out"
+    assert main(["sweep-k2", example, "--k2-values", "-1,0.5,2", "--out", str(out)]) == 1
+    assert main(["sweep-k2", example, "--k2-values=-1,0.5,2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "k2=-1: error\nk2=0.5: converged\nk2=2: converged\n"
+    )

@@ -6,14 +6,27 @@ from pathlib import Path
 
 import pytest
 
+import dfnflow.presets
 from dfnflow.config import (
     ConfigError,
     SolverSettings,
     load_config,
+    network_from_dict,
     parse_config,
     spec_to_dict,
 )
 from dfnflow.laws import LawBranch
+from dfnflow.meshing import build_mesh
+from dfnflow.network import validate_network
+from dfnflow.picard import PicardSettings
+from dfnflow.presets import (
+    darcy_pair,
+    run_case,
+    run_k2_sweep,
+    run_settings,
+    single_fracture_network,
+)
+from dfnflow.tracker import TrackerSettings, track
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
 EXAMPLES = SCHEMA.parent / "examples"
@@ -86,8 +99,57 @@ def test_undetermined_pressure_level_rejected():
         {"branch": "f", "end": "start", "type": "velocity", "value": 0.0},
         {"branch": "f", "end": "end", "type": "velocity", "value": 0.0},
     ]
-    with pytest.raises(ConfigError, match="pressure level undetermined"):
+    with pytest.raises(ConfigError, match="pressure level of the part .* 'f' is undetermined"):
         parse_config(doc)
+
+
+def floating_documents():
+    # a fracture with only velocity conditions beside a pressure-anchored one,
+    # and two unconnected fractures under the mean anchor
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["network"]["branches"].append({"id": "g", "start": [0.0, 1.0], "end": [1.0, 1.0]})
+    doc["network"]["boundary"]["conditions"] += [
+        {"branch": "g", "end": "start", "type": "velocity", "value": -0.5},
+        {"branch": "g", "end": "end", "type": "velocity", "value": 0.5},
+    ]
+    mean = json.loads(json.dumps(doc))
+    for condition in mean["network"]["boundary"]["conditions"][:2]:
+        condition.update(type="velocity", value=0.0)
+    mean["network"]["boundary"]["mean_pressure"] = 0.0
+    return {
+        "velocity-only-part": (doc, "'g' is undetermined: it has no pressure condition"),
+        "mean-unconnected": (mean, "'f' is undetermined: the mean-pressure constraint"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["velocity-only-part", "mean-unconnected"])
+def test_a_floating_part_is_rejected_before_any_solve(kind):
+    doc, message = floating_documents()[kind]
+    network = network_from_dict(doc["network"])
+    (violation,) = validate_network(network).violations
+    assert violation.code == "pressure-level" and message in violation.message
+    with pytest.raises(ValueError, match=r"\[pressure-level\]"):
+        build_mesh(network, 0.25)
+    with pytest.raises(ConfigError, match=r"invalid network:\n\[pressure-level\] .*" + message):
+        parse_config(doc)
+
+
+def test_solver_defaults_are_the_loops_own(monkeypatch):
+    assert SolverSettings().eps_nl == PicardSettings().tolerance
+    assert SolverSettings().max_inner == PicardSettings().max_iterations
+    assert SolverSettings().max_outer == TrackerSettings().max_outer
+    settings = run_settings(SolverSettings())
+    assert (settings["picard"], settings["tracker"]) == (PicardSettings(), TrackerSettings())
+    seen = []
+
+    def capture(mesh, law, picard_settings, settings, **kwargs):
+        seen.append((picard_settings, settings))
+        return track(mesh, law, picard_settings, settings, **kwargs)
+
+    monkeypatch.setattr(dfnflow.presets, "track", capture)
+    run_case("defaults", single_fracture_network(), darcy_pair(), h=0.25)
+    run_k2_sweep(values=[2.0], h=0.25)
+    assert seen == [(PicardSettings(), TrackerSettings())] * 2
 
 
 def test_mean_pressure_anchors_velocity_only_problem():
@@ -136,10 +198,16 @@ def test_round_trip_preserves_the_spec():
     doc["solver"] = {"h": 0.1, "eps_nl": 1e-6, "init": "high"}
     doc["output"] = {"trace": True, "format": "csv"}
     doc["approximate"] = True
-    spec = parse_config(doc)
-    rebuilt = parse_config(spec_to_dict(spec))
-    assert rebuilt == spec
-    assert spec_to_dict(rebuilt) == spec_to_dict(spec)
+    # the mean-anchored example writes the optional mean_pressure and eps_omega
+    mean = json.loads((EXAMPLES / "mean-anchored.json").read_text())
+    mean["solver"] = {"eps_omega": 1e-3}
+    for doc in (doc, mean):
+        spec = parse_config(doc)
+        rebuilt = parse_config(spec_to_dict(spec))
+        assert rebuilt == spec
+        assert spec_to_dict(rebuilt) == spec_to_dict(spec)
+    assert spec_to_dict(spec)["network"]["boundary"]["mean_pressure"] == 0.0
+    assert spec_to_dict(spec)["solver"]["eps_omega"] == 1e-3
 
 
 def test_network_and_network_file_are_mutually_exclusive():
@@ -255,6 +323,41 @@ MALFORMED = [
     (("law", "low", "value"), "1", r"law\.low\.value must be a finite number"),
     (("law", "threshold"), None, r"law\.threshold must be a finite number"),
     (("solver",), [], r"solver must be an object"),
+    (
+        ("law",),
+        {"low": {"type": "constant", "value": 1.0}, "high": {"type": "constant", "value": 1.0}},
+        r"missing key law\.'threshold'",
+    ),
+    (("network", "branches", 0, "end"), [1.0], r"network\.branches\[0\]\.end must be a pair"),
+    (
+        ("law", "low"),
+        {"type": "affine", "intercept": 0.0, "slope": 0.0},
+        r"law\.: .*must be positive",
+    ),
+    (
+        ("network", "sources"),
+        {"scalar": [{"branch": "f", "breakpoints": [0.7, 0.3], "values": [1, -1, 1]}]},
+        r"network\.sources\.scalar\[0\]\.: breakpoints must be strictly increasing",
+    ),
+    (
+        ("network", "intersections"),
+        [{"id": "J", "point": [1.0, 0.0], "incident": [["f", "middle"]]}],
+        r"network\.intersections\[0\]\.incident entries must be \[branch, 'start'\|'end'\]",
+    ),
+    (
+        ("network", "boundary", "conditions", 0, "end"),
+        "left",
+        r"network\.boundary\.conditions\[0\]\.end must be 'start' or 'end'",
+    ),
+    (
+        ("network", "boundary", "conditions", 0, "type"),
+        "flux",
+        r"network\.boundary\.conditions\[0\]\.type must be 'pressure' or 'velocity'",
+    ),
+    (("solver", "init"), "mixed", r"solver\.init must be 'low' or 'high'"),
+    (("solver", "max_outer"), 0, r"solver\.max_outer must be at least 1, got 0"),
+    (("solver", "max_inner"), -2, r"solver\.max_inner must be at least 1, got -2"),
+    (("output", "format"), "xml", r"output\.format must be 'json' or 'csv'"),
 ]
 
 
@@ -270,6 +373,14 @@ def test_malformed_values_are_config_errors_with_their_key_path(path, value, mes
     _set(doc, path, value)
     with pytest.raises(ConfigError, match=message):
         parse_config(doc)
+
+
+def test_unreadable_files_are_config_errors_with_their_path(tmp_path):
+    with pytest.raises(ConfigError, match=r"cannot read network file .*missing\.json"):
+        parse_config({"network_file": "missing.json", "law": MINIMAL["law"]}, base_dir=tmp_path)
+    (tmp_path / "config.json").write_text("{not json")
+    with pytest.raises(ConfigError, match=r"config .*config\.json is not valid JSON"):
+        load_config(tmp_path / "config.json")
 
 
 def test_sources_block_parsed():

@@ -12,6 +12,7 @@ from dfnflow.config import parse_config
 from dfnflow.export import export_bundle, load_bundle
 import dfnflow.export
 import dfnflow.presets
+from dfnflow.picard import PicardSettings
 from dfnflow.presets import (
     PRESET_NAMES,
     darcy_pair,
@@ -61,7 +62,9 @@ def test_json_round_trip_is_bit_exact(tmp_path, case1_traced):
 
 def test_bundle_reports_capped_inner_solves(tmp_path):
     # two inner cycles cannot meet 1e-12 once the Forchheimer branch is active
-    bundle = run_preset("case1-nonlinear", eps_nl=1e-12, max_inner=2)
+    bundle = run_preset(
+        "case1-nonlinear", picard=PicardSettings(tolerance=1e-12, max_iterations=2)
+    )
     assert bundle.inner_iteration_counts[1:] == [2] * (bundle.outer_iterations - 1)
     assert bundle.inner_converged == [True] + [False] * (bundle.outer_iterations - 1)
     (path,) = export_bundle(bundle, tmp_path, "json")

@@ -11,10 +11,9 @@ from dfnflow.fem import (
     assemble,
     implied_junction_pressures,
     solve_saddle,
-    source_integrals,
 )
 from dfnflow.laws import AdaptiveLaw, LawBranch, Regime
-from dfnflow.meshing import Mesh, build_mesh
+from dfnflow.meshing import Mesh, build_mesh, source_integrals
 from dfnflow.network import (
     BoundarySpec,
     Branch,
@@ -23,6 +22,7 @@ from dfnflow.network import (
     PiecewiseSource,
     PressureBC,
     SourceSpec,
+    ValidationReport,
     VelocityBC,
     validate_network,
 )
@@ -270,7 +270,7 @@ def test_matches_two_point_flux_oracle_single_law():
             net.boundary,
         )
         sol = solve_saddle(system)
-        coeffs = {b: np.full(mesh.element_count(b), lam) for b in mesh.branch_ids}
+        coeffs = {b: np.full(len(mesh.nodes[b]) - 1, lam) for b in mesh.branch_ids}
         p_ref, j_ref, u_ref = tpfa_darcy_solve(mesh, coeffs, net.boundary)
         for b in mesh.branch_ids:
             assert np.abs(sol.pressure[b] - p_ref[b]).max() <= 1e-12
@@ -287,7 +287,7 @@ def test_matches_two_point_flux_oracle_heterogeneous():
     for _ in range(10):
         net = random_network(rng, with_sources=False)
         mesh = build_mesh(net, 0.25)
-        coeffs = {b: rng.uniform(0.2, 5.0, mesh.element_count(b)) for b in mesh.branch_ids}
+        coeffs = {b: rng.uniform(0.2, 5.0, len(mesh.nodes[b]) - 1) for b in mesh.branch_ids}
         system = assemble(
             mesh,
             RegimeField.uniform(mesh, Regime.LOW),
@@ -322,7 +322,8 @@ def test_missing_pressure_anchor_raises():
         node_offset=np.array([0, 3]),
         force=np.zeros(1),
     )
-    with pytest.raises(SingularSystemError, match="pressure anchor"):
+    message = "'f' is undetermined: it has no pressure condition"
+    with pytest.raises(SingularSystemError, match=message):
         assemble(mesh, RegimeField.uniform(mesh, Regime.LOW), UNIT_LAW, 0.0)
 
 
@@ -342,7 +343,6 @@ def test_assemble_takes_only_the_networks_own_sources_and_conditions():
 
 def test_moved_names_stay_importable_from_fem():
     assert fem.SingularSystemError is network.SingularSystemError
-    assert fem.source_integrals is meshing.source_integrals
 
 
 def test_tracking_builds_the_plan_once_and_the_sources_once_per_mesh(monkeypatch):
@@ -443,7 +443,7 @@ def test_conservation_on_random_networks():
         law = AdaptiveLaw(LawBranch(lam1), LawBranch(lam2), 1.0)
         labels = RegimeField(
             {
-                b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
+                b: rng.integers(0, 2, len(mesh.nodes[b]) - 1).astype(np.int8)
                 for b in mesh.branch_ids
             }
         )
@@ -479,11 +479,11 @@ def test_forchheimer_systems_on_random_networks_balance(seed):
     )
     labels = RegimeField(
         {
-            b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
+            b: rng.integers(0, 2, len(mesh.nodes[b]) - 1).astype(np.int8)
             for b in mesh.branch_ids
         }
     )
-    speeds = {b: rng.uniform(0.0, 2.0, mesh.element_count(b)) for b in mesh.branch_ids}
+    speeds = {b: rng.uniform(0.0, 2.0, len(mesh.nodes[b]) - 1) for b in mesh.branch_ids}
     system = assemble(mesh, labels, law, speeds, net.sources, net.boundary)
     assert np.array_equal(system.matrix, system.matrix.T)
     sol = solve_saddle(system)
@@ -501,7 +501,7 @@ def test_forchheimer_systems_on_random_networks_balance(seed):
 
 def _with_floating_part(branches, intersections, conditions):
     # an anchored branch "a" plus a part whose ends carry only velocity
-    # conditions: the network validates, but that part's pressure level is free
+    # conditions: the network is well-formed, but that part's pressure level is free
     anchored = Branch("a", (0.0, -2.0), (1.0, -2.0))
     return FractureNetwork(
         branches=(anchored,) + branches,
@@ -537,11 +537,18 @@ def _floating_networks():
 
 
 @pytest.mark.parametrize("kind", ["single", "star"])
-def test_floating_component_is_rejected(kind):
+def test_floating_component_is_rejected(kind, monkeypatch):
     net = _floating_networks()[kind]
-    assert validate_network(net).ok
+    floating = "f" if kind == "single" else "A"
+    message = f"part of the network holding branch '{floating}' is undetermined"
+    (violation,) = validate_network(net).violations
+    assert violation.code == "pressure-level" and message in violation.message
+    with pytest.raises(ValueError, match=r"\[pressure-level\]"):
+        build_mesh(net, 0.25)
+    # a mesh built past validation: assembling on it fails the same way
+    monkeypatch.setattr(meshing, "validate_network", lambda net: ValidationReport())
     mesh = build_mesh(net, 0.25)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match=message):
         solve_saddle(
             assemble(
                 mesh,

@@ -41,7 +41,7 @@ def test_build_mesh_respects_breakpoints_and_target_size():
 def test_build_mesh_coarsest_partition():
     mesh = build_mesh(unit_branch_network(), 1.0)
     assert np.allclose(mesh.nodes["f"], [0.0, 1.0])
-    assert mesh.element_count("f") == 1
+    assert len(mesh.nodes["f"]) == 2
 
 
 def test_crossing_network_mesh_has_junction_node_at_half_arc():
@@ -116,7 +116,7 @@ def test_working_meshes_of_one_network_share_one_source_table(monkeypatch):
 def test_split_increases_element_count_per_new_point():
     mesh = build_mesh(unit_branch_network(), 1.0)
     fine = split_mesh_at(mesh, [("f", 0.2), ("f", 0.8)])
-    assert fine.element_count("f") == mesh.element_count("f") + 2
+    assert len(fine.nodes["f"]) == len(mesh.nodes["f"]) + 2
 
 
 def test_split_rejects_points_outside_branch():

@@ -20,7 +20,7 @@ from oracles import plain_picard, plain_track, random_network
 
 def mixed_configuration(mesh):
     """Half low, half high on the single fracture, split at element level."""
-    n = mesh.element_count("f")
+    n = len(mesh.nodes["f"]) - 1
     labels = np.zeros(n, dtype=np.int8)
     labels[n // 2 :] = 1
     return RegimeField({"f": labels})
@@ -244,7 +244,7 @@ def test_one_more_frozen_step_moves_a_converged_solve_within_tolerance(seed):
     )
     labels = RegimeField(
         {
-            b: rng.integers(0, 2, mesh.element_count(b)).astype(np.int8)
+            b: rng.integers(0, 2, len(mesh.nodes[b]) - 1).astype(np.int8)
             for b in mesh.branch_ids
         }
     )
