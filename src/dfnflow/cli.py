@@ -13,7 +13,8 @@ Subcommands:
 
 Every subcommand takes ``--h``, ``--trace``, ``--out`` and ``--format``;
 ``solve`` and ``sweep-k2`` also take the solver overrides ``--eps-nl``,
-``--eps-omega``, ``--max-outer`` and ``--init``.
+``--eps-omega``, ``--max-outer`` and ``--init``. There each flag given is
+written into the config's document and checked as the key it overrides.
 
 The exit code reports the tracker outcome: 0 converged, 2 oscillating,
 3 iteration cap reached, 4 when the inner solve of some outer iteration hit
@@ -26,10 +27,9 @@ recorded in the output) and 1 when every member failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .config import ConfigError, check_init_labels, load_config
+from .config import ConfigError, check_init_labels, load_config, parse_config, spec_to_dict
 from .export import exit_code, export_bundle
 from .presets import PRESET_NAMES, k2_grid, run_preset, run_spec, sweep_k2
 
@@ -75,26 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec, args):
-    solver = spec.solver
-    replacements = {}
-    for name in ("h", "eps_nl", "eps_omega", "max_outer", "init"):
-        if getattr(args, name) is not None:
-            replacements[name] = getattr(args, name)
-    if replacements:
-        solver = dataclasses.replace(solver, **replacements)
-    output = spec.output
+def _load_spec(args):
+    """The config with each flag given written into its document, parsed once more."""
+    doc = spec_to_dict(load_config(args.config))
+    for block, keys in (("solver", ("h", "eps_nl", "eps_omega", "max_outer", "init")),
+                        ("output", ("format",))):
+        doc[block].update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     if args.trace:
-        output = dataclasses.replace(output, trace=True)
-    if args.format is not None:
-        output = dataclasses.replace(output, format=args.format)
-    spec = dataclasses.replace(spec, solver=solver, output=output)
+        doc["output"]["trace"] = True
+    spec = parse_config(doc)
     check_init_labels(spec)
     return spec
 
 
 def _cmd_solve(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+    spec = _load_spec(args)
     bundle = run_spec(spec)
     paths = export_bundle(bundle, args.out, spec.output.format)
     print(f"{bundle.status} after {bundle.outer_iterations} outer iterations")
@@ -113,7 +108,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+    spec = _load_spec(args)
     if args.k2_values is not None:
         values = [float(v) for v in args.k2_values.split(",")]
     else:

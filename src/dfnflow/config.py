@@ -266,8 +266,8 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
 
     Applies the solver defaults, enforces strict keys, and validates the
     network; a connected part of it whose pressure level is undetermined (no
-    pressure condition, and no ``mean_pressure`` that can fix it) is
-    rejected here.
+    pressure condition, and no ``mean_pressure`` that can fix it), and a
+    ``mean_pressure`` beside a pressure condition, are rejected here.
     """
     _require_keys(
         document,
@@ -342,7 +342,7 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
 
 
 def check_init_labels(spec: ProblemSpec) -> None:
-    """Check ``solver.init_labels`` against the base mesh at ``solver.h``, as overridden."""
+    """Check ``solver.init_labels`` against the mesh at ``solver.h``: its branches and elements."""
     if spec.solver.init_labels is None:
         return
     mesh = build_mesh(spec.network, spec.solver.h)

@@ -145,6 +145,10 @@ class Mesh:
         if isinstance(values, BranchArrays) and values.offset is offset:
             return values.array
         counts = np.diff(offset)
+        # every branch must be given below, so only a surplus key can name no branch
+        if len(values) > len(counts):
+            extra = next(b for b in values if b not in self.network.branch_index)
+            raise ValueError(f"{what} do not match the mesh: it has no branch {extra!r}")
         for b, count in zip(self.branch_ids, counts.tolist()):
             given = len(values[b]) if b in values else 0
             if given != count:

@@ -91,9 +91,9 @@ class BoundarySpec:
     """Boundary conditions per free branch end plus the optional pressure mean.
 
     Pressure is determined only up to a constant on a connected part of the
-    network without a pressure condition. When no pressure condition is
-    present anywhere, ``mean_pressure`` fixes the average over the network,
-    which must then be connected.
+    network without a pressure condition. ``mean_pressure`` fixes the average
+    over the network, which must then be connected and hold no pressure
+    condition.
     """
 
     conditions: Mapping[BranchEnd, BoundaryCondition] = field(default_factory=dict)
@@ -289,7 +289,8 @@ class FractureNetwork:
 
         A free end without a condition keeps the natural condition, zero
         pressure. Raises ``SingularSystemError`` when a condition sits on an
-        intersection, or the pressure level of some connected part is not
+        intersection, when ``mean_pressure`` is set beside a pressure
+        condition, or when the pressure level of some connected part is not
         fixed: the part has no pressure condition, and ``mean_pressure`` is
         unset or, the network not being connected, cannot fix every part.
         """
@@ -310,12 +311,16 @@ class FractureNetwork:
             else:
                 vertex_pressure[v] = bc.pressure
 
-        # Every component needs a known pressure. Without a pressure condition
-        # anywhere, the mean anchor fixes one level, so it needs a connected
-        # network, and grounds one vertex.
+        # Every component needs a known pressure. The mean anchor, allowed
+        # only without a pressure condition anywhere, fixes one level, so it
+        # needs a connected network, and grounds one vertex.
         known = ~velocity
         known[:n_junctions] = False
-        has_mean = bcs.mean_pressure is not None and not bcs.has_pressure_bc
+        has_mean = bcs.mean_pressure is not None
+        if has_mean and known.any():
+            raise SingularSystemError(
+                "mean_pressure is set, but a pressure condition fixes the level"
+            )
         anchored = np.zeros(component.max() + 1, dtype=bool)
         anchored[component[known]] = True
         if has_mean:
@@ -343,7 +348,7 @@ class FractureNetwork:
             free=at >= 0,
             inside=inside,
             entry=rows[inside] * len(unknown) + cols[inside],
-            mean_pressure=bcs.mean_pressure if has_mean else None,
+            mean_pressure=bcs.mean_pressure,
         )
 
     @cached_property

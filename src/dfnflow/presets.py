@@ -234,7 +234,7 @@ def sweep_k2(
     whether every inner solve met its tolerance. A member that fails, a k2
     that gives no valid law included (its ``lambda2`` is then None), is
     recorded without aborting the sweep; a sweep whose members all fail
-    raises, and so does one without values, before meshing.
+    raises, and so does one without values or valid settings, before meshing.
     The bundle reports the last member that ran, with the rows in its extras.
     """
     if law.high.slope != 0:
@@ -243,6 +243,7 @@ def sweep_k2(
     if not values:
         raise ValueError("the k2 sweep needs at least one k2 value")
     start = time.perf_counter()
+    settings = run_settings(solver)
     mesh = build_mesh(network, solver.h)
     rows = []
     last = None
@@ -251,7 +252,6 @@ def sweep_k2(
         try:
             member = dataclasses.replace(law, high=LawBranch(1.0 / k2))
             row["lambda2"] = member.lambda2
-            settings = run_settings(solver)
             report = track(
                 mesh,
                 member,

@@ -5,6 +5,7 @@ import pytest
 
 import dfnflow.presets
 from dfnflow.cli import main
+from dfnflow.config import load_config, spec_to_dict
 from dfnflow.export import load_bundle
 from dfnflow.presets import run_preset
 
@@ -119,6 +120,16 @@ def test_flag_overrides_reach_the_solver(tmp_path):
     assert bundle["config"]["solver"]["h"] == 0.1
 
 
+def test_flag_overrides_are_recorded_in_the_config_block(tmp_path):
+    example = EXAMPLES / "mean-anchored.json"
+    out = tmp_path / "out"
+    flags = ["--max-outer", "3", "--eps-nl", "1e-6"]
+    assert main(["solve", str(example), *flags, "--out", str(out)]) == 0
+    expected = spec_to_dict(load_config(example))
+    expected["solver"].update(max_outer=3, eps_nl=1e-6)
+    assert json.loads((out / "solve.json").read_text())["config"] == expected
+
+
 def test_sweep_k2_runs_grid(tmp_path, capsys):
     config = write_config(tmp_path, oscillating_document())
     code = main(
@@ -162,12 +173,11 @@ def test_sweep_k2_requires_constant_high_law(tmp_path, capsys):
 def test_sweep_k2_with_every_member_failing_exits_1(tmp_path, capsys):
     config = write_config(tmp_path, oscillating_document())
     code = main(
-        ["sweep-k2", str(config), "--k2-values", "1.0", "--max-outer", "0",
-         "--out", str(tmp_path / "out")]
+        ["sweep-k2", str(config), "--k2-values=-1,0", "--out", str(tmp_path / "out")]
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "every sweep member failed: need at least one outer iteration" in err
+    assert err.startswith("error: every sweep member failed: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -278,6 +288,48 @@ def test_init_labels_of_the_wrong_length_are_a_config_error_before_any_solve(
     # the labels are checked against the mesh of the overridden h
     monkeypatch.undo()
     assert main([command, str(config), "--h", "0.5", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-k2"])
+def test_init_labels_for_an_unknown_branch_are_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch, command
+):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"h": 0.25, "init_labels": {"f": [0, 1, 1, 0], "nosuch": [1]}}
+    config = write_config(tmp_path, doc)
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: solver.init_labels ")
+    assert "it has no branch 'nosuch'" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-k2"])
+@pytest.mark.parametrize(
+    "flag, value", [("--eps-nl", "-1"), ("--eps-omega", "0"), ("--max-outer", "0"), ("--h", "0")]
+)
+def test_solver_flags_are_checked_as_the_config_keys_they_override(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    config = write_config(tmp_path, MINIMAL)
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    out = tmp_path / "out"
+    assert main([command, str(config), flag, value, "--out", str(out)]) == 1
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"configuration error: solver.{key} ")
+    assert not out.exists()
+
+
+def test_mean_pressure_beside_a_pressure_condition_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["network"]["boundary"]["conditions"][1]["value"] = 0.2
+    doc["network"]["boundary"]["mean_pressure"] = 5.0
+    config = write_config(tmp_path, doc)
+    assert main(["solve", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: invalid network:\n[pressure-level] mean_pressure is set, "
+        "but a pressure condition fixes the level\n"
+    )
 
 
 @pytest.mark.parametrize("kind", ["velocity-only-part", "mean-unconnected"])

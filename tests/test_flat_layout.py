@@ -191,6 +191,17 @@ def test_flat_classification_and_labels_match_the_run_loops(seed):
         assert _labels_on(mesh, changes).tobytes() == expected.tobytes()
 
 
+def test_flat_arrays_must_name_only_branches_of_the_mesh():
+    mesh = build_mesh(random_network(np.random.default_rng(3)), 0.25)
+    labels = {b: np.ones(len(mesh.nodes[b]) - 1, dtype=np.int8) for b in mesh.branch_ids}
+    assert mesh.flat_elements(labels, "labels").tolist() == [1] * mesh.total_elements
+    extra = {**labels, "nosuch": np.ones(1, dtype=np.int8)}
+    with pytest.raises(ValueError, match="labels do not match the mesh: it has no branch 'nosuch'"):
+        mesh.flat_elements(extra, "labels")
+    with pytest.raises(ValueError, match="it has no branch 'nosuch'"):
+        RegimeField(extra).on(mesh)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_change_points_of_labels_reproduce_them(seed):

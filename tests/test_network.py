@@ -93,6 +93,20 @@ def test_pressure_level_must_be_anchored():
     assert validate_network(anchored).ok
 
 
+def test_mean_pressure_beside_a_pressure_condition_is_a_violation():
+    # the pressure condition fixes the level, so the mean would be ignored
+    net = FractureNetwork(
+        branches=(Branch("f", (0.0, 0.0), (1.0, 0.0)),),
+        boundary=BoundarySpec(
+            {("f", "start"): PressureBC(0.0), ("f", "end"): VelocityBC(0.0)},
+            mean_pressure=5.0,
+        ),
+    )
+    (violation,) = validate_network(net).violations
+    assert violation.code == "pressure-level"
+    assert violation.message == "mean_pressure is set, but a pressure condition fixes the level"
+
+
 def test_bc_on_junction_end_is_a_violation():
     net = FractureNetwork(
         branches=(
