@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from .config import ConfigError, check_init_labels, load_config, parse_config, spec_to_dict
+from .config import ConfigError, check_init_labels, load_document, parse_config, positive
 from .export import exit_code, export_bundle
 from .presets import PRESET_NAMES, k2_grid, run_preset, run_spec, sweep_k2
 
@@ -76,14 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args):
-    """The config with each flag given written into its document, parsed once more."""
-    doc = spec_to_dict(load_config(args.config))
-    for block, keys in (("solver", ("h", "eps_nl", "eps_omega", "max_outer", "init")),
-                        ("output", ("format",))):
-        doc[block].update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-    if args.trace:
-        doc["output"]["trace"] = True
-    spec = parse_config(doc)
+    """The config with each flag given written into its document, parsed once."""
+    path = Path(args.config)
+    doc = load_document(path)
+    given = {
+        "solver": {k: getattr(args, k) for k in ("h", "eps_nl", "eps_omega", "max_outer", "init")},
+        "output": {"format": args.format, "trace": args.trace or None},
+    }
+    for block, flags in given.items():
+        flags = {k: v for k, v in flags.items() if v is not None}
+        # a document or block that is not an object is left for the parser to reject
+        if flags and isinstance(doc, dict) and isinstance(doc.setdefault(block, {}), dict):
+            doc[block].update(flags)
+    spec = parse_config(doc, base_dir=path.parent)
     check_init_labels(spec)
     return spec
 
@@ -99,7 +105,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    bundle = run_preset(args.name, h=args.h, trace=args.trace)
+    h = None if args.h is None else positive(args.h, "--h")
+    bundle = run_preset(args.name, h=h, trace=args.trace)
     paths = export_bundle(bundle, args.out, args.format or "json")
     print(f"{bundle.name}: {bundle.status} after {bundle.outer_iterations} outer iterations")
     for path in paths:

@@ -130,7 +130,7 @@ def _as_point(value, path: str) -> tuple[float, float]:
     return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _positive(value, path: str) -> float:
+def positive(value, path: str) -> float:
     v = _number(value, path)
     if v <= 0:
         raise ConfigError(f"{path} must be positive, got {v}")
@@ -157,7 +157,7 @@ def law_from_dict(doc: Mapping, path: str = "law.") -> AdaptiveLaw:
         return AdaptiveLaw(
             low=law_branch_from_dict(_get(doc, "low", path), path + "low."),
             high=law_branch_from_dict(_get(doc, "high", path), path + "high."),
-            threshold=_positive(_get(doc, "threshold", path), path + "threshold"),
+            threshold=positive(_get(doc, "threshold", path), path + "threshold"),
         )
     except ConfigError:
         raise
@@ -315,9 +315,9 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         init_labels = _init_labels(init_labels)
     eps_omega = solver_doc.get("eps_omega")
     solver = SolverSettings(
-        h=_positive(solver_doc.get("h", SolverSettings.h), "solver.h"),
-        eps_nl=_positive(solver_doc.get("eps_nl", SolverSettings.eps_nl), "solver.eps_nl"),
-        eps_omega=None if eps_omega is None else _positive(eps_omega, "solver.eps_omega"),
+        h=positive(solver_doc.get("h", SolverSettings.h), "solver.h"),
+        eps_nl=positive(solver_doc.get("eps_nl", SolverSettings.eps_nl), "solver.eps_nl"),
+        eps_omega=None if eps_omega is None else positive(eps_omega, "solver.eps_omega"),
         max_outer=_cap(solver_doc.get("max_outer", SolverSettings.max_outer), "solver.max_outer"),
         max_inner=_cap(solver_doc.get("max_inner", SolverSettings.max_inner), "solver.max_inner"),
         init=init,
@@ -352,15 +352,19 @@ def check_init_labels(spec: ProblemSpec) -> None:
         raise ConfigError(f"{exc} at h = {spec.solver.h}") from None
 
 
-def load_config(path: str | Path) -> ProblemSpec:
-    path = Path(path)
+def load_document(path: Path) -> Any:
+    """The JSON document of a config file, not yet checked."""
     try:
-        document = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(document, base_dir=path.parent)
+
+
+def load_config(path: str | Path) -> ProblemSpec:
+    path = Path(path)
+    return parse_config(load_document(path), base_dir=path.parent)
 
 
 def network_to_dict(network: FractureNetwork) -> dict:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .fem import Solution
 from .meshing import BranchArrays
-from .tracker import TrackerReport, TrackerStatus
+from .tracker import Configuration, TrackerReport, TrackerStatus
 
 SCHEMA_VERSION = 3
 
@@ -36,15 +36,13 @@ def _regime_block(regimes) -> dict:
 def solution_fields(solution: Solution) -> dict:
     mesh = solution.mesh
     arc = _branch_lists(mesh.nodes)
-    flux = _branch_lists(mesh.per_node(mesh.flat_nodes(solution.flux, "fluxes")))
+    flux = _branch_lists(solution.flux)
     midpoint = _branch_lists(mesh.per_element(mesh.midpoints))
-    pressure = _branch_lists(mesh.per_element(mesh.flat_elements(solution.pressure, "pressures")))
+    pressure = _branch_lists(solution.pressure)
     return {
         "flux": {b: {"arc": arc[b], "value": flux[b]} for b in mesh.branch_ids},
         "pressure": {b: {"arc": midpoint[b], "value": pressure[b]} for b in mesh.branch_ids},
-        "junction_pressure": {
-            k: float(v) for k, v in sorted(solution.junction_pressure.items())
-        },
+        "junction_pressure": dict(sorted(solution.junction_pressure.items())),
     }
 
 
@@ -85,36 +83,34 @@ class ResultBundle:
         return ResultBundle(**doc)
 
 
+def _state_block(configuration: Configuration, solution: Solution) -> dict:
+    """Interfaces, labels and fields of one configuration and its solve."""
+    return {
+        "interfaces": [[b, float(x)] for b, x in configuration.interfaces],
+        "regimes": _regime_block(configuration.regimes),
+        **solution_fields(solution),
+    }
+
+
 def bundle_from_report(
     name: str,
     report: TrackerReport,
-    config: dict | None = None,
     energy: dict | None = None,
     extras: dict | None = None,
     timing_seconds: float = 0.0,
 ) -> ResultBundle:
-    final_config = report.final_configuration
-    final = {
-        "interfaces": [[b, float(x)] for b, x in final_config.interfaces],
-        "regimes": _regime_block(final_config.regimes),
-        **solution_fields(report.final_solution),
-    }
+    """The bundle of a tracker run; ``config`` is left for the caller to set."""
     snapshots = None
     if report.snapshots is not None:
-        snapshots = []
-        for entry, solution in zip(report.history, report.snapshots):
-            snapshots.append(
-                {
-                    "iteration": entry.configuration.iteration_index,
-                    "distance": float(entry.distance),
-                    "inner_iterations": entry.inner_iterations,
-                    "interfaces": [
-                        [b, float(x)] for b, x in entry.configuration.interfaces
-                    ],
-                    "regimes": _regime_block(entry.configuration.regimes),
-                    **solution_fields(solution),
-                }
-            )
+        snapshots = [
+            {
+                "iteration": entry.configuration.iteration_index,
+                "distance": float(entry.distance),
+                "inner_iterations": entry.inner_iterations,
+                **_state_block(entry.configuration, solution),
+            }
+            for entry, solution in zip(report.history, report.snapshots)
+        ]
     return ResultBundle(
         name=name,
         status=report.status.value,
@@ -124,11 +120,10 @@ def bundle_from_report(
         inner_converged=[e.inner_converged for e in report.history],
         distances=[float(e.distance) for e in report.history],
         mixed=[e.mixed for e in report.history],
-        final=final,
+        final=_state_block(report.final_configuration, report.final_solution),
         snapshots=snapshots,
         energy=energy,
         extras=extras,
-        config=config,
         timing_seconds=timing_seconds,
     )
 
@@ -169,16 +164,10 @@ def _write_csv(path: Path, rows: list[tuple], header: tuple[str, ...]) -> None:
 
 def _snapshot_rows(block: dict) -> dict[str, list[tuple]]:
     out: dict[str, list[tuple]] = {}
-    flux_rows = []
-    for b in sorted(block["flux"]):
-        fb = block["flux"][b]
-        flux_rows += sorted(zip([b] * len(fb["arc"]), fb["arc"], fb["value"]))
-    out["flux"] = flux_rows
-    pressure_rows = []
-    for b in sorted(block["pressure"]):
-        pb = block["pressure"][b]
-        pressure_rows += sorted(zip([b] * len(pb["arc"]), pb["arc"], pb["value"]))
-    out["pressure"] = pressure_rows
+    for name in ("flux", "pressure"):
+        out[name] = []
+        for b, values in sorted(block[name].items()):
+            out[name] += sorted(zip([b] * len(values["arc"]), values["arc"], values["value"]))
     regime_rows = []
     for b in sorted(block["regimes"]):
         labels = block["regimes"][b]

@@ -25,7 +25,8 @@ and μ follows from global mass balance. ``assemble`` builds that small system
 and ``solve_saddle`` solves it densely, recovers the fluxes and then the
 element pressures by cumulative sums along each branch, and checks the
 residual of every mixed equation. Per-node and per-element data are single
-arrays over all branches, in the flat layout of ``Mesh``.
+arrays over all branches, in the flat layout of ``Mesh``; the solution keeps
+every vertex pressure too, in the order of ``network.end_vertex``.
 
 Only λ changes between the solves of one configuration, so ``assemble``
 computes only what depends on it; the boundary data and unknowns are cached
@@ -91,38 +92,47 @@ class SaddleSystem:
 
 @dataclass
 class Solution:
-    """Discrete flux/pressure pair on a mesh.
+    """Discrete flux/pressure pair on a mesh, as the arrays of the solve.
 
     ``flux[b][i]`` is the signed flux along the tangent of branch ``b`` at its
     node ``i``; ``pressure[b][e]`` the constant pressure of element ``e``.
-    Junction pressures carry one value per intersection. A solve returns
-    ``flux`` and ``pressure`` as ``BranchArrays`` views of arrays over all
-    nodes and all elements of the mesh.
+    Both are ``BranchArrays`` views of one array over all nodes and all
+    elements of the mesh. ``vertex_pressure[v]`` is the pressure at vertex
+    ``v`` of ``network.end_vertex``, intersections first; it is shifted with
+    the element pressures under the mean anchor. ``junction_implied`` holds
+    the junction pressure each row of ``network.junction_incidence`` implies
+    (see ``implied_junction_pressures``), empty without intersections.
     """
 
     mesh: Mesh
-    flux: Mapping[str, np.ndarray]
-    pressure: Mapping[str, np.ndarray]
-    junction_pressure: dict[str, float]
+    flux: BranchArrays
+    pressure: BranchArrays
+    vertex_pressure: np.ndarray
     residual: float
-    junction_implied: dict[str, list[float]] = field(default_factory=dict, repr=False)
+    junction_implied: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
+
+    @property
+    def junction_pressure(self) -> dict[str, float]:
+        """The pressure of every intersection, by id."""
+        ids = [i.id for i in self.mesh.network.intersections]
+        return dict(zip(ids, self.vertex_pressure[: len(ids)].tolist()))
 
     def junction_continuity_defect(self) -> float:
-        """Largest spread among the per-branch implied junction pressures."""
-        spreads = [max(v) - min(v) for v in self.junction_implied.values() if v]
-        return max(spreads, default=0.0)
+        """Largest spread among the per-branch implied pressures of one intersection."""
+        if not self.junction_implied.size:
+            return 0.0
+        implied, owner = self.junction_implied, self.mesh.network.junction_incidence[:, 2]
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        spread = np.maximum.reduceat(implied, first) - np.minimum.reduceat(implied, first)
+        return float(spread.max())
 
     def midpoint_speeds(self) -> BranchArrays:
-        return frozen_speeds(self.mesh, self.mesh.flat_nodes(self.flux, "fluxes"))
+        return frozen_speeds(self.mesh, self.flux.array)
 
     def stacked(self) -> np.ndarray:
         """Node fluxes, element pressures and junction pressures, in mesh order."""
-        junctions = [self.junction_pressure[i.id] for i in self.mesh.network.intersections]
-        return np.concatenate([
-            self.mesh.flat_nodes(self.flux, "fluxes"),
-            self.mesh.flat_elements(self.pressure, "pressures"),
-            np.array(junctions, dtype=float),
-        ])
+        n = len(self.mesh.network.intersections)
+        return np.concatenate([self.flux.array, self.pressure.array, self.vertex_pressure[:n]])
 
 
 FrozenSpeed = Union[float, Mapping[str, np.ndarray]]
@@ -242,37 +252,42 @@ def solve_saddle(system: SaddleSystem) -> Solution:
         raise SingularSystemError(
             _diagnose(system, f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL}")
         )
-    intersections = mesh.network.intersections
     solution = Solution(
         mesh=mesh,
         flux=mesh.per_node(flux),
         pressure=mesh.per_element(pressure),
-        junction_pressure=dict(
-            zip([i.id for i in intersections], pressure_at[: len(intersections)].tolist())
-        ),
+        vertex_pressure=pressure_at,
         residual=residual,
     )
-    if intersections:
+    if mesh.network.intersections:
         solution.junction_implied = implied_junction_pressures(system, solution)
     return solution
 
 
-def _flux_rows(system: SaddleSystem, flux: np.ndarray) -> np.ndarray:
-    """The flux row of every node without its pressure terms.
+def _element_rows(
+    system: SaddleSystem, flux: np.ndarray, element: np.ndarray | slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's part of the flux rows of its left and of its right node.
 
-    That is the flux-mass product minus half the body force of each element
-    at the node; the pressure terms bring the row to zero.
+    That is the flux-mass product minus half the body force of the element
+    at the node; the pressure terms bring a node's row to zero.
     """
     mesh = system.mesh
-    left = mesh.left
-    h = mesh.element_lengths
-    m = system.coefficient * h / 6.0
-    half_force = mesh.force[mesh.element_branch] * h / 2.0
+    left = mesh.left[element]
+    h = mesh.element_lengths[element]
+    m = system.coefficient[element] * h / 6.0
+    half_force = mesh.force[mesh.element_branch[element]] * h / 2.0
     u_left, u_right = flux[left], flux[left + 1]
-    n_nodes = len(mesh.x)
-    return np.bincount(
-        left, m * (2.0 * u_left + u_right) - half_force, minlength=n_nodes
-    ) + np.bincount(left + 1, m * (u_left + 2.0 * u_right) - half_force, minlength=n_nodes)
+    return m * (2.0 * u_left + u_right) - half_force, m * (u_left + 2.0 * u_right) - half_force
+
+
+def _flux_rows(system: SaddleSystem, flux: np.ndarray) -> np.ndarray:
+    """The flux row of every node without its pressure terms."""
+    left, n_nodes = system.mesh.left, len(system.mesh.x)
+    at_left, at_right = _element_rows(system, flux, slice(None))
+    return np.bincount(left, at_left, minlength=n_nodes) + np.bincount(
+        left + 1, at_right, minlength=n_nodes
+    )
 
 
 def _residual(
@@ -325,35 +340,22 @@ def _diagnose(system: SaddleSystem, reason: str) -> str:
 # ``solve_saddle`` calls this by its module-level name on every solve of a
 # network with intersections: perfbench/tracing.py wraps that name, and its
 # self-test expects exactly one call per such solve.
-def implied_junction_pressures(
-    system: SaddleSystem, solution: Solution
-) -> dict[str, list[float]]:
+def implied_junction_pressures(system: SaddleSystem, solution: Solution) -> np.ndarray:
     """Junction pressure implied by each incident branch's end-flux equation.
 
-    The flux equation at a branch's node on an intersection ties the
-    junction pressure to the pressure of the element at that end, the two
-    end fluxes of that element, its frozen coefficient and the body force.
+    The flux row of a branch's node on an intersection holds only the
+    element at that end, so it ties the junction pressure to that element's
+    pressure, its two end fluxes, its frozen coefficient and the body force.
     Solving it for the junction pressure, from ``solution.flux`` and
     ``solution.pressure``, gives the value each incident branch "sees"
-    there, in the same (possibly mean-shifted) units as
-    ``solution.junction_pressure``. Their spread is zero up to rounding for
-    a solve, and rises when a branch's fluxes or pressures are off.
+    there, one per row of ``network.junction_incidence``, in the same
+    (possibly mean-shifted) units as ``solution.vertex_pressure``. Their
+    spread is zero up to rounding for a solve, and rises when a branch's
+    fluxes or pressures are off.
     """
     mesh = system.mesh
-    intersections = mesh.network.intersections
-    flux = mesh.flat_nodes(solution.flux, "fluxes")
-    pressure = mesh.flat_elements(solution.pressure, "pressures")
     k, at_end, _ = mesh.network.junction_incidence.T
-    at_end = at_end == 1
-    sign = _END_SIGN[at_end.astype(np.intp)]
-    node = np.where(at_end, mesh.node_offset[k + 1] - 1, mesh.node_offset[k])
-    element = np.where(at_end, mesh.element_offset[k + 1] - 1, mesh.element_offset[k])
-    h = mesh.element_lengths[element]
-    m = system.coefficient[element] * h / 6.0
-    neighbour = flux[np.where(at_end, node - 1, node + 1)]
-    implied = pressure[element] + sign * (
-        mesh.force[k] * h / 2.0 - m * (2.0 * flux[node] + neighbour)
-    )
-    bounds = np.cumsum([0] + [len(i.incident) for i in intersections]).tolist()
-    implied = implied.tolist()
-    return {i.id: implied[a:b] for i, a, b in zip(intersections, bounds, bounds[1:])}
+    element = np.where(at_end == 1, mesh.element_offset[k + 1] - 1, mesh.element_offset[k])
+    at_left, at_right = _element_rows(system, solution.flux.array, element)
+    row = np.where(at_end == 1, at_right, at_left)
+    return solution.pressure.array[element] - _END_SIGN[at_end] * row

@@ -132,19 +132,9 @@ class Mesh:
 
         Raises ``ValueError`` naming ``what`` when they do not match the mesh.
         """
-        return self._flat(values, self.element_offset, what)
-
-    def flat_nodes(self, values: Mapping[str, np.ndarray], what: str) -> np.ndarray:
-        """Per-branch arrays over the nodes as one array in mesh order.
-
-        Raises ``ValueError`` naming ``what`` when they do not match the mesh.
-        """
-        return self._flat(values, self.node_offset, what)
-
-    def _flat(self, values: Mapping[str, np.ndarray], offset: np.ndarray, what: str):
-        if isinstance(values, BranchArrays) and values.offset is offset:
+        if isinstance(values, BranchArrays) and values.offset is self.element_offset:
             return values.array
-        counts = np.diff(offset)
+        counts = np.diff(self.element_offset)
         # every branch must be given below, so only a surplus key can name no branch
         if len(values) > len(counts):
             extra = next(b for b in values if b not in self.network.branch_index)
@@ -152,10 +142,9 @@ class Mesh:
         for b, count in zip(self.branch_ids, counts.tolist()):
             given = len(values[b]) if b in values else 0
             if given != count:
-                unit = "nodes" if offset is self.node_offset else "elements"
                 raise ValueError(
                     f"{what} do not match the mesh on branch {b!r}: "
-                    f"{given} values for its {count} {unit}"
+                    f"{given} values for its {count} elements"
                 )
         return np.concatenate([values[b] for b in self.branch_ids])
 

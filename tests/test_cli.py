@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import dfnflow.config
 import dfnflow.presets
 from dfnflow.cli import main
 from dfnflow.config import load_config, spec_to_dict
@@ -352,3 +353,44 @@ def test_the_mean_anchored_darcy_example_sweeps_from_a_negative_k2(tmp_path, cap
     assert capsys.readouterr().out.startswith(
         "k2=-1: error\nk2=0.5: converged\nk2=2: converged\n"
     )
+
+
+def test_preset_h_flag_is_checked_by_the_config_rule(tmp_path, capsys):
+    assert main(["preset", "case1-linear", "--h", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "configuration error: --h must be positive, got 0.0\n"
+
+
+def test_solve_parses_and_validates_the_config_once(tmp_path, monkeypatch):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"h": 0.25, "init_labels": {"f": [0, 1, 1, 0]}}
+    config = write_config(tmp_path, doc)
+    calls = []
+    validate = dfnflow.config.validate_network
+    monkeypatch.setattr(
+        dfnflow.config, "validate_network", lambda net: calls.append(net) or validate(net)
+    )
+    assert main(["solve", str(config), "--max-outer", "5", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [[], {**MINIMAL, "solver": []}, {**MINIMAL, "output": 3}])
+def test_a_document_or_block_that_is_no_object_is_a_config_error_with_flags_given(
+    tmp_path, capsys, doc
+):
+    config = write_config(tmp_path, doc)
+    argv = ["solve", str(config), "--h", "0.5", "--trace", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("file_flag, code", [(True, 0), ("yes", 1)])
+def test_solve_reads_a_network_file_beside_the_config(tmp_path, capsys, file_flag, code):
+    network = {"network": MINIMAL["network"], "approximate": file_flag}
+    (tmp_path / "net.json").write_text(json.dumps(network))
+    config = write_config(tmp_path, {"network_file": "net.json", "law": MINIMAL["law"]})
+    out = tmp_path / "out"
+    assert main(["solve", str(config), "--h", "0.5", "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("configuration error: net.json:approximate ")
+    else:
+        assert json.loads((out / "solve.json").read_text())["config"]["approximate"] is True

@@ -123,7 +123,7 @@ def test_three_branch_star_splits_influx():
     balance = sum(sol.flux[b][-1] for b in ("A", "B", "C"))
     assert abs(balance) <= 1e-12
     implied = implied_junction_pressures(system, sol)
-    assert max(implied["J"]) - min(implied["J"]) <= 1e-12
+    assert implied.max() - implied.min() <= 1e-12
 
 
 def test_junction_diagnostic_sees_shifted_branch_pressures():
@@ -154,6 +154,32 @@ def test_junction_diagnostic_sees_shifted_branch_pressures():
     sol.pressure["B"][:] += delta
     sol.junction_implied = implied_junction_pressures(system, sol)
     assert sol.junction_continuity_defect() == pytest.approx(delta, rel=1e-6)
+
+
+def test_junction_diagnostic_spreads_are_taken_per_intersection():
+    # nine intersections of degree 3 and 4 at different pressures: only a
+    # spread within each intersection stays at rounding level, and shifting
+    # one branch's element pressures shows as that shift at its two ends
+    net, _ = benchmark_network()
+    system, sol = solve_network(net, 0.05)
+    assert np.ptp(sol.vertex_pressure[: len(net.intersections)]) > 0.1
+    assert sol.junction_continuity_defect() <= 1e-12
+    delta = 1e-6
+    sol.pressure["v2b"][:] += delta
+    sol.junction_implied = implied_junction_pressures(system, sol)
+    assert sol.junction_continuity_defect() == pytest.approx(delta, rel=1e-6)
+
+
+def test_vertex_pressure_holds_the_conditions_and_the_junction_pressures():
+    for seed in range(20):
+        net = random_network(np.random.default_rng(seed))
+        _, sol = solve_network(net, 0.2)
+        for (bid, which), bc in net.boundary.conditions.items():
+            if isinstance(bc, PressureBC):
+                vertex = net.end_vertex[net.branch_index[bid], int(which == network.END)]
+                assert sol.vertex_pressure[vertex] == bc.pressure
+        junctions = [sol.junction_pressure[i.id] for i in net.intersections]
+        assert sol.vertex_pressure[: len(junctions)].tolist() == junctions
 
 
 def test_case_data_mass_balance():
@@ -460,8 +486,9 @@ def test_conservation_on_random_networks():
                 total += n_out * sol.flux[bid][node]
             assert abs(total) <= 1e-10
         implied = implied_junction_pressures(system, sol)
-        for values in implied.values():
-            assert max(values) - min(values) <= 1e-10
+        for j in range(len(net.intersections)):
+            values = implied[net.junction_incidence[:, 2] == j]
+            assert values.max() - values.min() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
