@@ -19,7 +19,6 @@ from .config import (
 )
 from .energy import (
     EnergyReport,
-    LiftedField,
     MinimizationResult,
     energy_of,
     lift_field,

@@ -3,7 +3,9 @@
 On a single branch with pressure data at both ends, the divergence-free
 velocity fields are exactly the constants, so the energy restricted to them
 is a scalar function E(alpha) of the constant alpha added to a lifted field
-carrying the source and boundary-flux data. Its minimizer is an independent
+carrying the source and boundary-flux data. That field is the solve's own
+``Mesh.source_profile`` (the mean anchor's multiplier included), so the
+reduction and the solver see one problem. Its minimizer is an independent
 oracle for the mixed finite element solution: the solver's velocity minus the
 lifted field must be the constant that minimizes E. With any velocity
 condition present the divergence-free space collapses to zero and the lifted
@@ -64,46 +66,34 @@ _CHEB_S = (_CHEB_NODES + 1.0) / 2.0
 _CHEB_FIT = np.polynomial.chebyshev.chebvander(_CHEB_NODES, 3) * [0.25, 0.5, 0.5, 0.5]
 
 
-def _single_branch(mesh: Mesh) -> str:
-    ids = mesh.branch_ids
-    if len(ids) != 1:
+def _single_branch(mesh: Mesh) -> None:
+    count = len(mesh.branch_ids)
+    if count != 1:
         raise ValueError(
             "energy reduction is implemented for single-branch problems only; "
-            f"this network has {len(ids)} branches"
+            f"this network has {count} branches"
         )
-    return ids[0]
 
 
-@dataclass(frozen=True)
-class LiftedField:
-    """Piecewise-linear flux carrying the source and boundary-flux data.
+def lift_field(mesh: Mesh) -> np.ndarray:
+    """Node values of the lifted flux of a single-branch problem.
 
-    Node values satisfy value[i+1] - value[i] = integral of the source over
-    element i. With pressure data at both ends the representative is anchored
-    at zero inflow, value(0) = 0, so value(x) is the cumulative source
-    integral; a velocity condition anchors the field to its prescribed end
-    flux instead. The remaining constant ambiguity is carried by the scalar
-    reduction, not by this field.
+    The field is the solve's ``mesh.source_profile``: value[i+1] - value[i]
+    is the source integral over element i plus mu h_i, mu being the mean
+    anchor's multiplier (0 without one), so the oracle reduces the problem
+    the solver solved. With pressure data at both ends it is anchored at
+    zero inflow, value(0) = 0; a velocity condition anchors it to its
+    prescribed end flux instead. The remaining constant ambiguity is carried
+    by the scalar reduction, not by this field.
     """
-
-    branch_id: str
-    nodes: np.ndarray
-    values: np.ndarray
-
-
-def lift_field(mesh: Mesh) -> LiftedField:
-    """Lifted flux field of a single-branch problem."""
-    bid = _single_branch(mesh)
-    cumulative = np.concatenate([[0.0], np.cumsum(mesh.element_sources)])
+    _single_branch(mesh)
+    profile = mesh.source_profile
     plan, (start, end) = mesh.network.boundary_plan, mesh.network.end_vertex[0]
-    anchor = 0.0
     if plan.velocity[start]:
-        anchor = -plan.outflux[start]
-    elif plan.velocity[end]:
-        anchor = plan.outflux[end] - cumulative[-1]
-    return LiftedField(
-        branch_id=bid, nodes=np.array(mesh.nodes[bid]), values=anchor + cumulative
-    )
+        return profile - plan.outflux[start]
+    if plan.velocity[end]:
+        return profile + (plan.outflux[end] - profile[-1])
+    return profile.copy()
 
 
 def tangential_forcing(mesh: Mesh) -> float:
@@ -121,13 +111,6 @@ def tangential_forcing(mesh: Mesh) -> float:
     if plan.velocity.any():
         return float(mesh.force[0])
     return float(mesh.force[0] - plan.known_drop[0] / mesh.lengths[0])
-
-
-def _nodal_values(values, mesh: Mesh, bid: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if len(values) != len(mesh.nodes[bid]):
-        raise ValueError("field values do not match the mesh nodes")
-    return values
 
 
 @dataclass(frozen=True)
@@ -178,11 +161,11 @@ def energy_of(values, mesh: Mesh, law: AdaptiveLaw) -> EnergyReport:
 
     The field is the total flux (lifted part included).
     """
-    bid = _single_branch(mesh)
     forcing = tangential_forcing(mesh)
-    dissipation, load = _dissipation_and_load(
-        _nodal_values(values, mesh, bid), mesh.nodes[bid], forcing, law
-    )
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(mesh.x):
+        raise ValueError("field values do not match the mesh nodes")
+    dissipation, load = _dissipation_and_load(values, mesh.x, forcing, law)
     return EnergyReport(
         dissipation=float(dissipation),
         load=float(load),
@@ -206,7 +189,7 @@ class MinimizationResult:
     energy: float
     candidates: list[tuple[float, float]]
     alphas: np.ndarray = field(repr=False, default=None)
-    lifted: LiftedField = field(repr=False, default=None)
+    lifted: np.ndarray = field(repr=False, default=None)
 
 
 def _divided(h, wa, delta, difference, limit) -> np.ndarray:
@@ -225,17 +208,17 @@ def _divided(h, wa, delta, difference, limit) -> np.ndarray:
     return quotient
 
 
-def _element_quotients(alphas, lifted: LiftedField, mesh: Mesh, prim, limit):
+def _element_quotients(alphas, lifted: np.ndarray, mesh: Mesh, prim, limit):
     """Sum over elements of h * (prim(wb) - prim(wa)) / (wb - wa), per alpha.
 
     wa and wb are the element's node values of the lifted field plus alpha.
     An element with equal node values contributes h * limit(wa), where limit
     is the derivative of prim. prim is evaluated once per node and alpha.
     """
-    h = np.diff(mesh.nodes[lifted.branch_id])
-    w = alphas[None, :] + lifted.values[:, None]
-    delta = np.diff(lifted.values)[:, None]
-    return _divided(h[:, None], w[:-1], delta, np.diff(prim(w), axis=0), limit).sum(axis=0)
+    w = alphas[None, :] + lifted[:, None]
+    delta = np.diff(lifted)[:, None]
+    h = mesh.element_lengths[:, None]
+    return _divided(h, w[:-1], delta, np.diff(prim(w), axis=0), limit).sum(axis=0)
 
 
 def _potential(law: AdaptiveLaw):
@@ -243,20 +226,19 @@ def _potential(law: AdaptiveLaw):
     return lambda w: law.potential_physical(w**2), lambda w: w * law.phi(w**2 / law.threshold**2)
 
 
-def _slopes(alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, law: AdaptiveLaw) -> np.ndarray:
+def _slopes(alphas: np.ndarray, lifted: np.ndarray, mesh: Mesh, law: AdaptiveLaw) -> np.ndarray:
     """Derivative E'(alpha) at each alpha, in closed form.
 
     Per element, the difference quotient of the dissipation potential over
     the element's node values; on a breakpoint where E' jumps it returns one
     of the two one-sided values.
     """
-    x = mesh.nodes[lifted.branch_id]
     dissipation = _element_quotients(alphas, lifted, mesh, *_potential(law))
-    return dissipation - tangential_forcing(mesh) * (x[-1] - x[0])
+    return dissipation - tangential_forcing(mesh) * mesh.lengths[0]
 
 
 def _bracket_slopes(
-    alphas: np.ndarray, lifted: LiftedField, mesh: Mesh, law: AdaptiveLaw
+    alphas: np.ndarray, lifted: np.ndarray, mesh: Mesh, law: AdaptiveLaw
 ) -> np.ndarray:
     """E' at the four Chebyshev points of every bracket between consecutive alphas.
 
@@ -276,8 +258,7 @@ def _bracket_slopes(
     element count N beyond the sort of the breakpoints, as long as each
     straddled range holds few breakpoints.
     """
-    w, u = lifted.values, law.threshold
-    h = np.diff(lifted.nodes)
+    w, u, h = lifted, law.threshold, mesh.element_lengths
     brackets = len(alphas) - 1
     points = alphas[:-1, None] * (1.0 - _CHEB_S) + alphas[1:, None] * _CHEB_S
     # the bracket each node's breakpoint at the kinks -u, 0 and u opens, as
@@ -324,8 +305,7 @@ def _bracket_slopes(
     samples += np.bincount(
         (bracket[:, None] * 4 + np.arange(4)).ravel(), straddling.ravel(), minlength=4 * brackets
     ).reshape(-1, 4)
-    x = lifted.nodes
-    return samples - tangential_forcing(mesh) * (x[-1] - x[0])
+    return samples - tangential_forcing(mesh) * mesh.lengths[0]
 
 
 def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) -> np.ndarray:
@@ -393,7 +373,7 @@ def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
     lifted = lift_field(mesh)
 
     if mesh.network.boundary_plan.velocity.any():
-        report = energy_of(lifted.values, mesh, law)
+        report = energy_of(lifted, mesh, law)
         return MinimizationResult(
             alpha_star=0.0,
             energy=report.energy,
@@ -402,7 +382,7 @@ def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
             lifted=lifted,
         )
 
-    w, u = lifted.values, law.threshold
+    w, u = lifted, law.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
     inside = kinks[np.abs(kinks) < ALPHA_MAX]
     alphas = np.sort(np.concatenate([[-ALPHA_MAX, ALPHA_MAX], inside]))
@@ -416,7 +396,7 @@ def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
     )
     points = np.concatenate([[-ALPHA_MAX], zeros, [ALPHA_MAX]])
     dissipation, load = _dissipation_and_load(
-        lifted.values + points[:, None], lifted.nodes, tangential_forcing(mesh), law
+        lifted + points[:, None], mesh.x, tangential_forcing(mesh), law
     )
     values = dissipation - load
     best = int(np.argmin(values))
@@ -440,11 +420,10 @@ def build_energy_block(solution: Solution, law: AdaptiveLaw) -> dict:
     statistics quantify how far the flux deviates from lifted-plus-constant
     form, which is the discrete reduction the oracle relies on.
     """
-    work = solution.mesh
-    bid = work.branch_ids[0]
-    report = energy_of(solution.flux[bid], work, law)
+    work, flux = solution.mesh, solution.flux.array
+    report = energy_of(flux, work, law)
     reduction = reduce_and_minimize(work, law)
-    offsets = solution.flux[bid] - reduction.lifted.values
+    offsets = flux - reduction.lifted
     return {
         "dissipation": report.dissipation,
         "load": report.load,

@@ -104,12 +104,12 @@ def bundle_from_report(
     if report.snapshots is not None:
         snapshots = [
             {
-                "iteration": entry.configuration.iteration_index,
+                "iteration": i,
                 "distance": float(entry.distance),
                 "inner_iterations": entry.inner_iterations,
                 **_state_block(entry.configuration, solution),
             }
-            for entry, solution in zip(report.history, report.snapshots)
+            for i, (entry, solution) in enumerate(zip(report.history, report.snapshots), 1)
         ]
     return ResultBundle(
         name=name,

@@ -109,7 +109,6 @@ class Configuration:
 
     regimes: RegimeField
     interfaces: tuple[InterfacePoint, ...]
-    iteration_index: int
 
 
 @dataclass
@@ -330,7 +329,6 @@ def track(
         configuration = Configuration(
             regimes=RegimeField(next_mesh.per_element(_labels_on(next_mesh, new))),
             interfaces=new_interfaces,
-            iteration_index=i,
         )
         history.append(
             HistoryEntry(
@@ -375,7 +373,7 @@ def track(
 
     return TrackerReport(
         status=status,
-        period=period if status == TrackerStatus.OSCILLATING else None,
+        period=period,
         history=history,
         final_solution=last_result.solution,
         snapshots=snapshots,

@@ -39,7 +39,6 @@ from dfnflow.energy import (
     EnergyReport,
     MinimizationResult,
     _element_quotients,
-    _nodal_values,
     _slopes,
     lift_field,
     tangential_forcing,
@@ -582,8 +581,8 @@ def closed_form_energies(alphas, lifted, mesh, law) -> np.ndarray:
     potential over the node values, divided by their difference: exact in
     arithmetic, but the quotient cancels about 1e-13 near |alpha| = 10.
     """
-    x = mesh.nodes[lifted.branch_id]
-    lifted_integral = float(np.dot(np.diff(x), 0.5 * (lifted.values[:-1] + lifted.values[1:])))
+    x = mesh.x
+    lifted_integral = float(np.dot(np.diff(x), 0.5 * (lifted[:-1] + lifted[1:])))
     dissipation = _element_quotients(
         alphas,
         lifted,
@@ -661,7 +660,7 @@ def bisect_reduce(mesh, law):
     """
     lifted = lift_field(mesh)
     amax = ALPHA_MAX
-    w, u = lifted.values, law.threshold
+    w, u = lifted, law.threshold
     kinks = np.concatenate([-w, u - w, -u - w])
     alphas = np.unique(np.concatenate([[-amax, amax], kinks[np.abs(kinks) < amax]]))
 
@@ -714,9 +713,10 @@ def loop_energy_of(field, mesh, law):
     threshold speed, its negative and zero, and a 3-point Gauss rule is
     applied on every piece; the load is summed element by element.
     """
-    bid = mesh.branch_ids[0]
-    values = _nodal_values(field, mesh, bid)
-    x = mesh.nodes[bid]
+    values = np.asarray(field, dtype=float)
+    x = mesh.x
+    if len(values) != len(x):
+        raise ValueError("field values do not match the mesh nodes")
     forcing = tangential_forcing(mesh)
     pts, wts = np.polynomial.legendre.leggauss(3)
     dissipation = 0.0
@@ -983,7 +983,6 @@ def plain_track(
         configuration = Configuration(
             regimes=labels_from_runs(next_mesh, runs_new),
             interfaces=gamma_tuple,
-            iteration_index=i,
         )
         history.append(
             HistoryEntry(

@@ -147,7 +147,7 @@ def _oracle_crossings(mesh, law, alpha):
     """Points where the lifted field plus ``alpha`` crosses +-threshold."""
     lifted = lift_field(mesh)
     ubar = law.threshold
-    x, v = lifted.nodes, lifted.values + alpha
+    x, v = mesh.x, lifted + alpha
     crossings = []
     for e in range(len(x) - 1):
         w1, w2 = v[e], v[e + 1]
@@ -167,7 +167,7 @@ def test_criterion_03_case1_linear_tracking():
     high = track(mesh, law, initial="high")
     alpha_star = reduce_and_minimize(mesh, law).alpha_star
     final = low.final_solution
-    offsets = final.flux["f"] - lift_field(final.mesh).values
+    offsets = final.flux["f"] - lift_field(final.mesh)
     spread = float(offsets.max() - offsets.min())
     mismatch = abs(float(offsets.mean()) - alpha_star)
     tracked = low.final_configuration.interfaces
@@ -280,14 +280,14 @@ def _induced_offsets(mesh, law, alpha):
     work = split_mesh_at(mesh, _oracle_crossings(mesh, law, alpha))
     fine = lift_field(work)
     midpoints = work.per_element(work.midpoints)["f"]
-    speeds = np.abs(np.interp(midpoints, fine.nodes, fine.values) + alpha)
+    speeds = np.abs(np.interp(midpoints, work.x, fine) + alpha)
     labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
     result = picard_solve(work, labels, law)
     solved = np.abs(result.solution.flux["f"][:-1] + result.solution.flux["f"][1:]) / 2
     consistent = np.array_equal(
         np.where(solved < ubar, 0, 1), labels.labels["f"]
     )
-    return result.solution.flux["f"] - fine.values, consistent
+    return result.solution.flux["f"] - fine, consistent
 
 
 def test_criterion_07_energy_oracle_equivalence():

@@ -26,6 +26,7 @@ from dfnflow.network import (
 )
 from dfnflow.picard import PicardSettings
 from dfnflow.presets import (
+    alternating_source,
     darcy_forchheimer_pair,
     darcy_pair,
     run_case,
@@ -54,14 +55,14 @@ class TestLiftedField:
     def test_zero_source_gives_zero_lift(self):
         mesh = build_mesh(plain_branch(), 0.25)
         lifted = lift_field(mesh)
-        assert np.allclose(lifted.values, 0.0)
+        assert np.allclose(lifted, 0.0)
 
     def test_alternating_source_cumulative_integrals(self):
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        assert np.interp(0.3, lifted.nodes, lifted.values) == pytest.approx(0.3, abs=1e-13)
-        assert np.interp(0.7, lifted.nodes, lifted.values) == pytest.approx(-0.1, abs=1e-13)
-        assert np.interp(1.0, lifted.nodes, lifted.values) == pytest.approx(0.2, abs=1e-13)
+        assert np.interp(0.3, mesh.x, lifted) == pytest.approx(0.3, abs=1e-13)
+        assert np.interp(0.7, mesh.x, lifted) == pytest.approx(-0.1, abs=1e-13)
+        assert np.interp(1.0, mesh.x, lifted) == pytest.approx(0.2, abs=1e-13)
 
     def test_velocity_anchor_at_start(self):
         net = plain_branch(
@@ -69,7 +70,7 @@ class TestLiftedField:
         )
         mesh = build_mesh(net, 0.25)
         lifted = lift_field(mesh)
-        assert np.allclose(lifted.values, mesh.nodes["f"], atol=1e-13)
+        assert np.allclose(lifted, mesh.nodes["f"], atol=1e-13)
 
     def test_nonzero_inflow_anchor(self):
         # outward flux -0.3 at the start means flux +0.3 along the branch
@@ -78,7 +79,7 @@ class TestLiftedField:
         )
         mesh = build_mesh(net, 0.25)
         lifted = lift_field(mesh)
-        assert np.allclose(lifted.values, 0.3 + mesh.nodes["f"], atol=1e-13)
+        assert np.allclose(lifted, 0.3 + mesh.nodes["f"], atol=1e-13)
 
     def test_velocity_anchor_at_end(self):
         net = plain_branch(
@@ -86,7 +87,7 @@ class TestLiftedField:
         )
         mesh = build_mesh(net, 0.25)
         lifted = lift_field(mesh)
-        assert lifted.values[-1] == pytest.approx(0.7, abs=1e-13)
+        assert lifted[-1] == pytest.approx(0.7, abs=1e-13)
 
     def test_multi_branch_networks_rejected(self):
         from dfnflow.presets import crossing_network
@@ -94,6 +95,18 @@ class TestLiftedField:
         mesh = build_mesh(crossing_network(), 0.25)
         with pytest.raises(ValueError, match="single-branch"):
             lift_field(mesh)
+
+    @pytest.mark.parametrize("h", [0.05, 0.01])
+    def test_is_the_source_profile_of_the_solve(self, h):
+        mesh = build_mesh(single_fracture_network(), h)
+        assert np.array_equal(lift_field(mesh), mesh.source_profile)
+
+    def test_start_velocity_shifts_the_source_profile(self):
+        net = plain_branch(q=PiecewiseSource(pieces=(1.0,)), bc_start=VelocityBC(-0.3))
+        mesh = build_mesh(net, 0.25)
+        outflux = mesh.network.boundary_plan.outflux[mesh.network.end_vertex[0, 0]]
+        assert outflux == -0.3
+        assert np.array_equal(lift_field(mesh), mesh.source_profile - outflux)
 
 
 class TestEnergyOf:
@@ -164,7 +177,7 @@ class TestEnergyOf:
         law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.01, 3.0), 0.15)
         mesh = build_mesh(single_fracture_network(), 0.1)
         lifted = lift_field(mesh)
-        values = lifted.values - 0.05  # crosses the threshold inside elements
+        values = lifted - 0.05  # crosses the threshold inside elements
         report = energy_of(values, mesh, law)
         reference = midpoint_dissipation(values, mesh.nodes["f"], law)
         assert report.dissipation == pytest.approx(reference, abs=1e-7)
@@ -173,15 +186,15 @@ class TestEnergyOf:
         law = darcy_pair()
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        report = energy_of(lifted.values, mesh, law)
-        reference = midpoint_dissipation(lifted.values, mesh.nodes["f"], law)
+        report = energy_of(lifted, mesh, law)
+        reference = midpoint_dissipation(lifted, mesh.nodes["f"], law)
         assert report.dissipation == pytest.approx(reference, abs=1e-9)
 
     def test_energy_identity(self):
         law = darcy_pair()
         mesh = build_mesh(single_fracture_network(), 0.05)
         lifted = lift_field(mesh)
-        report = energy_of(lifted.values, mesh, law)
+        report = energy_of(lifted, mesh, law)
         assert report.energy == pytest.approx(
             report.dissipation - report.load, abs=1e-15
         )
@@ -235,7 +248,7 @@ class TestReduction:
         result = brute_reduce(mesh, law, alpha_max=1.0, count=2001)
         idx = np.linspace(0, 2000, 9, dtype=int)
         for k in idx:
-            direct = energy_of(lifted.values + result.alphas[k], mesh, law).energy
+            direct = energy_of(lifted + result.alphas[k], mesh, law).energy
             assert result.energies[k] == pytest.approx(direct, abs=1e-11)
 
     def test_convex_profile_has_nonnegative_second_differences(self):
@@ -373,7 +386,7 @@ def test_candidate_energies_are_energy_of_their_fields(seed):
     mesh, law = random_single_fracture(np.random.default_rng(seed))
     result = reduce_and_minimize(mesh, law)
     for alpha, energy in result.candidates:
-        assert energy == energy_of(result.lifted.values + alpha, mesh, law).energy
+        assert energy == energy_of(result.lifted + alpha, mesh, law).energy
 
 
 def assert_bracket_samples_match_the_closed_form(mesh, law):
@@ -399,14 +412,14 @@ def test_bracket_samples_of_an_element_straddling_two_kinks():
     # an element whose node values lie more than the threshold apart
     # straddles two kinks over the brackets between them, and counts once
     mesh, law = random_single_fracture(np.random.default_rng(190))
-    assert np.abs(np.diff(lift_field(mesh).values)).max() > law.threshold
+    assert np.abs(np.diff(lift_field(mesh))).max() > law.threshold
     assert_bracket_samples_match_the_closed_form(mesh, law)
 
 
 def test_bracket_samples_on_a_source_free_branch():
     # every element is flat and adds h * prim'(w) inside its piece
     mesh = build_mesh(plain_branch(force=(0.3, 0.0)), 0.1)
-    assert (np.diff(lift_field(mesh).values) == 0.0).all()
+    assert (np.diff(lift_field(mesh)) == 0.0).all()
     assert_bracket_samples_match_the_closed_form(mesh, darcy_forchheimer_pair())
 
 
@@ -461,7 +474,7 @@ class TestFemOracleAgreement:
 
         lifted = lift_field(mesh)
         ubar = law.threshold
-        x, v = lifted.nodes, lifted.values + alpha
+        x, v = mesh.x, lifted + alpha
         crossings = []
         for e in range(len(x) - 1):
             w1, w2 = v[e], v[e + 1]
@@ -473,10 +486,10 @@ class TestFemOracleAgreement:
         work = split_mesh_at(mesh, crossings)
         fine = lift_field(work)
         midpoints = work.per_element(work.midpoints)["f"]
-        speeds = np.abs(np.interp(midpoints, fine.nodes, fine.values) + alpha)
+        speeds = np.abs(np.interp(midpoints, work.x, fine) + alpha)
         labels = RegimeField({"f": np.where(speeds < ubar, 0, 1).astype(np.int8)})
         result = picard_solve(work, labels, law)
-        return result.solution.flux["f"] - fine.values
+        return result.solution.flux["f"] - fine
 
     @pytest.mark.parametrize("k2", [10.0, 0.5625])
     def test_minimizer_matches_the_mixed_solve(self, k2):
@@ -510,6 +523,27 @@ class TestFemOracleAgreement:
         energy = bundle.energy
         assert abs(energy["fem_offset_mean"] - energy["alpha_star"]) <= 0.1 * h**2
 
+    def test_mean_anchor_with_unbalanced_velocity_data(self):
+        """The oracle reduces the problem the solve solved under a mean anchor.
+
+        Sources integrate to 0.2 but the velocity data take out 0.3, so the
+        solve absorbs the mismatch as the uniform sink mu = -0.1; the lifted
+        field carries the same mu, and the solver's flux is that field
+        exactly, with the same energy.
+        """
+        net = FractureNetwork(
+            branches=(Branch("f", (0.0, 0.5), (1.0, 0.5)),),
+            boundary=BoundarySpec(
+                {("f", "start"): VelocityBC(-0.2), ("f", "end"): VelocityBC(0.5)},
+                mean_pressure=0.0,
+            ),
+            sources=SourceSpec(scalar={"f": alternating_source()}),
+        )
+        law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 0.15)
+        energy = run_case("mean-anchored-unbalanced", net, law).energy
+        assert energy["fem_offset_spread"] <= 1e-12
+        assert abs(energy["alpha_energy"] - energy["energy"]) <= 1e-12
+
 
 class TestLocalMinimalityProbe:
     """Local minimality against the exact line minimum of the reduced energy.
@@ -523,7 +557,7 @@ class TestLocalMinimalityProbe:
         mesh = solution.mesh
         flux = solution.flux["f"]
         result = reduce_and_minimize(mesh, law)
-        offsets = flux - result.lifted.values
+        offsets = flux - result.lifted
         assert len(result.candidates) == 1
         assert abs(float(offsets.mean()) - result.alpha_star) <= 1e-12
         assert float(offsets.max() - offsets.min()) <= 1e-12
@@ -553,11 +587,11 @@ class TestLocalMinimalityProbe:
         lifted = lift_field(mesh)
         result = reduce_and_minimize(mesh, law)
         assert abs(result.alpha_star - 0.1) > 1e-3
-        energy = energy_of(lifted.values + 0.1, mesh, law).energy
+        energy = energy_of(lifted + 0.1, mesh, law).energy
         assert energy > result.energy + 1e-10
         # a small step toward alpha* lowers the energy
         toward = 1e-3 * np.sign(result.alpha_star - 0.1)
-        assert energy_of(lifted.values + 0.1 + toward, mesh, law).energy < energy - 1e-10
+        assert energy_of(lifted + 0.1 + toward, mesh, law).energy < energy - 1e-10
 
     def test_single_law_minimizer_passes(self):
         # equal coefficients: the classical quadratic energy, one minimizer
@@ -573,7 +607,7 @@ class TestLocalMinimalityProbe:
         mesh = build_mesh(net, 0.25)
         law = darcy_pair()
         result = reduce_and_minimize(mesh, law)
-        energy = energy_of(result.lifted.values, mesh, law).energy
+        energy = energy_of(result.lifted, mesh, law).energy
         assert result.alpha_star == 0.0
         assert result.alphas.tolist() == [0.0]
         assert result.candidates == [(0.0, energy)]

@@ -45,7 +45,7 @@ def multi_interface_case():
 def oracle_offsets(report, mesh, law):
     """Final flux minus the lifted field, and the energy minimizer alpha*."""
     final = report.final_solution
-    offsets = final.flux["f"] - lift_field(final.mesh).values
+    offsets = final.flux["f"] - lift_field(final.mesh)
     return offsets, reduce_and_minimize(mesh, law).alpha_star
 
 
