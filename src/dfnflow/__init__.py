@@ -12,7 +12,6 @@ from .config import (
     ConfigError,
     OutputSettings,
     ProblemSpec,
-    SolverSettings,
     load_config,
     parse_config,
     spec_to_dict,

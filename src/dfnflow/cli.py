@@ -120,7 +120,7 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.k2_values.split(",")]
     else:
         values = k2_grid()
-    bundle = sweep_k2("sweep-k2", spec.network, spec.law, values, spec.solver, spec.output.trace)
+    bundle = sweep_k2("sweep-k2", spec, values)
     paths = export_bundle(bundle, args.out, spec.output.format)
     for row in bundle.extras["sweep"]:
         print(f"k2={row['k2']:g}: {row['status']}")

@@ -5,6 +5,10 @@ reference to a separate network file), a law block, solver settings and
 output settings. Unknown keys anywhere are errors, and so are values of the
 wrong type; error messages carry the offending key path. See
 docs/config-schema.md for the full format.
+
+The ``solver`` block parses into the loops' own settings, and only this
+module knows its names for them: ``eps_nl`` and ``max_inner`` set
+``PicardSettings``, ``eps_omega`` and ``max_outer`` ``TrackerSettings``.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
+from .fem import RegimeField
 from .laws import AdaptiveLaw, LawBranch
 from .meshing import build_mesh
 from .network import (
@@ -41,18 +48,8 @@ class ConfigError(ValueError):
 
 DEFAULT_H = 0.05
 
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """The ``solver`` block; the loops' settings default to their own defaults."""
-
-    h: float = DEFAULT_H
-    eps_nl: float = PicardSettings.tolerance
-    eps_omega: float | None = None
-    max_outer: int = TrackerSettings.max_outer
-    max_inner: int = PicardSettings.max_iterations
-    init: str = "low"
-    init_labels: Mapping[str, tuple[int, ...]] | None = None
+# The keys of the ``solver`` block, in the order ``spec_to_dict`` writes them.
+SOLVER_KEYS = ("h", "eps_nl", "eps_omega", "max_outer", "max_inner", "init", "init_labels")
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,29 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A problem, its mesh size and loop settings, and its output.
+
+    ``initial`` is the tracker's start: the uniform regime ``init``, or the
+    label of every element in ``init_labels`` when that is set.
+    """
+
     network: FractureNetwork
     law: AdaptiveLaw
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    h: float = DEFAULT_H
+    picard: PicardSettings = field(default_factory=PicardSettings)
+    tracker: TrackerSettings = field(default_factory=TrackerSettings)
+    init: str = "low"
+    init_labels: Mapping[str, tuple[int, ...]] | None = None
     output: OutputSettings = field(default_factory=OutputSettings)
     approximate: bool = False
+
+    @property
+    def initial(self) -> str | RegimeField:
+        if self.init_labels is None:
+            return self.init
+        return RegimeField(
+            {b: np.array(labels, dtype=np.int8) for b, labels in self.init_labels.items()}
+        )
 
 
 # The type checks below try the concrete types a JSON document holds (dict,
@@ -106,6 +121,12 @@ def _cap(value, path: str) -> int:
     if v < 1:
         raise ConfigError(f"{path} must be at least 1, got {v}")
     return v
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
 
 
 def _flag(value, path: str) -> bool:
@@ -174,7 +195,7 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
         _require_keys(item, {"id", "start", "end"}, p)
         branches.append(
             Branch(
-                id=str(_get(item, "id", p)),
+                id=_string(_get(item, "id", p), p + "id"),
                 start=_as_point(_get(item, "start", p), p + "start"),
                 end=_as_point(_get(item, "end", p), p + "end"),
             )
@@ -189,10 +210,10 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
             pair = _list(pair, f"{p}incident[{j}]")
             if len(pair) != 2 or pair[1] not in (START, END):
                 raise ConfigError(f"{p}incident entries must be [branch, 'start'|'end']")
-            incident.append((str(pair[0]), str(pair[1])))
+            incident.append((_string(pair[0], f"{p}incident[{j}][0]"), pair[1]))
         intersections.append(
             Intersection(
-                id=str(_get(item, "id", p)),
+                id=_string(_get(item, "id", p), p + "id"),
                 point=_as_point(_get(item, "point", p), p + "point"),
                 incident=tuple(incident),
             )
@@ -210,7 +231,7 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
             raise ConfigError(f"{p}end must be 'start' or 'end'")
         kind = _get(item, "type", p)
         value = _number(_get(item, "value", p), p + "value")
-        key = (str(_get(item, "branch", p)), end)
+        key = (_string(_get(item, "branch", p), p + "branch"), end)
         if key in conditions:
             raise ConfigError(f"{p}: duplicate condition on end {key}")
         if kind == "pressure":
@@ -236,7 +257,10 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
             source = PiecewiseSource(breakpoints=breakpoints, pieces=pieces)
         except ValueError as exc:
             raise ConfigError(f"{p}: {exc}") from exc
-        scalar[str(_get(item, "branch", p))] = source
+        branch = _string(_get(item, "branch", p), p + "branch")
+        if branch in scalar:
+            raise ConfigError(f"{p.rstrip('.')}: duplicate source on branch {branch!r}")
+        scalar[branch] = source
     force_doc = sources_doc.get("force", [0.0, 0.0])
     sources = SourceSpec(scalar=scalar, force=_as_point(force_doc, path + "sources.force"))
 
@@ -305,24 +329,21 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
 
     law = law_from_dict(_get(document, "law", ""))
 
-    solver_doc = document.get("solver", {})
-    _require_keys(solver_doc, {f.name for f in fields(SolverSettings)}, "solver.")
-    init = solver_doc.get("init", SolverSettings.init)
+    solver = document.get("solver", {})
+    _require_keys(solver, set(SOLVER_KEYS), "solver.")
+    init = solver.get("init", ProblemSpec.init)
     if init not in ("low", "high"):
         raise ConfigError("solver.init must be 'low' or 'high'")
-    init_labels = solver_doc.get("init_labels")
+    init_labels = solver.get("init_labels")
     if init_labels is not None:
         init_labels = _init_labels(init_labels)
-    eps_omega = solver_doc.get("eps_omega")
-    solver = SolverSettings(
-        h=positive(solver_doc.get("h", SolverSettings.h), "solver.h"),
-        eps_nl=positive(solver_doc.get("eps_nl", SolverSettings.eps_nl), "solver.eps_nl"),
-        eps_omega=None if eps_omega is None else positive(eps_omega, "solver.eps_omega"),
-        max_outer=_cap(solver_doc.get("max_outer", SolverSettings.max_outer), "solver.max_outer"),
-        max_inner=_cap(solver_doc.get("max_inner", SolverSettings.max_inner), "solver.max_inner"),
-        init=init,
-        init_labels=init_labels,
-    )
+    h = positive(solver.get("h", DEFAULT_H), "solver.h")
+    eps_nl = positive(solver.get("eps_nl", PicardSettings.tolerance), "solver.eps_nl")
+    eps_omega = solver.get("eps_omega", TrackerSettings.eps_omega)
+    if eps_omega is not None:
+        eps_omega = positive(eps_omega, "solver.eps_omega")
+    max_outer = _cap(solver.get("max_outer", TrackerSettings.max_outer), "solver.max_outer")
+    max_inner = _cap(solver.get("max_inner", PicardSettings.max_iterations), "solver.max_inner")
 
     output_doc = document.get("output", {})
     _require_keys(output_doc, {"trace", "format"}, "output.")
@@ -335,7 +356,11 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     return ProblemSpec(
         network=network,
         law=law,
-        solver=solver,
+        h=h,
+        picard=PicardSettings(tolerance=eps_nl, max_iterations=max_inner),
+        tracker=TrackerSettings(eps_omega=eps_omega, max_outer=max_outer),
+        init=init,
+        init_labels=init_labels,
         output=output,
         approximate=approximate,
     )
@@ -343,13 +368,13 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
 
 def check_init_labels(spec: ProblemSpec) -> None:
     """Check ``solver.init_labels`` against the mesh at ``solver.h``: its branches and elements."""
-    if spec.solver.init_labels is None:
+    if spec.init_labels is None:
         return
-    mesh = build_mesh(spec.network, spec.solver.h)
+    mesh = build_mesh(spec.network, spec.h)
     try:
-        mesh.flat_elements(spec.solver.init_labels, "solver.init_labels")
+        mesh.flat_elements(spec.init_labels, "solver.init_labels")
     except ValueError as exc:
-        raise ConfigError(f"{exc} at h = {spec.solver.h}") from None
+        raise ConfigError(f"{exc} at h = {spec.h}") from None
 
 
 def load_document(path: Path) -> Any:
@@ -426,20 +451,18 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
             "threshold": spec.law.threshold,
         },
         "solver": {
-            "h": spec.solver.h,
-            "eps_nl": spec.solver.eps_nl,
-            "max_outer": spec.solver.max_outer,
-            "max_inner": spec.solver.max_inner,
-            "init": spec.solver.init,
+            "h": spec.h,
+            "eps_nl": spec.picard.tolerance,
+            "max_outer": spec.tracker.max_outer,
+            "max_inner": spec.picard.max_iterations,
+            "init": spec.init,
         },
         "output": {"trace": spec.output.trace, "format": spec.output.format},
     }
-    if spec.solver.eps_omega is not None:
-        doc["solver"]["eps_omega"] = spec.solver.eps_omega
-    if spec.solver.init_labels is not None:
-        doc["solver"]["init_labels"] = {
-            b: list(v) for b, v in spec.solver.init_labels.items()
-        }
+    if spec.tracker.eps_omega is not None:
+        doc["solver"]["eps_omega"] = spec.tracker.eps_omega
+    if spec.init_labels is not None:
+        doc["solver"]["init_labels"] = {b: list(v) for b, v in spec.init_labels.items()}
     if spec.approximate:
         doc["approximate"] = True
     return doc

@@ -15,6 +15,7 @@ the sign of the coefficient jump at the switch.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,10 +45,13 @@ class LawBranch:
     slope: float = 0.0
 
     def __post_init__(self):
+        got = f"got ({self.intercept}, {self.slope})"
+        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
+            raise ValueError(f"law branch needs finite parameters; {got}")
         if self.intercept < 0 or self.slope < 0 or self.intercept + self.slope <= 0:
             raise ValueError(
                 "law branch needs intercept >= 0 and slope >= 0, and their sum must be "
-                f"positive; got ({self.intercept}, {self.slope})"
+                f"positive; {got}"
             )
 
     def phi(self, a):
@@ -87,8 +91,8 @@ class AdaptiveLaw:
     threshold: float = 1.0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError(f"threshold speed must be positive, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold speed must be positive and finite, got {self.threshold}")
 
     @cached_property
     def low_normalized(self) -> LawBranch:

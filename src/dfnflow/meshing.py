@@ -212,11 +212,12 @@ def source_integrals(mesh: Mesh) -> np.ndarray:
 def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
     """Mesh every branch with elements no longer than ``target_h``.
 
-    Raises ``ValueError`` for a non-positive target size or an invalid
-    network. Source breakpoints become nodes; between consecutive required
-    points the partition is uniform.
+    Raises ``ValueError`` for a target size that is not positive (NaN
+    included) or an invalid network; ``inf`` gives the coarsest mesh. Source
+    breakpoints become nodes; between consecutive required points the
+    partition is uniform.
     """
-    if target_h <= 0:
+    if not target_h > 0:
         raise ValueError(f"target mesh size must be positive, got {target_h}")
     report = validate_network(network)
     if not report.ok:

@@ -95,7 +95,7 @@ class PicardSettings:
     depth: int = 5
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")

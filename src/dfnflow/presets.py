@@ -4,7 +4,9 @@ six-fracture network, a permeability sweep and a nonlinear-tolerance study.
 All presets share the threshold speed 0.15, the mesh size ``DEFAULT_H`` and
 the defaults of ``PicardSettings`` and ``TrackerSettings``; every knob can
 be overridden per run. Presets are deterministic: rerunning one on the same
-machine reproduces the bundle bit for bit.
+machine reproduces the bundle bit for bit. A parsed configuration, a
+``ProblemSpec``, runs through ``run_spec`` or, once per k2, ``sweep_k2``;
+both hand its loop settings to the tracker as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import DEFAULT_H, ProblemSpec, SolverSettings, network_from_dict, spec_to_dict
+from .config import DEFAULT_H, OutputSettings, ProblemSpec, network_from_dict, spec_to_dict
 from .energy import build_energy_block
 from .export import ResultBundle, bundle_from_report
 from .fem import RegimeField
@@ -181,26 +183,6 @@ def run_case(
     )
 
 
-def run_settings(solver: SolverSettings) -> dict:
-    """The ``run_case`` keyword arguments a configuration's solver block asks for.
-
-    The initial state is ``solver.init``, or the given label of every element
-    when ``solver.init_labels`` is set. Building the settings of both loops
-    checks the tolerances and the caps.
-    """
-    initial: str | RegimeField = solver.init
-    if solver.init_labels is not None:
-        initial = RegimeField(
-            {b: np.array(labels, dtype=np.int8) for b, labels in solver.init_labels.items()}
-        )
-    return {
-        "h": solver.h,
-        "picard": PicardSettings(tolerance=solver.eps_nl, max_iterations=solver.max_inner),
-        "tracker": TrackerSettings(eps_omega=solver.eps_omega, max_outer=solver.max_outer),
-        "initial": initial,
-    }
-
-
 def k2_grid() -> np.ndarray:
     """Geometric grid of high-regime permeabilities around [0.25, 16]."""
     grid = set(np.geomspace(0.25, 16.0, 13).round(6)) | {0.5625, 1.0, 2.0, 4.0, 10.0}
@@ -219,46 +201,40 @@ def oscillation_variant_network() -> FractureNetwork:
     )
 
 
-def sweep_k2(
-    name: str,
-    network: FractureNetwork,
-    law: AdaptiveLaw,
-    values: Iterable[float],
-    solver: SolverSettings,
-    trace: bool = False,
-) -> ResultBundle:
-    """Track one problem once per high-regime permeability k2 in ``values``.
+def sweep_k2(name: str, spec: ProblemSpec, values: Iterable[float]) -> ResultBundle:
+    """Track the problem of ``spec`` once per high-regime permeability k2 in ``values``.
 
-    Each member replaces the constant high branch of ``law`` by ``1 / k2`` and
-    keeps the rest of the problem. Its row records the tracker status and
-    whether every inner solve met its tolerance. A member that fails, a k2
-    that gives no valid law included (its ``lambda2`` is then None), is
-    recorded without aborting the sweep; a sweep whose members all fail
-    raises, and so does one without values or valid settings, before meshing.
-    The bundle reports the last member that ran, with the rows in its extras.
+    Each member replaces the constant high branch of ``spec.law`` by
+    ``1 / k2`` and keeps the rest of the problem and the settings. Its row
+    records the tracker status and whether every inner solve met its
+    tolerance. A member that fails, a k2 that gives no valid law included
+    (its ``lambda2`` is then None), is recorded without aborting the sweep; a
+    sweep whose members all fail raises, and so does one without values,
+    before meshing. The bundle reports the last member that ran, with the
+    rows in its extras.
     """
-    if law.high.slope != 0:
+    if spec.law.high.slope != 0:
         raise ValueError("the k2 sweep needs a constant high-regime law")
     values = [float(k2) for k2 in values]
     if not values:
         raise ValueError("the k2 sweep needs at least one k2 value")
     start = time.perf_counter()
-    settings = run_settings(solver)
-    mesh = build_mesh(network, solver.h)
+    initial = spec.initial
+    mesh = build_mesh(spec.network, spec.h)
     rows = []
     last = None
     for k2 in values:
         row = {"k2": k2, "lambda2": None}
         try:
-            member = dataclasses.replace(law, high=LawBranch(1.0 / k2))
+            member = dataclasses.replace(spec.law, high=LawBranch(1.0 / k2))
             row["lambda2"] = member.lambda2
             report = track(
                 mesh,
                 member,
-                picard_settings=settings["picard"],
-                settings=settings["tracker"],
-                initial=settings["initial"],
-                trace=trace,
+                picard_settings=spec.picard,
+                settings=spec.tracker,
+                initial=initial,
+                trace=spec.output.trace,
             )
         except Exception as exc:  # keep sweeping; record the failure
             row.update(
@@ -285,24 +261,17 @@ def sweep_k2(
 
 
 def run_k2_sweep(
-    values: Iterable[float] | None = None,
-    h: float = DEFAULT_H,
-    max_outer: int = TrackerSettings.max_outer,
-    trace: bool = False,
+    values: Iterable[float] | None = None, h: float = DEFAULT_H, trace: bool = False
 ) -> ResultBundle:
     """Sweep the high-regime permeability on the source-free variant.
 
     The driving is the end pressure of 0.2 alone; the low-regime permeability
     stays 1. ``values`` defaults to ``k2_grid()``.
     """
-    return sweep_k2(
-        "k2-sweep",
-        oscillation_variant_network(),
-        darcy_pair(),
-        k2_grid() if values is None else values,
-        SolverSettings(h=h, max_outer=max_outer),
-        trace,
+    spec = ProblemSpec(
+        oscillation_variant_network(), darcy_pair(), h=h, output=OutputSettings(trace=trace)
     )
+    return sweep_k2("k2-sweep", spec, k2_grid() if values is None else values)
 
 
 NL_TOLERANCES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-8)
@@ -401,7 +370,8 @@ def run_preset(name: str, h: float | None = None, trace: bool = False, **kwargs)
 def run_spec(spec: ProblemSpec) -> ResultBundle:
     """Run the full pipeline described by a parsed configuration."""
     bundle = run_case(
-        "solve", spec.network, spec.law, trace=spec.output.trace, **run_settings(spec.solver)
+        "solve", spec.network, spec.law, h=spec.h, picard=spec.picard, tracker=spec.tracker,
+        initial=spec.initial, trace=spec.output.trace,
     )
     bundle.config = spec_to_dict(spec)
     return bundle

@@ -91,7 +91,7 @@ class TrackerSettings:
     max_outer: int = 50
 
     def __post_init__(self):
-        if self.eps_omega is not None and self.eps_omega <= 0:
+        if self.eps_omega is not None and not self.eps_omega > 0:
             raise ValueError("configuration tolerance must be positive")
         if self.max_outer < 1:
             raise ValueError("need at least one outer iteration")

@@ -195,6 +195,25 @@ def test_sweep_k2_records_invalid_k2_values_and_keeps_sweeping(tmp_path, capsys)
     assert "division by zero" in rows[2]["message"]
 
 
+def test_sweep_k2_records_a_nan_k2_as_a_failed_member_before_any_solve(tmp_path, monkeypatch):
+    # NaN used to pass the law's checks and fail inside the solve
+    solves = []
+    track = dfnflow.presets.track
+
+    def counting_track(mesh, law, **kwargs):
+        solves.append(law.lambda2)
+        return track(mesh, law, **kwargs)
+
+    monkeypatch.setattr(dfnflow.presets, "track", counting_track)
+    out = tmp_path / "out"
+    config = EXAMPLES / "mean-anchored-darcy.json"
+    assert main(["sweep-k2", str(config), "--k2-values=nan,2", "--out", str(out)]) == 0
+    failed, ran = json.loads((out / "sweep-k2.json").read_text())["extras"]["sweep"]
+    assert failed["status"] == "error" and failed["lambda2"] is None
+    assert failed["message"].startswith("law branch needs finite parameters; got (nan, 0.0)")
+    assert ran["status"] == "converged" and solves == [ran["lambda2"]]
+
+
 @pytest.mark.parametrize(
     "flag", [["--eps-nl", "1e-6"], ["--eps-omega", "1e-3"], ["--max-outer", "1"],
              ["--init", "high"]],

@@ -8,8 +8,8 @@ import pytest
 
 import dfnflow.presets
 from dfnflow.config import (
+    SOLVER_KEYS,
     ConfigError,
-    SolverSettings,
     load_config,
     network_from_dict,
     parse_config,
@@ -23,7 +23,7 @@ from dfnflow.presets import (
     darcy_pair,
     run_case,
     run_k2_sweep,
-    run_settings,
+    run_spec,
     single_fracture_network,
 )
 from dfnflow.tracker import TrackerSettings, track
@@ -51,11 +51,13 @@ MINIMAL = {
 
 def test_minimal_document_gets_defaults():
     spec = parse_config(MINIMAL)
-    assert spec.solver.h == 0.05
-    assert spec.solver.eps_nl == 1e-4
-    assert spec.solver.eps_omega is None
-    assert spec.solver.max_outer == 50
-    assert spec.solver.init == "low"
+    assert spec.h == 0.05
+    assert spec.picard.tolerance == 1e-4
+    assert spec.picard.max_iterations == 50
+    assert spec.tracker.eps_omega is None
+    assert spec.tracker.max_outer == 50
+    assert spec.init == "low"
+    assert spec.init_labels is None
     assert spec.output.format == "json"
     assert not spec.approximate
 
@@ -79,11 +81,12 @@ def test_schema_doc_lists_exactly_the_solver_settings():
     section = SCHEMA.read_text().split("## `solver`", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     documented = json.loads(re.sub(r"//.*", "", block))
-    assert list(documented) == [f.name for f in dataclasses.fields(SolverSettings)]
+    assert tuple(documented) == SOLVER_KEYS
     doc = json.loads(json.dumps(MINIMAL))
     doc["solver"] = documented
     labels = {b: tuple(v) for b, v in documented["init_labels"].items()}
-    assert parse_config(doc).solver == SolverSettings(init_labels=labels)
+    # the documented values are the defaults
+    assert parse_config(doc) == dataclasses.replace(parse_config(MINIMAL), init_labels=labels)
 
 
 def test_removed_interface_tolerance_is_an_unknown_key():
@@ -135,11 +138,8 @@ def test_a_floating_part_is_rejected_before_any_solve(kind):
 
 
 def test_solver_defaults_are_the_loops_own(monkeypatch):
-    assert SolverSettings().eps_nl == PicardSettings().tolerance
-    assert SolverSettings().max_inner == PicardSettings().max_iterations
-    assert SolverSettings().max_outer == TrackerSettings().max_outer
-    settings = run_settings(SolverSettings())
-    assert (settings["picard"], settings["tracker"]) == (PicardSettings(), TrackerSettings())
+    spec = dataclasses.replace(parse_config(MINIMAL), h=0.25)
+    assert (spec.picard, spec.tracker) == (PicardSettings(), TrackerSettings())
     seen = []
 
     def capture(mesh, law, picard_settings, settings, **kwargs):
@@ -147,9 +147,11 @@ def test_solver_defaults_are_the_loops_own(monkeypatch):
         return track(mesh, law, picard_settings, settings, **kwargs)
 
     monkeypatch.setattr(dfnflow.presets, "track", capture)
+    run_spec(spec)
+    assert seen[0][0] is spec.picard and seen[0][1] is spec.tracker
     run_case("defaults", single_fracture_network(), darcy_pair(), h=0.25)
     run_k2_sweep(values=[2.0], h=0.25)
-    assert seen == [(PicardSettings(), TrackerSettings())] * 2
+    assert seen == [(PicardSettings(), TrackerSettings())] * 3
 
 
 def test_mean_pressure_anchors_velocity_only_problem():
@@ -190,6 +192,18 @@ def test_duplicate_boundary_condition_rejected():
         {"branch": "f", "end": "start", "type": "pressure", "value": 1.0}
     )
     with pytest.raises(ConfigError, match="duplicate"):
+        parse_config(doc)
+
+
+def test_duplicate_scalar_source_rejected():
+    # a second entry for one branch used to replace the first without a word
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["network"]["sources"] = {
+        "scalar": [{"branch": "f", "values": [1.0]}, {"branch": "f", "values": [-1.0]}]
+    }
+    with pytest.raises(
+        ConfigError, match=r"^network\.sources\.scalar\[1\]: duplicate source on branch 'f'$"
+    ):
         parse_config(doc)
 
 
@@ -358,6 +372,33 @@ MALFORMED = [
     (("solver", "max_outer"), 0, r"solver\.max_outer must be at least 1, got 0"),
     (("solver", "max_inner"), -2, r"solver\.max_inner must be at least 1, got -2"),
     (("output", "format"), "xml", r"output\.format must be 'json' or 'csv'"),
+    # ids are not coerced: null is no branch "None", and 1 no branch "1"
+    (
+        ("network", "branches", 0, "id"),
+        None,
+        r"network\.branches\[0\]\.id must be a string, got None",
+    ),
+    (("network", "branches", 0, "id"), 1, r"network\.branches\[0\]\.id must be a string, got 1"),
+    (
+        ("network", "boundary", "conditions", 0, "branch"),
+        1,
+        r"network\.boundary\.conditions\[0\]\.branch must be a string, got 1",
+    ),
+    (
+        ("network", "sources"),
+        {"scalar": [{"branch": None, "values": [1.0]}]},
+        r"network\.sources\.scalar\[0\]\.branch must be a string, got None",
+    ),
+    (
+        ("network", "intersections"),
+        [{"id": 7, "point": [1.0, 0.0], "incident": [["f", "end"]]}],
+        r"network\.intersections\[0\]\.id must be a string, got 7",
+    ),
+    (
+        ("network", "intersections"),
+        [{"id": "J", "point": [1.0, 0.0], "incident": [[0, "end"]]}],
+        r"network\.intersections\[0\]\.incident\[0\]\[0\] must be a string, got 0",
+    ),
 ]
 
 
@@ -410,5 +451,5 @@ def test_init_labels_round_trip():
     doc = json.loads(json.dumps(MINIMAL))
     doc["solver"] = {"init_labels": {"f": [0, 1, 1, 0]}}
     spec = parse_config(doc)
-    assert spec.solver.init_labels == {"f": (0, 1, 1, 0)}
+    assert spec.init_labels == {"f": (0, 1, 1, 0)}
     assert parse_config(spec_to_dict(spec)) == spec

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dfnflow.config import parse_config
+from dfnflow.config import ProblemSpec, parse_config
 from dfnflow.export import export_bundle, load_bundle
 import dfnflow.export
 import dfnflow.presets
@@ -21,6 +21,7 @@ from dfnflow.presets import (
     run_k2_sweep,
     run_preset,
     run_spec,
+    sweep_k2,
 )
 from dfnflow.tracker import TrackerSettings
 
@@ -146,7 +147,10 @@ def test_k2_sweep_bundle_is_its_last_members_run(monkeypatch):
         return track(*args, **kwargs)
 
     monkeypatch.setattr(dfnflow.presets, "track", counting_track)
-    bundle = run_preset("k2-sweep", values=[0.5625, 4.0], max_outer=1)
+    capped = ProblemSpec(
+        oscillation_variant_network(), darcy_pair(), tracker=TrackerSettings(max_outer=1)
+    )
+    bundle = sweep_k2("k2-sweep", capped, [0.5625, 4.0])
     assert len(calls) == 2
     last = bundle.extras["sweep"][-1]
     assert bundle.status == last["status"] == "max-iterations"
@@ -163,9 +167,6 @@ def test_k2_sweep_bundle_is_its_last_members_run(monkeypatch):
 def test_k2_sweep_with_every_member_failing_raises():
     with pytest.raises(RuntimeError, match="every sweep member failed: "):
         run_k2_sweep(values=[-1.0, 0.0])
-    # settings that no member could run with fail the sweep as a whole
-    with pytest.raises(ValueError, match="need at least one outer iteration"):
-        run_k2_sweep(values=[1.0], max_outer=0)
 
 
 @pytest.mark.parametrize("values", [[], iter(())], ids=["list", "iterator"])

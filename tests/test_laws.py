@@ -186,6 +186,19 @@ class TestAdaptiveLawValidation:
         with pytest.raises(ValueError):
             AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "intercept, slope", [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (0.0, np.inf)]
+    )
+    def test_law_parameters_must_be_finite(self, intercept, slope):
+        # NaN fails every comparison, so it used to pass the sign checks
+        with pytest.raises(ValueError, match=r"law branch needs finite parameters; got \("):
+            LawBranch(intercept, slope)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold speed must be positive and finite"):
+            AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), threshold)
+
     def test_constant_value_must_be_positive(self):
         with pytest.raises(ValueError, match="must be positive"):
             LawBranch(0.0)

@@ -127,6 +127,13 @@ def test_split_rejects_points_outside_branch():
         split_mesh_at(mesh, [("nope", 0.5)])
 
 
+def test_build_mesh_rejects_a_nan_size_and_takes_inf_as_the_coarsest():
+    with pytest.raises(ValueError, match="target mesh size must be positive, got nan"):
+        build_mesh(unit_branch_network(), np.nan)
+    coarsest = build_mesh(unit_branch_network(), np.inf)
+    assert coarsest.total_elements == 1
+
+
 def test_build_mesh_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_mesh(unit_branch_network(), 0.0)

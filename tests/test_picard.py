@@ -131,6 +131,11 @@ def test_settings_validation():
         PicardSettings(max_iterations=0)
 
 
+def test_nan_tolerance_rejected():
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        PicardSettings(tolerance=np.nan)
+
+
 def test_first_outer_step_is_linear_on_low_start():
     # the all-low start solves a speed-independent problem: one inner cycle
     net = single_fracture_network()

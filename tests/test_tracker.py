@@ -292,6 +292,11 @@ class TestTracking:
             track(mesh, darcy_pair(), initial="sideways")
 
 
+    def test_nan_configuration_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="configuration tolerance must be positive"):
+            TrackerSettings(eps_omega=math.nan)
+
+
 class SolverFailure(Exception):
     """Error whose constructor takes more than a message."""
 
