@@ -443,6 +443,16 @@ def law_branch_to_dict(branch: LawBranch) -> dict:
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
+    """The configuration document that ``parse_config`` reads back to ``spec``.
+
+    No document key sets ``PicardSettings.depth``, so a spec with a
+    non-default mixing depth has no document and raises ``ValueError``.
+    """
+    if spec.picard.depth != PicardSettings.depth:
+        raise ValueError(
+            f"a config document cannot record the Picard mixing depth {spec.picard.depth}; "
+            f"it always reads back as {PicardSettings.depth}"
+        )
     doc: dict[str, Any] = {
         "network": network_to_dict(spec.network),
         "law": {

@@ -58,12 +58,19 @@ from .meshing import Mesh
 ALPHA_MAX = 10.0
 NEAR_OPTIMAL_WINDOW = 1e-8
 
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
+# numpy.polynomial.legendre.leggauss(3), bit for bit, without importing numpy.polynomial
+_GAUSS3 = (
+    np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
+    np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557]),
+)
 # E' is sampled at the four Chebyshev nodes of each bracket; by their discrete
-# orthogonality, samples @ _CHEB_FIT are the interpolating cubic's coefficients
+# orthogonality, samples @ _CHEB_FIT are the interpolating cubic's coefficients.
+# The columns T0..T3 at the nodes follow chebvander's recurrence.
 _CHEB_NODES = np.cos(np.pi * np.arange(7, 0, -2) / 8.0)
 _CHEB_S = (_CHEB_NODES + 1.0) / 2.0
-_CHEB_FIT = np.polynomial.chebyshev.chebvander(_CHEB_NODES, 3) * [0.25, 0.5, 0.5, 0.5]
+_T2 = _CHEB_NODES * (2 * _CHEB_NODES) - 1.0
+_T3 = _T2 * (2 * _CHEB_NODES) - _CHEB_NODES
+_CHEB_FIT = np.stack([np.ones(4), _CHEB_NODES, _T2, _T3], axis=-1) * [0.25, 0.5, 0.5, 0.5]
 
 
 def _single_branch(mesh: Mesh) -> None:
@@ -308,6 +315,48 @@ def _bracket_slopes(
     return samples - tangential_forcing(mesh) * mesh.lengths[0]
 
 
+def _cheb_value(x, c):
+    """The Chebyshev series c[0] T0 + c[1] T1 + ... at x, by Clenshaw's recurrence.
+
+    ``c`` holds at least three coefficients along its first axis, broadcast
+    against ``x``; the steps are ``numpy.polynomial.chebyshev.chebval``'s, so
+    the values are its values bit for bit.
+    """
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _cheb_derivative(c):
+    """The derivative of the cubic Chebyshev series c, as ``chebder`` computes it."""
+    return [c[1] + 3 * c[3], 4 * c[2], 6 * c[3]]
+
+
+def _cheb_roots(c, tol: float) -> np.ndarray:
+    """Roots of a Chebyshev series of degree at most 3, trailing terms |c_k| <= tol dropped.
+
+    The eigenvalues of the series' colleague matrix (Good, Quart. J. Math.
+    12, 1961), built, rotated and sorted as ``chebroots(chebtrim(c, tol))``
+    does, so the roots are its roots bit for bit.
+    """
+    kept = np.flatnonzero(np.abs(c) > tol)
+    c = c[: kept[-1] + 1] if len(kept) else c[:1]
+    if len(c) < 2:
+        return np.array([], dtype=c.dtype)
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    scale = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+    off = np.array([np.sqrt(0.5), 0.5][: n - 1])
+    mat = np.diag(off, 1) + np.diag(off, -1)
+    mat[:, -1] -= (c[:-1] / c[-1]) * (scale / scale[-1]) * 0.5
+    roots = np.linalg.eigvals(mat[::-1, ::-1])
+    roots.sort()
+    return roots
+
+
 def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) -> np.ndarray:
     """Every point where E' turns from negative to nonnegative, left to right.
 
@@ -329,21 +378,20 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     each other are one zero seen from two brackets through rounding,
     reported once.
     """
-    cheb = np.polynomial.chebyshev
     coeffs = samples @ _CHEB_FIT
-    # the same chebval as the intervals below, so both tests read one sign at a breakpoint
-    at_lo, at_hi = cheb.chebval([-1.0, 1.0], coeffs.T).T
+    # the same evaluation as the intervals below, so both tests read one sign at a breakpoint
+    at_lo, at_hi = _cheb_value(np.array([[-1.0], [1.0]]), coeffs.T)
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
     # |c0| > sum |ck| bounds the cubic away from zero on [-1, 1]
     size = np.abs(coeffs).sum(axis=1)
     rising = []  # bracket, interval ends and root, the last three in [-1, 1]
     for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
-        roots = cheb.chebroots(cheb.chebtrim(coeffs[k], 1e-13 * size[k]))
+        roots = _cheb_roots(coeffs[k], 1e-13 * size[k])
         real = roots.real[np.abs(roots.imag) <= 1e-9]
         roots = np.sort(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
         roots = roots[np.diff(roots, prepend=-np.inf) > 0.0]
         t = np.concatenate([[-1.0], 0.5 * (roots[1:] + roots[:-1]), [1.0]])
-        values = cheb.chebval(t, coeffs[k])
+        values = _cheb_value(t, coeffs[k])
         for j in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
             rising.append((k, t[j], t[j + 1], roots[j] if len(roots) else np.nan))
     k, t_left, t_right, root = np.array(rising).reshape(-1, 4).T
@@ -351,7 +399,7 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     lo, width = lo[k], (hi - lo)[k]
     left, right, at_root = (lo + width * (1.0 + s) / 2.0 for s in (t_left, t_right, root))
     zero = np.where(np.isnan(root), right, at_root)
-    rate = cheb.chebval(root, cheb.chebder(coeffs[k].T), tensor=False) * 2.0 / width
+    rate = _cheb_value(root, _cheb_derivative(coeffs[k].T)) * 2.0 / width
     usable = np.isfinite(rate) & (rate != 0.0) & (at_root > lo) & (at_root < lo + width)
     zero[usable] -= slope(zero[usable]) / rate[usable]
     zeros = np.sort(np.concatenate([on_breakpoints, np.clip(zero, left, right)]))

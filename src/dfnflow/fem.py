@@ -28,9 +28,14 @@ residual of every mixed equation. Per-node and per-element data are single
 arrays over all branches, in the flat layout of ``Mesh``; the solution keeps
 every vertex pressure too, in the order of ``network.end_vertex``.
 
-Only λ changes between the solves of one configuration, so ``assemble``
-computes only what depends on it; the boundary data and unknowns are cached
-on the network (``boundary_plan``), W + μx and μ on the mesh.
+Only λ changes between the solves of one configuration. The boundary data
+and unknowns are cached on the network (``boundary_plan``); the element
+lengths, end nodes, element sources, W + μx and μ on the mesh. Each
+``assemble`` call still recomputes some λ-independent arrays, cheap next to
+the solve at the benchmark's mesh sizes: the body force times the branch
+lengths, W + μx at the element midpoints and at the branch ends, the plan's
+unknown-vertex indices and outfluxes, and the system size. ``_residual``
+recomputes its data scale on every solve.
 """
 
 from __future__ import annotations
@@ -156,12 +161,14 @@ def assemble(
     Velocity conditions hold the flux at their node; pressure conditions
     enter the flux equations as natural boundary terms. The flux-mass block
     integrates coefficient times the linear basis pair exactly, with the
-    coefficient constant per element at the frozen speed. Only λ is computed
-    here: the boundary data and unknowns come from ``mesh.network.boundary_plan``,
-    the source profile from the mesh. ``sources`` and ``bcs`` other than the
-    network's own raise ``ValueError``; the parameters go once the benchmark
-    stops passing them. Raises ``SingularSystemError`` when the pressure level
-    of some part of the network is not fixed, or a coefficient is not positive.
+    coefficient constant per element at the frozen speed. The boundary data
+    and unknowns come from ``mesh.network.boundary_plan`` and W + μx from
+    ``mesh.source_profile``; the other λ-independent arrays the module
+    docstring lists are recomputed on every call. ``sources`` and ``bcs``
+    other than the network's own raise ``ValueError``; the parameters go once
+    the benchmark stops passing them. Raises ``SingularSystemError`` when the
+    pressure level of some part of the network is not fixed, or a
+    coefficient is not positive.
     """
     net = mesh.network
     if any(a is not None and a is not b for a, b in ((sources, net.sources), (bcs, net.boundary))):
@@ -301,7 +308,8 @@ def _residual(
 
     Checks the flux row of every node without a velocity condition, the mass
     balance of every element, the balance at every intersection and every
-    velocity condition. The mean of the pressures is set by the shift.
+    velocity condition. The mean of the pressures is set by the shift. The
+    scale of the data, which does not depend on λ, is recomputed per solve.
     """
     mesh = system.mesh
     net = mesh.network

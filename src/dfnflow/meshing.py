@@ -16,7 +16,12 @@ import numpy as np
 
 from .network import COINCIDENCE_TOL, FractureNetwork, validate_network
 
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
+# numpy.polynomial.legendre.leggauss(5), bit for bit, without importing numpy.polynomial
+_GAUSS5 = (
+    np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]),
+    np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+              0.23692688505618928]),
+)
 
 
 def branch_keys(branch: np.ndarray, arc: np.ndarray) -> np.ndarray:

@@ -368,10 +368,15 @@ def run_preset(name: str, h: float | None = None, trace: bool = False, **kwargs)
 
 
 def run_spec(spec: ProblemSpec) -> ResultBundle:
-    """Run the full pipeline described by a parsed configuration."""
+    """Run the full pipeline described by a parsed configuration.
+
+    The bundle records ``spec_to_dict(spec)``, built before the run, so a
+    spec without a document fails before any solve.
+    """
+    config = spec_to_dict(spec)
     bundle = run_case(
         "solve", spec.network, spec.law, h=spec.h, picard=spec.picard, tracker=spec.tracker,
         initial=spec.initial, trace=spec.output.trace,
     )
-    bundle.config = spec_to_dict(spec)
+    bundle.config = config
     return bundle

@@ -154,6 +154,20 @@ def test_solver_defaults_are_the_loops_own(monkeypatch):
     assert seen == [(PicardSettings(), TrackerSettings())] * 3
 
 
+def test_a_spec_whose_mixing_depth_no_document_records_fails_before_any_solve(monkeypatch):
+    # no config key sets PicardSettings.depth, so its document would read back as 5
+    spec = dataclasses.replace(parse_config(MINIMAL), h=0.25, picard=PicardSettings(depth=0))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_case was called")
+
+    monkeypatch.setattr(dfnflow.presets, "run_case", no_run)
+    with pytest.raises(ValueError, match="mixing depth 0"):
+        run_spec(spec)
+    with pytest.raises(ValueError, match="mixing depth 0"):
+        spec_to_dict(spec)
+
+
 def test_mean_pressure_anchors_velocity_only_problem():
     doc = json.loads(json.dumps(MINIMAL))
     doc["network"]["boundary"]["conditions"] = [
