@@ -339,9 +339,10 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         init_labels = _init_labels(init_labels)
     h = positive(solver.get("h", DEFAULT_H), "solver.h")
     eps_nl = positive(solver.get("eps_nl", PicardSettings.tolerance), "solver.eps_nl")
-    eps_omega = solver.get("eps_omega", TrackerSettings.eps_omega)
-    if eps_omega is not None:
-        eps_omega = positive(eps_omega, "solver.eps_omega")
+    eps_omega = solver.get("eps_omega")  # null reads as the default, like an absent key
+    if eps_omega is None:
+        eps_omega = TrackerSettings.eps_omega
+    eps_omega = positive(eps_omega, "solver.eps_omega")
     max_outer = _cap(solver.get("max_outer", TrackerSettings.max_outer), "solver.max_outer")
     max_inner = _cap(solver.get("max_inner", PicardSettings.max_iterations), "solver.max_inner")
 
@@ -463,14 +464,13 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
         "solver": {
             "h": spec.h,
             "eps_nl": spec.picard.tolerance,
+            "eps_omega": spec.tracker.eps_omega,
             "max_outer": spec.tracker.max_outer,
             "max_inner": spec.picard.max_iterations,
             "init": spec.init,
         },
         "output": {"trace": spec.output.trace, "format": spec.output.format},
     }
-    if spec.tracker.eps_omega is not None:
-        doc["solver"]["eps_omega"] = spec.tracker.eps_omega
     if spec.init_labels is not None:
         doc["solver"]["init_labels"] = {b: list(v) for b, v in spec.init_labels.items()}
     if spec.approximate:

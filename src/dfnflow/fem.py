@@ -122,15 +122,6 @@ class Solution:
         ids = [i.id for i in self.mesh.network.intersections]
         return dict(zip(ids, self.vertex_pressure[: len(ids)].tolist()))
 
-    def junction_continuity_defect(self) -> float:
-        """Largest spread among the per-branch implied pressures of one intersection."""
-        if not self.junction_implied.size:
-            return 0.0
-        implied, owner = self.junction_implied, self.mesh.network.junction_incidence[:, 2]
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        spread = np.maximum.reduceat(implied, first) - np.minimum.reduceat(implied, first)
-        return float(spread.max())
-
     def midpoint_speeds(self) -> BranchArrays:
         return frozen_speeds(self.mesh, self.flux.array)
 
@@ -167,8 +158,7 @@ def assemble(
     docstring lists are recomputed on every call. ``sources`` and ``bcs``
     other than the network's own raise ``ValueError``; the parameters go once
     the benchmark stops passing them. Raises ``SingularSystemError`` when the
-    pressure level of some part of the network is not fixed, or a
-    coefficient is not positive.
+    pressure level of some part of the network is not fixed.
     """
     net = mesh.network
     if any(a is not None and a is not b for a, b in ((sources, net.sources), (bcs, net.boundary))):
@@ -182,14 +172,6 @@ def assemble(
     else:
         speeds = np.full(mesh.total_elements, float(frozen_speed))
     coeff = eval_lambda_coefficient(law, speeds, labels)
-    bad = np.flatnonzero(coeff <= 0.0)
-    if bad.size:
-        k = int(branch_of[bad[0]])
-        raise SingularSystemError(
-            f"degenerate law coefficient {float(coeff[bad[0]])} on element "
-            f"{int(bad[0] - mesh.element_offset[k])} of branch {mesh.branch_ids[k]!r}"
-        )
-
     profile = mesh.source_profile
     weight = coeff * mesh.element_lengths
     n_branches = len(mesh.force)

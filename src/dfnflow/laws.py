@@ -38,7 +38,9 @@ class LawBranch:
     """Coefficient affine in speed: phi(a) = intercept + slope * sqrt(a).
 
     ``a`` is the squared speed; a zero slope is the speed-independent Darcy
-    law, a positive one Darcy-Forchheimer.
+    law, a positive one Darcy-Forchheimer. The intercept must be positive and
+    the slope non-negative, so phi >= intercept > 0 at every speed, speed 0
+    included, where every inner solve starts.
     """
 
     intercept: float
@@ -48,10 +50,9 @@ class LawBranch:
         got = f"got ({self.intercept}, {self.slope})"
         if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
             raise ValueError(f"law branch needs finite parameters; {got}")
-        if self.intercept < 0 or self.slope < 0 or self.intercept + self.slope <= 0:
+        if not (self.intercept > 0 and self.slope >= 0):
             raise ValueError(
-                "law branch needs intercept >= 0 and slope >= 0, and their sum must be "
-                f"positive; {got}"
+                f"law branch intercept must be positive and slope non-negative; {got}"
             )
 
     def phi(self, a):

@@ -45,7 +45,7 @@ class Branch:
     def tangent(self) -> tuple[float, float]:
         """Unit vector from start to end; the direction of increasing arc."""
         length = self.length
-        if length <= COINCIDENCE_TOL:
+        if not length > COINCIDENCE_TOL:
             raise ValueError(f"branch {self.id!r} has zero length")
         return (
             (self.end[0] - self.start[0]) / length,
@@ -101,10 +101,6 @@ class BoundarySpec:
 
     def condition_at(self, branch_id: str, which: str) -> BoundaryCondition | None:
         return self.conditions.get((branch_id, which))
-
-    @property
-    def has_pressure_bc(self) -> bool:
-        return any(isinstance(c, PressureBC) for c in self.conditions.values())
 
 
 #: A source piece is either a constant rate or a callable of arc coordinate.
@@ -401,11 +397,12 @@ class ValidationReport:
 def validate_network(network: FractureNetwork) -> ValidationReport:
     """Collect every structural violation of the network invariants.
 
-    The report is empty exactly when the network is well-formed: positive
-    branch lengths, coincident intersection points, each free end carrying one
-    boundary condition, and a determined pressure level. The last is checked
-    only on an otherwise well-formed network, by building its
-    ``boundary_plan``; its error is reported as ``pressure-level``.
+    The report is empty exactly when the network is well-formed: finite
+    data, positive branch lengths, coincident intersection points, each free
+    end carrying one boundary condition, and a determined pressure level. The
+    last is checked only on an otherwise well-formed network, by building its
+    ``boundary_plan``; its error is reported as ``pressure-level``. Every
+    comparison fails on NaN, so each test is written to report it.
     """
     report = ValidationReport()
 
@@ -415,7 +412,12 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
             report.add("duplicate-branch", f"branch id {dup!r} appears more than once")
 
     for b in network.branches:
-        if b.length <= COINCIDENCE_TOL:
+        if not math.isfinite(b.length):
+            report.add(
+                "non-finite",
+                f"the length of branch {b.id!r} from {b.start} to {b.end} is {b.length}",
+            )
+        elif not b.length > COINCIDENCE_TOL:
             report.add("zero-length", f"branch {b.id!r} has zero length")
 
     known = set(ids)
@@ -443,7 +445,7 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
                 continue
             point = network.branch(bid).endpoint(which)
             dist = math.hypot(point[0] - isec.point[0], point[1] - isec.point[1])
-            if dist > COINCIDENCE_TOL:
+            if not dist <= COINCIDENCE_TOL:
                 report.add(
                     "non-coincident",
                     f"end ({bid!r}, {which}) lies {dist:.3e} away from "
@@ -474,15 +476,29 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
                     f"branch end {end} has neither an intersection nor a "
                     "boundary condition",
                 )
-    for end in network.boundary.conditions:
+    bcs = network.boundary
+    for end, bc in bcs.conditions.items():
         bid, which = end
         if bid not in known or which not in (START, END):
             report.add("unknown-end", f"boundary condition on unknown end {end}")
+        value = bc.outflux if isinstance(bc, VelocityBC) else bc.pressure
+        if not math.isfinite(value):
+            report.add("non-finite", f"the boundary condition at {end} is {value}")
+    if bcs.mean_pressure is not None and not math.isfinite(bcs.mean_pressure):
+        report.add("non-finite", f"mean_pressure is {bcs.mean_pressure}")
+    for axis, value in zip("xy", network.sources.force):
+        if not math.isfinite(value):
+            report.add("non-finite", f"the body force's {axis} component is {value}")
 
     for bid, src in network.sources.scalar.items():
         if bid not in known:
             report.add("unknown-branch", f"source attached to unknown branch {bid!r}")
             continue
+        for k, piece in enumerate(src.pieces):
+            if not (callable(piece) or math.isfinite(piece)):
+                report.add(
+                    "non-finite", f"the rate of source piece {k} on branch {bid!r} is {piece}"
+                )
         length = network.branch(bid).length
         for bp in src.breakpoints:
             if not (0.0 < bp < length):

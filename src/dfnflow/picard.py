@@ -127,7 +127,7 @@ def picard_solve(
     mesh: Mesh,
     regimes: RegimeField,
     law: AdaptiveLaw,
-    settings: PicardSettings | None = None,
+    settings: PicardSettings = PicardSettings(),
 ) -> PicardResult:
     """Solve the fixed-configuration problem, iterating on the frozen speed.
 
@@ -136,7 +136,6 @@ def picard_solve(
     or the iteration cap is hit; non-convergence is reported through
     ``converged``, not raised. Singular systems propagate.
     """
-    settings = settings or PicardSettings()
     linear = _is_linear(regimes.on(mesh), law)
     speeds = 0.0
     iterate: np.ndarray | None = None

@@ -150,8 +150,8 @@ def run_case(
     network: FractureNetwork,
     law: AdaptiveLaw,
     h: float = DEFAULT_H,
-    picard: PicardSettings | None = None,
-    tracker: TrackerSettings | None = None,
+    picard: PicardSettings = PicardSettings(),
+    tracker: TrackerSettings = TrackerSettings(),
     initial: str | RegimeField = "low",
     trace: bool = False,
 ) -> ResultBundle:
@@ -167,8 +167,8 @@ def run_case(
     report = track(
         mesh,
         law,
-        picard_settings=picard or PicardSettings(),
-        settings=tracker or TrackerSettings(),
+        picard_settings=picard,
+        settings=tracker,
         initial=initial,
         trace=trace,
     )

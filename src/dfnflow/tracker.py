@@ -63,10 +63,6 @@ from .picard import AndersonMixer, PicardResult, PicardSettings, picard_solve
 
 InterfacePoint = tuple[str, float]
 
-# Arc-length tolerance on the interface motion between successive outer
-# iterations when ``TrackerSettings.eps_omega`` is unset.
-DEFAULT_EPS_OMEGA = 1e-8
-
 # Interface-position differences Anderson mixing keeps between outer
 # iterations.
 OUTER_MIXING_DEPTH = 3
@@ -79,19 +75,19 @@ OSCILLATION_WINDOW = 6
 class TrackerSettings:
     """Tolerances of the outer loop.
 
-    ``eps_omega`` bounds how far the interface set may move in the last outer
-    iteration of a converged run. Left unset it is ``DEFAULT_EPS_OMEGA``, so
-    "converged" means the configuration reproduced itself: interfaces can
+    ``eps_omega`` bounds the arc length by which the interface set may move
+    in the last outer iteration of a converged run. Its default, 1e-8, makes
+    "converged" mean the configuration reproduced itself: interfaces can
     drift by less than the mesh size per iteration for many iterations before
     they settle, and a tolerance at the scale of the mesh stops such a drift
     part-way.
     """
 
-    eps_omega: float | None = None
+    eps_omega: float = 1e-8
     max_outer: int = 50
 
     def __post_init__(self):
-        if self.eps_omega is not None and not self.eps_omega > 0:
+        if not self.eps_omega > 0:
             raise ValueError("configuration tolerance must be positive")
         if self.max_outer < 1:
             raise ValueError("need at least one outer iteration")
@@ -265,8 +261,8 @@ def _detect_period(signatures: list[bytes], new_sig: bytes, window: int) -> int 
 def track(
     mesh: Mesh,
     law: AdaptiveLaw,
-    picard_settings: PicardSettings | None = None,
-    settings: TrackerSettings | None = None,
+    picard_settings: PicardSettings = PicardSettings(),
+    settings: TrackerSettings = TrackerSettings(),
     initial: str | RegimeField = "low",
     trace: bool = False,
 ) -> TrackerReport:
@@ -276,11 +272,6 @@ def track(
     mesh. Boundary conditions and sources are taken from the meshed network.
     Solver errors propagate with the outer iteration index attached.
     """
-    settings = settings or TrackerSettings()
-    picard_settings = picard_settings or PicardSettings()
-    eps_omega = (
-        settings.eps_omega if settings.eps_omega is not None else DEFAULT_EPS_OMEGA
-    )
     threshold = law.threshold
 
     if isinstance(initial, RegimeField):
@@ -344,7 +335,7 @@ def track(
 
         sig = _labels_on(mesh, new).tobytes()
         same_labels = sig == signatures[-1]
-        if distance <= eps_omega and same_labels:
+        if distance <= settings.eps_omega and same_labels:
             status = TrackerStatus.CONVERGED
             break
 

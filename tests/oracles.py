@@ -19,8 +19,10 @@ linspace partition is the per-interval loop ``build_mesh`` replaced.
 Some helpers here are read by tests only and by no run: the law probes
 (the growth bound of the high branch and the randomized midpoint-convexity
 check of the potential), the closed-form antiderivative of the flux
-potential behind ``closed_form_energies``, and ``configuration_distance``,
-the tracker's distance on (branch id, arc) interface lists.
+potential behind ``closed_form_energies``, ``configuration_distance``,
+the tracker's distance on (branch id, arc) interface lists, and
+``junction_continuity_defect``, the largest spread of the junction pressures
+a solve's branches imply at one intersection.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from dfnflow.laws import (
 from dfnflow.meshing import Mesh, branch_keys, source_integrals
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
-    DEFAULT_EPS_OMEGA,
     OSCILLATION_WINDOW,
     Configuration,
     HistoryEntry,
@@ -322,7 +323,7 @@ def sparse_saddle_solve(mesh, regimes, law, frozen_speed, bcs):
     net = mesh.network
     n_nodes, n_elements = len(mesh.x), mesh.total_elements
     n_junctions = len(net.intersections)
-    has_mean = not bcs.has_pressure_bc
+    has_mean = not any(isinstance(c, PressureBC) for c in bcs.conditions.values())
     n_full = n_nodes + n_elements + n_junctions + has_mean
     left = mesh.left
     right = left + 1
@@ -386,6 +387,13 @@ def sparse_saddle_solve(mesh, regimes, law, frozen_speed, bcs):
             net.total_length
         )
     return flux, pressures[:n_elements], pressures[n_elements:]
+
+
+def junction_continuity_defect(solution: Solution) -> float:
+    """Largest spread among the per-branch implied pressures of one intersection."""
+    owner = solution.mesh.network.junction_incidence[:, 2]
+    spreads = [np.ptp(solution.junction_implied[owner == j]) for j in np.unique(owner)]
+    return float(max(spreads, default=0.0))
 
 
 def midpoint_dissipation(values, nodes, law, subdivisions=10_000):
@@ -744,14 +752,13 @@ def loop_energy_of(field, mesh, law):
     )
 
 
-def plain_picard(mesh, regimes, law, settings=None):
+def plain_picard(mesh, regimes, law, settings=PicardSettings()):
     """Unaccelerated fixed-point iteration, a drop-in for ``picard_solve``.
 
     Solves at the previous solve's midpoint speeds and stops on the relative
     update between consecutive stacked solution vectors; ``settings.depth``
     is ignored.
     """
-    settings = settings or PicardSettings()
     if _is_linear(regimes.on(mesh), law):
         system = assemble(mesh, regimes, law, 0.0)
         return PicardResult(solve_saddle(system), 1, [0.0], True)
@@ -921,8 +928,8 @@ def uniform_runs(base: Mesh, regimes: RegimeField) -> dict[str, list[Run]]:
 def plain_track(
     mesh: Mesh,
     law: AdaptiveLaw,
-    picard_settings: PicardSettings | None = None,
-    settings: TrackerSettings | None = None,
+    picard_settings: PicardSettings = PicardSettings(),
+    settings: TrackerSettings = TrackerSettings(),
     initial: str | RegimeField = "low",
     trace: bool = False,
 ) -> TrackerReport:
@@ -931,11 +938,6 @@ def plain_track(
     Every outer iteration solves on the configuration the previous one
     classified.
     """
-    settings = settings or TrackerSettings()
-    picard_settings = picard_settings or PicardSettings()
-    eps_omega = (
-        settings.eps_omega if settings.eps_omega is not None else DEFAULT_EPS_OMEGA
-    )
     threshold = law.threshold
 
     if isinstance(initial, RegimeField):
@@ -996,7 +998,7 @@ def plain_track(
             snapshots.append(solution)
 
         sig = run_signature(mesh, runs_new)
-        if distance <= eps_omega and sig == signatures[-1]:
+        if distance <= settings.eps_omega and sig == signatures[-1]:
             status = TrackerStatus.CONVERGED
             break
 

@@ -340,6 +340,19 @@ def test_solver_flags_are_checked_as_the_config_keys_they_override(
     assert not out.exists()
 
 
+def test_a_zero_intercept_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the mean-anchored Darcy example with an affine high law through the origin
+    doc = json.loads((EXAMPLES / "mean-anchored-darcy.json").read_text())
+    doc["law"]["high"] = {"type": "affine", "intercept": 0, "slope": 3}
+    config = write_config(tmp_path, doc)
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    assert main(["solve", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: law.: law branch intercept must be positive and slope "
+        "non-negative; got (0.0, 3.0)\n"
+    )
+
+
 def test_mean_pressure_beside_a_pressure_condition_is_a_config_error(tmp_path, capsys):
     doc = json.loads(json.dumps(MINIMAL))
     doc["network"]["boundary"]["conditions"][1]["value"] = 0.2

@@ -54,7 +54,9 @@ def test_minimal_document_gets_defaults():
     assert spec.h == 0.05
     assert spec.picard.tolerance == 1e-4
     assert spec.picard.max_iterations == 50
-    assert spec.tracker.eps_omega is None
+    assert spec.tracker.eps_omega == 1e-8
+    assert parse_config({**MINIMAL, "solver": {"eps_omega": None}}).tracker == spec.tracker
+    assert spec_to_dict(spec)["solver"]["eps_omega"] == 1e-8
     assert spec.tracker.max_outer == 50
     assert spec.init == "low"
     assert spec.init_labels is None
@@ -361,6 +363,12 @@ MALFORMED = [
         ("law", "low"),
         {"type": "affine", "intercept": 0.0, "slope": 0.0},
         r"law\.: .*must be positive",
+    ),
+    # a zero intercept used to pass and fail in the second outer iteration's solve
+    (
+        ("law", "high"),
+        {"type": "affine", "intercept": 0, "slope": 3.0},
+        r"^law\.: law branch intercept must be positive",
     ),
     (
         ("network", "sources"),

@@ -206,6 +206,10 @@ class TestAdaptiveLawValidation:
     def test_affine_parameters_validated(self):
         with pytest.raises(ValueError):
             LawBranch(0.0, 0.0)
+        # every inner solve starts at speed 0, where the coefficient is the
+        # intercept; a zero one used to fail inside the solver
+        with pytest.raises(ValueError, match="intercept must be positive"):
+            AdaptiveLaw(LawBranch(0.0, 1.0), LawBranch(1.0), 0.15)
         with pytest.raises(ValueError):
             LawBranch(-0.1, 1.0)
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,52 @@ def test_zero_length_branch_detected():
         ),
     )
     assert any(v.code == "zero-length" for v in validate_network(net).violations)
+
+
+def _with_bad_value(where, bad):
+    net = FractureNetwork(
+        branches=(Branch("f", (0.0, 0.5), (1.0, 0.5)),),
+        boundary=BoundarySpec({("f", "start"): VelocityBC(-1.0), ("f", "end"): PressureBC(0.0)}),
+    )
+    if where == "branch-end":
+        return dataclasses.replace(net, branches=(Branch("f", (bad, 0.5), (1.0, 0.5)),))
+    if where == "pressure":
+        conditions = {("f", "start"): VelocityBC(-1.0), ("f", "end"): PressureBC(bad)}
+        return dataclasses.replace(net, boundary=BoundarySpec(conditions))
+    if where == "velocity":
+        conditions = {("f", "start"): VelocityBC(bad), ("f", "end"): PressureBC(0.0)}
+        return dataclasses.replace(net, boundary=BoundarySpec(conditions))
+    if where == "mean-pressure":
+        conditions = {("f", "start"): VelocityBC(-1.0), ("f", "end"): VelocityBC(1.0)}
+        return dataclasses.replace(net, boundary=BoundarySpec(conditions, mean_pressure=bad))
+    if where == "force":
+        return dataclasses.replace(net, sources=SourceSpec(force=(0.0, bad)))
+    assert where == "source-rate"
+    pieces = PiecewiseSource((0.5,), (1.0, bad))
+    return dataclasses.replace(net, sources=SourceSpec(scalar={"f": pieces}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "where", ["branch-end", "pressure", "velocity", "mean-pressure", "force", "source-rate"]
+)
+def test_non_finite_data_is_reported(where, bad):
+    # each comparison of the checks fails on NaN, so such data used to pass
+    # and fail inside build_mesh or the solve
+    assert validate_network(_with_bad_value(where, 0.0)).ok
+    report = validate_network(_with_bad_value(where, bad))
+    assert [v.code for v in report.violations] == ["non-finite"]
+    assert report.violations[0].message.endswith(f"is {bad}")
+
+
+def test_a_nan_intersection_point_is_non_coincident():
+    net = FractureNetwork(
+        branches=(Branch("h", (0.0, 0.5), (0.5, 0.5)), Branch("v", (0.5, 0.5), (0.5, 1.0))),
+        intersections=(Intersection("J", (math.nan, 0.5), (("h", "end"), ("v", "start"))),),
+        boundary=BoundarySpec({("h", "start"): PressureBC(0.0), ("v", "end"): PressureBC(0.1)}),
+    )
+    codes = [v.code for v in validate_network(net).violations]
+    assert codes == ["non-coincident", "non-coincident"]
 
 
 def test_pressure_level_must_be_anchored():
