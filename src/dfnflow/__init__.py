@@ -34,14 +34,7 @@ from .fem import (
     implied_junction_pressures,
     solve_saddle,
 )
-from .laws import (
-    AdaptiveLaw,
-    JumpSign,
-    LawBranch,
-    Regime,
-    eval_lambda_coefficient,
-    jump_sign,
-)
+from .laws import AdaptiveLaw, LawBranch, Regime, eval_lambda_coefficient
 from .meshing import Mesh, build_mesh, source_integrals, split_mesh_at
 from .network import (
     BoundarySpec,

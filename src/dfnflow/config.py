@@ -166,24 +166,24 @@ def law_branch_from_dict(doc: Mapping, path: str) -> LawBranch:
         return _number(_get(doc, key, path), path + key)
 
     if kind == "constant":
-        return LawBranch(number("value"))
-    if kind == "affine":
-        return LawBranch(number("intercept"), number("slope"))
-    raise ConfigError(f"{path}type must be 'constant' or 'affine', got {kind!r}")
+        params = (number("value"),)
+    elif kind == "affine":
+        params = (number("intercept"), number("slope"))
+    else:
+        raise ConfigError(f"{path}type must be 'constant' or 'affine', got {kind!r}")
+    try:
+        return LawBranch(*params)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def law_from_dict(doc: Mapping, path: str = "law.") -> AdaptiveLaw:
     _require_keys(doc, {"low", "high", "threshold"}, path)
-    try:
-        return AdaptiveLaw(
-            low=law_branch_from_dict(_get(doc, "low", path), path + "low."),
-            high=law_branch_from_dict(_get(doc, "high", path), path + "high."),
-            threshold=positive(_get(doc, "threshold", path), path + "threshold"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return AdaptiveLaw(
+        low=law_branch_from_dict(_get(doc, "low", path), path + "low."),
+        high=law_branch_from_dict(_get(doc, "high", path), path + "high."),
+        threshold=positive(_get(doc, "threshold", path), path + "threshold"),
+    )
 
 
 def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
@@ -291,7 +291,9 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
     Applies the solver defaults, enforces strict keys, and validates the
     network; a connected part of it whose pressure level is undetermined (no
     pressure condition, and no ``mean_pressure`` that can fix it), and a
-    ``mean_pressure`` beside a pressure condition, are rejected here.
+    ``mean_pressure`` beside a pressure condition, are rejected here. The
+    verdict stays with the spec's network object (see ``validate_network``),
+    so meshing it later does not re-check it.
     """
     _require_keys(
         document,

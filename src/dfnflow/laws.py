@@ -27,12 +27,6 @@ class Regime(enum.IntEnum):
     HIGH = 1
 
 
-class JumpSign(enum.Enum):
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
-
-
 @dataclass(frozen=True)
 class LawBranch:
     """Coefficient affine in speed: phi(a) = intercept + slope * sqrt(a).
@@ -152,14 +146,3 @@ def eval_lambda_coefficient(
     )
     return float(coeff) if coeff.ndim == 0 else coeff
 
-
-def jump_sign(law: AdaptiveLaw) -> JumpSign:
-    """Sign of the coefficient jump lambda2 - lambda1 at the switch.
-
-    Zero is detected only for bit-identical coefficients; the jump sign
-    decides convexity of the dissipation potential.
-    """
-    l1, l2 = law.lambda1, law.lambda2
-    if l2 == l1:
-        return JumpSign.ZERO
-    return JumpSign.POSITIVE if l2 > l1 else JumpSign.NEGATIVE

@@ -220,7 +220,8 @@ def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
     Raises ``ValueError`` for a target size that is not positive (NaN
     included) or an invalid network; ``inf`` gives the coarsest mesh. Source
     breakpoints become nodes; between consecutive required points the
-    partition is uniform.
+    partition is uniform. The validation verdict belongs to the network
+    object (see ``validate_network``), so meshing it again does not re-check it.
     """
     if not target_h > 0:
         raise ValueError(f"target mesh size must be positive, got {target_h}")
@@ -245,12 +246,17 @@ def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
     x = (np.arange(1, last[-1] + 1) - (last - n)[interval]) * ((b - a) / n)[interval] + a[interval]
     x[last - 1] = b
 
+    # the force along each branch's unit tangent; lengths are positive, by validation
     fx, fy = network.sources.force
+    force = []
+    for br in network.branches:
+        (x0, y0), (x1, y1), length = br.start, br.end, br.length
+        force.append(fx * ((x1 - x0) / length) + fy * ((y1 - y0) / length))
     return Mesh(
         network=network,
         x=x,
         node_offset=np.append((last - n)[start], last[-1]),
-        force=np.array([fx * br.tangent[0] + fy * br.tangent[1] for br in network.branches]),
+        force=np.array(force),
     )
 
 

@@ -41,24 +41,6 @@ class Branch:
     def length(self) -> float:
         return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
 
-    @property
-    def tangent(self) -> tuple[float, float]:
-        """Unit vector from start to end; the direction of increasing arc."""
-        length = self.length
-        if not length > COINCIDENCE_TOL:
-            raise ValueError(f"branch {self.id!r} has zero length")
-        return (
-            (self.end[0] - self.start[0]) / length,
-            (self.end[1] - self.start[1]) / length,
-        )
-
-    def endpoint(self, which: str) -> tuple[float, float]:
-        if which == START:
-            return self.start
-        if which == END:
-            return self.end
-        raise ValueError(f"unknown branch end {which!r}")
-
 
 @dataclass(frozen=True)
 class Intersection:
@@ -370,6 +352,11 @@ class FractureNetwork:
     def total_length(self) -> float:
         return sum(b.length for b in self.branches)
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Every structural violation of the network, found once; see ``validate_network``."""
+        return _find_violations(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -395,7 +382,7 @@ class ValidationReport:
 
 
 def validate_network(network: FractureNetwork) -> ValidationReport:
-    """Collect every structural violation of the network invariants.
+    """A fresh report of every structural violation of the network invariants.
 
     The report is empty exactly when the network is well-formed: finite
     data, positive branch lengths, coincident intersection points, each free
@@ -403,7 +390,16 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
     last is checked only on an otherwise well-formed network, by building its
     ``boundary_plan``; its error is reported as ``pressure-level``. Every
     comparison fails on NaN, so each test is written to report it.
+
+    The verdict belongs to the network object: its first validation runs the
+    checks and ``network.violations`` keeps them, so parsing and every mesh
+    build of one object check it once. As with ``boundary_plan``, a mapping
+    of the network mutated after that is not re-checked.
     """
+    return ValidationReport(list(network.violations))
+
+
+def _find_violations(network: FractureNetwork) -> tuple[Violation, ...]:
     report = ValidationReport()
 
     ids = network.branch_ids
@@ -443,7 +439,8 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
                     f"of branch {bid!r}",
                 )
                 continue
-            point = network.branch(bid).endpoint(which)
+            branch = network.branch(bid)
+            point = branch.start if which == START else branch.end
             dist = math.hypot(point[0] - isec.point[0], point[1] - isec.point[1])
             if not dist <= COINCIDENCE_TOL:
                 report.add(
@@ -512,4 +509,4 @@ def validate_network(network: FractureNetwork) -> ValidationReport:
             network.boundary_plan
         except SingularSystemError as exc:
             report.add("pressure-level", str(exc))
-    return report
+    return tuple(report.violations)

@@ -354,16 +354,16 @@ _CASES = {
 PRESET_NAMES = (*_CASES, "k2-sweep", "nl-tolerance-table")
 
 
-def run_preset(name: str, h: float | None = None, trace: bool = False, **kwargs) -> ResultBundle:
+def run_preset(name: str, h: float | None = None, trace: bool = False) -> ResultBundle:
     """Run a named preset; see ``PRESET_NAMES`` for the choices."""
     h = DEFAULT_H if h is None else h
     if name in _CASES:
         network, law = _CASES[name]
-        return run_case(name, network(), law(), h=h, trace=trace, **kwargs)
+        return run_case(name, network(), law(), h=h, trace=trace)
     if name == "k2-sweep":
-        return run_k2_sweep(h=h, trace=trace, **kwargs)
+        return run_k2_sweep(h=h, trace=trace)
     if name == "nl-tolerance-table":
-        return run_nl_tolerance_table(h=h, trace=trace, **kwargs)
+        return run_nl_tolerance_table(h=h, trace=trace)
     raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
 
 

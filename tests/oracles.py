@@ -17,9 +17,10 @@ the per-branch loops the flat tracker and ``split_mesh_at`` replaced, and the
 linspace partition is the per-interval loop ``build_mesh`` replaced.
 
 Some helpers here are read by tests only and by no run: the law probes
-(the growth bound of the high branch and the randomized midpoint-convexity
-check of the potential), the closed-form antiderivative of the flux
-potential behind ``closed_form_energies``, ``configuration_distance``,
+(the growth bound of the high branch, the sign of the coefficient jump at
+the switch and the randomized midpoint-convexity check of the potential),
+the closed-form antiderivative of the flux potential behind
+``closed_form_energies``, ``configuration_distance``,
 the tracker's distance on (branch id, arc) interface lists, and
 ``junction_continuity_defect``, the largest spread of the junction pressures
 a solve's branches imply at one intersection.
@@ -27,6 +28,7 @@ a solve's branches imply at one intersection.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,6 +137,24 @@ def check_growth_bound(
     drop = (tail[0] - tail[-1]) / max(abs(tail[0]), 1e-300)
     satisfied = c > 0 and math.isfinite(C) and drop <= 0.05
     return GrowthReport(c=c, C=C, satisfied=bool(satisfied))
+
+
+class JumpSign(enum.Enum):
+    NEGATIVE = -1
+    ZERO = 0
+    POSITIVE = 1
+
+
+def jump_sign(law: AdaptiveLaw) -> JumpSign:
+    """Sign of the coefficient jump lambda2 - lambda1 at the switch.
+
+    Zero is detected only for bit-identical coefficients; the jump sign
+    decides convexity of the dissipation potential.
+    """
+    l1, l2 = law.lambda1, law.lambda2
+    if l2 == l1:
+        return JumpSign.ZERO
+    return JumpSign.POSITIVE if l2 > l1 else JumpSign.NEGATIVE
 
 
 @dataclass(frozen=True)

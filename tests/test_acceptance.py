@@ -17,12 +17,7 @@ import pytest
 
 from dfnflow.energy import build_energy_block, lift_field, reduce_and_minimize
 from dfnflow.fem import RegimeField, assemble, solve_saddle
-from dfnflow.laws import (
-    AdaptiveLaw,
-    LawBranch,
-    Regime,
-    jump_sign,
-)
+from dfnflow.laws import AdaptiveLaw, LawBranch, Regime
 from dfnflow.meshing import build_mesh, source_integrals, split_mesh_at
 from dfnflow.network import (
     BoundarySpec,

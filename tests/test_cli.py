@@ -11,6 +11,7 @@ from dfnflow.export import load_bundle
 from dfnflow.presets import run_preset
 
 from test_config import EXAMPLES, MINIMAL, floating_documents
+from test_network import count_checks
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -348,7 +349,7 @@ def test_a_zero_intercept_is_a_config_error_before_any_solve(tmp_path, capsys, m
     monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
     assert main(["solve", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        "configuration error: law.: law branch intercept must be positive and slope "
+        "configuration error: law.high.: law branch intercept must be positive and slope "
         "non-negative; got (0.0, 3.0)\n"
     )
 
@@ -402,6 +403,24 @@ def test_solve_parses_and_validates_the_config_once(tmp_path, monkeypatch):
         dfnflow.config, "validate_network", lambda net: calls.append(net) or validate(net)
     )
     assert main(["solve", str(config), "--max-outer", "5", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{config}"],
+        ["sweep-k2", "{config}", "--k2-values=0.5,2"],
+        ["preset", "nl-tolerance-table"],
+    ],
+    ids=["solve", "sweep-k2", "nl-tolerance-table"],
+)
+def test_each_command_checks_each_network_once(tmp_path, monkeypatch, argv):
+    # parsing validates the network, and so does every mesh build of it
+    config = write_config(tmp_path, {**MINIMAL, "solver": {"h": 0.25}})
+    calls = count_checks(monkeypatch)
+    argv = [arg.format(config=config) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 
 

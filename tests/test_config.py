@@ -362,13 +362,23 @@ MALFORMED = [
     (
         ("law", "low"),
         {"type": "affine", "intercept": 0.0, "slope": 0.0},
-        r"law\.: .*must be positive",
+        r"law\.low\.: .*must be positive",
     ),
     # a zero intercept used to pass and fail in the second outer iteration's solve
     (
         ("law", "high"),
         {"type": "affine", "intercept": 0, "slope": 3.0},
-        r"^law\.: law branch intercept must be positive",
+        r"^law\.high\.: law branch intercept must be positive",
+    ),
+    (
+        ("law", "high"),
+        {"type": "constant", "value": -1.0},
+        r"^law\.high\.: law branch intercept must be positive .*; got \(-1\.0, 0\.0\)$",
+    ),
+    (
+        ("law", "low"),
+        {"type": "affine", "intercept": 0.01, "slope": -3.0},
+        r"^law\.low\.: .*slope non-negative; got \(0\.01, -3\.0\)$",
     ),
     (
         ("network", "sources"),
@@ -456,6 +466,21 @@ def test_sources_block_parsed():
     src = spec.network.sources.scalar_for("f")
     assert src.breakpoints == (0.3, 0.7)
     assert spec.network.sources.force == (0.05, 0.0)
+
+
+def test_an_invalid_network_fails_parsing_and_meshing_on_one_report():
+    doc = json.loads(json.dumps(MINIMAL))
+    del doc["network"]["boundary"]["conditions"][1]
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(doc)
+    network = network_from_dict(doc["network"])
+    report = str(validate_network(network))
+    assert report.startswith("[unclosed-boundary] ")
+    assert str(parsed.value) == f"invalid network:\n{report}"
+    for h in (0.25, 0.25, 0.1):
+        with pytest.raises(ValueError) as meshed:
+            build_mesh(network, h)
+        assert str(meshed.value) == f"cannot mesh an invalid network:\n{report}"
 
 
 def test_packaged_benchmark_network_parses_and_validates():

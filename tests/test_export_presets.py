@@ -15,12 +15,14 @@ import dfnflow.presets
 from dfnflow.picard import PicardSettings
 from dfnflow.presets import (
     PRESET_NAMES,
+    darcy_forchheimer_pair,
     darcy_pair,
     oscillation_variant_network,
     run_case,
     run_k2_sweep,
     run_preset,
     run_spec,
+    single_fracture_network,
     sweep_k2,
 )
 from dfnflow.tracker import TrackerSettings
@@ -63,8 +65,11 @@ def test_json_round_trip_is_bit_exact(tmp_path, case1_traced):
 
 def test_bundle_reports_capped_inner_solves(tmp_path):
     # two inner cycles cannot meet 1e-12 once the Forchheimer branch is active
-    bundle = run_preset(
-        "case1-nonlinear", picard=PicardSettings(tolerance=1e-12, max_iterations=2)
+    bundle = run_case(
+        "case1-nonlinear",
+        single_fracture_network(),
+        darcy_forchheimer_pair(),
+        picard=PicardSettings(tolerance=1e-12, max_iterations=2),
     )
     assert bundle.inner_iteration_counts[1:] == [2] * (bundle.outer_iterations - 1)
     assert bundle.inner_converged == [True] + [False] * (bundle.outer_iterations - 1)

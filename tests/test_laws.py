@@ -7,18 +7,18 @@ from scipy.integrate import quad
 from dfnflow.laws import (
     AdaptiveLaw,
     LawBranch,
-    JumpSign,
     Regime,
     eval_lambda_coefficient,
-    jump_sign,
 )
 
 from oracles import (
+    JumpSign,
     check_growth_bound,
     conjugate_exponent,
     convexity_probe,
     flux_antiderivative,
     growth_exponent,
+    jump_sign,
 )
 
 

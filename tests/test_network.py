@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dfnflow.network
 from dfnflow.network import (
     BoundarySpec,
     Branch,
@@ -181,6 +182,9 @@ def test_piecewise_source_evaluation_and_validation():
     # breakpoints belong to the left piece; the values there are measure-zero
     x = np.array([0.0, 0.2, 0.3, 0.5, 0.7, 0.9])
     assert np.allclose(src(x), [1, 1, 1, -1, -1, 1])
+    # a callable piece is evaluated on the arc coordinates of its own subinterval
+    src = PiecewiseSource(breakpoints=(0.5,), pieces=(lambda s: 2.0 * s, -1.0))
+    assert src(x).tolist() == [0.0, 0.4, 0.6, 1.0, -1.0, -1.0]
     with pytest.raises(ValueError):
         PiecewiseSource(breakpoints=(0.5,), pieces=(1.0,))
     with pytest.raises(ValueError):
@@ -210,14 +214,16 @@ def test_cached_length_leaves_branch_equality_and_hash_alone():
     assert net == FractureNetwork(branches=(b, Branch("g", (0.0, 0.0), (0.0, 2.0))))
 
 
-def _junction_pair(branches=None, incident=(("h", "end"), ("v", "start")), extra=(), sources=None):
-    """Two branches meeting at J = (0.5, 0.5), with pressure on both free ends."""
+def _junction_pair(
+    branches=None, incident=(("h", "end"), ("v", "start")), extra=(), sources=None, bcs=None
+):
+    """Two branches meeting at J = (0.5, 0.5), with pressure on both free ends and ``bcs``."""
     return FractureNetwork(
         branches=branches
         or (Branch("h", (0.0, 0.5), (0.5, 0.5)), Branch("v", (0.5, 0.5), (0.5, 1.0))),
         intersections=(Intersection("J", (0.5, 0.5), incident), *extra),
         boundary=BoundarySpec(
-            {("h", "start"): PressureBC(0.0), ("v", "end"): PressureBC(0.1)}
+            {("h", "start"): PressureBC(0.0), ("v", "end"): PressureBC(0.1), **(bcs or {})}
         ),
         sources=sources or SourceSpec(),
     )
@@ -249,6 +255,8 @@ def _junction_pair(branches=None, incident=(("h", "end"), ("v", "start")), extra
             ),
         ),
         ("unknown-end", _junction_pair(incident=(("h", "end"), ("v", "middle")))),
+        ("unknown-end", _junction_pair(bcs={("x", "end"): PressureBC(0.0)})),
+        ("unknown-end", _junction_pair(bcs={("h", "middle"): PressureBC(0.0)})),
     ],
     ids=[
         "duplicate-branch",
@@ -257,9 +265,52 @@ def _junction_pair(branches=None, incident=(("h", "end"), ("v", "start")), extra
         "unknown-branch-source",
         "multiple-intersections",
         "unknown-end",
+        "unknown-branch-condition",
+        "unknown-end-condition",
     ],
 )
 def test_each_structural_fault_is_reported_not_raised(code, net):
     assert validate_network(_junction_pair()).ok
     report = validate_network(net)
     assert code in {v.code for v in report.violations}
+
+
+def count_checks(monkeypatch) -> list[FractureNetwork]:
+    """Record every network whose structural checks run, once per run."""
+    calls = []
+    check = dfnflow.network._find_violations
+    monkeypatch.setattr(
+        dfnflow.network, "_find_violations", lambda net: calls.append(net) or check(net)
+    )
+    return calls
+
+
+def test_a_network_keeps_its_verdict(monkeypatch):
+    calls = count_checks(monkeypatch)
+    net = _junction_pair()
+    report = validate_network(net)
+    report.add("extra", "a report is the caller's to change")
+    assert validate_network(net).ok and validate_network(net) is not report
+    assert [id(n) for n in calls] == [id(net)]
+
+
+def test_a_new_network_object_gets_its_own_verdict(monkeypatch):
+    calls = count_checks(monkeypatch)
+    net, twin = _junction_pair(), _junction_pair()
+    assert net == twin and net is not twin
+    bad = dataclasses.replace(net, boundary=BoundarySpec({("h", "start"): PressureBC(0.0)}))
+    assert validate_network(net).ok and validate_network(twin).ok
+    assert [v.code for v in validate_network(bad).violations] == ["unclosed-boundary"]
+    assert validate_network(net).ok
+    assert [id(n) for n in calls] == [id(net), id(twin), id(bad)]
+
+
+def test_run_cases_on_one_network_check_it_once(monkeypatch):
+    # the single-fracture benchmark workload runs its cases on one network
+    from dfnflow.presets import darcy_pair, run_case, single_fracture_network
+
+    calls = count_checks(monkeypatch)
+    network = single_fracture_network()
+    for h in (0.25, 0.2, 0.1):
+        run_case("case", network, darcy_pair(), h=h)
+    assert [id(n) for n in calls] == [id(network)]
