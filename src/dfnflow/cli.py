@@ -94,24 +94,26 @@ def _load_spec(args):
     return spec
 
 
+def _export(bundle, out: str, format: str, summary: list[str]) -> int:
+    """Export the bundle, print the summary and the written paths, return the exit code."""
+    paths = export_bundle(bundle, out, format)
+    for line in [*summary, *(f"wrote {path}" for path in paths)]:
+        print(line)
+    return exit_code(bundle)
+
+
 def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     bundle = run_spec(spec)
-    paths = export_bundle(bundle, args.out, spec.output.format)
-    print(f"{bundle.status} after {bundle.outer_iterations} outer iterations")
-    for path in paths:
-        print(f"wrote {path}")
-    return exit_code(bundle)
+    summary = f"{bundle.status} after {bundle.outer_iterations} outer iterations"
+    return _export(bundle, args.out, spec.output.format, [summary])
 
 
 def _cmd_preset(args) -> int:
     h = None if args.h is None else positive(args.h, "--h")
     bundle = run_preset(args.name, h=h, trace=args.trace)
-    paths = export_bundle(bundle, args.out, args.format or "json")
-    print(f"{bundle.name}: {bundle.status} after {bundle.outer_iterations} outer iterations")
-    for path in paths:
-        print(f"wrote {path}")
-    return exit_code(bundle)
+    summary = f"{bundle.name}: {bundle.status} after {bundle.outer_iterations} outer iterations"
+    return _export(bundle, args.out, args.format or "json", [summary])
 
 
 def _cmd_sweep(args) -> int:
@@ -121,12 +123,8 @@ def _cmd_sweep(args) -> int:
     else:
         values = k2_grid()
     bundle = sweep_k2("sweep-k2", spec, values)
-    paths = export_bundle(bundle, args.out, spec.output.format)
-    for row in bundle.extras["sweep"]:
-        print(f"k2={row['k2']:g}: {row['status']}")
-    for path in paths:
-        print(f"wrote {path}")
-    return exit_code(bundle)
+    rows = [f"k2={row['k2']:g}: {row['status']}" for row in bundle.extras["sweep"]]
+    return _export(bundle, args.out, spec.output.format, rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,7 +23,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .fem import RegimeField
-from .laws import AdaptiveLaw, LawBranch
+from .laws import AdaptiveLaw, LawBranch, NormalizedBranchError
 from .meshing import build_mesh
 from .network import (
     END,
@@ -179,11 +179,14 @@ def law_branch_from_dict(doc: Mapping, path: str) -> LawBranch:
 
 def law_from_dict(doc: Mapping, path: str = "law.") -> AdaptiveLaw:
     _require_keys(doc, {"low", "high", "threshold"}, path)
-    return AdaptiveLaw(
-        low=law_branch_from_dict(_get(doc, "low", path), path + "low."),
-        high=law_branch_from_dict(_get(doc, "high", path), path + "high."),
-        threshold=positive(_get(doc, "threshold", path), path + "threshold"),
-    )
+    try:
+        return AdaptiveLaw(
+            low=law_branch_from_dict(_get(doc, "low", path), path + "low."),
+            high=law_branch_from_dict(_get(doc, "high", path), path + "high."),
+            threshold=positive(_get(doc, "threshold", path), path + "threshold"),
+        )
+    except NormalizedBranchError as exc:
+        raise ConfigError(f"{path}{exc.branch}.: {exc}") from exc
 
 
 def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:

@@ -174,9 +174,7 @@ def _snapshot_rows(block: dict) -> dict[str, list[tuple]]:
         # element index stands in for arc position of the label
         regime_rows += [(b, float(k), int(v)) for k, v in enumerate(labels)]
     out["regimes"] = regime_rows
-    out["interfaces"] = sorted(
-        (b, float(x), 1) for b, x in block.get("interfaces", [])
-    )
+    out["interfaces"] = sorted((b, float(x), 1) for b, x in block["interfaces"])
     return out
 
 
@@ -187,17 +185,16 @@ def export_bundle(bundle: ResultBundle, out_dir: str | Path, format: str = "json
     iteration (final state only when tracing was off) plus ``report.json``
     with the non-field payload.
     """
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown export format {format!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
     if format == "json":
         path = out / f"{bundle.name}.json"
         path.write_text(json.dumps(bundle.to_dict()))
-        created.append(path)
-        return created
-    if format != "csv":
-        raise ValueError(f"unknown export format {format!r}")
+        return [path]
 
+    created: list[Path] = []
     blocks: list[tuple[str, dict]] = []
     if bundle.snapshots:
         blocks = [(f"it{s['iteration']:03d}", s) for s in bundle.snapshots]

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +65,14 @@ class LawBranch:
         )
 
 
+class NormalizedBranchError(ValueError):
+    """A law's ``low`` or ``high`` branch breaks ``LawBranch``'s rule once normalized."""
+
+    def __init__(self, branch: str, error: ValueError):
+        super().__init__(f"{error} once normalized by the threshold")
+        self.branch = branch
+
+
 @dataclass(frozen=True)
 class AdaptiveLaw:
     """Low/high law pair with a switching threshold on the speed magnitude.
@@ -84,18 +91,19 @@ class AdaptiveLaw:
     low: LawBranch
     high: LawBranch
     threshold: float = 1.0
+    low_normalized: LawBranch = field(init=False, repr=False, compare=False)
+    high_normalized: LawBranch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold speed must be positive and finite, got {self.threshold}")
-
-    @cached_property
-    def low_normalized(self) -> LawBranch:
-        return LawBranch(self.low.intercept, self.low.slope * self.threshold)
-
-    @cached_property
-    def high_normalized(self) -> LawBranch:
-        return LawBranch(self.high.intercept, self.high.slope * self.threshold)
+        for name in ("low", "high"):
+            branch = getattr(self, name)
+            try:
+                normalized = LawBranch(branch.intercept, branch.slope * self.threshold)
+            except ValueError as exc:
+                raise NormalizedBranchError(name, exc) from None
+            object.__setattr__(self, f"{name}_normalized", normalized)
 
     @property
     def lambda1(self) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -260,29 +260,27 @@ def build_mesh(network: FractureNetwork, target_h: float) -> Mesh:
     )
 
 
-def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
-    """Insert the given (branch, arc) points as mesh nodes.
+def split_mesh_at(mesh: Mesh, branch: np.ndarray, arc: np.ndarray) -> Mesh:
+    """Insert a node at each ``arc`` along the branch at that position in ``branch``.
 
     A point within ``1e-12`` of a node is skipped. Of the other points on a
     branch, taken in increasing arc order, one within ``1e-12`` of the point
     before it is skipped too, so of two such points the smaller is kept. The
     operation is idempotent and does not depend on the order of the points.
     With no point to insert it returns ``mesh`` itself, cached data and all.
+    A position that is no branch's, or an arc off its branch, is a ``ValueError``.
     """
-    points = list(points)
-    if not points:
+    if not len(arc):
         return mesh
-    index = mesh.network.branch_index
-    try:
-        branch = np.array([index[bid] for bid, _ in points], dtype=np.intp)
-    except KeyError as exc:
-        raise KeyError(f"unknown branch {exc.args[0]!r}") from None
-    arc = np.array([a for _, a in points], dtype=float)
+    branch, arc = np.asarray(branch), np.asarray(arc, dtype=float)
+    unknown = (branch < 0) | (branch >= len(mesh.force))
+    if unknown.any():
+        raise ValueError(f"no branch at position {branch[np.argmax(unknown)]}")
     outside = ~((0.0 <= arc) & (arc <= mesh.lengths[branch]))
     if outside.any():
         k = int(np.argmax(outside))
         raise ValueError(
-            f"point {arc[k]} outside branch {points[k][0]!r} of length "
+            f"point {arc[k]} outside branch {mesh.branch_ids[branch[k]]!r} of length "
             f"{mesh.lengths[branch[k]]}"
         )
 
@@ -295,8 +293,7 @@ def split_mesh_at(mesh: Mesh, points: Iterable[tuple[str, float]]) -> Mesh:
     near_node = np.minimum(np.abs(arc - mesh.x[below]), np.abs(mesh.x[above] - arc))
     keep = near_node > COINCIDENCE_TOL
     branch, arc, below = branch[keep], arc[keep], below[keep]
-    keep = np.ones(len(arc), dtype=bool)
-    keep[1:] = (arc[1:] - arc[:-1] > COINCIDENCE_TOL) | (branch[1:] != branch[:-1])
+    keep = (np.diff(arc, prepend=-np.inf) > COINCIDENCE_TOL) | (np.diff(branch, prepend=-1) != 0)
     branch, arc, below = branch[keep], arc[keep], below[keep]
     if not len(arc):
         return mesh

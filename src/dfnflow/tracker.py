@@ -13,18 +13,18 @@ interface, where regimes can still flip wholesale between iterations while
 the (empty) interface sets sit at distance zero. Cycling means the label
 pattern repeats with period two or more inside a sliding window.
 
-Interface points from the previous iteration are discarded before each new
-split, so the working mesh is always the base mesh plus the current
-interfaces and interface sets stay comparable across iterations.
-
-A configuration is held as arrays over the flat layout of ``Mesh``
-(``_Changes``): the branch position and arc of every interface, in element
-order, and the label at the start of every branch. Labels alternate at the
-interfaces, so the label of an element on any mesh is its branch's first
-label flipped once per interface below the element's midpoint; those
-counts come from one ``searchsorted`` on ``meshing.branch_keys``, which
-compare branch and arc exactly. The label pattern compared between
-iterations is the bytes of the labels of the base elements.
+A configuration (``Configuration``) is its change points (``_Changes``)
+and the base mesh split at them. The change points are arrays over the flat
+layout of ``Mesh``: the branch position and arc of every interface, in
+element order, and the label at the start of every branch. They go to
+``split_mesh_at`` as they are, always onto the base mesh, so the working
+mesh is the base mesh plus the current interfaces and interface sets stay
+comparable across iterations. Labels alternate at the interfaces, so the
+label of an element on any mesh is its branch's first label flipped once
+per interface below the element's midpoint; those counts come from one
+``searchsorted`` on ``meshing.branch_keys``, which compare branch and arc
+exactly. The label pattern compared between iterations is the bytes of the
+labels of the base elements.
 
 Near a self-consistent configuration the plain loop converges only
 linearly, so the interface positions are Anderson-mixed (type II, the same
@@ -52,6 +52,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +61,6 @@ from .fem import RegimeField, Solution
 from .laws import AdaptiveLaw, Regime
 from .meshing import Mesh, branch_keys, split_mesh_at
 from .picard import AndersonMixer, PicardResult, PicardSettings, picard_solve
-
-InterfacePoint = tuple[str, float]
 
 # Interface-position differences Anderson mixing keeps between outer
 # iterations.
@@ -97,14 +96,6 @@ class TrackerStatus(enum.Enum):
     CONVERGED = "converged"
     OSCILLATING = "oscillating"
     MAX_ITERATIONS = "max-iterations"
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Regime labels on the working mesh plus the interface point set."""
-
-    regimes: RegimeField
-    interfaces: tuple[InterfacePoint, ...]
 
 
 @dataclass
@@ -179,6 +170,23 @@ class _Changes(NamedTuple):
 
     def keys(self) -> np.ndarray:
         return branch_keys(self.branch, self.arc)
+
+
+@dataclass(frozen=True, eq=False)
+class Configuration:
+    """Change points and the base mesh split at them; labels and interfaces are built on read."""
+
+    changes: _Changes
+    mesh: Mesh
+
+    @cached_property
+    def regimes(self) -> RegimeField:
+        return RegimeField(self.mesh.per_element(_labels_on(self.mesh, self.changes)))
+
+    @cached_property
+    def interfaces(self) -> tuple[tuple[str, float], ...]:
+        names = [self.mesh.branch_ids[k] for k in self.changes.branch.tolist()]
+        return tuple(zip(names, self.changes.arc.tolist()))
 
 
 def _classify(mesh: Mesh, flux: np.ndarray, threshold: float) -> _Changes:
@@ -272,8 +280,6 @@ def track(
     mesh. Boundary conditions and sources are taken from the meshed network.
     Solver errors propagate with the outer iteration index attached.
     """
-    threshold = law.threshold
-
     if isinstance(initial, RegimeField):
         start_labels = initial.on(mesh)
         for r in sorted(set(start_labels.tolist())):
@@ -284,10 +290,9 @@ def track(
     else:
         raise ValueError(f"unknown initial configuration {initial!r}")
 
-    # the labels to solve on next, and the interfaces they come from
+    # the change points to solve on next, and those solved on last
     changes = _changes_of(mesh, start_labels)
     solved = changes._replace(branch=changes.branch[:0], arc=changes.arc[:0])
-    interfaces: tuple[InterfacePoint, ...] = ()
     signatures = [_labels_on(mesh, changes).tobytes()]
 
     mixer = AndersonMixer(OUTER_MIXING_DEPTH)
@@ -300,10 +305,9 @@ def track(
     last_result: PicardResult | None = None
 
     for i in range(1, settings.max_outer + 1):
-        working = split_mesh_at(mesh, interfaces)
-        regimes = RegimeField(working.per_element(_labels_on(working, changes)))
+        working = Configuration(changes, split_mesh_at(mesh, changes.branch, changes.arc))
         try:
-            last_result = picard_solve(working, regimes, law, picard_settings)
+            last_result = picard_solve(working.mesh, working.regimes, law, picard_settings)
         except Exception as exc:
             # prefix the message in place: the error keeps its type and
             # attributes whatever arguments its constructor takes
@@ -311,19 +315,11 @@ def track(
             raise
         solution = last_result.solution
 
-        new = _classify(working, solution.flux.array, threshold)
-        names = [mesh.branch_ids[k] for k in new.branch.tolist()]
-        new_interfaces = tuple(zip(names, new.arc.tolist()))
-
+        new = _classify(working.mesh, solution.flux.array, law.threshold)
         distance = _distance(new.keys(), solved.keys())
-        next_mesh = split_mesh_at(mesh, new_interfaces)
-        configuration = Configuration(
-            regimes=RegimeField(next_mesh.per_element(_labels_on(next_mesh, new))),
-            interfaces=new_interfaces,
-        )
         history.append(
             HistoryEntry(
-                configuration=configuration,
+                configuration=Configuration(new, split_mesh_at(mesh, new.branch, new.arc)),
                 distance=distance,
                 inner_iterations=last_result.iterations,
                 inner_converged=last_result.converged,
@@ -347,7 +343,7 @@ def track(
 
         # A residual needs an unchanged layout; after a label change it
         # starts a new mixing history.
-        changes, interfaces, mixed = new, new_interfaces, False
+        changes, mixed = new, False
         same_layout = np.array_equal(new.branch, solved.branch)
         if not (same_labels and same_layout):
             mixer.restart()
@@ -357,7 +353,6 @@ def track(
                 moved = _moved(mesh, new, trial)
                 if moved is not None and _labels_on(mesh, moved).tobytes() == sig:
                     changes, mixed = moved, True
-                    interfaces = tuple(zip(names, trial.tolist()))
                 else:
                     mixer.restart(keep_last=True)
         solved = changes

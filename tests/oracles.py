@@ -10,8 +10,9 @@ minimizer finds the zeros of E' by 64 halvings instead of one Newton step,
 the loop integrator applies the kink-split Gauss rule element by element,
 the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
 coefficient, the plain-tracking oracle is the outer loop without interface
-mixing, and the crossing oracle bisects the speed with exact rational
-comparisons. The
+mixing, which records each configuration as a plain ``PlainConfiguration``
+of regime labels and (branch id, arc) interfaces built from its runs, and
+the crossing oracle bisects the speed with exact rational comparisons. The
 run-based classification, labelling and point-by-point mesh splitting are
 the per-branch loops the flat tracker and ``split_mesh_at`` replaced, and the
 linspace partition is the per-interval loop ``build_mesh`` replaced.
@@ -21,9 +22,11 @@ Some helpers here are read by tests only and by no run: the law probes
 the switch and the randomized midpoint-convexity check of the potential),
 the closed-form antiderivative of the flux potential behind
 ``closed_form_energies``, ``configuration_distance``,
-the tracker's distance on (branch id, arc) interface lists, and
-``junction_continuity_defect``, the largest spread of the junction pressures
-a solve's branches imply at one intersection.
+the tracker's distance on (branch id, arc) interface lists,
+``point_arrays``, which turns such a list into the branch positions and
+arcs ``split_mesh_at`` takes, and ``junction_continuity_defect``, the
+largest spread of the junction pressures a solve's branches imply at one
+intersection.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
@@ -64,9 +68,7 @@ from dfnflow.meshing import Mesh, branch_keys, source_integrals
 from dfnflow.picard import PicardResult, PicardSettings, _is_linear, picard_solve
 from dfnflow.tracker import (
     OSCILLATION_WINDOW,
-    Configuration,
     HistoryEntry,
-    InterfacePoint,
     TrackerReport,
     TrackerSettings,
     TrackerStatus,
@@ -454,7 +456,7 @@ def hausdorff_by_enumeration(set_a, set_b):
 def configuration_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two interface point sets.
 
-    ``a`` and ``b`` are ``Configuration``s or (branch id, arc) lists. The
+    ``a`` and ``b`` are configurations or (branch id, arc) lists. The
     distance is the tracker's ``_distance`` on their ``branch_keys``:
     measured in arc length along a branch, with points on different branches
     infinitely far apart, as is a nonempty set from an empty one. Two empty
@@ -463,7 +465,7 @@ def configuration_distance(a, b) -> float:
     code: dict[str, int] = {}
 
     def keys(points) -> np.ndarray:
-        points = points.interfaces if isinstance(points, Configuration) else tuple(points)
+        points = tuple(getattr(points, "interfaces", points))
         branch = [code.setdefault(bid, len(code)) for bid, _ in points]
         arcs = np.array([arc for _, arc in points])
         return branch_keys(np.array(branch, dtype=float), arcs)
@@ -812,6 +814,13 @@ def linspace_partition(length, required, target_h) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def point_arrays(mesh: Mesh, points) -> tuple[np.ndarray, np.ndarray]:
+    """(branch id, arc) points as the branch positions and arcs ``split_mesh_at`` takes."""
+    index = mesh.network.branch_index
+    branch = np.array([index[bid] for bid, _ in points], dtype=np.intp)
+    return branch, np.array([arc for _, arc in points], dtype=float)
+
+
 def loop_split_mesh_at(mesh: Mesh, points) -> Mesh:
     """``split_mesh_at`` point by point.
 
@@ -844,6 +853,15 @@ def loop_split_mesh_at(mesh: Mesh, points) -> Mesh:
 # A run is a maximal labelled interval [a, b] on a branch; runs tile [0, L]
 # and change labels only at interface points.
 Run = tuple[float, float, Regime]
+InterfacePoint = tuple[str, float]
+
+
+class PlainConfiguration(NamedTuple):
+    """``plain_track``'s record of a configuration: labels on the base mesh
+    split at the interfaces, and the interfaces in element order."""
+
+    regimes: RegimeField
+    interfaces: tuple[InterfacePoint, ...]
 
 
 def crossing(x1: float, x2: float, u1: float, u2: float, threshold: float) -> float:
@@ -1002,7 +1020,7 @@ def plain_track(
 
         distance = hausdorff_by_enumeration(gamma_tuple, gamma_prev)
         next_mesh = loop_split_mesh_at(mesh, gamma_tuple)
-        configuration = Configuration(
+        configuration = PlainConfiguration(
             regimes=labels_from_runs(next_mesh, runs_new),
             interfaces=gamma_tuple,
         )

@@ -45,6 +45,7 @@ from oracles import (
     configuration_distance,
     convexity_probe,
     junction_continuity_defect,
+    point_arrays,
     random_network,
 )
 
@@ -277,7 +278,7 @@ def test_criterion_06_crossing_fractures():
 def _induced_offsets(mesh, law, alpha):
     """Mixed solve on the regime configuration induced by the scalar minimizer."""
     ubar = law.threshold
-    work = split_mesh_at(mesh, _oracle_crossings(mesh, law, alpha))
+    work = split_mesh_at(mesh, *point_arrays(mesh, _oracle_crossings(mesh, law, alpha)))
     fine = lift_field(work)
     midpoints = work.per_element(work.midpoints)["f"]
     speeds = np.abs(np.interp(midpoints, work.x, fine) + alpha)
@@ -373,7 +374,7 @@ def test_criterion_10_benchmark_network_end_to_end():
     mesh = build_mesh(network, 0.05)
     report = track(mesh, darcy_pair())
     final = report.final_configuration
-    work = split_mesh_at(mesh, final.interfaces)
+    work = split_mesh_at(mesh, *point_arrays(mesh, final.interfaces))
 
     # connectivity of high-labelled elements from the inflow end to an outlet
     elements = []

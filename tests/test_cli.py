@@ -354,6 +354,22 @@ def test_a_zero_intercept_is_a_config_error_before_any_solve(tmp_path, capsys, m
     )
 
 
+def test_an_overflowing_normalized_branch_is_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # the slope times the threshold overflows to inf in the normalized high branch
+    doc = json.loads((EXAMPLES / "mean-anchored-darcy.json").read_text())
+    doc["law"]["high"] = {"type": "affine", "intercept": 0.01, "slope": 1e300}
+    doc["law"]["threshold"] = 1e10
+    config = write_config(tmp_path, doc)
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    assert main(["solve", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: law.high.: law branch needs finite parameters; "
+        "got (0.01, inf) once normalized by the threshold\n"
+    )
+
+
 def test_mean_pressure_beside_a_pressure_condition_is_a_config_error(tmp_path, capsys):
     doc = json.loads(json.dumps(MINIMAL))
     doc["network"]["boundary"]["conditions"][1]["value"] = 0.2

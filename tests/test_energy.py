@@ -116,6 +116,11 @@ class TestEnergyOf:
         assert report.dissipation == pytest.approx(-0.5, abs=1e-14)
         assert report.energy == pytest.approx(-0.5, abs=1e-14)
 
+    def test_field_must_match_the_mesh_nodes(self):
+        mesh = build_mesh(plain_branch(), 0.25)
+        with pytest.raises(ValueError, match="field values do not match the mesh nodes"):
+            energy_of(np.zeros(len(mesh.x) - 1), mesh, UNIT_LAW)
+
     def test_uniform_high_field_closed_form(self):
         law = AdaptiveLaw(LawBranch(1.0), LawBranch(0.1), 1.0)
         mesh = build_mesh(plain_branch(), 0.25)
@@ -482,8 +487,8 @@ class TestFemOracleAgreement:
                 for level in (ubar, -ubar):
                     t = (level - w1) / (w2 - w1)
                     if 0.0 < t < 1.0:
-                        crossings.append(("f", x[e] + t * (x[e + 1] - x[e])))
-        work = split_mesh_at(mesh, crossings)
+                        crossings.append(x[e] + t * (x[e + 1] - x[e]))
+        work = split_mesh_at(mesh, np.zeros(len(crossings), dtype=np.intp), crossings)
         fine = lift_field(work)
         midpoints = work.per_element(work.midpoints)["f"]
         speeds = np.abs(np.interp(midpoints, work.x, fine) + alpha)

@@ -63,6 +63,12 @@ def test_json_round_trip_is_bit_exact(tmp_path, case1_traced):
     assert loaded.to_dict() == case1_traced.to_dict()
 
 
+def test_an_unknown_export_format_is_named_before_anything_is_written(tmp_path, case1_traced):
+    with pytest.raises(ValueError, match="unknown export format 'xml'"):
+        export_bundle(case1_traced, tmp_path / "out", "xml")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bundle_reports_capped_inner_solves(tmp_path):
     # two inner cycles cannot meet 1e-12 once the Forchheimer branch is active
     bundle = run_case(

@@ -35,6 +35,7 @@ from oracles import (
     labels_from_runs,
     linspace_partition,
     loop_split_mesh_at,
+    point_arrays,
     random_network,
     uniform_runs,
 )
@@ -81,7 +82,8 @@ def random_flux(rng, mesh):
 
 
 def split_base(rng, mesh):
-    return split_mesh_at(mesh, random_points(rng, mesh, int(rng.integers(0, 6))))
+    points = random_points(rng, mesh, int(rng.integers(0, 6)))
+    return split_mesh_at(mesh, *point_arrays(mesh, points))
 
 
 @st.composite
@@ -145,10 +147,10 @@ def test_flat_split_matches_the_point_loop(seed):
     index = mesh.network.branch_index
     expected = loop_split_mesh_at(mesh, sorted(points, key=lambda p: (index[p[0]], p[1])))
     rng.shuffle(points)
-    got = split_mesh_at(mesh, points)
+    got = split_mesh_at(mesh, *point_arrays(mesh, points))
     assert got.x.tobytes() == expected.x.tobytes()
     assert np.array_equal(got.node_offset, expected.node_offset)
-    again = split_mesh_at(got, points)
+    again = split_mesh_at(got, *point_arrays(got, points))
     assert again.x.tobytes() == got.x.tobytes()
 
 
@@ -159,7 +161,7 @@ def test_split_keeps_the_smaller_of_two_close_points_and_skips_near_nodes():
     node = float(x[1])
     arc = float(0.5 * (x[1] + x[2]))
     points = [(bid, arc + 5e-13), (bid, node + 5e-13), (bid, arc)]
-    got = split_mesh_at(mesh, points).nodes[bid]
+    got = split_mesh_at(mesh, *point_arrays(mesh, points)).nodes[bid]
     assert got.tolist() == sorted([*x.tolist(), arc])
 
 
@@ -186,7 +188,7 @@ def test_flat_classification_and_labels_match_the_run_loops(seed):
 
     # labels on the working mesh, on the base mesh (the signature) and on
     # the base mesh split at the new interfaces
-    for mesh in (working, base, split_mesh_at(base, interfaces)):
+    for mesh in (working, base, split_mesh_at(base, *point_arrays(base, interfaces))):
         expected = labels_from_runs(mesh, runs).on(mesh)
         assert _labels_on(mesh, changes).tobytes() == expected.tobytes()
 

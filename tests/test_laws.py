@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from dfnflow.laws import (
     AdaptiveLaw,
     LawBranch,
+    NormalizedBranchError,
     Regime,
     eval_lambda_coefficient,
 )
@@ -220,6 +221,15 @@ class TestAdaptiveLawValidation:
         assert law.high_normalized is law.high_normalized
         assert law.high_normalized == LawBranch(0.01, 3.0 * 0.15)
         assert law.low_normalized == law.low == LawBranch(1.0)
+
+    @pytest.mark.parametrize("branch", ["low", "high"])
+    def test_a_branch_that_overflows_once_normalized_fails_with_the_law(self, branch):
+        # 1e300 is finite, but its product with the threshold is inf
+        branches = {"low": LawBranch(1.0), "high": LawBranch(1.0), branch: LawBranch(0.01, 1e300)}
+        message = r"got \(0.01, inf\) once normalized by the threshold"
+        with pytest.raises(NormalizedBranchError, match=message) as err:
+            AdaptiveLaw(**branches, threshold=1e10)
+        assert err.value.branch == branch
 
     def test_exponents(self):
         assert growth_exponent(linear_pair().high) == 2.0

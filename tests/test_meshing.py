@@ -75,21 +75,21 @@ def test_tangential_force_projection():
 def test_split_inserts_interior_point():
     mesh = build_mesh(unit_branch_network(), 0.5)
     assert np.allclose(mesh.nodes["f"], [0.0, 0.5, 1.0])
-    fine = split_mesh_at(mesh, [("f", 0.25)])
+    fine = split_mesh_at(mesh, [0], [0.25])
     assert np.allclose(fine.nodes["f"], [0.0, 0.25, 0.5, 1.0])
 
 
 def test_split_is_idempotent_on_existing_nodes():
     mesh = build_mesh(unit_branch_network(), 0.5)
-    same = split_mesh_at(mesh, [("f", 0.5)])
+    same = split_mesh_at(mesh, [0], [0.5])
     assert np.array_equal(same.nodes["f"], mesh.nodes["f"])
 
 
 def test_split_without_a_new_node_returns_the_mesh_itself():
     # the working mesh keeps the base mesh's cached source profile
     mesh = build_mesh(unit_branch_network(), 0.5)
-    assert split_mesh_at(mesh, []) is mesh
-    assert split_mesh_at(mesh, [("f", 0.5), ("f", 1.0 - 1e-13)]) is mesh
+    assert split_mesh_at(mesh, [], []) is mesh
+    assert split_mesh_at(mesh, [0, 0], [0.5, 1.0 - 1e-13]) is mesh
 
 
 def test_working_meshes_of_one_network_share_one_source_table(monkeypatch):
@@ -105,7 +105,7 @@ def test_working_meshes_of_one_network_share_one_source_table(monkeypatch):
     monkeypatch.setattr(network, "SourcePieces", counted)
     net = unit_branch_network((0.3, 0.7), (1.0, lambda x: x**2, -0.5))
     base = build_mesh(net, 0.1)
-    work = split_mesh_at(base, [("f", 0.25), ("f", 0.55)])
+    work = split_mesh_at(base, [0, 0], [0.25, 0.55])
     exact = 0.3 + (0.7**3 - 0.3**3) / 3.0 - 0.5 * 0.3
     for mesh in (base, work):
         assert mesh.element_sources.sum() == pytest.approx(exact, abs=1e-14)
@@ -115,16 +115,20 @@ def test_working_meshes_of_one_network_share_one_source_table(monkeypatch):
 
 def test_split_increases_element_count_per_new_point():
     mesh = build_mesh(unit_branch_network(), 1.0)
-    fine = split_mesh_at(mesh, [("f", 0.2), ("f", 0.8)])
+    fine = split_mesh_at(mesh, [0, 0], [0.2, 0.8])
     assert len(fine.nodes["f"]) == len(mesh.nodes["f"]) + 2
 
 
 def test_split_rejects_points_outside_branch():
     mesh = build_mesh(unit_branch_network(), 0.5)
-    with pytest.raises(ValueError):
-        split_mesh_at(mesh, [("f", 1.5)])
-    with pytest.raises(KeyError):
-        split_mesh_at(mesh, [("nope", 0.5)])
+    with pytest.raises(ValueError, match="point 1.5 outside branch 'f' of length 1.0"):
+        split_mesh_at(mesh, [0, 0], [0.5, 1.5])
+    with pytest.raises(ValueError, match="point -0.25 outside branch 'f'"):
+        split_mesh_at(mesh, [0], [-0.25])
+    # a position is an index into the branches: negative ones do not wrap
+    for position in (1, -1):
+        with pytest.raises(ValueError, match=f"no branch at position {position}"):
+            split_mesh_at(mesh, [0, position], [0.25, 0.5])
 
 
 def test_build_mesh_rejects_a_nan_size_and_takes_inf_as_the_coarsest():
@@ -178,8 +182,9 @@ def test_split_order_independent_and_idempotent(points, seed):
     rng = np.random.default_rng(seed)
     shuffled = list(points)
     rng.shuffle(shuffled)
-    a = split_mesh_at(mesh, [("f", p) for p in points])
-    b = split_mesh_at(mesh, [("f", p) for p in shuffled])
+    on_f = np.zeros(len(points), dtype=np.intp)
+    a = split_mesh_at(mesh, on_f, points)
+    b = split_mesh_at(mesh, on_f, shuffled)
     assert np.array_equal(a.nodes["f"], b.nodes["f"])
-    again = split_mesh_at(a, [("f", p) for p in points])
+    again = split_mesh_at(a, on_f, points)
     assert np.array_equal(again.nodes["f"], a.nodes["f"])

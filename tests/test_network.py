@@ -12,6 +12,7 @@ from dfnflow.network import (
     Intersection,
     PiecewiseSource,
     PressureBC,
+    SingularSystemError,
     SourceSpec,
     VelocityBC,
     validate_network,
@@ -273,6 +274,17 @@ def test_each_structural_fault_is_reported_not_raised(code, net):
     assert validate_network(_junction_pair()).ok
     report = validate_network(net)
     assert code in {v.code for v in report.violations}
+
+
+def test_the_plan_of_an_unchecked_network_rejects_a_condition_at_a_junction():
+    # validation reports this fault; a network built in code and never
+    # validated meets the plan's own check
+    net = _junction_pair(bcs={("h", "end"): PressureBC(0.5)})
+    with pytest.raises(
+        SingularSystemError,
+        match=r"branch end \('h', end\) is both at an intersection and boundary-constrained",
+    ):
+        net.boundary_plan
 
 
 def count_checks(monkeypatch) -> list[FractureNetwork]:

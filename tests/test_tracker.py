@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dfnflow.tracker
 from dfnflow.energy import lift_field, reduce_and_minimize
 from dfnflow.fem import RegimeField
 from dfnflow.laws import Regime
@@ -29,7 +30,12 @@ from dfnflow.tracker import (
     track,
 )
 
-from oracles import bisect_crossing, configuration_distance, hausdorff_by_enumeration
+from oracles import (
+    bisect_crossing,
+    configuration_distance,
+    hausdorff_by_enumeration,
+    point_arrays,
+)
 
 
 def multi_interface_case():
@@ -58,7 +64,8 @@ def one_branch_mesh(nodes):
         ),
     )
     mesh = build_mesh(net, float(nodes[-1]))
-    return split_mesh_at(mesh, [("f", x) for x in nodes[1:-1]])
+    inner = nodes[1:-1]
+    return split_mesh_at(mesh, np.zeros(len(inner), dtype=np.intp), inner)
 
 
 def classify_element(nodes, values, threshold=0.15):
@@ -224,7 +231,8 @@ class TestTracking:
         report = track(base, law)
         final = report.final_configuration
         assert final.interfaces
-        expected = split_mesh_at(base, final.interfaces)
+        expected = split_mesh_at(base, *point_arrays(base, final.interfaces))
+        assert final.mesh.x.tobytes() == expected.x.tobytes()
         for b in base.branch_ids:
             # the final labels live on the base mesh split at the final points
             assert len(final.regimes.labels[b]) == len(expected.nodes[b]) - 1
@@ -239,14 +247,33 @@ class TestTracking:
         report = track(base, law)
         final = report.final_configuration
         assert final.interfaces
-        mesh = split_mesh_at(base, final.interfaces)
-        nodes = mesh.nodes["f"]
+        nodes = final.mesh.nodes["f"]
         labels = final.regimes.labels["f"]
         for bid, arc in final.interfaces:
             (idx,) = np.where(np.isclose(nodes, arc, atol=1e-12))
             k = int(idx[0])
             if 0 < k < len(nodes) - 1:
                 assert labels[k - 1] != labels[k]
+
+    def test_each_iteration_splits_the_base_mesh_twice_at_arrays(self, monkeypatch):
+        # one split for the configuration solved on, one for the one classified
+        calls = []
+
+        def counted(mesh, branch, arc):
+            calls.append((mesh, branch, arc))
+            return split_mesh_at(mesh, branch, arc)
+
+        monkeypatch.setattr(dfnflow.tracker, "split_mesh_at", counted)
+        base, law = multi_interface_case()
+        report = track(base, law)
+        assert len(calls) == 2 * report.outer_iterations
+        assert all(mesh is base and isinstance(arc, np.ndarray) for mesh, _, arc in calls)
+        # the final configuration's labels and id pairs wait for a reader
+        final = report.final_configuration
+        assert not {"regimes", "interfaces"} & set(vars(final))
+        names = [base.branch_ids[k] for k in final.changes.branch]
+        assert final.interfaces == tuple(zip(names, final.changes.arc.tolist()))
+        assert calls[-1][2] is final.changes.arc
 
     def test_deterministic_reports(self):
         mesh = build_mesh(single_fracture_network(), 0.05)
