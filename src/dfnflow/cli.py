@@ -30,7 +30,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, check_init_labels, load_document, parse_config, positive
+from .config import ConfigError, load_document, parse_config, positive
 from .export import exit_code, export_bundle
 from .presets import PRESET_NAMES, k2_grid, run_preset, run_spec, sweep_k2
 
@@ -89,9 +89,7 @@ def _load_spec(args):
         # a document or block that is not an object is left for the parser to reject
         if flags and isinstance(doc, dict) and isinstance(doc.setdefault(block, {}), dict):
             doc[block].update(flags)
-    spec = parse_config(doc, base_dir=path.parent)
-    check_init_labels(spec)
-    return spec
+    return parse_config(doc, base_dir=path.parent)
 
 
 def _export(bundle, out: str, format: str, summary: list[str]) -> int:

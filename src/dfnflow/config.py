@@ -24,7 +24,7 @@ import numpy as np
 
 from .fem import RegimeField
 from .laws import AdaptiveLaw, LawBranch, NormalizedBranchError
-from .meshing import build_mesh
+from .meshing import Mesh
 from .network import (
     END,
     START,
@@ -62,8 +62,8 @@ class OutputSettings:
 class ProblemSpec:
     """A problem, its mesh size and loop settings, and its output.
 
-    ``initial`` is the tracker's start: the uniform regime ``init``, or the
-    label of every element in ``init_labels`` when that is set.
+    The tracker starts from the uniform regime ``init``, or from the label
+    of every element in ``init_labels`` when that is set (``initial_on``).
     """
 
     network: FractureNetwork
@@ -76,10 +76,18 @@ class ProblemSpec:
     output: OutputSettings = field(default_factory=OutputSettings)
     approximate: bool = False
 
-    @property
-    def initial(self) -> str | RegimeField:
+    def initial_on(self, mesh: Mesh) -> str | RegimeField:
+        """The tracker's start on ``mesh``, the mesh at ``h``.
+
+        Raises ``ConfigError`` when ``init_labels`` do not match the mesh:
+        its branches and elements.
+        """
         if self.init_labels is None:
             return self.init
+        try:
+            mesh.flat_elements(self.init_labels, "solver.init_labels")
+        except ValueError as exc:
+            raise ConfigError(f"{exc} at h = {self.h}") from None
         return RegimeField(
             {b: np.array(labels, dtype=np.int8) for b, labels in self.init_labels.items()}
         )
@@ -92,9 +100,9 @@ class ProblemSpec:
 def _require_keys(section: Mapping, allowed: set[str], path: str) -> None:
     if not isinstance(section, (dict, Mapping)):
         raise ConfigError(f"{path.rstrip('.:') or 'the configuration'} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}{key!r}")
+    if not section.keys() <= allowed:
+        key = next(key for key in section if key not in allowed)
+        raise ConfigError(f"unknown key {path}{key!r}")
 
 
 def _get(section: Mapping, key: str, path: str):
@@ -103,10 +111,14 @@ def _get(section: Mapping, key: str, path: str):
     return section[key]
 
 
-def _number(value, path: str) -> float:
-    real = not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
-    if not real or not math.isfinite(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+def _number(value, path: str, index: int | None = None) -> float:
+    """``value`` as a float; the error names ``path``, or entry ``index`` of it."""
+    real = value.__class__ is float or (
+        not isinstance(value, bool) and isinstance(value, (int, numbers.Real))
+    )
+    if not (real and -math.inf < value < math.inf):
+        at = path if index is None else f"{path}[{index}]"
+        raise ConfigError(f"{at} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -124,7 +136,7 @@ def _cap(value, path: str) -> int:
 
 
 def _string(value, path: str) -> str:
-    if not isinstance(value, str):
+    if value.__class__ is not str and not isinstance(value, str):
         raise ConfigError(f"{path} must be a string, got {value!r}")
     return value
 
@@ -136,19 +148,19 @@ def _flag(value, path: str) -> bool:
 
 
 def _list(value, path: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
+    if value.__class__ is not list and not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path} must be a list, got {value!r}")
     return value
 
 
 def _numbers(value, path: str) -> tuple[float, ...]:
-    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path)))
+    return tuple([_number(x, path, i) for i, x in enumerate(_list(value, path))])
 
 
 def _as_point(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path} must be a pair of coordinates")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    return (_number(value[0], path, 0), _number(value[1], path, 1))
 
 
 def positive(value, path: str) -> float:
@@ -370,17 +382,6 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         output=output,
         approximate=approximate,
     )
-
-
-def check_init_labels(spec: ProblemSpec) -> None:
-    """Check ``solver.init_labels`` against the mesh at ``solver.h``: its branches and elements."""
-    if spec.init_labels is None:
-        return
-    mesh = build_mesh(spec.network, spec.h)
-    try:
-        mesh.flat_elements(spec.init_labels, "solver.init_labels")
-    except ValueError as exc:
-        raise ConfigError(f"{exc} at h = {spec.h}") from None
 
 
 def load_document(path: Path) -> Any:

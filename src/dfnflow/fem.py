@@ -30,12 +30,14 @@ every vertex pressure too, in the order of ``network.end_vertex``.
 
 Only λ changes between the solves of one configuration. The boundary data
 and unknowns are cached on the network (``boundary_plan``); the element
-lengths, end nodes, element sources, W + μx and μ on the mesh. Each
-``assemble`` call still recomputes some λ-independent arrays, cheap next to
-the solve at the benchmark's mesh sizes: the body force times the branch
-lengths, W + μx at the element midpoints and at the branch ends, the plan's
-unknown-vertex indices and outfluxes, and the system size. ``_residual``
-recomputes its data scale on every solve.
+lengths, end nodes, element sources, W + μx, μ and the data scale the
+residual is relative to on the mesh. A working mesh of the tracker is solved
+on once for a linear law and a few times for a nonlinear one, so the
+λ-independent arrays ``assemble`` derives from these in a few numpy calls
+each are derived on every call rather than cached as well: the body
+force times the branch lengths, W + μx at the element midpoints and at the
+branch ends, the plan's numbered ends and unknown outfluxes, and the system
+size.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ RESIDUAL_TOL = 1e-10
 
 # Outward sign of the start and of the end of a branch.
 _END_SIGN = np.array([-1.0, 1.0])
+
+# Signs of a branch's 2 x 2 conductance block, row by row.
+_BLOCK_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -154,8 +159,8 @@ def assemble(
     integrates coefficient times the linear basis pair exactly, with the
     coefficient constant per element at the frozen speed. The boundary data
     and unknowns come from ``mesh.network.boundary_plan`` and W + μx from
-    ``mesh.source_profile``; the other λ-independent arrays the module
-    docstring lists are recomputed on every call. ``sources`` and ``bcs``
+    ``mesh.source_profile``; the module docstring lists the λ-independent
+    arrays derived from them on every call. ``sources`` and ``bcs``
     other than the network's own raise ``ValueError``; the parameters go once
     the benchmark stops passing them. Raises ``SingularSystemError`` when the
     pressure level of some part of the network is not fixed.
@@ -167,7 +172,7 @@ def assemble(
     plan = net.boundary_plan
     branch_of = mesh.element_branch
     left = mesh.left
-    if isinstance(frozen_speed, Mapping):
+    if isinstance(frozen_speed, (BranchArrays, Mapping)):  # the concrete type tests faster
         speeds = np.asarray(mesh.flat_elements(frozen_speed, "frozen speeds"), dtype=float)
     else:
         speeds = np.full(mesh.total_elements, float(frozen_speed))
@@ -183,19 +188,23 @@ def assemble(
     # Junction balance or velocity condition at each unknown vertex; one
     # branch contributes its conductance to each pair of its unknown ends,
     # branch by branch, so the matrix comes out exactly symmetric.
-    end_rhs = _END_SIGN * (
-        ((drive - plan.known_drop) / resistance)[:, None] + profile[mesh.end_nodes]
-    )
     n = len(plan.unknown)
-    rhs = np.bincount(plan.at[plan.free], end_rhs[plan.free], minlength=n)
-    conductance = np.array([1.0, -1.0, -1.0, 1.0]) / resistance[:, None]
-    matrix = np.bincount(plan.entry, conductance[plan.inside], minlength=n * n)
+    matrix, rhs = np.empty((0, 0)), np.empty(0)
+    if n:  # with every vertex pressure known, the reduced system is empty
+        end_rhs = _END_SIGN * (
+            ((drive - plan.known_drop) / resistance)[:, None] + profile[mesh.end_nodes]
+        )
+        rhs = np.bincount(plan.at[plan.free], end_rhs[plan.free], minlength=n)
+        rhs -= plan.outflux[plan.unknown]
+        conductance = _BLOCK_SIGN / resistance[:, None]
+        matrix = np.bincount(plan.entry, conductance[plan.inside], minlength=n * n)
+        matrix = matrix.reshape(n, n)
 
     n_free_nodes = len(mesh.x) - int(np.count_nonzero(plan.velocity))
     n_multipliers = len(net.intersections) + (plan.mean_pressure is not None)
     return SaddleSystem(
-        matrix=matrix.reshape(n, n),
-        rhs=rhs - plan.outflux[plan.unknown],
+        matrix=matrix,
+        rhs=rhs,
         mesh=mesh,
         size=n_free_nodes + mesh.total_elements + n_multipliers,
         coefficient=coeff,
@@ -228,7 +237,8 @@ def solve_saddle(system: SaddleSystem) -> Solution:
     # Each flux row gives the pressure step from one element to the next;
     # summing them from the branch start gives every element pressure.
     rows = _flux_rows(system, flux)
-    total = np.concatenate([[0.0], np.cumsum(rows)])
+    total = np.zeros(len(rows) + 1)
+    rows.cumsum(out=total[1:])
     start = pressure_at[vertex[:, 0]] + total[mesh.node_offset[:-1]]
     pressure = start[mesh.element_branch] - total[mesh.left + 1]
     if plan.mean_pressure is not None:
@@ -291,7 +301,7 @@ def _residual(
     Checks the flux row of every node without a velocity condition, the mass
     balance of every element, the balance at every intersection and every
     velocity condition. The mean of the pressures is set by the shift. The
-    scale of the data, which does not depend on λ, is recomputed per solve.
+    scale of the data does not depend on λ and is the mesh's ``data_scale``.
     """
     mesh = system.mesh
     net = mesh.network
@@ -309,15 +319,8 @@ def _residual(
         vertex.ravel(), (_END_SIGN * flux[ends]).ravel(), minlength=len(pressure_at)
     ) - plan.outflux
     balance[len(net.intersections) :][~plan.velocity[len(net.intersections) :]] = 0.0
-    scale = max(
-        float(np.abs(mesh.force).max(initial=0.0)) * mesh.h,
-        float(np.abs(source).max()),
-        float(np.abs(plan.vertex_pressure).max()),
-        float(np.abs(plan.outflux).max()),
-        1e-30,
-    )
-    worst = max(np.abs(part).max(initial=0.0) for part in (rows, mass, balance))
-    return float(worst) / scale
+    worst = np.abs(np.concatenate((rows, mass, balance))).max(initial=0.0)
+    return float(worst) / mesh.data_scale
 
 
 def _diagnose(system: SaddleSystem, reason: str) -> str:

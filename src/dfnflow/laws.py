@@ -144,11 +144,12 @@ def eval_lambda_coefficient(
     shape; scalar arguments give a float, arrays give an array.
     """
     speed = np.asarray(speed, dtype=float)
-    if np.any(speed < 0):
+    if (speed < 0).any():
         raise ValueError(f"speed must be nonnegative, got {speed.min()}")
     a = (speed / law.threshold) ** 2
+    # comparing with a plain int spares numpy probing the enum member
     coeff = np.where(
-        np.asarray(regime) == Regime.LOW,
+        np.asarray(regime) == Regime.LOW.value,
         law.low_normalized.phi(a),
         law.high_normalized.phi(a),
     )

@@ -94,12 +94,24 @@ class Mesh:
     @cached_property
     def element_branch(self) -> np.ndarray:
         """Branch position of every element."""
-        return np.repeat(np.arange(len(self.force)), np.diff(self.element_offset))
+        offset = self.element_offset
+        return np.arange(len(self.force)).repeat(offset[1:] - offset[:-1])
 
     @cached_property
     def node_branch(self) -> np.ndarray:
         """Branch position of every node."""
-        return np.repeat(np.arange(len(self.force)), np.diff(self.node_offset))
+        offset = self.node_offset
+        return np.arange(len(self.force)).repeat(offset[1:] - offset[:-1])
+
+    @cached_property
+    def node_keys(self) -> np.ndarray:
+        """``branch_keys`` of the nodes, sorted; every split of this mesh searches them."""
+        return branch_keys(self.node_branch, self.x)
+
+    @cached_property
+    def midpoint_keys(self) -> np.ndarray:
+        """``branch_keys`` of the element midpoints, sorted."""
+        return branch_keys(self.element_branch, self.midpoints)
 
     @cached_property
     def left(self) -> np.ndarray:
@@ -113,7 +125,9 @@ class Mesh:
     @cached_property
     def end_nodes(self) -> np.ndarray:
         """Global node of the start and of the end of every branch, one row each."""
-        return np.column_stack([self.node_offset[:-1], self.node_offset[1:] - 1])
+        ends = np.empty((len(self.force), 2), dtype=np.intp)
+        ends[:, 0], ends[:, 1] = self.node_offset[:-1], self.node_offset[1:] - 1
+        return ends
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -181,11 +195,27 @@ class Mesh:
         return (plan.outflux.sum() - self.element_sources.sum()) / self.network.total_length
 
     @cached_property
+    def data_scale(self) -> float:
+        """The scale of the data that solve residuals are relative to.
+
+        The largest body force times ``h``, element source, boundary pressure
+        or outflux, and at least 1e-30.
+        """
+        plan = self.network.boundary_plan
+        return max(
+            float(np.abs(self.force).max(initial=0.0)) * self.h,
+            float(np.abs(self.element_sources).max()),
+            float(np.abs(plan.vertex_pressure).max()),
+            float(np.abs(plan.outflux).max()),
+            1e-30,
+        )
+
+    @cached_property
     def source_profile(self) -> np.ndarray:
         """Nodal flux up to a constant per branch: the source integral from its start + μx."""
         profile = np.zeros(len(self.x))
         profile[self.left + 1] = self.element_sources
-        profile = np.cumsum(profile)
+        profile = profile.cumsum()
         profile -= profile[self.node_offset[:-1]][self.node_branch]
         return profile + self.mean_multiplier * self.x
 
@@ -200,16 +230,15 @@ def source_integrals(mesh: Mesh) -> np.ndarray:
     """
     table = mesh.network.source_pieces
     branch = mesh.element_branch
-    piece = table.base[branch] + np.searchsorted(table.breaks, branch_keys(branch, mesh.midpoints))
+    piece = table.base[branch] + table.breaks.searchsorted(mesh.midpoint_keys)
     sourced = table.sourced[branch]
-
-    a, b = mesh.x[mesh.left], mesh.x[mesh.left + 1]
-    out = table.rate[np.where(sourced, piece, -1)] * (b - a)
+    out = table.rate[np.where(sourced, piece, -1)] * mesh.element_lengths
     pts, wts = _GAUSS5
     for j, p in table.callables:
         sel = np.flatnonzero(sourced & (piece == j))
-        half = 0.5 * (b[sel] - a[sel])
-        xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
+        a, b = mesh.x[mesh.left[sel]], mesh.x[mesh.left[sel] + 1]
+        half = 0.5 * (b - a)
+        xs = half[:, None] * pts + 0.5 * (a + b)[:, None]
         out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
     return out
 
@@ -285,22 +314,28 @@ def split_mesh_at(mesh: Mesh, branch: np.ndarray, arc: np.ndarray) -> Mesh:
         )
 
     keys = np.sort(branch_keys(branch, arc))
-    # the nearest nodes below and above; both on the point's branch, which
-    # has nodes at 0 and at its length
-    above = np.searchsorted(branch_keys(mesh.node_branch, mesh.x), keys, side="right")
+    # the nearest nodes below and above, on the point's branch, which has
+    # nodes at 0 and at its length; above runs into the next branch only for
+    # a point at the end, which the node below matches, so clipping it is safe
+    above = mesh.node_keys.searchsorted(keys, side="right")
     branch, arc, below = keys.real.astype(np.intp), keys.imag, above - 1
-    above = np.minimum(above, mesh.node_offset[branch + 1] - 1)
-    near_node = np.minimum(np.abs(arc - mesh.x[below]), np.abs(mesh.x[above] - arc))
-    keep = near_node > COINCIDENCE_TOL
+    keep = arc - mesh.x[below] > COINCIDENCE_TOL
+    keep &= mesh.x.take(above, mode="clip") - arc > COINCIDENCE_TOL
     branch, arc, below = branch[keep], arc[keep], below[keep]
-    keep = (np.diff(arc, prepend=-np.inf) > COINCIDENCE_TOL) | (np.diff(branch, prepend=-1) != 0)
+    keep = np.ones(len(arc), dtype=bool)
+    keep[1:] = (arc[1:] - arc[:-1] > COINCIDENCE_TOL) | (branch[1:] != branch[:-1])
     branch, arc, below = branch[keep], arc[keep], below[keep]
     if not len(arc):
         return mesh
-    inserted = np.searchsorted(branch, np.arange(len(mesh.node_offset)))
+    # the new nodes go after the node below them, in point order
+    at = below + np.arange(1, len(arc) + 1)
+    x = np.empty(len(mesh.x) + len(arc))
+    old = np.ones(len(x), dtype=bool)
+    old[at] = False
+    x[old], x[at] = mesh.x, arc
     return Mesh(
         network=mesh.network,
-        x=np.insert(mesh.x, below + 1, arc),
-        node_offset=mesh.node_offset + inserted,
+        x=x,
+        node_offset=mesh.node_offset + branch.searchsorted(np.arange(len(mesh.node_offset))),
         force=mesh.force,
     )

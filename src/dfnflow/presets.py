@@ -14,8 +14,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import time
-from importlib import resources
 from typing import Iterable
 
 import numpy as np
@@ -121,11 +121,10 @@ def benchmark_network() -> tuple[FractureNetwork, dict]:
     The geometry is approximate (see the data file notes); returns the
     network and the raw document including its provenance notes.
     """
-    # data/ is package data of dfnflow, not a package: reading it through
-    # dfnflow imports nothing, where files("dfnflow.data") imports it as a
-    # namespace package on the first call
-    data = resources.files("dfnflow") / "data" / "case3_network.json"
-    payload = json.loads(data.read_text())
+    # data/ is package data beside this module; opening it directly skips
+    # the reader objects of importlib.resources, most of the cost of a cold load
+    with open(os.path.join(os.path.dirname(__file__), "data", "case3_network.json")) as f:
+        payload = json.load(f)
     return network_from_dict(payload["network"]), payload
 
 
@@ -163,7 +162,11 @@ def run_case(
     oracle's block.
     """
     start = time.perf_counter()
-    mesh = build_mesh(network, h)
+    return _run_on(name, build_mesh(network, h), law, picard, tracker, initial, trace, start)
+
+
+def _run_on(name, mesh, law, picard, tracker, initial, trace, start) -> ResultBundle:
+    """``run_case`` on the mesh it built; ``start`` is when the case started."""
     report = track(
         mesh,
         law,
@@ -173,7 +176,7 @@ def run_case(
         trace=trace,
     )
     energy = None
-    if len(network.branches) == 1:
+    if len(mesh.network.branches) == 1:
         energy = build_energy_block(report.final_solution, law)
     return bundle_from_report(
         name,
@@ -210,7 +213,8 @@ def sweep_k2(name: str, spec: ProblemSpec, values: Iterable[float]) -> ResultBun
     tolerance. A member that fails, a k2 that gives no valid law included
     (its ``lambda2`` is then None), is recorded without aborting the sweep; a
     sweep whose members all fail raises, and so does one without values,
-    before meshing. The bundle reports the last member that ran, with the
+    before meshing, and one whose ``init_labels`` do not match the mesh,
+    before any member. The bundle reports the last member that ran, with the
     rows in its extras.
     """
     if spec.law.high.slope != 0:
@@ -219,8 +223,8 @@ def sweep_k2(name: str, spec: ProblemSpec, values: Iterable[float]) -> ResultBun
     if not values:
         raise ValueError("the k2 sweep needs at least one k2 value")
     start = time.perf_counter()
-    initial = spec.initial
     mesh = build_mesh(spec.network, spec.h)
+    initial = spec.initial_on(mesh)
     rows = []
     last = None
     for k2 in values:
@@ -371,12 +375,15 @@ def run_spec(spec: ProblemSpec) -> ResultBundle:
     """Run the full pipeline described by a parsed configuration.
 
     The bundle records ``spec_to_dict(spec)``, built before the run, so a
-    spec without a document fails before any solve.
+    spec without a document fails before any solve, and so do ``init_labels``
+    that do not match the mesh, which is built once.
     """
     config = spec_to_dict(spec)
-    bundle = run_case(
-        "solve", spec.network, spec.law, h=spec.h, picard=spec.picard, tracker=spec.tracker,
-        initial=spec.initial, trace=spec.output.trace,
+    start = time.perf_counter()
+    mesh = build_mesh(spec.network, spec.h)
+    bundle = _run_on(
+        "solve", mesh, spec.law, spec.picard, spec.tracker, spec.initial_on(mesh),
+        spec.output.trace, start,
     )
     bundle.config = config
     return bundle

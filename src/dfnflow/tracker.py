@@ -135,21 +135,25 @@ class TrackerReport:
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two sets of ``branch_keys``."""
+    """Symmetric Hausdorff distance between two sets of ``branch_keys``; 0 for two empty ones."""
+    if not (len(a) and len(b)):
+        return 0.0 if len(a) == len(b) else math.inf
+    a, b = np.sort(a), np.sort(b)
     return max(_directed(a, b), _directed(b, a))
 
 
+# Offsets from the insertion point of a key to its neighbours below and above.
+_NEIGHBOURS = np.array([[1], [0]])
+
+
 def _directed(p: np.ndarray, q: np.ndarray) -> float:
-    """Largest arc distance from a point of p to the nearest point of q on its branch."""
-    q = np.sort(q)
-    above = np.searchsorted(q, p) + 1
-    # pad with a key on no branch, so that the neighbours always exist
-    q = np.concatenate([[complex(-1, 0)], q, [complex(-1, 0)]])
-    nearest = np.full(len(p), math.inf)
-    for j in (above - 1, above):
-        gap = np.where(q[j].real == p.real, np.abs(p.imag - q[j].imag), math.inf)
-        nearest = np.minimum(nearest, gap)
-    return float(nearest.max(initial=0.0))
+    """Largest arc distance from a point of p to the nearest point of the sorted, nonempty q.
+
+    A point's neighbours in q are clipped to q's ends; one on another branch is infinitely far.
+    """
+    gap = q.take(q.searchsorted(p) - _NEIGHBOURS, mode="clip") - p
+    gap = np.where(gap.real == 0.0, np.abs(gap.imag), math.inf)
+    return float(gap.min(axis=0).max(initial=0.0))
 
 
 class _Changes(NamedTuple):
@@ -198,9 +202,8 @@ def _classify(mesh: Mesh, flux: np.ndarray, threshold: float) -> _Changes:
     sign inside the element.
     """
     low = np.abs(flux) < threshold
-    left = mesh.left
-    e = np.flatnonzero(low[left] != low[left + 1])
-    start = left[e]
+    e = (low[1:] != low[:-1])[mesh.left].nonzero()[0]
+    start = mesh.left[e]
     x1, x2 = mesh.x[start], mesh.x[start + 1]
     u1, u2 = flux[start], flux[start + 1]
     level = np.copysign(threshold, np.where(low[start], u2, u1))
@@ -210,13 +213,18 @@ def _classify(mesh: Mesh, flux: np.ndarray, threshold: float) -> _Changes:
     # empty when both meet at the node between them.
     branch = mesh.element_branch[e]
     left_empty, right_empty = arc <= x1, x2 <= arc
-    offset = mesh.element_offset
-    empty = left_empty & (e == offset[branch])
-    empty |= right_empty & (e == offset[branch + 1] - 1)
-    adjacent = (np.diff(e) == 1) & (np.diff(branch) == 0)
-    empty[1:] |= right_empty[:-1] & left_empty[1:] & adjacent
-    first = np.where(low[mesh.node_offset[:-1]], Regime.LOW, Regime.HIGH).astype(np.int8)
-    return _Changes(branch, arc, first, not empty.any())
+    intact = True
+    if (left_empty | right_empty).any():
+        offset = mesh.element_offset
+        empty = left_empty & (e == offset[branch])
+        empty |= right_empty & (e == offset[branch + 1] - 1)
+        adjacent = (e[1:] - e[:-1] == 1) & (branch[1:] == branch[:-1])
+        empty[1:] |= right_empty[:-1] & left_empty[1:] & adjacent
+        intact = not empty.any()
+    # plain ints spare numpy probing the enum members
+    first = np.where(low[mesh.node_offset[:-1]], Regime.LOW.value, Regime.HIGH.value)
+    first = first.astype(np.int8)
+    return _Changes(branch, arc, first, intact)
 
 
 def _labels_on(mesh: Mesh, changes: _Changes) -> np.ndarray:
@@ -225,19 +233,20 @@ def _labels_on(mesh: Mesh, changes: _Changes) -> np.ndarray:
     An element takes its branch's first label, flipped once for every
     change point strictly below its midpoint.
     """
-    keys = np.sort(changes.keys())
+    keys = changes.keys()
+    keys.sort()
     branch = mesh.element_branch
-    below = np.searchsorted(keys, branch_keys(branch, mesh.midpoints))
-    below -= np.searchsorted(keys.real, branch)
+    below = keys.searchsorted(mesh.midpoint_keys)
+    below -= keys.real.searchsorted(branch)
     return changes.first[branch] ^ (below & 1).astype(np.int8)
 
 
 def _changes_of(mesh: Mesh, labels: np.ndarray) -> _Changes:
     """The change points of element labels: the nodes between unequal labels of a branch."""
-    e = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    e = e[np.diff(mesh.element_branch)[e - 1] == 0]
+    branch = mesh.element_branch
+    e = ((labels[1:] != labels[:-1]) & (branch[1:] == branch[:-1])).nonzero()[0] + 1
     first = labels[mesh.element_offset[:-1]].astype(np.int8)
-    return _Changes(mesh.element_branch[e], mesh.x[mesh.left[e]], first)
+    return _Changes(branch[e], mesh.x[mesh.left[e]], first)
 
 
 def _moved(mesh: Mesh, changes: _Changes, arcs: np.ndarray) -> _Changes | None:
@@ -246,10 +255,12 @@ def _moved(mesh: Mesh, changes: _Changes, arcs: np.ndarray) -> _Changes | None:
     None when the changes are not ``intact``, a point leaves its branch, or
     the points of a branch are not strictly increasing.
     """
-    starts = np.diff(changes.branch, prepend=-1) != 0
-    lower = np.where(starts, 0.0, np.concatenate([[0.0], arcs[:-1]]))
-    inside = np.all(arcs > lower) and np.all(arcs < mesh.lengths[changes.branch])
-    return changes._replace(arc=arcs) if changes.intact and inside else None
+    if not changes.intact:
+        return None
+    branch = changes.branch
+    inside = (0.0 < arcs) & (arcs < mesh.lengths[branch])
+    increasing = (arcs[1:] > arcs[:-1]) | (branch[1:] != branch[:-1])
+    return changes._replace(arc=arcs) if inside.all() and increasing.all() else None
 
 
 def _detect_period(signatures: list[bytes], new_sig: bytes, window: int) -> int | None:

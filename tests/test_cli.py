@@ -4,6 +4,7 @@ import json
 import pytest
 
 import dfnflow.config
+import dfnflow.meshing
 import dfnflow.presets
 from dfnflow.cli import main
 from dfnflow.config import load_config, spec_to_dict
@@ -420,6 +421,24 @@ def test_solve_parses_and_validates_the_config_once(tmp_path, monkeypatch):
     )
     assert main(["solve", str(config), "--max-outer", "5", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-k2"])
+def test_a_run_with_init_labels_builds_its_mesh_once(tmp_path, monkeypatch, command):
+    # the labels are checked against the mesh the run then tracks on
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"] = {"h": 0.25, "init_labels": {"f": [0, 1, 1, 0]}}
+    config = write_config(tmp_path, doc)
+    built = []
+    build = dfnflow.meshing.build_mesh
+    for module in (dfnflow.config, dfnflow.presets):
+        if hasattr(module, "build_mesh"):
+            monkeypatch.setattr(
+                module, "build_mesh", lambda net, h: built.append(h) or build(net, h)
+            )
+    argv = [command, str(config), "--max-outer", "5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert built == [0.25]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 Each property draws a random network from ``oracles.random_network``, meshes
 and splits it, and requires the array version to agree with the loop in
-``oracles.py`` exactly: same floats, same labels, same decisions.
+``oracles.py`` exactly: same floats, same labels, same decisions. The arrays
+a mesh caches are held to the expressions they were first computed by.
 """
 
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfnflow.fem import RegimeField
-from dfnflow.meshing import build_mesh, split_mesh_at
+from dfnflow.meshing import _GAUSS5, branch_keys, build_mesh, split_mesh_at
 from dfnflow.network import (
     BoundarySpec,
     Branch,
@@ -39,6 +40,7 @@ from oracles import (
     random_network,
     uniform_runs,
 )
+from test_fem import _callable_sources
 
 THRESHOLD = 0.15
 
@@ -232,3 +234,48 @@ def test_distance_matches_the_double_loop(seed):
     got = configuration_distance(a, b)
     expected = hausdorff_by_enumeration(a, b)
     assert got == expected or (math.isinf(got) and math.isinf(expected))
+
+
+def first_source_integrals(mesh):
+    """``source_integrals`` as first written, from the element ends."""
+    table = mesh.network.source_pieces
+    branch = mesh.element_branch
+    piece = table.base[branch] + np.searchsorted(table.breaks, branch_keys(branch, mesh.midpoints))
+    sourced = table.sourced[branch]
+    a, b = mesh.x[mesh.left], mesh.x[mesh.left + 1]
+    out = table.rate[np.where(sourced, piece, -1)] * (b - a)
+    pts, wts = _GAUSS5
+    for j, p in table.callables:
+        sel = np.flatnonzero(sourced & (piece == j))
+        half = 0.5 * (b[sel] - a[sel])
+        xs = half[:, None] * pts + 0.5 * (a[sel] + b[sel])[:, None]
+        out[sel] = half * (p(xs.ravel()).reshape(xs.shape) @ wts)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cached_mesh_arrays_match_their_first_expressions(seed):
+    rng = np.random.default_rng(seed)
+    base = build_mesh(_callable_sources(random_network(rng), rng), float(rng.uniform(0.1, 0.5)))
+    for mesh in (base, split_base(rng, base)):
+        offset, positions = mesh.node_offset, np.arange(len(mesh.force))
+        expected = {
+            "node_branch": np.repeat(positions, np.diff(offset)),
+            "element_branch": np.repeat(positions, np.diff(mesh.element_offset)),
+            "end_nodes": np.column_stack([offset[:-1], offset[1:] - 1]),
+            "node_keys": branch_keys(mesh.node_branch, mesh.x),
+            "midpoint_keys": branch_keys(mesh.element_branch, mesh.midpoints),
+            "element_sources": first_source_integrals(mesh),
+        }
+        for name, array in expected.items():
+            got = getattr(mesh, name)
+            assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
+        plan = mesh.network.boundary_plan
+        assert mesh.data_scale == max(
+            float(np.abs(mesh.force).max(initial=0.0)) * mesh.h,
+            float(np.abs(mesh.element_sources).max()),
+            float(np.abs(plan.vertex_pressure).max()),
+            float(np.abs(plan.outflux).max()),
+            1e-30,
+        )

@@ -53,6 +53,28 @@ class TestCoefficientEvaluation:
         with pytest.raises(ValueError):
             eval_lambda_coefficient(linear_pair(), -0.1, Regime.LOW)
 
+    @pytest.mark.parametrize(
+        "speed, regime",
+        [
+            (0.2, Regime.LOW),
+            (0.2, Regime.HIGH),
+            (0.0, np.int8(1)),
+            (np.array([0.0, 0.1, 0.15, 0.4]), np.array([0, 1, 1, 0], dtype=np.int8)),
+            (np.array([0.05, 0.3]), Regime.HIGH),
+            (0.3, np.array([1, 0, 1], dtype=np.int8)),
+        ],
+    )
+    def test_the_coefficient_keeps_the_bytes_of_the_enum_comparison(self, speed, regime):
+        # the regime was compared with the enum member itself when first written
+        law = forchheimer_pair()
+        got = eval_lambda_coefficient(law, speed, regime)
+        a = (np.asarray(speed, dtype=float) / law.threshold) ** 2
+        expected = np.where(
+            np.asarray(regime) == Regime.LOW, law.low_normalized.phi(a), law.high_normalized.phi(a)
+        )
+        assert type(got) is (float if expected.ndim == 0 else np.ndarray)
+        assert np.asarray(got).tobytes() == expected.tobytes()
+
     @settings(max_examples=50, deadline=None)
     @given(
         s1=st.floats(0.0, 5.0),

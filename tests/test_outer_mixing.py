@@ -101,3 +101,24 @@ def test_moved_runs_keep_labels_and_reject_escaping_or_reordered_points():
     at_start = _classify(mesh, flux, 0.15)
     assert at_start.arc.tolist() == [0.0] and not at_start.intact
     assert _moved(mesh, at_start, np.array([0.01])) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_moved_decides_as_the_bound_from_the_point_before(seed):
+    # the rule as first written: each point above the one before it on its
+    # branch, or above 0 at the branch start, and below the branch length
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(lattice_network(int(rng.integers(100)), 2), 0.25)
+    n = int(rng.integers(0, 6))
+    branch = np.sort(rng.integers(0, len(mesh.branch_ids), n))
+    grid = np.array([0.0, 0.3, 0.6, 1.0, -0.2]) * float(mesh.lengths.max())
+    arcs = rng.choice(grid, n) + rng.choice([0.0, 1e-9], n)
+    first = np.zeros(len(mesh.branch_ids), np.int8)
+    changes = _Changes(branch, arcs[::-1].copy(), first, bool(rng.random() < 0.8))
+    starts = np.diff(branch, prepend=-1) != 0
+    lower = np.where(starts, 0.0, np.concatenate([[0.0], arcs[:-1]]))
+    inside = np.all(arcs > lower) and np.all(arcs < mesh.lengths[branch])
+    moved = _moved(mesh, changes, arcs)
+    assert (moved is not None) == (changes.intact and inside)
+    assert moved is None or moved.arc is arcs

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dfnflow.fem
+import dfnflow.picard
 import dfnflow.tracker
 from dfnflow.energy import lift_field, reduce_and_minimize
 from dfnflow.fem import RegimeField
@@ -19,6 +21,9 @@ from dfnflow.network import (
     SourceSpec,
 )
 from dfnflow.presets import (
+    benchmark_network,
+    crossing_network,
+    darcy_forchheimer_pair,
     darcy_pair,
     oscillation_variant_network,
     single_fracture_network,
@@ -274,6 +279,41 @@ class TestTracking:
         names = [base.branch_ids[k] for k in final.changes.branch]
         assert final.interfaces == tuple(zip(names, final.changes.arc.tolist()))
         assert calls[-1][2] is final.changes.arc
+
+    @pytest.mark.parametrize(
+        "network, junctions",
+        [
+            (single_fracture_network, False),
+            (crossing_network, True),
+            (lambda: benchmark_network()[0], True),
+        ],
+        ids=["single-fracture", "crossing", "case3"],
+    )
+    def test_each_picard_iteration_assembles_and_solves_once_through_the_hooked_names(
+        self, monkeypatch, network, junctions
+    ):
+        # the layer boundaries a traced benchmark run wraps and counts
+        calls = {"assemble": 0, "solve": 0, "junctions": 0}
+
+        def counted(key, function):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        for module, name, key in (
+            (dfnflow.picard, "assemble", "assemble"),
+            (dfnflow.picard, "solve_saddle", "solve"),
+            (dfnflow.fem, "implied_junction_pressures", "junctions"),
+        ):
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        report = track(build_mesh(network(), 0.05), darcy_forchheimer_pair())
+        solves = sum(report.inner_iteration_counts)
+        assert solves > report.outer_iterations
+        assert calls == {
+            "assemble": solves, "solve": solves, "junctions": solves if junctions else 0
+        }
 
     def test_deterministic_reports(self):
         mesh = build_mesh(single_fracture_network(), 0.05)
