@@ -60,10 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("config")
     _add_run_flags(p_solve)
     _add_solver_flags(p_solve)
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_preset = sub.add_parser("preset", help="run a packaged preset")
     p_preset.add_argument("name", choices=PRESET_NAMES)
     _add_run_flags(p_preset)
+    p_preset.set_defaults(run=_cmd_preset)
 
     p_sweep = sub.add_parser("sweep-k2", help="sweep the high-regime permeability")
     p_sweep.add_argument("config")
@@ -73,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "--k2-values=-1,0.5,2")
     _add_run_flags(p_sweep)
     _add_solver_flags(p_sweep)
+    p_sweep.set_defaults(run=_cmd_sweep)
     return parser
 
 
@@ -131,13 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        if args.command == "sweep-k2":
-            return _cmd_sweep(args)
-        raise AssertionError(args.command)
+        return args.run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -79,18 +79,16 @@ class ProblemSpec:
     def initial_on(self, mesh: Mesh) -> str | RegimeField:
         """The tracker's start on ``mesh``, the mesh at ``h``.
 
-        Raises ``ConfigError`` when ``init_labels`` do not match the mesh:
-        its branches and elements.
+        Raises ``ConfigError`` when ``init_labels`` do not match the mesh: its
+        branches and elements; else returns them checked, as a view on ``mesh``.
         """
         if self.init_labels is None:
             return self.init
         try:
-            mesh.flat_elements(self.init_labels, "solver.init_labels")
+            labels = mesh.flat_elements(self.init_labels, "solver.init_labels")
         except ValueError as exc:
             raise ConfigError(f"{exc} at h = {self.h}") from None
-        return RegimeField(
-            {b: np.array(labels, dtype=np.int8) for b, labels in self.init_labels.items()}
-        )
+        return RegimeField(mesh.per_element(labels.astype(np.int8)))
 
 
 # The type checks below try the concrete types a JSON document holds (dict,

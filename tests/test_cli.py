@@ -9,7 +9,7 @@ import dfnflow.presets
 from dfnflow.cli import main
 from dfnflow.config import load_config, spec_to_dict
 from dfnflow.export import load_bundle
-from dfnflow.presets import run_preset
+from dfnflow.presets import PRESET_NAMES, run_preset
 
 from test_config import EXAMPLES, MINIMAL, floating_documents
 from test_network import count_checks
@@ -439,6 +439,49 @@ def test_a_run_with_init_labels_builds_its_mesh_once(tmp_path, monkeypatch, comm
     argv = [command, str(config), "--max-outer", "5", "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     assert built == [0.25]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_run_builds_its_base_mesh_once(monkeypatch, name):
+    built = []
+    build = dfnflow.presets.build_mesh
+    monkeypatch.setattr(
+        dfnflow.presets, "build_mesh", lambda net, h: built.append(h) or build(net, h)
+    )
+    run_preset(name)
+    assert len(built) == 1
+
+
+def count_label_walks(monkeypatch) -> list:
+    """Record every ``Mesh.flat_elements`` call on values that are no view on the mesh."""
+    walked = []
+    flat = dfnflow.meshing.Mesh.flat_elements
+
+    def counting(mesh, values, what):
+        if getattr(values, "offset", None) is not mesh.element_offset:
+            walked.append(what)
+        return flat(mesh, values, what)
+
+    monkeypatch.setattr(dfnflow.meshing.Mesh, "flat_elements", counting)
+    return walked
+
+
+def test_a_solve_walks_its_init_labels_once(tmp_path, monkeypatch):
+    # the labels checked against the mesh reach the tracker as a view on it
+    walked = count_label_walks(monkeypatch)
+    argv = ["solve", str(EXAMPLES / "init-labels.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert walked == ["solver.init_labels"]
+
+
+def test_a_sweep_walks_its_init_labels_once_for_all_members(monkeypatch):
+    doc = json.loads((EXAMPLES / "init-labels.json").read_text())
+    doc["law"]["high"] = {"type": "constant", "value": 0.1}
+    spec = dfnflow.config.parse_config(doc)
+    walked = count_label_walks(monkeypatch)
+    bundle = dfnflow.presets.sweep_k2("sweep-k2", spec, [0.5, 1.0, 2.0, 4.0, 10.0])
+    assert all(row["status"] != "error" for row in bundle.extras["sweep"])
+    assert walked == ["solver.init_labels"]
 
 
 @pytest.mark.parametrize(
