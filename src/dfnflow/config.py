@@ -285,6 +285,22 @@ def network_from_dict(doc: Mapping, path: str = "network.") -> FractureNetwork:
     )
 
 
+def read_network_file(path: Path) -> tuple[FractureNetwork, dict]:
+    """The network of a network file, parsed but not yet validated, and the file's document.
+
+    The document holds ``network`` and may hold ``approximate`` and ``notes``.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read network file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"network file {path} is not valid JSON: {exc}") from exc
+    _require_keys(payload, {"network", "approximate", "notes"}, f"{path.name}:")
+    _flag(payload.get("approximate", False), f"{path.name}:approximate")
+    return network_from_dict(_get(payload, "network", f"{path.name}:")), payload
+
+
 def _init_labels(doc) -> dict[str, tuple[int, ...]]:
     if not isinstance(doc, Mapping):
         raise ConfigError("solver.init_labels must be an object")
@@ -318,25 +334,16 @@ def parse_config(document: Mapping, base_dir: Path | None = None) -> ProblemSpec
         raise ConfigError("provide exactly one of 'network' or 'network_file'")
     approximate = _flag(document.get("approximate", False), "approximate")
     if "network" in document:
-        network_doc = document["network"]
+        network = network_from_dict(document["network"])
     else:
         if not isinstance(document["network_file"], str):
             raise ConfigError("network_file must be a path string")
         ref = Path(document["network_file"])
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
-        try:
-            payload = json.loads(ref.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read network file {ref}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"network file {ref} is not valid JSON: {exc}") from exc
-        _require_keys(payload, {"network", "approximate", "notes"}, f"{ref.name}:")
-        network_doc = _get(payload, "network", f"{ref.name}:")
+        network, payload = read_network_file(ref)
         # geometry read off a figure stays approximate in every config using it
-        file_flag = _flag(payload.get("approximate", False), f"{ref.name}:approximate")
-        approximate = approximate or file_flag
-    network = network_from_dict(network_doc)
+        approximate = approximate or payload.get("approximate", False)
 
     report = validate_network(network)
     if not report.ok:

@@ -8,8 +8,8 @@ carrying the source and boundary-flux data. That field is the solve's own
 reduction and the solver see one problem. Its minimizer is an independent
 oracle for the mixed finite element solution: the solver's velocity minus the
 lifted field must be the constant that minimizes E. With any velocity
-condition present the divergence-free space collapses to zero and the lifted
-field itself is the unique candidate.
+condition present the divergence-free space collapses to zero: alpha is fixed
+at 0, a search over one point that runs the same evaluation as a free alpha.
 
 Between the breakpoints where a lifted node value plus alpha crosses zero or
 the threshold speed, the potential of the flux is a cubic in each node value,
@@ -37,9 +37,8 @@ crossings (and at sign changes of the flux) before applying a 3-point Gauss
 rule, which is then exact: on each piece the potential of every law branch
 is a cubic in the flux. All elements are integrated in one array pass. This
 quadrature is the only dissipation integrator: ``energy_of`` runs it on one
-field, and the minimizer runs it once on the fields at all its zeros of E'
-and at the ends of the search interval, so every energy it reports equals
-``energy_of`` of the field it names.
+field, and the minimizer runs it once on the fields at all the points it
+compares, so every energy it reports equals ``energy_of`` of the field it names.
 """
 
 from __future__ import annotations
@@ -188,8 +187,8 @@ class MinimizationResult:
     ``candidates`` lists every local minimizer whose energy lies within the
     near-optimal window of the global value; in the convex case it has a
     single entry. ``alphas`` holds the sorted breakpoints of E inside the
-    search interval plus its two ends, and ``lifted`` the lifted field that
-    alpha is added to.
+    search interval plus its two ends, or just 0 when a velocity condition
+    fixes alpha, and ``lifted`` the lifted field that alpha is added to.
     """
 
     alpha_star: float
@@ -410,39 +409,31 @@ def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
     """Minimize the reduced scalar energy of a single-branch problem.
 
     With a velocity condition anywhere on the boundary the divergence-free
-    space is trivial and alpha = 0 is returned immediately. Otherwise E is
-    piecewise smooth with breakpoints where a lifted node value plus alpha
-    crosses 0 or the threshold speed; its local minimizers are the points
-    where the closed-form E' turns from - to +, found bracket by bracket.
+    space is trivial: alpha is fixed at 0, and the search below runs on that
+    one point. Otherwise E is piecewise smooth with breakpoints where a
+    lifted node value plus alpha crosses 0 or the threshold speed; its local
+    minimizers are the points where the closed-form E' turns from - to +,
+    found bracket by bracket.
     E at them and at the ends of the search interval comes from one batched
     call of the quadrature ``energy_of`` runs. An end of the search interval
     counts as a candidate when it is the global minimum.
     """
     lifted = lift_field(mesh)
-
     if mesh.network.boundary_plan.velocity.any():
-        report = energy_of(lifted, mesh, law)
-        return MinimizationResult(
-            alpha_star=0.0,
-            energy=report.energy,
-            candidates=[(0.0, report.energy)],
-            alphas=np.array([0.0]),
-            lifted=lifted,
+        alphas = points = np.array([0.0])
+    else:
+        w, u = lifted, law.threshold
+        kinks = np.concatenate([-w, u - w, -u - w])
+        inside = kinks[np.abs(kinks) < ALPHA_MAX]
+        alphas = np.sort(np.concatenate([[-ALPHA_MAX, ALPHA_MAX], inside]))
+        alphas = alphas[np.diff(alphas, prepend=-np.inf) > 0.0]
+        zeros = _rising_zeros(
+            alphas[:-1],
+            alphas[1:],
+            _bracket_slopes(alphas, lifted, mesh, law),
+            lambda a: _slopes(a, lifted, mesh, law),
         )
-
-    w, u = lifted, law.threshold
-    kinks = np.concatenate([-w, u - w, -u - w])
-    inside = kinks[np.abs(kinks) < ALPHA_MAX]
-    alphas = np.sort(np.concatenate([[-ALPHA_MAX, ALPHA_MAX], inside]))
-    alphas = alphas[np.diff(alphas, prepend=-np.inf) > 0.0]
-
-    zeros = _rising_zeros(
-        alphas[:-1],
-        alphas[1:],
-        _bracket_slopes(alphas, lifted, mesh, law),
-        lambda a: _slopes(a, lifted, mesh, law),
-    )
-    points = np.concatenate([[-ALPHA_MAX], zeros, [ALPHA_MAX]])
+        points = np.concatenate([[-ALPHA_MAX], zeros, [ALPHA_MAX]])
     dissipation, load = _dissipation_and_load(
         lifted + points[:, None], mesh.x, tangential_forcing(mesh), law
     )

@@ -384,12 +384,14 @@ class ValidationReport:
 def validate_network(network: FractureNetwork) -> ValidationReport:
     """A fresh report of every structural violation of the network invariants.
 
-    The report is empty exactly when the network is well-formed: finite
-    data, positive branch lengths, coincident intersection points, each free
-    end carrying one boundary condition, and a determined pressure level. The
-    last is checked only on an otherwise well-formed network, by building its
-    ``boundary_plan``; its error is reported as ``pressure-level``. Every
-    comparison fails on NaN, so each test is written to report it.
+    The report is empty exactly when the network is well-formed: unique
+    branch and intersection ids, finite data, positive branch lengths,
+    coincident intersection points, each branch end listed at most once by
+    all intersections together, each free end carrying one boundary
+    condition, and a determined pressure level. The last is checked only on
+    an otherwise well-formed network, by building its ``boundary_plan``; its
+    error is reported as ``pressure-level``. Every comparison fails on NaN,
+    so each test is written to report it.
 
     The verdict belongs to the network object: its first validation runs the
     checks and ``network.violations`` keeps them, so parsing and every mesh
@@ -403,9 +405,10 @@ def _find_violations(network: FractureNetwork) -> tuple[Violation, ...]:
     report = ValidationReport()
 
     ids = network.branch_ids
-    for dup, count in Counter(ids).items():
-        if count > 1:
-            report.add("duplicate-branch", f"branch id {dup!r} appears more than once")
+    for kind, names in (("branch", ids), ("intersection", [i.id for i in network.intersections])):
+        for dup, count in Counter(names).items():
+            if count > 1:
+                report.add(f"duplicate-{kind}", f"{kind} id {dup!r} appears more than once")
 
     for b in network.branches:
         if not math.isfinite(b.length):
@@ -417,7 +420,7 @@ def _find_violations(network: FractureNetwork) -> tuple[Violation, ...]:
             report.add("zero-length", f"branch {b.id!r} has zero length")
 
     known = set(ids)
-    end_use: dict[BranchEnd, int] = {}
+    end_use: dict[BranchEnd, list[str]] = {}
     for isec in network.intersections:
         if len(isec.incident) < 2:
             report.add(
@@ -425,7 +428,7 @@ def _find_violations(network: FractureNetwork) -> tuple[Violation, ...]:
                 f"intersection {isec.id!r} has fewer than 2 incident branch ends",
             )
         for bid, which in isec.incident:
-            end_use[(bid, which)] = end_use.get((bid, which), 0) + 1
+            end_use.setdefault((bid, which), []).append(isec.id)
             if bid not in known:
                 report.add(
                     "unknown-branch",
@@ -448,11 +451,12 @@ def _find_violations(network: FractureNetwork) -> tuple[Violation, ...]:
                     f"end ({bid!r}, {which}) lies {dist:.3e} away from "
                     f"intersection {isec.id!r}",
                 )
-    for end, count in end_use.items():
-        if count > 1:
+    for end, listed_by in end_use.items():
+        if len(listed_by) > 1:
             report.add(
                 "multiple-intersections",
-                f"branch end {end} belongs to {count} intersections",
+                f"branch end {end} is listed {len(listed_by)} times, by intersections "
+                + ", ".join(map(repr, listed_by)),
             )
 
     junctions = network.junction_ends

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
-import os
 import time
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .config import DEFAULT_H, OutputSettings, ProblemSpec, network_from_dict, spec_to_dict
+from .config import DEFAULT_H, OutputSettings, ProblemSpec, read_network_file, spec_to_dict
 from .energy import build_energy_block
 from .export import ResultBundle, bundle_from_report
 from .fem import RegimeField
@@ -121,11 +120,9 @@ def benchmark_network() -> tuple[FractureNetwork, dict]:
     The geometry is approximate (see the data file notes); returns the
     network and the raw document including its provenance notes.
     """
-    # data/ is package data beside this module; opening it directly skips
+    # data/ is package data beside this module; reading it by its path skips
     # the reader objects of importlib.resources, most of the cost of a cold load
-    with open(os.path.join(os.path.dirname(__file__), "data", "case3_network.json")) as f:
-        payload = json.load(f)
-    return network_from_dict(payload["network"]), payload
+    return read_network_file(Path(__file__).with_name("data") / "case3_network.json")
 
 
 def darcy_pair(k1: float = 1.0, k2: float = 10.0, threshold: float = THRESHOLD) -> AdaptiveLaw:

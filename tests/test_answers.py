@@ -46,14 +46,17 @@ ORACLE_LAWS = {
 ORACLE_H = (0.05, 0.02, 0.01)
 
 
+def _example(path):
+    return run_spec(load_config(path))
+
+
 def _oracle_case(name, law, h):
     return run_case(name, single_fracture_network(), law(), h=h)
 
 
 RUNS = {
     **{f"preset-{name}": functools.partial(run_preset, name) for name in PRESET_NAMES},
-    **{f"example-{path.stem}": functools.partial(lambda p: run_spec(load_config(p)), path)
-       for path in EXAMPLES},
+    **{f"example-{path.stem}": functools.partial(_example, path) for path in EXAMPLES},
     **{
         f"oracle-{law}-h{h}": functools.partial(_oracle_case, f"{law}-h{h}", make_law, h)
         for law, make_law in ORACLE_LAWS.items()
@@ -88,7 +91,8 @@ def differences(recorded, fresh, path: str = "") -> list[str]:
             return [f"{path}: length {length} != recorded {len(recorded)}"]
         items = [(f"{path}[{i}]", r, f) for i, (r, f) in enumerate(zip(recorded, fresh))]
     else:
-        return [] if _same_leaf(recorded, fresh) else [f"{path}: {fresh!r} != recorded {recorded!r}"]
+        same = _same_leaf(recorded, fresh)
+        return [] if same else [f"{path}: {fresh!r} != recorded {recorded!r}"]
     floats = [abs(r) for _, r, _ in items if type(r) is float and math.isfinite(r)]
     bound = RELATIVE_BOUND * max(floats, default=0.0)
     found = []

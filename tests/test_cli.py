@@ -394,6 +394,47 @@ def test_a_floating_part_is_a_config_error_before_any_solve(tmp_path, capsys, mo
     assert message in err
 
 
+def chain_document(second_id):
+    """Branches a, b, c end to end, p = 1 at the start of a and p = 0 at the end of c."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["network"] = {
+        "branches": [
+            {"id": bid, "start": [k, 0.0], "end": [k + 1.0, 0.0]}
+            for k, bid in enumerate("abc")
+        ],
+        "intersections": [
+            {"id": "J", "point": [1.0, 0.0], "incident": [["a", "end"], ["b", "start"]]},
+            {"id": second_id, "point": [2.0, 0.0], "incident": [["b", "end"], ["c", "start"]]},
+        ],
+        "boundary": {
+            "conditions": [
+                {"branch": "a", "end": "start", "type": "pressure", "value": 1.0},
+                {"branch": "c", "end": "end", "type": "pressure", "value": 0.0},
+            ]
+        },
+    }
+    return doc
+
+
+def test_duplicate_intersection_ids_are_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # under one id the junction pressures 2/3 and 1/3 would share one bundle key
+    config = write_config(tmp_path, chain_document("J"))
+    monkeypatch.setattr(dfnflow.presets, "track", _no_solve)
+    assert main(["solve", str(config), "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: invalid network:\n"
+        "[duplicate-intersection] intersection id 'J' appears more than once\n"
+    )
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    config = write_config(tmp_path, chain_document("K"), "chain.json")
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    pressures = load_bundle(out / "solve.json").final["junction_pressure"]
+    assert pressures == pytest.approx({"J": 2.0 / 3.0, "K": 1.0 / 3.0}, abs=1e-12)
+
+
 def test_the_mean_anchored_darcy_example_sweeps_from_a_negative_k2(tmp_path, capsys):
     # a list starting with a negative value needs the = form
     example = str(EXAMPLES / "mean-anchored-darcy.json")

@@ -13,6 +13,7 @@ from dfnflow.config import (
     load_config,
     network_from_dict,
     parse_config,
+    read_network_file,
     spec_to_dict,
 )
 from dfnflow.laws import LawBranch
@@ -311,6 +312,31 @@ def test_a_network_files_flag_is_checked_with_its_key_path(tmp_path):
     doc = {"network_file": "net.json", "law": MINIMAL["law"]}
     with pytest.raises(ConfigError, match="net.json:approximate must be true or false"):
         parse_config(doc, base_dir=tmp_path)
+
+
+def test_the_network_file_reader_leaves_validation_to_the_caller(tmp_path):
+    network_doc = json.loads(json.dumps(MINIMAL["network"]))
+    del network_doc["boundary"]["conditions"][1]
+    (tmp_path / "net.json").write_text(json.dumps({"network": network_doc, "notes": "open"}))
+    network, payload = read_network_file(tmp_path / "net.json")
+    assert payload["notes"] == "open" and network.branch_ids == ("f",)
+    assert "violations" not in vars(network)
+    doc = {"network_file": "net.json", "law": MINIMAL["law"]}
+    with pytest.raises(ConfigError, match=r"invalid network:\n\[unclosed-boundary\] "):
+        parse_config(doc, base_dir=tmp_path)
+
+
+def test_the_presets_read_the_packaged_network_file_through_the_config_reader(monkeypatch):
+    read = []
+
+    def reader(path):
+        read.append(path)
+        return read_network_file(path)
+
+    monkeypatch.setattr(dfnflow.presets, "read_network_file", reader)
+    network, payload = dfnflow.presets.benchmark_network()
+    assert [path.name for path in read] == ["case3_network.json"]
+    assert "violations" not in vars(network) and payload["approximate"] is True
 
 
 def _set(doc, path, value):

@@ -605,12 +605,35 @@ class TestLocalMinimalityProbe:
         report = track(mesh, law)
         self.assert_is_the_line_minimum(report.final_solution, law)
 
-    def test_velocity_condition_leaves_no_directions(self):
-        # the divergence-free space is zero: the lifted field is the only
-        # candidate, with its own energy
-        net = plain_branch(bc_start=VelocityBC(0.1))
-        mesh = build_mesh(net, 0.25)
-        law = darcy_pair()
+    @pytest.mark.parametrize(
+        "net, law",
+        [
+            (plain_branch(bc_start=VelocityBC(0.1)), darcy_pair()),
+            (
+                plain_branch(
+                    q=alternating_source(), force=(0.05, 0.0), bc_end=VelocityBC(0.3)
+                ),
+                darcy_forchheimer_pair(),
+            ),
+            (
+                FractureNetwork(
+                    branches=(Branch("f", (0.0, 0.0), (1.0, 0.0)),),
+                    boundary=BoundarySpec(
+                        {("f", "start"): VelocityBC(-0.2), ("f", "end"): VelocityBC(0.4)},
+                        mean_pressure=0.0,
+                    ),
+                    sources=SourceSpec(scalar={"f": alternating_source()}),
+                ),
+                darcy_forchheimer_pair(),
+            ),
+        ],
+        ids=["velocity-start", "velocity-end", "velocity-both-mean-pressure"],
+    )
+    @pytest.mark.parametrize("h", [0.25, 0.01])
+    def test_velocity_condition_leaves_no_directions(self, net, law, h):
+        # the divergence-free space is zero: alpha is fixed at 0, and the
+        # lifted field is the only candidate, with its own energy
+        mesh = build_mesh(net, h)
         result = reduce_and_minimize(mesh, law)
         energy = energy_of(result.lifted, mesh, law).energy
         assert result.alpha_star == 0.0

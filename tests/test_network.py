@@ -243,6 +243,10 @@ def _junction_pair(
                 )
             ),
         ),
+        (
+            "duplicate-intersection",
+            _junction_pair(extra=(Intersection("J", (0.5, 1.0), (("v", "end"),)),)),
+        ),
         ("lonely-intersection", _junction_pair(extra=(Intersection("K", (0.5, 1.0), ()),))),
         ("unknown-branch", _junction_pair(incident=(("h", "end"), ("v", "start"), ("x", "end")))),
         (
@@ -261,6 +265,7 @@ def _junction_pair(
     ],
     ids=[
         "duplicate-branch",
+        "duplicate-intersection",
         "lonely-intersection",
         "unknown-branch-intersection",
         "unknown-branch-source",
@@ -274,6 +279,16 @@ def test_each_structural_fault_is_reported_not_raised(code, net):
     assert validate_network(_junction_pair()).ok
     report = validate_network(net)
     assert code in {v.code for v in report.violations}
+
+
+def test_an_end_listed_twice_is_reported_with_the_intersection_listing_it():
+    net = _junction_pair(incident=(("h", "end"), ("v", "start"), ("h", "end")))
+    assert [(v.code, v.message) for v in validate_network(net).violations] == [
+        (
+            "multiple-intersections",
+            "branch end ('h', 'end') is listed 2 times, by intersections 'J', 'J'",
+        )
+    ]
 
 
 def test_the_plan_of_an_unchecked_network_rejects_a_condition_at_a_junction():
