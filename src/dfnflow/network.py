@@ -422,10 +422,10 @@ def _find_violations(network: FractureNetwork) -> tuple[Violation, ...]:
     known = set(ids)
     end_use: dict[BranchEnd, list[str]] = {}
     for isec in network.intersections:
-        if len(isec.incident) < 2:
+        if len(set(isec.incident)) < 2:
             report.add(
                 "lonely-intersection",
-                f"intersection {isec.id!r} has fewer than 2 incident branch ends",
+                f"intersection {isec.id!r} has fewer than 2 distinct incident branch ends",
             )
         for bid, which in isec.incident:
             end_use.setdefault((bid, which), []).append(isec.id)

@@ -1,10 +1,10 @@
 """Free-interface tracking between the low- and high-speed regions.
 
 The outer loop solves the flow problem on the current configuration, then
-classifies every element by comparing the nodal speed magnitudes against the
-threshold at its two endpoints. Where the endpoints disagree, the crossing of
-the interpolated speed with the threshold is solved in closed form, the
-base mesh is split there and the two sides inherit their endpoint's regime.
+classifies every element from its linear flux: an interface lies wherever the
+flux meets ±threshold, in closed form, so an element holds one where its
+endpoints classify differently and two where both are high with opposite
+signs. The base mesh is split there and the label flips at each interface.
 The loop stops when the configuration is stable, when it cycles, or at the
 iteration cap. Stability means the interface point set moved less than a
 tolerance between successive iterations and the per-base-element label
@@ -36,15 +36,17 @@ classified from the solve on the configuration γ. A residual G(γ) − γ
 exists while the number of interfaces on every branch stays the same;
 mixing restarts whenever that layout or the per-base-element label pattern
 changes. The mixed configuration takes G(γ)'s labels with their changes
-moved to the mixed arcs. It is rejected in favour of G(γ) itself, keeping
-only the last residual, when a mixed arc leaves its branch, the arcs of a
-branch lose their strict order, G(γ) has an interface that separates no
-two runs of positive length, or the label pattern changes; so the
-cycling test still sees the patterns of plain steps only. The stop test is
-unchanged: the interfaces classified from a solve lie within the tolerance
-of those it was solved on, under an unchanged label pattern. A history
-entry's ``distance`` is that fixed-point residual, and ``mixed`` marks the
-iterations that solved on a mixed configuration.
+moved to the mixed arcs. A set of arcs is admissible when every arc lies
+strictly inside its branch and the arcs of a branch strictly increase; an
+interface that separates no two runs of positive length breaks that rule.
+The mixed configuration is rejected in favour of G(γ) itself, keeping only
+the last residual, when G(γ)'s arcs or the mixed arcs are not admissible,
+or when the label pattern changes; so the cycling test still sees the
+patterns of plain steps only. The stop test is unchanged: the interfaces
+classified from a solve lie within the tolerance of those it was solved
+on, under an unchanged label pattern. A history entry's ``distance`` is
+that fixed-point residual, and ``mixed`` marks the iterations that solved
+on a mixed configuration.
 """
 
 from __future__ import annotations
@@ -161,16 +163,14 @@ class _Changes(NamedTuple):
 
     ``branch`` and ``arc`` locate the change points in element order, by
     branch and then along it; ``first`` is the label at the start of every
-    branch, and the label flips at each change point. ``intact`` is False
-    when a change point separates no two runs of positive length, because
-    it meets the neighbouring one or the branch end at a node where the
-    speed equals the threshold.
+    branch, and the label flips at each change point. Classified points may
+    meet each other or a branch end where the speed equals the threshold at
+    a node; ``_moved`` tells whether they are admissible.
     """
 
     branch: np.ndarray
     arc: np.ndarray
     first: np.ndarray
-    intact: bool = True
 
     def keys(self) -> np.ndarray:
         return branch_keys(self.branch, self.arc)
@@ -194,37 +194,31 @@ class Configuration:
 
 
 def _classify(mesh: Mesh, flux: np.ndarray, threshold: float) -> _Changes:
-    """The interfaces classified from a nodal flux on ``mesh``.
+    """The interfaces classified from a nodal flux on ``mesh``, by (element, arc).
 
-    An element whose ends classify differently holds one interface: the
-    flux is linear on the element, so it crosses ±threshold, signed as the
-    flux at the high-speed end, exactly once there, also where it changes
-    sign inside the element.
+    The flux is linear on an element, so it meets ±threshold once where the
+    ends classify differently, at the level signed as the flux at the
+    high-speed end, also where it changes sign inside the element; and twice
+    where both ends are high with opposite signs, as it crosses the whole
+    low band, at the level of each end's sign in turn.
     """
-    low = np.abs(flux) < threshold
-    e = (low[1:] != low[:-1])[mesh.left].nonzero()[0]
+    # each node's side of the low band, -1, 0 or 1; an element crosses one
+    # level per unit step between its ends
+    side = (flux >= threshold).view(np.int8) - (flux <= -threshold).view(np.int8)
+    step = (side[1:] - side[:-1])[mesh.left]
+    e = step.nonzero()[0]
+    e = e.repeat(np.abs(step[e]))
     start = mesh.left[e]
     x1, x2 = mesh.x[start], mesh.x[start + 1]
     u1, u2 = flux[start], flux[start + 1]
-    level = np.copysign(threshold, np.where(low[start], u2, u1))
+    # only an element's first crossing can meet the level of a high first end
+    near = side[start] != 0
+    near[1:] &= e[1:] != e[:-1]
+    level = np.copysign(threshold, np.where(near, u1, u2))
     arc = x1 + (level - u1) / (u2 - u1) * (x2 - x1)
-
-    # A run between an interface and the next one, or the branch end, is
-    # empty when both meet at the node between them.
-    branch = mesh.element_branch[e]
-    left_empty, right_empty = arc <= x1, x2 <= arc
-    intact = True
-    if (left_empty | right_empty).any():
-        offset = mesh.element_offset
-        empty = left_empty & (e == offset[branch])
-        empty |= right_empty & (e == offset[branch + 1] - 1)
-        adjacent = (e[1:] - e[:-1] == 1) & (branch[1:] == branch[:-1])
-        empty[1:] |= right_empty[:-1] & left_empty[1:] & adjacent
-        intact = not empty.any()
     # plain ints spare numpy probing the enum members
-    first = np.where(low[mesh.node_offset[:-1]], Regime.LOW.value, Regime.HIGH.value)
-    first = first.astype(np.int8)
-    return _Changes(branch, arc, first, intact)
+    first = np.where(side[mesh.node_offset[:-1]], Regime.HIGH.value, Regime.LOW.value)
+    return _Changes(mesh.element_branch[e], arc, first.astype(np.int8))
 
 
 def _labels_on(mesh: Mesh, changes: _Changes) -> np.ndarray:
@@ -252,14 +246,14 @@ def _changes_of(mesh: Mesh, labels: np.ndarray) -> _Changes:
 def _moved(mesh: Mesh, changes: _Changes, arcs: np.ndarray) -> _Changes | None:
     """The change points moved to ``arcs``, labels kept.
 
-    None when the changes are not ``intact``, a point leaves its branch, or
-    the points of a branch are not strictly increasing.
+    None unless the arcs of ``changes`` and ``arcs`` are both admissible:
+    every arc strictly inside its branch, and the arcs of a branch strictly
+    increasing.
     """
-    if not changes.intact:
-        return None
     branch = changes.branch
-    inside = (0.0 < arcs) & (arcs < mesh.lengths[branch])
-    increasing = (arcs[1:] > arcs[:-1]) | (branch[1:] != branch[:-1])
+    both = np.stack((changes.arc, arcs))
+    inside = (0.0 < both) & (both < mesh.lengths[branch])
+    increasing = (both[:, 1:] > both[:, :-1]) | (branch[1:] != branch[:-1])
     return changes._replace(arc=arcs) if inside.all() and increasing.all() else None
 
 

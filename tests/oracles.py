@@ -12,10 +12,11 @@ the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
 coefficient, the plain-tracking oracle is the outer loop without interface
 mixing, which records each configuration as a plain ``PlainConfiguration``
 of regime labels and (branch id, arc) interfaces built from its runs, and
-the crossing oracle bisects the speed with exact rational comparisons. The
-run-based classification, labelling and point-by-point mesh splitting are
-the per-branch loops the flat tracker and ``split_mesh_at`` replaced, and the
-linspace partition is the per-interval loop ``build_mesh`` replaced.
+the crossing oracle bisects the flux at each level ±threshold it meets with
+exact rational comparisons. The run-based classification, labelling and
+point-by-point mesh splitting are the per-branch loops the flat tracker and
+``split_mesh_at`` replaced, and the linspace partition is the per-interval
+loop ``build_mesh`` replaced.
 
 Some helpers here are read by tests only and by no run: the law probes
 (the growth bound of the high branch, the sign of the coefficient jump at
@@ -864,55 +865,68 @@ class PlainConfiguration(NamedTuple):
     interfaces: tuple[InterfacePoint, ...]
 
 
-def crossing(x1: float, x2: float, u1: float, u2: float, threshold: float) -> float:
-    """Arc where the linear flux from u1 at x1 to u2 at x2 meets ±threshold,
-    signed as the flux at the end whose speed is not below it."""
-    level = math.copysign(threshold, u2 if abs(u1) < threshold else u1)
-    return x1 + (level - u1) / (u2 - u1) * (x2 - x1)
+def crossing_levels(u1: float, u2: float, threshold: float) -> list[float]:
+    """The levels ±threshold that the linear flux from u1 to u2 meets, in order.
 
-
-def bisect_crossing(x1: float, x2: float, u1: float, u2: float, threshold: float) -> float:
-    """Arc where the speed of the linear flux from u1 at x1 to u2 at x2
-    crosses the threshold, by bisection down to adjacent floats.
-
-    The ends must classify differently. Each midpoint's speed is compared
-    with the threshold in exact rational arithmetic, so the result is
-    within an ulp of the true crossing.
+    One, signed as the flux at the high-speed end, where exactly one end's
+    speed is below the threshold; both, each end's sign in turn, where both
+    ends are high with opposite signs; none otherwise.
     """
-    low_at_a = abs(u1) < threshold
-    if low_at_a == (abs(u2) < threshold):
-        raise ValueError("element endpoints classify identically; no interface bracket")
+    low1, low2 = abs(u1) < threshold, abs(u2) < threshold
+    if low1 != low2:
+        return [math.copysign(threshold, u2 if low1 else u1)]
+    if low1 or (u1 < 0.0) == (u2 < 0.0):
+        return []
+    return [math.copysign(threshold, u1), math.copysign(threshold, u2)]
+
+
+def crossings(x1: float, x2: float, u1: float, u2: float, threshold: float) -> list[float]:
+    """Arcs where the linear flux from u1 at x1 to u2 at x2 meets the levels
+    of ``crossing_levels``, in closed form."""
+    levels = crossing_levels(u1, u2, threshold)
+    return [x1 + (level - u1) / (u2 - u1) * (x2 - x1) for level in levels]
+
+
+def bisect_crossings(x1: float, x2: float, u1: float, u2: float, threshold: float) -> list[float]:
+    """Arcs where the linear flux from u1 at x1 to u2 at x2 meets the levels
+    of ``crossing_levels``, by bisection down to adjacent floats.
+
+    At a level signed s, the flux is on the high side while s·u ≥ threshold.
+    Each midpoint is compared in exact rational arithmetic, so every result
+    is within an ulp of the true crossing.
+    """
     X1, U1, T = Fraction(x1), Fraction(u1), Fraction(threshold)
     slope = (Fraction(u2) - U1) / (Fraction(x2) - X1)
-    a, b = x1, x2
-    while True:
-        m = 0.5 * (a + b)
-        if m in (a, b):
-            return m
-        if (abs(U1 + slope * (Fraction(m) - X1)) < T) == low_at_a:
-            a = m
-        else:
-            b = m
+    arcs = []
+    for level in crossing_levels(u1, u2, threshold):
+        s = 1 if level > 0.0 else -1
+        high_at_a = s * U1 >= T
+        a, b = x1, x2
+        while (m := 0.5 * (a + b)) not in (a, b):
+            if (s * (U1 + slope * (Fraction(m) - X1)) >= T) == high_at_a:
+                a = m
+            else:
+                b = m
+        arcs.append(m)
+    return arcs
 
 
 def classify_branch(
     nodes: np.ndarray, flux: np.ndarray, threshold: float
 ) -> tuple[list[Run], list[float]]:
-    """Runs and interfaces of one branch, element by element."""
+    """Runs and interfaces of one branch, element by element; the label
+    flips at every crossing."""
     raw: list[list] = []
     interfaces: list[float] = []
     for e in range(len(nodes) - 1):
         u1, u2 = float(flux[e]), float(flux[e + 1])
-        c1, c2 = abs(u1) < threshold, abs(u2) < threshold
-        lab1 = Regime.LOW if c1 else Regime.HIGH
-        lab2 = Regime.LOW if c2 else Regime.HIGH
-        if c1 == c2:
-            raw.append([nodes[e], nodes[e + 1], lab1])
-        else:
-            xs = crossing(float(nodes[e]), float(nodes[e + 1]), u1, u2, threshold)
-            interfaces.append(xs)
-            raw.append([nodes[e], xs, lab1])
-            raw.append([xs, nodes[e + 1], lab2])
+        label = Regime.LOW if abs(u1) < threshold else Regime.HIGH
+        xs = crossings(float(nodes[e]), float(nodes[e + 1]), u1, u2, threshold)
+        interfaces += xs
+        cuts = [nodes[e], *xs, nodes[e + 1]]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            raw.append([a, b, label])
+            label = Regime(1 - label)
     merged: list[list] = []
     for a, b, lab in raw:
         if b - a <= 0.0:

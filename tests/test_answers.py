@@ -3,10 +3,13 @@
 ``tests/answers/`` holds the JSON bundle of each preset, of each
 ``docs/examples/*.json`` solve and of each single-fracture oracle case (three
 laws at three mesh sizes, the cases of the benchmark's oracle workload),
-without ``timing_seconds``. The test runs each again and compares it with the
-record. Strings, ints, bools, None, labels, and the keys and lengths of every
-object and list must match exactly. A float must match to within 1e-12 times
-the largest magnitude among the floats of the list or object that holds it.
+without ``timing_seconds``. It holds the benchmark's n = 12 lattice at seed 1
+twice, under the workload's cap of 10 outer iterations and run to convergence
+with a cap of 100, each as a summary: the bundle without the final flux and
+pressure. The test runs each again and compares it with the record. Strings,
+ints, bools, None, labels, and the keys and lengths of every object and list
+must match exactly. A float must match to within 1e-12 times the largest
+magnitude among the floats of the list or object that holds it.
 
 A change that moves answers rewrites the record and names each moved entry::
 
@@ -33,6 +36,10 @@ from dfnflow.presets import (
     run_spec,
     single_fracture_network,
 )
+from dfnflow.tracker import TrackerSettings
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from lattice import lattice_network  # noqa: E402
 
 RECORD = Path(__file__).resolve().parent / "answers"
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "docs" / "examples").glob("*.json"))
@@ -44,6 +51,9 @@ ORACLE_LAWS = {
     "forchheimer": darcy_forchheimer_pair,
 }
 ORACLE_H = (0.05, 0.02, 0.01)
+LATTICE_MAX_OUTER = (10, 100)
+# final fields a summary leaves out
+SUMMARY_DROPS = ("flux", "pressure")
 
 
 def _example(path):
@@ -54,6 +64,11 @@ def _oracle_case(name, law, h):
     return run_case(name, single_fracture_network(), law(), h=h)
 
 
+def _lattice_case(max_outer):
+    network, tracker = lattice_network(1, 12), TrackerSettings(max_outer=max_outer)
+    return run_case("lattice-n12", network, darcy_pair(1.0, 10.0), h=0.025, tracker=tracker)
+
+
 RUNS = {
     **{f"preset-{name}": functools.partial(run_preset, name) for name in PRESET_NAMES},
     **{f"example-{path.stem}": functools.partial(_example, path) for path in EXAMPLES},
@@ -62,13 +77,18 @@ RUNS = {
         for law, make_law in ORACLE_LAWS.items()
         for h in ORACLE_H
     },
+    **{f"lattice-n12-outer{m}": functools.partial(_lattice_case, m) for m in LATTICE_MAX_OUTER},
 }
 
 
 def fresh_answer(entry: str) -> dict:
-    """The bundle of a fresh run of ``entry`` as its JSON export reads back, untimed."""
+    """The bundle of a fresh run of ``entry`` as its JSON export reads back, untimed;
+    a lattice entry's is its summary."""
     doc = json.loads(json.dumps(RUNS[entry]().to_dict()))
     del doc["timing_seconds"]
+    if entry.startswith("lattice-"):
+        for key in SUMMARY_DROPS:
+            del doc["final"][key]
     return doc
 
 

@@ -27,6 +27,7 @@ from dfnflow.tracker import (
     _changes_of,
     _classify,
     _labels_on,
+    _moved,
 )
 
 from oracles import (
@@ -176,17 +177,18 @@ def test_flat_classification_and_labels_match_the_run_loops(seed):
     flux = random_flux(rng, working)
 
     changes = _classify(working, flux, THRESHOLD)
-    runs, interfaces, intact = {}, [], True
+    # admissible: every interface separates two runs of positive length
+    runs, interfaces, admissible = {}, [], True
     for bid in working.branch_ids:
         branch_runs, crossings = classify_branch(
             working.nodes[bid], working.per_node(flux)[bid], THRESHOLD
         )
         runs[bid] = branch_runs
         interfaces += [(bid, arc) for arc in crossings]
-        intact &= len(branch_runs) == len(crossings) + 1
+        admissible &= len(branch_runs) == len(crossings) + 1
     names = [working.branch_ids[k] for k in changes.branch]
     assert list(zip(names, changes.arc.tolist())) == interfaces
-    assert changes.intact == intact
+    assert (_moved(working, changes, changes.arc) is not None) == admissible
 
     # labels on the working mesh, on the base mesh (the signature) and on
     # the base mesh split at the new interfaces

@@ -248,6 +248,7 @@ def _junction_pair(
             _junction_pair(extra=(Intersection("J", (0.5, 1.0), (("v", "end"),)),)),
         ),
         ("lonely-intersection", _junction_pair(extra=(Intersection("K", (0.5, 1.0), ()),))),
+        ("lonely-intersection", _junction_pair(incident=(("h", "end"), ("h", "end")))),
         ("unknown-branch", _junction_pair(incident=(("h", "end"), ("v", "start"), ("x", "end")))),
         (
             "unknown-branch",
@@ -267,6 +268,7 @@ def _junction_pair(
         "duplicate-branch",
         "duplicate-intersection",
         "lonely-intersection",
+        "lonely-intersection-one-end-twice",
         "unknown-branch-intersection",
         "unknown-branch-source",
         "multiple-intersections",

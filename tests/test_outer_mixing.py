@@ -52,6 +52,22 @@ def test_mixing_converges_on_the_lattice_to_the_plain_fixed_point(seed):
     assert_same_interfaces(mixed, plain, 1e-6)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_coarse_lattice_keeps_the_interfaces_of_the_fine_one(seed):
+    # at h = 0.1 some elements carry a flux across the whole low band; with
+    # one interface at each edge of it, the lattice ends with 120, 132 and
+    # 100 interfaces as at h = 0.025, not 8 fewer
+    law, capped = darcy_pair(1.0, 10.0), TrackerSettings(max_outer=100)
+    coarse, fine = (
+        track(build_mesh(lattice_network(seed, 12), h), law, settings=capped)
+        for h in (0.1, 0.025)
+    )
+    assert coarse.status == fine.status == TrackerStatus.CONVERGED
+    assert len(coarse.final_configuration.interfaces) == len(
+        fine.final_configuration.interfaces
+    )
+
+
 @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
 def test_mixing_cuts_the_slow_drift_of_darcy_pair_1_8(h):
     # the plain loop contracts at about 0.89 per step and needs 116 steps
@@ -99,26 +115,31 @@ def test_moved_runs_keep_labels_and_reject_escaping_or_reordered_points():
     flux = np.full(len(mesh.x), 0.1)
     flux[0] = 0.15
     at_start = _classify(mesh, flux, 0.15)
-    assert at_start.arc.tolist() == [0.0] and not at_start.intact
+    assert at_start.arc.tolist() == [0.0]
+    assert _moved(mesh, at_start, at_start.arc) is None
     assert _moved(mesh, at_start, np.array([0.01])) is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_moved_decides_as_the_bound_from_the_point_before(seed):
-    # the rule as first written: each point above the one before it on its
-    # branch, or above 0 at the branch start, and below the branch length
+    # the rule as first written, for the classified and the mixed arcs each:
+    # each point above the one before it on its branch, or above 0 at the
+    # branch start, and below the branch length
     rng = np.random.default_rng(seed)
     mesh = build_mesh(lattice_network(int(rng.integers(100)), 2), 0.25)
     n = int(rng.integers(0, 6))
     branch = np.sort(rng.integers(0, len(mesh.branch_ids), n))
     grid = np.array([0.0, 0.3, 0.6, 1.0, -0.2]) * float(mesh.lengths.max())
-    arcs = rng.choice(grid, n) + rng.choice([0.0, 1e-9], n)
+    classified, arcs = rng.choice(grid, (2, n)) + rng.choice([0.0, 1e-9], (2, n))
     first = np.zeros(len(mesh.branch_ids), np.int8)
-    changes = _Changes(branch, arcs[::-1].copy(), first, bool(rng.random() < 0.8))
+    changes = _Changes(branch, classified, first)
     starts = np.diff(branch, prepend=-1) != 0
-    lower = np.where(starts, 0.0, np.concatenate([[0.0], arcs[:-1]]))
-    inside = np.all(arcs > lower) and np.all(arcs < mesh.lengths[branch])
+
+    def admissible(points):
+        lower = np.where(starts, 0.0, np.concatenate([[0.0], points[:-1]]))
+        return np.all(points > lower) and np.all(points < mesh.lengths[branch])
+
     moved = _moved(mesh, changes, arcs)
-    assert (moved is not None) == (changes.intact and inside)
+    assert (moved is not None) == (admissible(classified) and admissible(arcs))
     assert moved is None or moved.arc is arcs

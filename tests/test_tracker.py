@@ -36,7 +36,7 @@ from dfnflow.tracker import (
 )
 
 from oracles import (
-    bisect_crossing,
+    bisect_crossings,
     configuration_distance,
     hausdorff_by_enumeration,
     point_arrays,
@@ -88,8 +88,18 @@ class TestClassification:
         assert len(arcs) == 1
 
     def test_speed_at_threshold_counts_as_high(self):
-        # the comparison is a strict "below"
-        assert classify_element([0.0, 1.0], [0.15, -0.15]) == ((Regime.HIGH, Regime.HIGH), [])
+        # the comparison is a strict "below": both ends are high, and the
+        # flux crosses the low band between them, meeting its edges at the nodes
+        assert classify_element([0.0, 1.0], [0.15, -0.15]) == (
+            (Regime.HIGH, Regime.HIGH),
+            [0.0, 1.0],
+        )
+
+    def test_both_high_with_opposite_signs_crosses_the_low_band(self):
+        # u = 0.3 - 0.6 x meets 0.15 at x = 1/4 and -0.15 at x = 3/4
+        ends, arcs = classify_element([0.0, 1.0], [0.3, -0.3])
+        assert ends == (Regime.HIGH, Regime.HIGH)
+        assert arcs == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_both_below(self):
         assert classify_element([0.0, 1.0], [0.01, -0.01]) == ((Regime.LOW, Regime.LOW), [])
@@ -125,11 +135,11 @@ class TestInterfaceLocation:
     @given(case=flux_on_a_branch())
     def test_closed_form_matches_the_bisection(self, case):
         mesh, flux, threshold = case
-        low = np.abs(flux) < threshold
         x = mesh.x
         expected = [
-            bisect_crossing(x[e], x[e + 1], flux[e], flux[e + 1], threshold)
-            for e in np.flatnonzero(low[:-1] != low[1:])
+            arc
+            for e in range(len(x) - 1)
+            for arc in bisect_crossings(x[e], x[e + 1], flux[e], flux[e + 1], threshold)
         ]
         got = _classify(mesh, flux, threshold).arc
         assert got.tolist() == pytest.approx(expected, rel=0, abs=1e-12)
@@ -212,6 +222,23 @@ class TestTracking:
         assert report.outer_iterations == 1
         assert report.final_configuration.interfaces == ()
         assert report.history[-1].distance == 0.0
+
+    def test_one_element_whose_flux_crosses_the_low_band_holds_both_interfaces(self):
+        # a unit sink between two zero pressures gives u = 0.5 - x on the one
+        # element, high at both ends with opposite signs and low in between
+        net = FractureNetwork(
+            branches=(Branch("f", (0.0, 0.0), (1.0, 0.0)),),
+            boundary=BoundarySpec(
+                {("f", "start"): PressureBC(0.0), ("f", "end"): PressureBC(0.0)}
+            ),
+            sources=SourceSpec(scalar={"f": PiecewiseSource(pieces=(-1.0,))}),
+        )
+        report = track(build_mesh(net, 1.0), darcy_pair(1.0, 10.0))
+        assert report.status is TrackerStatus.CONVERGED
+        arcs = [arc for _, arc in report.final_configuration.interfaces]
+        assert arcs == pytest.approx([0.35, 0.65], rel=0, abs=1e-12)
+        labels = report.final_configuration.regimes.labels["f"].tolist()
+        assert labels == [Regime.HIGH, Regime.LOW, Regime.HIGH]
 
     def test_source_free_variant_flips_with_period_two(self):
         mesh = build_mesh(oscillation_variant_network(), 0.05)
