@@ -180,9 +180,9 @@ def energy_of(values, mesh: Mesh, law: AdaptiveLaw) -> EnergyReport:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class MinimizationResult:
-    """Outcome of the exact breakpoint-bracketed minimization.
+    """Outcome of the exact breakpoint-bracketed minimization; compares by identity.
 
     ``candidates`` lists every local minimizer whose energy lies within the
     near-optimal window of the global value; in the convex case it has a

@@ -60,9 +60,9 @@ _END_SIGN = np.array([-1.0, 1.0])
 _BLOCK_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimeField:
-    """Low/high regime label for every element of a mesh."""
+    """Low/high regime label for every element of a mesh; compares by identity."""
 
     labels: Mapping[str, np.ndarray]
 
@@ -80,9 +80,9 @@ class RegimeField:
         return mesh.flat_elements(self.labels, "regime labels")
 
 
-@dataclass
+@dataclass(eq=False)
 class SaddleSystem:
-    """The mixed system of one configuration, condensed onto vertex pressures.
+    """The condensed mixed system of one configuration; compares by identity.
 
     ``matrix`` and ``rhs`` are the reduced system on the unknown vertices of
     ``mesh.network.boundary_plan``; ``(drive - P_end + P_start) / resistance``
@@ -100,9 +100,9 @@ class SaddleSystem:
     drive: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
-    """Discrete flux/pressure pair on a mesh, as the arrays of the solve.
+    """The flux/pressure arrays of one solve on a mesh; compares by identity.
 
     ``flux[b][i]`` is the signed flux along the tangent of branch ``b`` at its
     node ``i``; ``pressure[b][e]`` the constant pressure of element ``e``.

@@ -60,7 +60,7 @@ class BranchArrays(Mapping):
         return len(self.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """1D mesh over a fracture network, stored as one flat node array.
 
@@ -71,7 +71,7 @@ class Mesh:
     the intervals between consecutive nodes; element ``e`` runs from node
     ``left[e]`` to node ``left[e] + 1``. ``nodes[b]`` is the view of branch
     ``b``'s nodes, and ``force[k]`` the body force along branch ``k``'s
-    tangent. Arrays are read-only; meshes are safe to share.
+    tangent. Arrays are read-only; a mesh is safe to share and compares by identity.
     """
 
     network: FractureNetwork

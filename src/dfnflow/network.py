@@ -141,7 +141,7 @@ class SourceSpec:
         return self.scalar.get(branch_id, ZERO_SOURCE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourcePieces:
     """The scalar source pieces of all branches of a network, numbered in one table.
 
@@ -150,7 +150,7 @@ class SourcePieces:
     the number of keys below its own key; ``sourced[k]`` marks the branches
     with a source. ``rate`` is the constant rate of every piece, nan for a
     callable one, then 0.0 for elements without a source; ``callables``
-    pairs each callable piece with its number.
+    pairs each callable piece with its number. Compares by identity.
     """
 
     breaks: np.ndarray
@@ -164,7 +164,7 @@ class SingularSystemError(RuntimeError):
     """Raised when the saddle system is singular or numerically unsolvable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPlan:
     """The boundary data of a network per vertex, and the unknowns they leave.
 
@@ -175,7 +175,7 @@ class BoundaryPlan:
     known, and ``free`` marks the numbered ends. ``entry`` is the flat index
     in the reduced matrix of the entries of each branch's 2 x 2 conductance
     block that ``inside`` marks: those coupling two unknowns. ``known_drop``
-    is the known pressure at each branch's end minus that at its start.
+    is each branch's known end pressure minus its start one. Compares by identity.
     """
 
     velocity: np.ndarray

@@ -103,9 +103,9 @@ class PicardSettings:
             raise ValueError("mixing depth must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class PicardResult:
-    """Outcome of one inner solve.
+    """Outcome of one inner solve; compares by identity.
 
     ``update_history`` is the residual history: the relative fixed-point
     residual of every cycle after the first, the last entry being that of

@@ -64,8 +64,7 @@ from .laws import AdaptiveLaw, Regime
 from .meshing import Mesh, branch_keys, split_mesh_at
 from .picard import AndersonMixer, PicardResult, PicardSettings, picard_solve
 
-# Interface-position differences Anderson mixing keeps between outer
-# iterations.
+# Interface-position differences Anderson mixing keeps between outer iterations.
 OUTER_MIXING_DEPTH = 3
 
 # Longest label-pattern cycle, in outer iterations, reported as oscillating.
@@ -115,8 +114,10 @@ class HistoryEntry:
     mixed: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class TrackerReport:
+    """Outcome of ``track``; compares by identity."""
+
     status: TrackerStatus
     period: int | None
     history: list[HistoryEntry]
@@ -246,9 +247,8 @@ def _changes_of(mesh: Mesh, labels: np.ndarray) -> _Changes:
 def _moved(mesh: Mesh, changes: _Changes, arcs: np.ndarray) -> _Changes | None:
     """The change points moved to ``arcs``, labels kept.
 
-    None unless the arcs of ``changes`` and ``arcs`` are both admissible:
-    every arc strictly inside its branch, and the arcs of a branch strictly
-    increasing.
+    None unless the arcs of ``changes`` and ``arcs`` are both admissible: every
+    arc strictly inside its branch, and the arcs of a branch strictly increasing.
     """
     branch = changes.branch
     both = np.stack((changes.arc, arcs))

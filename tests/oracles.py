@@ -535,6 +535,16 @@ def random_network(rng, with_sources=True, velocity_fraction=0.35):
             )
         )
 
+    return _with_data(rng, branches, intersections, with_sources, velocity_fraction)
+
+
+def _with_data(rng, branches, intersections, with_sources=True, velocity_fraction=0.35):
+    """The network of ``branches`` and ``intersections`` with random data.
+
+    Every free end gets a pressure or, with probability ``velocity_fraction``
+    and never the first, a velocity condition; most branches get a piecewise
+    constant source, and the network a small body force.
+    """
     network = FractureNetwork(branches=tuple(branches), intersections=tuple(intersections))
     junctions = network.junction_ends
     free = [(b.id, w) for b in branches for w in (START, END) if (b.id, w) not in junctions]
@@ -561,6 +571,89 @@ def random_network(rng, with_sources=True, velocity_fraction=0.35):
         boundary=BoundarySpec(conditions=conditions),
         sources=SourceSpec(scalar=scalar, force=force),
     )
+
+
+# Shortest piece of a segment ``random_dfn`` keeps, far above COINCIDENCE_TOL.
+DFN_FLOOR = 0.02
+# ``random_dfn`` draws lengths with density proportional to 1/l² on this range.
+DFN_LENGTHS = (0.2, 1.0)
+
+
+def random_dfn(rng, count):
+    """Random network with loops: ``count`` segments, split where they cross.
+
+    The segments have uniform centres in the unit square, uniform
+    orientations and power-law lengths (the DFN length model; Bonnet et al.,
+    Rev. Geophys. 39, 2001). Every crossing becomes an intersection of the
+    four pieces around it. Points of one segment closer than ``DFN_FLOOR``
+    merge, a crossing keeping its place: a piece that short is dropped, so a
+    crossing near a segment's end becomes a T. Only the connected part with
+    the most branches is kept; its data are drawn as ``random_network``'s.
+    """
+    centre = rng.uniform(0.0, 1.0, (count, 2))
+    angle = rng.uniform(0.0, math.pi, count)
+    lo, hi = DFN_LENGTHS
+    length = lo * hi / (hi - rng.uniform(size=count) * (hi - lo))  # inverse CDF
+    d = length[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    a = centre - 0.5 * d
+
+    # segments i and j cross where a_i + t d_i = a_j + s d_j, 0 < t, s < 1
+    def cross(p, q):
+        return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+
+    i, j = np.triu_indices(count, 1)
+    r, det = a[j] - a[i], cross(d[i], d[j])
+    t, s = cross(r, d[j]) / det, cross(r, d[i]) / det
+    hit = (0.0 < t) & (t < 1.0) & (0.0 < s) & (s < 1.0)
+    i, j, t, s = i[hit], j[hit], t[hit], s[hit]
+
+    # points: the crossings, then the start and end of every segment; a
+    # merged group of points is its lowest-numbered one
+    n = len(t)
+    point = np.concatenate([a[i] + t[:, None] * d[i], np.stack([a, a + d], 1).reshape(-1, 2)])
+    on = [[(0.0, n + 2 * k), (1.0, n + 2 * k + 1)] for k in range(count)]
+    for c in range(n):
+        on[i[c]].append((t[c], c))
+        on[j[c]].append((s[c], c))
+    for stops in on:
+        stops.sort()
+    parent = list(range(len(point)))
+
+    def root(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    def join(p, q):
+        p, q = root(p), root(q)
+        parent[max(p, q)] = min(p, q)
+
+    for k, stops in enumerate(on):
+        for (t0, p), (t1, q) in zip(stops, stops[1:]):
+            if (t1 - t0) * length[k] < DFN_FLOOR:
+                join(p, q)
+    pieces = []
+    for stops in on:
+        ends = [root(p) for _, p in stops]
+        pieces += [(p, q) for p, q in zip(ends, ends[1:]) if p != q]
+    # the pieces keep their ends' groups; joining along them finds the parts
+    for p, q in pieces:
+        join(p, q)
+    part = [root(p) for p, _ in pieces]
+    biggest = max(set(part), key=lambda c: (part.count(c), -c))
+    pieces = [piece for piece, c in zip(pieces, part) if c == biggest]
+
+    branches, incident = [], {}
+    for k, (p, q) in enumerate(pieces):
+        branches.append(Branch(f"b{k}", tuple(point[p].tolist()), tuple(point[q].tolist())))
+        incident.setdefault(p, []).append((f"b{k}", START))
+        incident.setdefault(q, []).append((f"b{k}", END))
+    intersections = [
+        Intersection(f"J{p}", tuple(point[p].tolist()), tuple(ends))
+        for p, ends in incident.items()
+        if len(ends) > 1
+    ]
+    return _with_data(rng, branches, intersections)
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -624,7 +717,7 @@ def closed_form_energies(alphas, lifted, mesh, law) -> np.ndarray:
     return dissipation - tangential_forcing(mesh) * (alphas * (x[-1] - x[0]) + lifted_integral)
 
 
-@dataclass
+@dataclass(eq=False)
 class GridMinimization(MinimizationResult):
     """A ``MinimizationResult`` whose ``alphas`` are a scan grid, with ``energies``
     the values of E on it."""

@@ -33,12 +33,16 @@ from dfnflow.presets import benchmark_network, darcy_forchheimer_pair
 from dfnflow.tracker import track
 from oracles import (
     junction_continuity_defect,
+    random_dfn,
     random_network,
     sparse_saddle_solve,
     tpfa_darcy_solve,
 )
 
 UNIT_LAW = AdaptiveLaw(LawBranch(1.0), LawBranch(1.0), 1.0)
+
+# Segments of the random networks with loops the property tests draw.
+DFN_SEGMENTS = 16
 
 
 def solve_network(net, h, law=UNIT_LAW, frozen=0.0, regime=Regime.LOW):
@@ -445,8 +449,8 @@ def test_residual_above_the_tolerance_raises(monkeypatch):
 
 def test_conservation_on_random_networks():
     rng = np.random.default_rng(2024)
-    for _ in range(25):
-        net = random_network(rng)
+    for k in range(50):
+        net = random_network(rng) if k < 25 else random_dfn(rng, DFN_SEGMENTS)
         mesh = build_mesh(net, 0.2)
         lam1, lam2 = rng.uniform(0.1, 10.0, 2)
         law = AdaptiveLaw(LawBranch(lam1), LawBranch(lam2), 1.0)
@@ -623,15 +627,16 @@ def _mean_anchored(net, rng):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), mean=st.booleans())
-@example(seed=530306, mean=False)
-def test_condensed_solve_matches_the_sparse_saddle_oracle(seed, mean):
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mean=st.booleans(), loops=st.booleans())
+@example(seed=530306, mean=False, loops=False)
+def test_condensed_solve_matches_the_sparse_saddle_oracle(seed, mean, loops):
     # velocity ends, callable sources, body force, random labels and frozen
     # speeds under a Darcy-Forchheimer law, anchored by pressure conditions or
-    # by the mean pressure
+    # by the mean pressure, on a tree or on a network with loops
     rng = np.random.default_rng(seed)
-    net = _callable_sources(random_network(rng), rng)
+    net = random_dfn(rng, DFN_SEGMENTS) if loops else random_network(rng)
+    net = _callable_sources(net, rng)
     if mean:
         net = _mean_anchored(net, rng)
     law = AdaptiveLaw(

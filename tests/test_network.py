@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from dfnflow.network import (
     VelocityBC,
     validate_network,
 )
+
+from oracles import random_dfn
+from test_fem import DFN_SEGMENTS
 
 
 def test_single_branch_with_pressure_ends_is_valid():
@@ -343,3 +347,14 @@ def test_run_cases_on_one_network_check_it_once(monkeypatch):
     for h in (0.25, 0.2, 0.1):
         run_case("case", network, darcy_pair(), h=h)
     assert [id(n) for n in calls] == [id(network)]
+
+
+def test_random_networks_with_loops_are_valid_and_hold_x_and_t_junctions():
+    degrees, with_loops = Counter(), 0
+    for seed in range(300):
+        net = random_dfn(np.random.default_rng(seed), DFN_SEGMENTS)
+        assert validate_network(net).ok, seed
+        degrees.update(len(isec.incident) for isec in net.intersections)
+        with_loops += len(net.branches) > net.end_vertex.max()
+    assert degrees[3] and degrees[4]
+    assert with_loops

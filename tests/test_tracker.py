@@ -26,6 +26,7 @@ from dfnflow.presets import (
     darcy_forchheimer_pair,
     darcy_pair,
     oscillation_variant_network,
+    run_preset,
     single_fracture_network,
 )
 from dfnflow.tracker import (
@@ -389,6 +390,34 @@ class TestTracking:
     def test_nan_configuration_tolerance_rejected(self):
         with pytest.raises(ValueError, match="configuration tolerance must be positive"):
             TrackerSettings(eps_omega=math.nan)
+
+
+LINEAR_PRESETS = ("case1-linear", "case2-linear", "case3-linear")
+
+
+@pytest.fixture(scope="module")
+def fine_linear_presets():
+    return {name: run_preset(name, h=0.01) for name in LINEAR_PRESETS}
+
+
+@pytest.mark.parametrize("h", [math.inf, 0.1, 0.05, 0.02])
+@pytest.mark.parametrize("name", LINEAR_PRESETS)
+def test_a_linear_preset_does_not_depend_on_the_mesh(fine_linear_presets, name, h):
+    # the flux on a branch is its start flux c_b plus the source integral, and
+    # both it and the interfaces where it meets the threshold are exact on any
+    # mesh for a linear law
+    run, fine = run_preset(name, h=h), fine_linear_presets[name]
+    assert run.status == fine.status
+    got, want = run.final["interfaces"], fine.final["interfaces"]
+    assert [bid for bid, _ in got] == [bid for bid, _ in want]
+    eps = TrackerSettings().eps_omega
+    assert all(abs(x - y) <= eps for (_, x), (_, y) in zip(got, want))
+    start = {b: f["value"][0] for b, f in run.final["flux"].items()}
+    fine_start = {b: f["value"][0] for b, f in fine.final["flux"].items()}
+    # relative to the largest |c_b|: a branch of case3 carries no flux
+    scale = max(abs(c) for c in fine_start.values())
+    assert start.keys() == fine_start.keys()
+    assert all(abs(start[b] - c) <= 1e-8 * scale for b, c in fine_start.items())
 
 
 class SolverFailure(Exception):
