@@ -54,6 +54,8 @@ SOLVER_KEYS = ("h", "eps_nl", "eps_omega", "max_outer", "max_inner", "init", "in
 
 @dataclass(frozen=True)
 class OutputSettings:
+    """Whether a run records its trace, and the format its bundle is written in."""
+
     trace: bool = False
     format: str = "json"
 

@@ -24,10 +24,10 @@ of the elements straddling a kink there; this costs O(N) beyond
 sorting the breakpoints, not the O(N**2) of summing all N elements at every
 point. Minimizers are located where E' turns from negative to nonnegative:
 each such zero is the root of the cubic fitted to the samples of its
-bracket, refined by one Newton step on the closed-form E' and clipped to the
-interval of the bracket that holds the root. E' is continuous except where
-the node value of a flat element crosses the threshold and the law
-coefficient jumps.
+bracket. This is the only evaluation of E' here; the tests check its zeros
+against ``tests/oracles.py:bisect_reduce``, which bisects the closed-form
+E' summed over every element. E' is continuous except where the node value
+of a flat element crosses the threshold and the law coefficient jumps.
 
 The dissipation integrand is the law's own piecewise potential,
 ``AdaptiveLaw.potential_physical``, composed with the squared speed, so
@@ -214,33 +214,9 @@ def _divided(h, wa, delta, difference, limit) -> np.ndarray:
     return quotient
 
 
-def _element_quotients(alphas, lifted: np.ndarray, mesh: Mesh, prim, limit):
-    """Sum over elements of h * (prim(wb) - prim(wa)) / (wb - wa), per alpha.
-
-    wa and wb are the element's node values of the lifted field plus alpha.
-    An element with equal node values contributes h * limit(wa), where limit
-    is the derivative of prim. prim is evaluated once per node and alpha.
-    """
-    w = alphas[None, :] + lifted[:, None]
-    delta = np.diff(lifted)[:, None]
-    h = mesh.element_lengths[:, None]
-    return _divided(h, w[:-1], delta, np.diff(prim(w), axis=0), limit).sum(axis=0)
-
-
 def _potential(law: AdaptiveLaw):
     """The potential of the flux, prim(w) = potential_physical(w**2), and its derivative."""
     return lambda w: law.potential_physical(w**2), lambda w: w * law.phi(w**2 / law.threshold**2)
-
-
-def _slopes(alphas: np.ndarray, lifted: np.ndarray, mesh: Mesh, law: AdaptiveLaw) -> np.ndarray:
-    """Derivative E'(alpha) at each alpha, in closed form.
-
-    Per element, the difference quotient of the dissipation potential over
-    the element's node values; on a breakpoint where E' jumps it returns one
-    of the two one-sided values.
-    """
-    dissipation = _element_quotients(alphas, lifted, mesh, *_potential(law))
-    return dissipation - tangential_forcing(mesh) * mesh.lengths[0]
 
 
 def _bracket_slopes(
@@ -328,11 +304,6 @@ def _cheb_value(x, c):
     return c0 + c1 * x
 
 
-def _cheb_derivative(c):
-    """The derivative of the cubic Chebyshev series c, as ``chebder`` computes it."""
-    return [c[1] + 3 * c[3], 4 * c[2], 6 * c[3]]
-
-
 def _cheb_roots(c, tol: float) -> np.ndarray:
     """Roots of a Chebyshev series of degree at most 3, trailing terms |c_k| <= tol dropped.
 
@@ -356,7 +327,7 @@ def _cheb_roots(c, tol: float) -> np.ndarray:
     return roots
 
 
-def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) -> np.ndarray:
+def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Every point where E' turns from negative to nonnegative, left to right.
 
     Between breakpoints the potential is a cubic in the node values, so E',
@@ -365,17 +336,15 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     the potential adds a quadratic, one straddling a kink a cubic.
     ``samples`` holds E' at the bracket's four interior Chebyshev points, so
     no sample lies on a breakpoint, where E' jumps if an element is flat;
-    the cubic fitted to them is E' on the bracket up to rounding. ``slope`` is the closed-form E'. The real roots
-    of each cubic split its bracket into intervals holding one root each. In
-    an interval whose ends read E' < 0 <= E', the zero is the cubic's root
-    plus one Newton step on the closed-form E' with the cubic's derivative,
-    clipped to the interval (the right end where rounding left the interval
-    without a root). A root on a breakpoint is taken as it is: the
-    closed-form E' there may read the other side of a jump. A breakpoint
-    where the cubic on its left ends below zero and the one on its right
-    starts at or above zero is itself such a point. Points within 1e-9 of
-    each other are one zero seen from two brackets through rounding,
-    reported once.
+    the cubic fitted to them is E' on the bracket up to rounding. The real
+    roots of each cubic split its bracket into intervals holding one root
+    each. In an interval whose ends read E' < 0 <= E', the zero is the
+    cubic's root, or the bracket's right end where rounding left the
+    interval without one; ``tests/oracles.py:bisect_reduce`` bisects the
+    closed-form E' there instead, and the tests hold the two within 1e-12.
+    A breakpoint where the cubic on its left ends below zero and the one on
+    its right starts at or above zero is itself such a point. Points within 1e-9 of each other
+    are one zero seen from two brackets through rounding, reported once.
     """
     coeffs = samples @ _CHEB_FIT
     # the same evaluation as the intervals below, so both tests read one sign at a breakpoint
@@ -383,25 +352,21 @@ def _rising_zeros(lo: np.ndarray, hi: np.ndarray, samples: np.ndarray, slope) ->
     on_breakpoints = lo[1:][(at_hi[:-1] < 0.0) & (at_lo[1:] >= 0.0)]
     # |c0| > sum |ck| bounds the cubic away from zero on [-1, 1]
     size = np.abs(coeffs).sum(axis=1)
-    rising = []  # bracket, interval ends and root, the last three in [-1, 1]
+    rising = []  # bracket and the zero in [-1, 1]
     for k in np.flatnonzero(2.0 * np.abs(coeffs[:, 0]) <= size * (1.0 + 1e-8)):
         roots = _cheb_roots(coeffs[k], 1e-13 * size[k])
         real = roots.real[np.abs(roots.imag) <= 1e-9]
         roots = np.sort(np.clip(real[np.abs(real) <= 1.0 + 1e-9], -1.0, 1.0))
+        # not np.unique, whose first call imports numpy.ma (numpy 2.x), a
+        # module the run path keeps out of sys.modules
         roots = roots[np.diff(roots, prepend=-np.inf) > 0.0]
         t = np.concatenate([[-1.0], 0.5 * (roots[1:] + roots[:-1]), [1.0]])
         values = _cheb_value(t, coeffs[k])
         for j in np.flatnonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)):
-            rising.append((k, t[j], t[j + 1], roots[j] if len(roots) else np.nan))
-    k, t_left, t_right, root = np.array(rising).reshape(-1, 4).T
+            rising.append((k, roots[j] if len(roots) else 1.0))
+    k, t = np.array(rising).reshape(-1, 2).T
     k = k.astype(int)
-    lo, width = lo[k], (hi - lo)[k]
-    left, right, at_root = (lo + width * (1.0 + s) / 2.0 for s in (t_left, t_right, root))
-    zero = np.where(np.isnan(root), right, at_root)
-    rate = _cheb_value(root, _cheb_derivative(coeffs[k].T)) * 2.0 / width
-    usable = np.isfinite(rate) & (rate != 0.0) & (at_root > lo) & (at_root < lo + width)
-    zero[usable] -= slope(zero[usable]) / rate[usable]
-    zeros = np.sort(np.concatenate([on_breakpoints, np.clip(zero, left, right)]))
+    zeros = np.sort(np.concatenate([on_breakpoints, lo[k] + (hi - lo)[k] * (1.0 + t) / 2.0]))
     return zeros[np.diff(zeros, prepend=-np.inf) > 1e-9]
 
 
@@ -412,8 +377,8 @@ def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
     space is trivial: alpha is fixed at 0, and the search below runs on that
     one point. Otherwise E is piecewise smooth with breakpoints where a
     lifted node value plus alpha crosses 0 or the threshold speed; its local
-    minimizers are the points where the closed-form E' turns from - to +,
-    found bracket by bracket.
+    minimizers are the points where E' turns from - to +, found bracket by
+    bracket as the roots of the cubics fitted to its samples.
     E at them and at the ends of the search interval comes from one batched
     call of the quadrature ``energy_of`` runs. An end of the search interval
     counts as a candidate when it is the global minimum.
@@ -426,13 +391,9 @@ def reduce_and_minimize(mesh: Mesh, law: AdaptiveLaw) -> MinimizationResult:
         kinks = np.concatenate([-w, u - w, -u - w])
         inside = kinks[np.abs(kinks) < ALPHA_MAX]
         alphas = np.sort(np.concatenate([[-ALPHA_MAX, ALPHA_MAX], inside]))
+        # not np.unique, for the reason given in _rising_zeros
         alphas = alphas[np.diff(alphas, prepend=-np.inf) > 0.0]
-        zeros = _rising_zeros(
-            alphas[:-1],
-            alphas[1:],
-            _bracket_slopes(alphas, lifted, mesh, law),
-            lambda a: _slopes(a, lifted, mesh, law),
-        )
+        zeros = _rising_zeros(alphas[:-1], alphas[1:], _bracket_slopes(alphas, lifted, mesh, law))
         points = np.concatenate([[-ALPHA_MAX], zeros, [ALPHA_MAX]])
     dissipation, load = _dissipation_and_load(
         lifted + points[:, None], mesh.x, tangential_forcing(mesh), law

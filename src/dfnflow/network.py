@@ -360,12 +360,16 @@ class FractureNetwork:
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed network check: a short code and a message naming what failed."""
+
     code: str
     message: str
 
 
 @dataclass
 class ValidationReport:
+    """Every violation one validation of a network found; ``ok`` when there is none."""
+
     violations: list[Violation] = field(default_factory=list)
 
     @property

@@ -6,7 +6,8 @@ saddle oracle assembles the whole mixed system in coordinate form and solves
 it with SuperLU, the dissipation oracle is a brute-force midpoint rule, the set-distance oracle
 is a direct double loop, the energy-minimizer oracle scans the reduced
 energy in closed form on a uniform grid and refines by golden section, the bisecting
-minimizer finds the zeros of E' by 64 halvings instead of one Newton step,
+minimizer finds the zeros of E' by 64 halvings of the closed-form E' instead
+of taking the roots of the fitted cubics,
 the loop integrator applies the kink-split Gauss rule element by element,
 the plain-Picard oracle is the unaccelerated fixed-point loop on the frozen
 coefficient, the plain-tracking oracle is the outer loop without interface
@@ -47,8 +48,8 @@ from dfnflow.energy import (
     NEAR_OPTIMAL_WINDOW,
     EnergyReport,
     MinimizationResult,
-    _element_quotients,
-    _slopes,
+    _divided,
+    _potential,
     lift_field,
     tangential_forcing,
 )
@@ -696,6 +697,31 @@ def flux_antiderivative(law: AdaptiveLaw, w):
     inner = poly(lo, np.minimum(x, ubar))
     outer = poly(hi, np.maximum(x, ubar)) - poly(hi, ubar)
     return s * (inner + outer)
+
+
+def _element_quotients(alphas, lifted: np.ndarray, mesh: Mesh, prim, limit):
+    """Sum over elements of h * (prim(wb) - prim(wa)) / (wb - wa), per alpha.
+
+    wa and wb are the element's node values of the lifted field plus alpha.
+    An element with equal node values contributes h * limit(wa), where limit
+    is the derivative of prim. prim is evaluated once per node and alpha.
+    """
+    w = alphas[None, :] + lifted[:, None]
+    delta = np.diff(lifted)[:, None]
+    h = mesh.element_lengths[:, None]
+    return _divided(h, w[:-1], delta, np.diff(prim(w), axis=0), limit).sum(axis=0)
+
+
+def _slopes(alphas: np.ndarray, lifted: np.ndarray, mesh: Mesh, law: AdaptiveLaw) -> np.ndarray:
+    """Derivative E'(alpha) at each alpha, in closed form.
+
+    Per element, the difference quotient of the dissipation potential over
+    the element's node values, summed over every element at every alpha: the
+    reference for the package's running-sum ``_bracket_slopes``. On a
+    breakpoint where E' jumps it returns one of the two one-sided values.
+    """
+    dissipation = _element_quotients(alphas, lifted, mesh, *_potential(law))
+    return dissipation - tangential_forcing(mesh) * mesh.lengths[0]
 
 
 def closed_form_energies(alphas, lifted, mesh, law) -> np.ndarray:

@@ -7,7 +7,6 @@ from dfnflow.energy import (
     _CHEB_S,
     ALPHA_MAX,
     _bracket_slopes,
-    _slopes,
     energy_of,
     lift_field,
     reduce_and_minimize,
@@ -34,7 +33,7 @@ from dfnflow.presets import (
 )
 from dfnflow.tracker import TrackerSettings, track
 
-from oracles import bisect_reduce, brute_reduce, loop_energy_of, midpoint_dissipation
+from oracles import _slopes, bisect_reduce, brute_reduce, loop_energy_of, midpoint_dissipation
 
 
 def plain_branch(
@@ -371,10 +370,11 @@ def test_exact_minimizer_matches_the_brute_scan(seed):
     assert exact.energy <= brute.energy + 1e-13
 
 
-@pytest.mark.parametrize("seed", [*range(200), 955])
-def test_newton_zeros_match_the_bisection(seed):
-    # the cubic's root plus one Newton step lands where 64 bisections do;
-    # on seed 955 the cubic's root alone is 2.9e-12 away
+@pytest.mark.parametrize("seed", [*range(200), 386, 955])
+def test_cubic_zeros_match_the_bisection(seed):
+    # the fitted cubic's root lands where 64 bisections of the closed-form E'
+    # do; measured worst case over seeds 0-999 4.9e-14 (seed 386), and
+    # 5.2e-14 (seed 955) when a Newton step on the closed-form E' followed
     mesh, law = random_single_fracture(np.random.default_rng(seed))
     exact = reduce_and_minimize(mesh, law)
     bisected = bisect_reduce(mesh, law)

@@ -15,7 +15,6 @@ from dfnflow.energy import (
     _CHEB_FIT,
     _CHEB_NODES,
     _GAUSS3,
-    _cheb_derivative,
     _cheb_roots,
     _cheb_value,
 )
@@ -83,13 +82,3 @@ def test_batched_end_values_are_chebval_at_both_ends(rows):
     expected = chebyshev.chebval([-1.0, 1.0], coeffs.T).T
     assert_bits_equal(_cheb_value(np.array([[-1.0], [1.0]]), coeffs.T), expected)
 
-
-@settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.tuples(cubics(), st.floats(-1.0, 1.0)), min_size=0, max_size=5))
-def test_derivative_values_are_chebval_of_chebder(rows):
-    coeffs = np.array([c for c, _ in rows]).reshape(-1, 4)
-    x = np.array([x for _, x in rows])
-    for actual, expected in zip(_cheb_derivative(coeffs.T), chebyshev.chebder(coeffs.T)):
-        assert_bits_equal(actual, expected)
-    expected = chebyshev.chebval(x, chebyshev.chebder(coeffs.T), tensor=False)
-    assert_bits_equal(_cheb_value(x, _cheb_derivative(coeffs.T)), expected)

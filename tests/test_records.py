@@ -1,10 +1,14 @@
-"""Records that hold arrays compare and hash by identity; value records by their fields."""
+"""Records that hold arrays compare and hash by identity, value records by their
+fields, and every record class has its own docstring."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import dfnflow
 from dfnflow.energy import energy_of, reduce_and_minimize
 from dfnflow.fem import RegimeField, assemble, solve_saddle
 from dfnflow.laws import Regime
@@ -63,3 +67,18 @@ def test_value_records_compare_by_their_fields():
     assert dataclasses.replace(entry) == entry
     other = track(mesh, LAW).history[-1]
     assert dataclasses.replace(entry, configuration=other.configuration) != entry
+
+
+def _dataclasses():
+    for info in pkgutil.iter_modules(dfnflow.__path__):
+        module = importlib.import_module(f"dfnflow.{info.name}")
+        for value in vars(module).values():
+            own = isinstance(value, type) and value.__module__ == module.__name__
+            if own and dataclasses.is_dataclass(value):
+                yield value
+
+
+@pytest.mark.parametrize("record", _dataclasses(), ids=lambda record: record.__name__)
+def test_every_dataclass_has_its_own_docstring(record):
+    # without one, dataclass builds "Name(signature)" by inspect.signature at import
+    assert record.__doc__ and not record.__doc__.startswith(f"{record.__name__}(")
